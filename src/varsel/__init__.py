@@ -37,6 +37,7 @@ from .linmodel import (
     build_design_matrix,
     fit_least_squares,
     fit_subset,
+    neighbour_costs,
     subset_cost,
 )
 from .pipeline import RunConfig, run_pipeline

@@ -110,16 +110,10 @@ def full_conditional_weights(
     if not 1 <= j <= state.m:
         raise ConfigError(f"position {j} outside [1, {state.m}]")
     cache = cache or CostCache(dataset, config.p_norm, config.alpha)
-    others = set(state.indices) - {state.indices[j - 1]}
-    candidates = np.array(
-        [k for k in range(1, dataset.n_features + 1) if k not in others],
-        dtype=int,
-    )
-    exponents = np.empty(len(candidates), dtype=float)
-    for i, k in enumerate(candidates):
-        cost = cache.cost(state.replace_position(j, int(k)).indices)
-        exponents[i] = -config.eta * cost
-    return candidates, _stable_weights(exponents)
+    others = state.indices[:j - 1] + state.indices[j:]
+    candidates = [k for k in range(1, dataset.n_features + 1) if k not in others]
+    costs = cache.neighbour_costs(others, candidates)
+    return np.array(candidates, dtype=int), _stable_weights(-config.eta * costs)
 
 
 def gibbs_run(

@@ -221,7 +221,7 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
                         "m": m,
                         "subset": list(result.subset.indices),
                         "cost": result.cost,
-                        "restarts": result.restarts_used,
+                        "restarts": config.search_runs,
                         "total_sweeps": result.iterations,
                     }
                 )

@@ -24,7 +24,12 @@ from scipy.stats import t as student_t
 
 from .data import Dataset, FeatureSubset
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
-from .linmodel import build_design_matrix, fit_least_squares, fit_subset
+from .linmodel import (
+    build_design_matrix,
+    fit_least_squares,
+    fit_subset,
+    neighbour_costs,
+)
 
 
 class RankingMethod(str, Enum):
@@ -139,24 +144,32 @@ def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
     )
 
 
-def rank_forward_selection(dataset: Dataset) -> Ranking:
-    """RM1: grow the model by the feature minimizing the prefix MAE."""
-    r = dataset.n_features
+def _grow(dataset: Dataset, largest: bool) -> list[int]:
+    """Addition order of a greedy forward pass: each step prices every
+    remaining feature with one ``neighbour_costs`` batch and adds the one
+    whose fit has the lowest MAE (the highest with ``largest``).
+    Rank-deficient candidates are skipped and the lowest index wins ties."""
     chosen: list[int] = []
-    remaining = list(range(1, r + 1))
+    remaining = list(range(1, dataset.n_features + 1))
     while remaining:
-        best_k, best_mae = None, math.inf
-        for k in remaining:
-            mae = _candidate_mae(dataset, tuple(chosen) + (k,))
-            if mae is not None and mae < best_mae:
-                best_k, best_mae = k, mae
-        if best_k is None:
+        costs = neighbour_costs(dataset, tuple(chosen), remaining)
+        finite = np.isfinite(costs)
+        if not finite.any():
             raise DegenerateStepError(
                 f"every candidate extending {chosen} is rank-deficient"
             )
-        chosen.append(best_k)
-        remaining.remove(best_k)
-    return _finish(RankingMethod.RM1_FORWARD, dataset, chosen)
+        if largest:
+            pick = np.argmax(np.where(finite, costs, -math.inf))
+        else:
+            pick = np.argmin(costs)
+        chosen.append(remaining.pop(int(pick)))
+    return chosen
+
+
+def rank_forward_selection(dataset: Dataset) -> Ranking:
+    """RM1: grow the model by the feature minimizing the prefix MAE."""
+    return _finish(RankingMethod.RM1_FORWARD, dataset,
+                   _grow(dataset, largest=False))
 
 
 def rank_backward_elimination(dataset: Dataset) -> Ranking:
@@ -206,21 +219,7 @@ def rank_remove_max_error(dataset: Dataset) -> Ranking:
 def rank_add_max_error(dataset: Dataset) -> Ranking:
     """RM4: grow the model by the feature maximizing the prefix MAE, worst
     to best; the reversed addition order is best-to-worst."""
-    r = dataset.n_features
-    added: list[int] = []
-    remaining = list(range(1, r + 1))
-    while remaining:
-        best_k, best_mae = None, -math.inf
-        for k in remaining:
-            mae = _candidate_mae(dataset, tuple(added) + (k,))
-            if mae is not None and mae > best_mae:
-                best_k, best_mae = k, mae
-        if best_k is None:
-            raise DegenerateStepError(
-                f"every candidate extending {added} is rank-deficient"
-            )
-        added.append(best_k)
-        remaining.remove(best_k)
+    added = _grow(dataset, largest=True)
     return _finish(RankingMethod.RM4_ADD_MAX, dataset,
                    list(reversed(added)), raw_order=added)
 

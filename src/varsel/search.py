@@ -31,7 +31,6 @@ class SearchResult:
     cost: float
     iterations: int
     converged: bool
-    restarts_used: int
     update_costs: tuple[float, ...] | None = None
 
 
@@ -86,7 +85,6 @@ def exhaustive_best_subset(
         cost=best_cost,
         iterations=count,
         converged=True,
-        restarts_used=0,
     )
 
 
@@ -102,10 +100,10 @@ def alternating_optimization(
 ) -> SearchResult:
     """Cyclic coordinate descent over subset positions from a given start.
 
-    Each position update enumerates every feature index not used at the
-    other positions (the current index included) and accepts only a strict
-    cost improvement, so a sweep without change is a fixed point and the
-    cost trace is non-increasing by construction.
+    Each position update prices every feature index not used by the state
+    in one ``CostCache.neighbour_costs`` batch and accepts only a strict
+    improvement on the current cost, so a sweep without change is a fixed
+    point and the cost trace is non-increasing by construction.
     """
     init.validate_against(dataset)
     if init.m != m:
@@ -121,19 +119,13 @@ def alternating_optimization(
         sweeps += 1
         changed = False
         for j in range(m):
-            others = set(state) - {state[j]}
-            best_k, best_cost = state[j], current_cost
-            for k in range(1, r + 1):
-                if k in others or k == state[j]:
-                    continue
-                state_j = state.copy()
-                state_j[j] = k
-                cost = cache.cost(tuple(state_j))
-                if cost < best_cost:
-                    best_k, best_cost = k, cost
-            if best_k != state[j]:
-                state[j] = best_k
-                current_cost = best_cost
+            used = set(state)
+            candidates = [k for k in range(1, r + 1) if k not in used]
+            costs = cache.neighbour_costs(state[:j] + state[j + 1:], candidates)
+            if candidates and costs.min() < current_cost:
+                best = int(np.argmin(costs))  # the lowest index wins ties
+                state[j] = candidates[best]
+                current_cost = float(costs[best])
                 changed = True
             if trace is not None:
                 trace.append(current_cost)
@@ -150,7 +142,6 @@ def alternating_optimization(
         cost=current_cost,
         iterations=sweeps,
         converged=converged,
-        restarts_used=0,
         update_costs=None if trace is None else tuple(trace),
     )
 
@@ -201,5 +192,4 @@ def multi_restart_search(
         cost=best.cost,
         iterations=iterations,
         converged=best.converged,
-        restarts_used=runs,
     )

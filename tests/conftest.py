@@ -1,15 +1,4 @@
 import numpy as np
-import pytest
-
-import varsel.linmodel
-
-
-@pytest.fixture(autouse=True, scope="session")
-def strict_fits():
-    """Assert residual orthogonality inside every fit the suite performs."""
-    varsel.linmodel.STRICT_RESIDUAL_CHECK = True
-    yield
-    varsel.linmodel.STRICT_RESIDUAL_CHECK = False
 
 
 def random_instance(seed: int, n: int, r: int, sparse: int | None = None,
@@ -22,3 +11,11 @@ def random_instance(seed: int, n: int, r: int, sparse: int | None = None,
     beta = rng.normal(size=k) * 2.0
     y = x[:, support] @ beta + rng.normal() + noise * rng.normal(size=n)
     return x, y, np.sort(support + 1)
+
+
+def assert_residuals_orthogonal(design: np.ndarray, residuals: np.ndarray,
+                                target: np.ndarray, tol: float = 1e-8):
+    """A least-squares residual is orthogonal to every design column."""
+    bound = tol * np.linalg.norm(design) * np.linalg.norm(target)
+    worst = float(np.abs(design.T @ residuals).max())
+    assert worst <= bound, f"residual orthogonality violated: {worst:g} > {bound:g}"

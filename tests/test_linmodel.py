@@ -19,7 +19,7 @@ from varsel import (
 )
 from varsel.linmodel import residual_norm_cost
 
-from conftest import random_instance
+from conftest import assert_residuals_orthogonal, random_instance
 
 
 def small_dataset():
@@ -118,6 +118,21 @@ class TestFit:
         fit = fit_least_squares(design, ds.target)
         bound = 1e-8 * np.linalg.norm(design.values) * np.linalg.norm(ds.target)
         assert np.abs(design.values.T @ fit.residuals).max() <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(0, 6),
+           log_ratio=st.floats(-6.0, 0.0))
+    def test_fit_subset_residuals_are_orthogonal(self, seed, m, log_ratio):
+        # x2 is x1 plus a perturbation of relative size 10**log_ratio, so
+        # the designs run up to a condition number near 1e6, beyond which
+        # eps * kappa outgrows the 1e-8 orthogonality bound
+        x, y, _ = random_instance(seed, 30, 6)
+        x[:, 1] = x[:, 0] + 10.0**log_ratio * x[:, 1]
+        ds = make_dataset(x, y)
+        subset = FeatureSubset(tuple(range(1, m + 1)))
+        fit = fit_subset(ds, subset)
+        design = build_design_matrix(ds, subset).values
+        assert_residuals_orthogonal(design, fit.residuals, ds.target)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
