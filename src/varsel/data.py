@@ -1,4 +1,5 @@
-"""Core immutable data containers: feature table and feature subsets.
+"""Core immutable data containers: feature table and feature subsets, plus
+the seeded per-run generator of search restarts and CV splits.
 
 Feature indices are 1-based everywhere in the public API, matching the
 labeling used in reports (feature 113 is the 113th column of the table).
@@ -113,6 +114,14 @@ class FeatureSubset:
         items = list(self.indices)
         items[position - 1] = index
         return FeatureSubset(tuple(items))
+
+
+def run_rng(seed: int, run_index: int) -> np.random.Generator:
+    """Per-run generator derived by counter-based splitting of the master
+    seed, so results never depend on execution order."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(run_index,))
+    )
 
 
 def normalize_columns(values: np.ndarray, mode: str) -> np.ndarray:

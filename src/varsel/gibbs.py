@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .data import Dataset, FeatureSubset
-from .errors import BudgetExceededError, ConfigError, DegenerateStepError
+from .errors import ConfigError, DegenerateStepError
 from .linmodel import CostCache
-from .search import random_subset
+from .search import all_subset_costs, random_subset
 
 ENUMERATION_BUDGET = 100_000
 
@@ -187,18 +186,9 @@ def exact_target_enumeration(
     r = dataset.n_features
     if not 1 <= m <= r:
         raise ConfigError(f"m={m} outside [1, {r}]")
-    count = math.comb(r, m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating C({r},{m}) = {count} subsets exceeds the budget "
-            f"of {budget}",
-            count=count,
-            budget=budget,
-        )
     cache = cache or CostCache(dataset, p, alpha)
-    keys = list(combinations(range(1, r + 1), m))
-    exponents = np.array([-eta * cache.cost(key) for key in keys])
-    probs = _stable_weights(exponents)
+    keys, costs = zip(*all_subset_costs(cache, m, budget))
+    probs = _stable_weights(-eta * np.array(costs))
     inclusion = np.zeros(r, dtype=float)
     for key, prob in zip(keys, probs):
         for k in key:

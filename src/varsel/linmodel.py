@@ -4,12 +4,14 @@ Two routes compute a fit, both through orthogonal decompositions, never
 raw normal equations: feature tables in this domain contain near-duplicate
 columns and conditioning matters.
 
-* ``fit_least_squares`` / ``subset_cost`` solve one design by SVD
-  (``numpy.linalg.lstsq``).  A design whose numerical rank (relative
-  singular-value threshold ``RANK_RCOND``) is below its column count raises
+* ``full_rank_lstsq`` is the one rank rule, and the only ``lstsq`` call:
+  ``fit_least_squares`` / ``subset_cost`` and every CV train split solve
+  through it.  A design whose numerical rank (relative singular-value
+  threshold ``RANK_RCOND``) is below its column count raises
   ``RankDeficiencyError`` instead of being silently pseudo-inverted, so
-  search procedures can skip degenerate subsets deterministically.  This
-  rule is the arbiter of rank deficiency everywhere.
+  search procedures can skip degenerate subsets deterministically.  (The
+  backward rankings also set aside columns by a stricter Gram-Schmidt cut,
+  ``ranking._usable_features``, before they fit anything.)
 * ``neighbour_costs`` answers the question every search and sampling loop
   asks, "cost of the fixed columns plus candidate k, for every k", from one
   QR factorization of the fixed columns: all candidates are projected onto
@@ -83,6 +85,21 @@ def build_design_matrix(dataset: Dataset, subset: FeatureSubset) -> DesignMatrix
     return DesignMatrix(values, subset)
 
 
+def full_rank_lstsq(x: np.ndarray, y: np.ndarray,
+                    subset: FeatureSubset) -> np.ndarray:
+    """Coefficients of ``y ~ x`` by SVD ``lstsq``; raises
+    ``RankDeficiencyError`` when the numerical rank is below the column
+    count (the package's one rank rule, see the module docstring)."""
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_RCOND)
+    if rank < x.shape[1]:
+        raise RankDeficiencyError(
+            f"design matrix for subset {subset.indices} has numerical "
+            f"rank {rank} < {x.shape[1]} (relative threshold {RANK_RCOND:g})",
+            subset=subset,
+        )
+    return coef
+
+
 def fit_least_squares(design: DesignMatrix, target: np.ndarray) -> FitResult:
     """Fit ``target ~ design`` by least squares and compute error metrics.
 
@@ -94,16 +111,10 @@ def fit_least_squares(design: DesignMatrix, target: np.ndarray) -> FitResult:
     """
     x = design.values
     y = np.asarray(target, dtype=float)
-    n, p = x.shape
+    n = x.shape[0]
     if y.shape != (n,):
         raise VarselError(f"target length {y.shape} does not match {n} design rows")
-    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_RCOND)
-    if rank < p:
-        raise RankDeficiencyError(
-            f"design matrix for subset {design.subset.indices} has numerical "
-            f"rank {rank} < {p} (relative threshold {RANK_RCOND:g})",
-            subset=design.subset,
-        )
+    coef = full_rank_lstsq(x, y, design.subset)
     residuals = y - x @ coef
     mae = float(np.abs(residuals).mean())
     mse = float((residuals @ residuals) / n)

@@ -115,7 +115,9 @@ def config_hash(config: RunConfig, dataset_digest: str) -> str:
 
     Covers the dataset content digest plus every config field except the
     output location, so equal hash + seed guarantees byte-identical
-    reports wherever they are written.
+    reports wherever they are written.  The fields include
+    ``dataset_path``: the report records the path, so the same bytes read
+    from another path hash differently.
     """
     payload = asdict(config)
     payload.pop("output_dir")

@@ -3,7 +3,7 @@
 Four of the methods are greedy procedures over prediction error (forward
 add-min, backward remove-min, remove-max, add-max), one sorts by absolute
 Pearson correlation with the target, and one is classical backward
-elimination on per-coefficient t-test p-values.
+elimination on per-coefficient t-test p-values; all but RM5 run one loop.
 
 Every method returns the same shape: a best-to-worst permutation of all
 features plus the per-prefix MAE curve.  Methods whose native output runs
@@ -15,6 +15,7 @@ both conventions.  Ties are always broken by the lowest feature index.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,14 +97,6 @@ def error_curve(
     return curve, tuple(filled)
 
 
-def _candidate_mae(dataset: Dataset, indices: tuple[int, ...]) -> float | None:
-    """MAE of one candidate fit, or None when rank-deficient."""
-    try:
-        return fit_subset(dataset, FeatureSubset(indices)).mae
-    except RankDeficiencyError:
-        return None
-
-
 def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
     """Split features into a maximal full-rank set and the dropped rest.
 
@@ -144,26 +137,52 @@ def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
     )
 
 
-def _grow(dataset: Dataset, largest: bool) -> list[int]:
-    """Addition order of a greedy forward pass: each step prices every
-    remaining feature with one ``neighbour_costs`` batch and adds the one
-    whose fit has the lowest MAE (the highest with ``largest``).
-    Rank-deficient candidates are skipped and the lowest index wins ties."""
-    chosen: list[int] = []
-    remaining = list(range(1, dataset.n_features + 1))
-    while remaining:
-        costs = neighbour_costs(dataset, tuple(chosen), remaining)
-        finite = np.isfinite(costs)
+def _stepwise(pool, price, largest: bool) -> list[int]:
+    """Empty ``pool`` greedily; return its entries in the order taken.
+
+    Each step ``price(taken, pool)`` scores every entry left (+inf when
+    rank-deficient) and takes the lowest score, or the highest finite one
+    with ``largest``; the earliest entry wins ties.  Raises
+    ``DegenerateStepError`` when no score of a step is finite.
+    """
+    pool = list(pool)
+    taken: list[int] = []
+    while pool:
+        scores = np.asarray(price(taken, pool), dtype=float)
+        finite = np.isfinite(scores)
         if not finite.any():
             raise DegenerateStepError(
-                f"every candidate extending {chosen} is rank-deficient"
+                f"every candidate of {pool} after {taken} is rank-deficient"
             )
         if largest:
-            pick = np.argmax(np.where(finite, costs, -math.inf))
+            pick = np.argmax(np.where(finite, scores, -math.inf))
         else:
-            pick = np.argmin(costs)
-        chosen.append(remaining.pop(int(pick)))
-    return chosen
+            pick = np.argmin(scores)
+        taken.append(pool.pop(int(pick)))
+    return taken
+
+
+def _grow(dataset: Dataset, largest: bool) -> list[int]:
+    """Addition order of a forward pass: one ``neighbour_costs`` batch
+    prices every remaining feature at each step."""
+    return _stepwise(
+        range(1, dataset.n_features + 1),
+        lambda taken, pool: neighbour_costs(dataset, tuple(taken), pool),
+        largest,
+    )
+
+
+def _removal_maes(dataset: Dataset):
+    """Price each removal by the MAE of the rest of the pool (one SVD fit
+    per candidate)."""
+    def price(taken, pool):
+        maes = np.full(len(pool), math.inf)
+        for i in range(len(pool)):
+            rest = FeatureSubset(tuple(pool[:i] + pool[i + 1:]))
+            with suppress(RankDeficiencyError):
+                maes[i] = fit_subset(dataset, rest).mae
+        return maes
+    return price
 
 
 def rank_forward_selection(dataset: Dataset) -> Ranking:
@@ -176,52 +195,26 @@ def rank_backward_elimination(dataset: Dataset) -> Ranking:
     """RM2: repeatedly remove the feature whose removal leaves the lowest
     MAE; the reversed removal order is best-to-worst."""
     usable, dropped = _usable_features(dataset)
-    removals: list[int] = []
-    current = list(usable)
-    while current:
-        best_k, best_mae = None, math.inf
-        for k in current:
-            rest = tuple(i for i in current if i != k)
-            mae = _candidate_mae(dataset, rest)
-            if mae is not None and mae < best_mae:
-                best_k, best_mae = k, mae
-        if best_k is None:
-            raise DegenerateStepError("every removal candidate is rank-deficient")
-        removals.append(best_k)
-        current.remove(best_k)
-    order = list(reversed(removals)) + dropped
-    return _finish(RankingMethod.RM2_BACKWARD, dataset, order,
-                   raw_order=removals + dropped)
+    removals = _stepwise(usable, _removal_maes(dataset), largest=False)
+    return _finish(RankingMethod.RM2_BACKWARD, dataset,
+                   removals[::-1] + dropped, raw_order=removals + dropped)
 
 
 def rank_remove_max_error(dataset: Dataset) -> Ranking:
     """RM3: repeatedly remove the feature whose removal raises the MAE the
     most; the removal order itself is best-to-worst."""
     usable, dropped = _usable_features(dataset)
-    removals: list[int] = []
-    current = list(usable)
-    while current:
-        best_k, best_mae = None, -math.inf
-        for k in current:
-            rest = tuple(i for i in current if i != k)
-            mae = _candidate_mae(dataset, rest)
-            if mae is not None and mae > best_mae:
-                best_k, best_mae = k, mae
-        if best_k is None:
-            raise DegenerateStepError("every removal candidate is rank-deficient")
-        removals.append(best_k)
-        current.remove(best_k)
-    order = removals + dropped
+    order = _stepwise(usable, _removal_maes(dataset), largest=True) + dropped
     return _finish(RankingMethod.RM3_REMOVE_MAX, dataset, order,
-                   raw_order=removals + dropped)
+                   raw_order=order)
 
 
 def rank_add_max_error(dataset: Dataset) -> Ranking:
     """RM4: grow the model by the feature maximizing the prefix MAE, worst
     to best; the reversed addition order is best-to-worst."""
     added = _grow(dataset, largest=True)
-    return _finish(RankingMethod.RM4_ADD_MAX, dataset,
-                   list(reversed(added)), raw_order=added)
+    return _finish(RankingMethod.RM4_ADD_MAX, dataset, added[::-1],
+                   raw_order=added)
 
 
 def rank_correlation(dataset: Dataset) -> Ranking:
@@ -282,19 +275,16 @@ def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     flag records whether all retained coefficients had p < alpha, which is
     where the classical stopping rule would halt.
     """
+    admissible = [False] * dataset.n_features
+
+    def price(taken, pool):
+        pvalues = coefficient_pvalues(dataset, tuple(pool))
+        admissible[len(pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
+        return pvalues
+
     usable, dropped = _usable_features(dataset)
-    removals: list[int] = []
-    current = list(usable)
-    r = dataset.n_features
-    admissible = [False] * r
-    while current:
-        pvalues = coefficient_pvalues(dataset, tuple(current))
-        m = len(current)
-        admissible[m - 1] = bool(np.max(pvalues) < alpha_threshold)
-        worst_pos = int(np.argmax(pvalues))  # argmax: first (lowest index) wins ties
-        removals.append(current.pop(worst_pos))
-    order = list(reversed(removals)) + dropped
-    return _finish(RankingMethod.PVALUE, dataset, order,
+    removals = _stepwise(usable, price, largest=True)
+    return _finish(RankingMethod.PVALUE, dataset, removals[::-1] + dropped,
                    raw_order=removals + dropped, admissible=admissible)
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset
+from .data import Dataset, FeatureSubset, run_rng
 from .errors import BudgetExceededError, ConfigError, DegenerateStepError
 from .linmodel import CostCache
 
@@ -39,12 +39,20 @@ def random_subset(rng: np.random.Generator, r: int, m: int) -> FeatureSubset:
     return FeatureSubset(tuple(int(k) + 1 for k in rng.permutation(r)[:m]))
 
 
-def run_rng(seed: int, run_index: int) -> np.random.Generator:
-    """Per-run generator derived by counter-based splitting of the master
-    seed, so results never depend on execution order or worker count."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(run_index,))
-    )
+def all_subset_costs(cache: CostCache, m: int, budget: int):
+    """Lazy ``(key, cost)`` over all size-m ascending index tuples in
+    lexicographic order; raises ``BudgetExceededError`` at the call when
+    C(R, m) exceeds the budget."""
+    r = cache.dataset.n_features
+    count = math.comb(r, m)
+    if count > budget:
+        raise BudgetExceededError(
+            f"enumerating C({r},{m}) = {count} subsets exceeds the budget "
+            f"of {budget}",
+            count=count,
+            budget=budget,
+        )
+    return ((key, cache.cost(key)) for key in combinations(range(1, r + 1), m))
 
 
 def exhaustive_best_subset(
@@ -64,18 +72,9 @@ def exhaustive_best_subset(
     r = dataset.n_features
     if not 0 <= m <= r:
         raise ConfigError(f"m={m} outside [0, {r}]")
-    count = math.comb(r, m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"exhaustive search over C({r},{m}) = {count} subsets exceeds "
-            f"the budget of {budget}",
-            count=count,
-            budget=budget,
-        )
     cache = cache or CostCache(dataset, p, alpha)
     best_key, best_cost = None, math.inf
-    for key in combinations(range(1, r + 1), m):
-        cost = cache.cost(key)
+    for key, cost in all_subset_costs(cache, m, budget):
         if cost < best_cost:
             best_key, best_cost = key, cost
     if best_key is None:
@@ -83,7 +82,7 @@ def exhaustive_best_subset(
     return SearchResult(
         subset=FeatureSubset(best_key),
         cost=best_cost,
-        iterations=count,
+        iterations=math.comb(r, m),
         converged=True,
     )
 

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset
+from .data import Dataset, FeatureSubset, run_rng
 from .errors import ConfigError, RankDeficiencyError
-from .linmodel import RANK_RCOND, FitResult, fit_subset
-from .search import run_rng
+from .linmodel import FitResult, fit_subset, full_rank_lstsq
 
 
 @dataclass(frozen=True)
@@ -42,15 +40,16 @@ class CvReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
-def _split_metrics(dataset, indices, train_rows, test_rows, r2_baseline):
+def _split_metrics(dataset, subset, train_rows, test_rows, r2_baseline):
     """Fit on the train rows, score on the test rows; None if degenerate."""
-    cols = [k - 1 for k in indices]
+    cols = [k - 1 for k in subset.indices]
     x_train = np.hstack(
         [np.ones((len(train_rows), 1)), dataset.features[np.ix_(train_rows, cols)]]
     )
     y_train = dataset.target[train_rows]
-    coef, _, rank, _ = np.linalg.lstsq(x_train, y_train, rcond=RANK_RCOND)
-    if rank < x_train.shape[1]:
+    try:
+        coef = full_rank_lstsq(x_train, y_train, subset)
+    except RankDeficiencyError:
         return None
     x_test = np.hstack(
         [np.ones((len(test_rows), 1)), dataset.features[np.ix_(test_rows, cols)]]
@@ -73,15 +72,14 @@ def monte_carlo_cv(
     runs: int = 20000,
     seed: int = 0,
     r2_baseline: str = "test-mean",
-    n_jobs: int = 1,
 ) -> CvReport:
     """Repeated random-split validation of one subset model.
 
     Each run draws a fresh uniform split from a per-run generator keyed by
-    (seed, run index), fits on the train part and scores on the test part,
-    so the aggregate is identical for any worker count.  Test R-squared is
-    computed against the test-set mean by default ("train-mean" available).
-    A degenerate train fit is resampled once, then counted as skipped.
+    (seed, run index), fits on the train part and scores on the test part.
+    Test R-squared is computed against the test-set mean by default
+    ("train-mean" available).  A train fit that is rank-deficient under
+    ``linmodel.full_rank_lstsq`` is resampled once, then counted as skipped.
     """
     subset.validate_against(dataset)
     if not 0.0 < train_fraction < 1.0:
@@ -104,18 +102,13 @@ def monte_carlo_cv(
         for _ in range(2):  # one resample allowed per run
             perm = rng.permutation(n)
             metrics = _split_metrics(
-                dataset, subset.indices, perm[:n_train], perm[n_train:], r2_baseline
+                dataset, subset, perm[:n_train], perm[n_train:], r2_baseline
             )
             if metrics is not None:
                 return metrics
         return None
 
-    if n_jobs <= 1:
-        outcomes = [one_run(run) for run in range(runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(one_run, range(runs)))
-
+    outcomes = [one_run(run) for run in range(runs)]
     kept = np.array([m for m in outcomes if m is not None], dtype=float)
     skipped = runs - len(kept)
     if len(kept) == 0:
@@ -123,8 +116,7 @@ def monte_carlo_cv(
             f"every CV train fit for subset {subset.indices} was rank-deficient",
             subset=subset,
         )
-    # compensated accumulation in fixed run order: the aggregate is the same
-    # whatever schedule produced the per-run values
+    # compensated accumulation in run order
     count = len(kept)
     means = [math.fsum(kept[:, c]) / count for c in range(4)]
     stds = [

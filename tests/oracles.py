@@ -4,13 +4,25 @@ The ``oracle_*`` functions fit through the pseudo-inverse and re-implement
 the greedy loops directly, so none of them shares code with the library
 paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
-fit; the batched library paths must reproduce them.
+fit, and the hand-written backward loops the stepwise driver replaced; the
+library paths must reproduce them.
 """
+
+import math
 
 import numpy as np
 
-from varsel import FeatureSubset, RankDeficiencyError, fit_subset
-from varsel.search import random_subset, run_rng
+from varsel import (
+    DegenerateStepError,
+    FeatureSubset,
+    RankDeficiencyError,
+    RankingMethod,
+    coefficient_pvalues,
+    fit_subset,
+)
+from varsel.data import run_rng
+from varsel.ranking import _finish, _usable_features
+from varsel.search import random_subset
 
 
 def oracle_mae(x, y, cols):
@@ -160,3 +172,71 @@ def loop_forward_order(dataset, largest):
         chosen.append(best_k)
         remaining.remove(best_k)
     return chosen
+
+
+def _candidate_mae(dataset, indices):
+    """MAE of one candidate fit, or None when rank-deficient."""
+    try:
+        return fit_subset(dataset, FeatureSubset(indices)).mae
+    except RankDeficiencyError:
+        return None
+
+
+def loop_backward_elimination(dataset):
+    """The old RM2 loop: one SVD fit per removal candidate."""
+    usable, dropped = _usable_features(dataset)
+    removals = []
+    current = list(usable)
+    while current:
+        best_k, best_mae = None, math.inf
+        for k in current:
+            rest = tuple(i for i in current if i != k)
+            mae = _candidate_mae(dataset, rest)
+            if mae is not None and mae < best_mae:
+                best_k, best_mae = k, mae
+        if best_k is None:
+            raise DegenerateStepError("every removal candidate is rank-deficient")
+        removals.append(best_k)
+        current.remove(best_k)
+    order = list(reversed(removals)) + dropped
+    return _finish(RankingMethod.RM2_BACKWARD, dataset, order,
+                   raw_order=removals + dropped)
+
+
+def loop_remove_max_error(dataset):
+    """The old RM3 loop: one SVD fit per removal candidate."""
+    usable, dropped = _usable_features(dataset)
+    removals = []
+    current = list(usable)
+    while current:
+        best_k, best_mae = None, -math.inf
+        for k in current:
+            rest = tuple(i for i in current if i != k)
+            mae = _candidate_mae(dataset, rest)
+            if mae is not None and mae > best_mae:
+                best_k, best_mae = k, mae
+        if best_k is None:
+            raise DegenerateStepError("every removal candidate is rank-deficient")
+        removals.append(best_k)
+        current.remove(best_k)
+    order = removals + dropped
+    return _finish(RankingMethod.RM3_REMOVE_MAX, dataset, order,
+                   raw_order=removals + dropped)
+
+
+def loop_pvalues(dataset, alpha_threshold=0.05):
+    """The old p-value backward elimination loop."""
+    usable, dropped = _usable_features(dataset)
+    removals = []
+    current = list(usable)
+    r = dataset.n_features
+    admissible = [False] * r
+    while current:
+        pvalues = coefficient_pvalues(dataset, tuple(current))
+        m = len(current)
+        admissible[m - 1] = bool(np.max(pvalues) < alpha_threshold)
+        worst_pos = int(np.argmax(pvalues))  # argmax: first (lowest index) wins ties
+        removals.append(current.pop(worst_pos))
+    order = list(reversed(removals)) + dropped
+    return _finish(RankingMethod.PVALUE, dataset, order,
+                   raw_order=removals + dropped, admissible=admissible)

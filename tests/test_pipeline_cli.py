@@ -138,6 +138,13 @@ class TestPipeline:
                              stages=("rank",), output_dir="x", seed=99)
         assert config_hash(base, digest) == config_hash(moved, digest)
         assert config_hash(base, digest) != config_hash(reseeded, digest)
+        # the report records the dataset path, so the hash covers it too
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(data.read_bytes())
+        assert dataset_sha256(copy) == digest
+        copied = RunConfig(dataset_path=str(copy), target_column="y",
+                           stages=("rank",), output_dir="x")
+        assert config_hash(base, digest) != config_hash(copied, digest)
 
     def test_report_validates_against_shipped_schema(self, tmp_path):
         data = write_fixture(tmp_path, seed=8, r=4)

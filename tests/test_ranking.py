@@ -21,9 +21,19 @@ from varsel import (
     rank_pvalues,
     rank_remove_max_error,
 )
+from varsel.ranking import _stepwise
 
 from conftest import random_instance
-from oracles import oracle_mae, oracle_rm1, oracle_rm2, oracle_rm3, oracle_rm4
+from oracles import (
+    loop_backward_elimination,
+    loop_pvalues,
+    loop_remove_max_error,
+    oracle_mae,
+    oracle_rm1,
+    oracle_rm2,
+    oracle_rm3,
+    oracle_rm4,
+)
 
 
 def exact_predictor_dataset():
@@ -91,6 +101,83 @@ class TestGreedyMethods:
         assert 3 in rm2.filled_prefixes
         rm3 = rank_remove_max_error(ds)
         assert rm3.order[-1] == 2
+
+
+def unit_orthogonal_to(rng, columns):
+    """Unit vector orthogonal to the ones vector and the given columns."""
+    n = len(columns[0])
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(n)] + columns))
+    u = rng.normal(size=n)
+    u -= basis @ (basis.T @ u)
+    u -= basis @ (basis.T @ u)
+    return u / np.linalg.norm(u)
+
+
+@st.composite
+def awkward_tables(draw):
+    """Gaussian columns plus at least one of: a near duplicate of column 1,
+    a zero column, an exact duplicate, and a column whose component
+    orthogonal to the others is 1e-10..1e-8 of its norm (kept by the SVD
+    rank rule, dropped by the Gram-Schmidt scan of the backward methods);
+    columns in a drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plain = draw(st.integers(1, 4))
+    n = draw(st.integers(plain + 8, 30))
+    columns = [rng.normal(size=n) for _ in range(plain)]
+    kinds = draw(st.lists(
+        st.sampled_from(["near", "zero", "duplicate", "between"]),
+        min_size=1, max_size=3,
+    ))
+    base = columns[0]
+    scale = np.linalg.norm(base)
+    extra = []
+    for kind in kinds:
+        if kind == "zero":
+            extra.append(np.zeros(n))
+        elif kind == "duplicate":
+            extra.append(base.copy())
+        else:
+            exponent = (draw(st.floats(-7.0, -3.0)) if kind == "near"
+                        else draw(st.floats(-9.9, -8.1)))
+            u = unit_orthogonal_to(rng, columns)
+            extra.append(base + 10.0**exponent * scale * u)
+    x = np.column_stack(columns + extra)
+    x = x[:, draw(st.permutations(range(x.shape[1])))]
+    y = np.column_stack(columns) @ rng.normal(size=plain) + 0.5 * rng.normal(size=n)
+    return make_dataset(x, y)
+
+
+class TestStepwiseDriver:
+    """RM2, RM3 and p-value elimination on the shared stepwise driver
+    reproduce the hand-written loops they replaced, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dataset=awkward_tables())
+    def test_backward_rankings_match_former_loops(self, dataset):
+        pairs = (
+            (rank_backward_elimination, loop_backward_elimination),
+            (rank_remove_max_error, loop_remove_max_error),
+            (rank_pvalues, loop_pvalues),
+        )
+        for method, loop in pairs:
+            got, want = method(dataset), loop(dataset)
+            assert got.order == want.order, method.__name__
+            assert got.raw_order == want.raw_order, method.__name__
+            assert got.admissible == want.admissible, method.__name__
+            assert got.filled_prefixes == want.filled_prefixes, method.__name__
+            assert got.error_curve.tobytes() == want.error_curve.tobytes()
+
+    def test_ties_go_to_the_earliest_entry(self):
+        def flat(taken, pool):
+            return np.ones(len(pool))
+        assert _stepwise([3, 1, 2], flat, largest=False) == [3, 1, 2]
+        assert _stepwise([3, 1, 2], flat, largest=True) == [3, 1, 2]
+
+    def test_largest_skips_infinite_scores(self):
+        def inf_for_3(taken, pool):
+            return [np.inf if k == 3 and len(pool) > 1 else 1.0 for k in pool]
+        assert _stepwise([3, 1, 2], inf_for_3, largest=True) == [1, 2, 3]
+        assert _stepwise([3, 1, 2], inf_for_3, largest=False) == [1, 2, 3]
 
 
 class TestCorrelation:

@@ -15,7 +15,8 @@ from varsel import (
     multi_restart_search,
     subset_cost,
 )
-from varsel.search import random_subset, run_rng
+from varsel.data import run_rng
+from varsel.search import random_subset
 
 from conftest import random_instance
 from oracles import oracle_cost
