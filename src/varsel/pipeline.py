@@ -268,8 +268,7 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
             for name in config.methods:
                 ranking = rankings[name]
                 if name == RankingMethod.PVALUE.value:
-                    chosen = pvalue_stopping(dataset, ranking,
-                                             config.alpha_threshold)
+                    chosen = pvalue_stopping(ranking)
                     selections.append(
                         {
                             "criterion": chosen.criterion.value,

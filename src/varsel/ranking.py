@@ -6,10 +6,11 @@ Pearson correlation with the target, and one is classical backward
 elimination on per-coefficient t-test p-values; all but RM5 run one loop.
 
 Every method returns the same shape: a best-to-worst permutation of all
-features plus the per-prefix MAE curve.  Methods whose native output runs
-worst-to-best (backward elimination, add-max) are normalized by reversal;
-the raw removal/addition sequence is kept alongside so reports can show
-both conventions.  Ties are always broken by the lowest feature index.
+features plus the per-prefix MAE and MSE curves.  Methods whose native
+output runs worst-to-best (backward elimination, add-max) are normalized
+by reversal; the raw removal/addition sequence is kept alongside so reports
+can show both conventions.  Ties are always broken by the lowest feature
+index.
 """
 
 from __future__ import annotations
@@ -44,57 +45,62 @@ class RankingMethod(str, Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """A method tag, a best-to-worst permutation, and its error curve.
+    """A method tag, a best-to-worst permutation, and its error curves.
 
     ``raw_order`` preserves the native removal/addition sequence for the
     methods that produce one (None otherwise).  ``admissible`` is only set
     by the p-value method: entry M-1 says whether the M-feature model kept
     all coefficients below the significance threshold.  ``filled_prefixes``
-    lists prefix sizes whose fit was rank-deficient and whose curve entry
-    repeats the previous prefix.
+    lists prefix sizes whose fit was rank-deficient; there ``error_curve``
+    repeats the previous prefix's MAE and ``mse_curve`` holds +inf.
     """
 
     method: RankingMethod
     order: tuple[int, ...]
     error_curve: np.ndarray
+    mse_curve: np.ndarray
     raw_order: tuple[int, ...] | None = None
     admissible: tuple[bool, ...] | None = None
     filled_prefixes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        curve = np.asarray(self.error_curve, dtype=float)
-        curve.setflags(write=False)
-        object.__setattr__(self, "error_curve", curve)
         r = len(self.order)
         if sorted(self.order) != list(range(1, r + 1)):
             raise ConfigError("order must be a permutation of 1..R")
-        if curve.shape != (r,):
-            raise ConfigError("error_curve must have one entry per feature")
+        for name in ("error_curve", "mse_curve"):
+            curve = np.asarray(getattr(self, name), dtype=float)
+            curve.setflags(write=False)
+            object.__setattr__(self, name, curve)
+            if curve.shape != (r,):
+                raise ConfigError(f"{name} must have one entry per feature")
 
 
 def error_curve(
     dataset: Dataset, order: tuple[int, ...] | list[int]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """MAE of the least-squares fit on each prefix of ``order``.
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """MAE and MSE of the least-squares fit on each prefix of ``order``.
 
-    Entry M-1 holds the MAE using the first M features.  A rank-deficient
-    prefix repeats the previous prefix's MAE (the intercept-only MAE for
-    M=1) and its size is reported in the second return value.
+    Entry M-1 holds the errors using the first M features.  At a
+    rank-deficient prefix the MAE repeats the previous prefix's (the
+    intercept-only MAE for M=1), the MSE is +inf, and its size is reported
+    in the third return value.
     """
     order = tuple(int(k) for k in order)
     r = dataset.n_features
     if sorted(order) != list(range(1, r + 1)):
         raise ConfigError("order must be a permutation of 1..R")
-    curve = np.empty(r, dtype=float)
+    mae_curve = np.empty(r, dtype=float)
+    mse_curve = np.full(r, math.inf)
     filled = []
     previous = fit_subset(dataset, FeatureSubset(())).mae
     for m in range(1, r + 1):
         try:
-            previous = fit_subset(dataset, FeatureSubset(order[:m])).mae
+            fit = fit_subset(dataset, FeatureSubset(order[:m]))
+            previous, mse_curve[m - 1] = fit.mae, fit.mse
         except RankDeficiencyError:
             filled.append(m)
-        curve[m - 1] = previous
-    return curve, tuple(filled)
+        mae_curve[m - 1] = previous
+    return mae_curve, mse_curve, tuple(filled)
 
 
 def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
@@ -126,11 +132,12 @@ def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
 
 
 def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
-    curve, filled = error_curve(dataset, tuple(order))
+    mae_curve, mse_curve, filled = error_curve(dataset, tuple(order))
     return Ranking(
         method=method,
         order=tuple(order),
-        error_curve=curve,
+        error_curve=mae_curve,
+        mse_curve=mse_curve,
         raw_order=None if raw_order is None else tuple(raw_order),
         admissible=None if admissible is None else tuple(admissible),
         filled_prefixes=filled,

@@ -16,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset
-from .errors import ConfigError, RankDeficiencyError
-from .linmodel import FitResult, fit_subset
+from .data import Dataset
+from .errors import ConfigError
 from .ranking import Ranking, RankingMethod
 
 
@@ -63,7 +62,7 @@ def penalty_constant(criterion: Criterion, n: int) -> float:
 
 
 def information_criterion_value(
-    fit: FitResult, n: int, m: int, criterion: Criterion,
+    mse: float, n: int, m: int, criterion: Criterion,
     penalty_offset: int = 0,
 ) -> float:
     """Gaussian -2 log-likelihood at the MLE plus the complexity penalty.
@@ -76,9 +75,9 @@ def information_criterion_value(
     """
     if n < m + 2:
         raise ConfigError(f"need n >= m + 2 (n={n}, m={m})")
-    if fit.mse == 0.0:
+    if mse == 0.0:
         return -math.inf
-    fitting = n * math.log(2.0 * math.pi * fit.mse) + n
+    fitting = n * math.log(2.0 * math.pi * mse) + n
     return fitting + 2.0 * penalty_constant(criterion, n) * (m + penalty_offset)
 
 
@@ -88,21 +87,22 @@ def select_order(
 ) -> OrderSelection:
     """Evaluate the criterion along ranking prefixes and return the argmin.
 
-    Rank-deficient prefixes score +inf and are never selected; ties go to
-    the smallest model.
+    Each prefix's MSE comes from ``ranking.mse_curve``, fitted once when
+    the ranking was built on ``dataset``; nothing is refitted here.
+    Rank-deficient prefixes (+inf MSE) and prefixes with n < m + 2 score
+    +inf and are never selected; ties go to the smallest model.
     """
     if criterion == Criterion.PVALUE:
         raise ConfigError("use pvalue_stopping for the p-value rule")
-    n = dataset.n_rows
-    r = dataset.n_features
-    curve = np.full(r, math.inf)
-    for m in range(1, r + 1):
-        try:
-            fit = fit_subset(dataset, FeatureSubset(ranking.order[:m]))
-            curve[m - 1] = information_criterion_value(fit, n, m, criterion,
-                                                       penalty_offset)
-        except (RankDeficiencyError, ConfigError):
-            continue  # unscorable prefix (rank-deficient or n < m + 2)
+    if len(ranking.order) != dataset.n_features:
+        raise ConfigError("ranking and dataset differ in feature count")
+    curve = np.full(dataset.n_features, math.inf)
+    for m, mse in enumerate(ranking.mse_curve.tolist(), start=1):
+        try:  # a rank-deficient prefix's +inf MSE scores +inf
+            curve[m - 1] = information_criterion_value(
+                mse, dataset.n_rows, m, criterion, penalty_offset)
+        except ConfigError:
+            continue  # n < m + 2
     if not (curve < math.inf).any():
         raise ConfigError("every ranking prefix is rank-deficient")
     m_star = int(np.argmin(curve)) + 1
@@ -110,11 +110,10 @@ def select_order(
                           ranking_method=ranking.method)
 
 
-def pvalue_stopping(
-    dataset: Dataset, pv_ranking: Ranking, alpha_threshold: float = 0.05
-) -> OrderSelection:
+def pvalue_stopping(pv_ranking: Ranking) -> OrderSelection:
     """Largest model size at which backward elimination on p-values stops,
-    i.e. every retained coefficient satisfies p < alpha.
+    i.e. every retained coefficient satisfies the threshold the ranking was
+    built with (``rank_pvalues(alpha_threshold=...)``).
 
     Falls back to m_star = 1 when no prefix is admissible (the rule would
     reject even the single best feature).

@@ -4,8 +4,9 @@ The ``oracle_*`` functions fit through the pseudo-inverse and re-implement
 the greedy loops directly, so none of them shares code with the library
 paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
-fit, and the hand-written backward loops the stepwise driver replaced; the
-library paths must reproduce them.
+fit, the hand-written backward loops the stepwise driver replaced, and the
+order selection that refitted every ranking prefix; the library paths must
+reproduce them.
 """
 
 import math
@@ -13,12 +14,14 @@ import math
 import numpy as np
 
 from varsel import (
+    ConfigError,
     DegenerateStepError,
     FeatureSubset,
     RankDeficiencyError,
     RankingMethod,
     coefficient_pvalues,
     fit_subset,
+    information_criterion_value,
 )
 from varsel.data import run_rng
 from varsel.ranking import _finish, _usable_features
@@ -240,3 +243,22 @@ def loop_pvalues(dataset, alpha_threshold=0.05):
     order = list(reversed(removals)) + dropped
     return _finish(RankingMethod.PVALUE, dataset, order,
                    raw_order=removals + dropped, admissible=admissible)
+
+
+def loop_select_order(dataset, ranking, criterion, penalty_offset=0):
+    """(curve, m_star) of the old ``select_order``, which refitted every
+    prefix of the ranking."""
+    n = dataset.n_rows
+    r = dataset.n_features
+    curve = np.full(r, math.inf)
+    for m in range(1, r + 1):
+        try:
+            fit = fit_subset(dataset, FeatureSubset(ranking.order[:m]))
+            curve[m - 1] = information_criterion_value(fit.mse, n, m, criterion,
+                                                       penalty_offset)
+        except (RankDeficiencyError, ConfigError):
+            continue  # unscorable prefix (rank-deficient or n < m + 2)
+    if not (curve < math.inf).any():
+        raise ConfigError("every ranking prefix is rank-deficient")
+    m_star = int(np.argmin(curve)) + 1
+    return curve, m_star

@@ -160,14 +160,8 @@ def test_criterion_05_information_criteria():
         n = int(rng.integers(10, 200))
         m = int(rng.integers(1, 6))
         mse = float(rng.uniform(0.01, 4.0))
-
-        class Stub:
-            pass
-
-        stub = Stub()
-        stub.mse = mse
         for criterion, xi in xi_of.items():
-            got = varsel.information_criterion_value(stub, n, m, criterion)
+            got = varsel.information_criterion_value(mse, n, m, criterion)
             expected = n * math.log(2 * math.pi * mse) + n + 2 * xi(n) * m
             assert got == pytest.approx(expected, rel=1e-12)
     # (b) BIC never selects more features than AIC, 100 instances with n >= 8
@@ -353,7 +347,7 @@ def test_reference_order_selection_counts():
             aic = select_order(ds, ranked, Criterion.AIC).m_star
             results[name] = (bic, aic)
         pv = varsel.rank_pvalues(ds)
-        m_pv = varsel.pvalue_stopping(ds, pv).m_star
+        m_pv = varsel.pvalue_stopping(pv).m_star
         print(
             f"\n[{target}] BIC/AIC along rm1={results['rm1']}, "
             f"rm2={results['rm2']}, p-value stop={m_pv} "

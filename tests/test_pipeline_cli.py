@@ -94,7 +94,7 @@ class TestPipeline:
         assert entry["m_star"] == direct_sel.m_star
 
         pv = varsel.rank_pvalues(ds)
-        direct_stop = varsel.pvalue_stopping(ds, pv)
+        direct_stop = varsel.pvalue_stopping(pv)
         entry = next(
             e for e in report["order_selection"] if e["criterion"] == "pvalue"
         )

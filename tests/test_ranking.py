@@ -23,7 +23,7 @@ from varsel import (
 )
 from varsel.ranking import _stepwise
 
-from conftest import random_instance
+from conftest import awkward_tables, random_instance
 from oracles import (
     loop_backward_elimination,
     loop_pvalues,
@@ -101,50 +101,6 @@ class TestGreedyMethods:
         assert 3 in rm2.filled_prefixes
         rm3 = rank_remove_max_error(ds)
         assert rm3.order[-1] == 2
-
-
-def unit_orthogonal_to(rng, columns):
-    """Unit vector orthogonal to the ones vector and the given columns."""
-    n = len(columns[0])
-    basis, _ = np.linalg.qr(np.column_stack([np.ones(n)] + columns))
-    u = rng.normal(size=n)
-    u -= basis @ (basis.T @ u)
-    u -= basis @ (basis.T @ u)
-    return u / np.linalg.norm(u)
-
-
-@st.composite
-def awkward_tables(draw):
-    """Gaussian columns plus at least one of: a near duplicate of column 1,
-    a zero column, an exact duplicate, and a column whose component
-    orthogonal to the others is 1e-10..1e-8 of its norm (kept by the SVD
-    rank rule, dropped by the Gram-Schmidt scan of the backward methods);
-    columns in a drawn order."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    plain = draw(st.integers(1, 4))
-    n = draw(st.integers(plain + 8, 30))
-    columns = [rng.normal(size=n) for _ in range(plain)]
-    kinds = draw(st.lists(
-        st.sampled_from(["near", "zero", "duplicate", "between"]),
-        min_size=1, max_size=3,
-    ))
-    base = columns[0]
-    scale = np.linalg.norm(base)
-    extra = []
-    for kind in kinds:
-        if kind == "zero":
-            extra.append(np.zeros(n))
-        elif kind == "duplicate":
-            extra.append(base.copy())
-        else:
-            exponent = (draw(st.floats(-7.0, -3.0)) if kind == "near"
-                        else draw(st.floats(-9.9, -8.1)))
-            u = unit_orthogonal_to(rng, columns)
-            extra.append(base + 10.0**exponent * scale * u)
-    x = np.column_stack(columns + extra)
-    x = x[:, draw(st.permutations(range(x.shape[1])))]
-    y = np.column_stack(columns) @ rng.normal(size=plain) + 0.5 * rng.normal(size=n)
-    return make_dataset(x, y)
 
 
 class TestStepwiseDriver:
@@ -255,17 +211,18 @@ class TestPValues:
 class TestErrorCurve:
     def test_perfect_first_feature_zeroes_the_curve(self):
         ds = exact_predictor_dataset()
-        curve, filled = error_curve(ds, (1, 2))
+        curve, _, filled = error_curve(ds, (1, 2))
         assert curve[0] == pytest.approx(0.0, abs=1e-12)
         assert filled == ()
 
     def test_identity_permutation_equals_direct_fits(self):
         x, y, _ = random_instance(41, 25, 3)
         ds = make_dataset(x, y)
-        curve, _ = error_curve(ds, (1, 2, 3))
+        curve, mse, _ = error_curve(ds, (1, 2, 3))
         for m in range(1, 4):
-            direct = fit_subset(ds, FeatureSubset(tuple(range(1, m + 1)))).mae
-            assert curve[m - 1] == pytest.approx(direct, rel=1e-12)
+            direct = fit_subset(ds, FeatureSubset(tuple(range(1, m + 1))))
+            assert curve[m - 1] == pytest.approx(direct.mae, rel=1e-12)
+            assert mse[m - 1] == direct.mse
 
     def test_curves_are_non_increasing_and_share_the_final_point(self):
         x, y, _ = random_instance(43, 30, 5)
@@ -283,9 +240,10 @@ class TestErrorCurve:
         x = np.column_stack([x1, x1, rng.normal(size=10)])
         ds = make_dataset(x, x1 + rng.normal(size=10))
         # prefixes (1,2) and (1,2,3) both contain the duplicated pair
-        curve, filled = error_curve(ds, (1, 2, 3))
+        curve, mse, filled = error_curve(ds, (1, 2, 3))
         assert filled == (2, 3)
         assert curve[1] == curve[0] and curve[2] == curve[0]
+        assert np.isfinite(mse[0]) and np.isinf(mse[1:]).all()
 
     def test_rejects_non_permutations(self):
         x, y, _ = random_instance(48, 20, 3)

@@ -4,22 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from varsel import (
+    ConfigError,
     Criterion,
+    DegenerateStepError,
     FeatureSubset,
+    RankingMethod,
     elbow_annotation,
     fit_subset,
     information_criterion_value,
     make_dataset,
     pvalue_stopping,
+    rank_features,
     rank_forward_selection,
     rank_pvalues,
     select_order,
 )
 from varsel.selection import penalty_constant
 
-from conftest import random_instance
+from conftest import awkward_tables, random_instance
+from oracles import loop_select_order
 
 
 def some_fit(seed=3, n=30, r=4, m=2):
@@ -32,24 +38,20 @@ class TestCriterionValues:
     def test_bic_matches_hand_formula(self):
         ds, fit = some_fit()
         n, m = 100, 5
-        fake = fit  # only mse feeds the formula
-        got = information_criterion_value(fake, n, m, Criterion.BIC)
+        got = information_criterion_value(fit.mse, n, m, Criterion.BIC)
         expected = n * math.log(2 * math.pi * fit.mse) + n + m * math.log(n)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_frozen_hand_evaluation(self):
         # n=100, mse=0.25, m=5: 100*ln(2*pi*0.25) + 100 + 5*ln(100)
-        class Stub:
-            mse = 0.25
-
-        got = information_criterion_value(Stub(), 100, 5, Criterion.BIC)
+        got = information_criterion_value(0.25, 100, 5, Criterion.BIC)
         assert got == pytest.approx(168.18412145888595, rel=1e-12)
 
     def test_aic_minus_bic_penalty_algebra(self):
         ds, fit = some_fit()
         for n, m in [(50, 3), (200, 7), (1000, 1)]:
-            aic = information_criterion_value(fit, n, m, Criterion.AIC)
-            bic = information_criterion_value(fit, n, m, Criterion.BIC)
+            aic = information_criterion_value(fit.mse, n, m, Criterion.AIC)
+            bic = information_criterion_value(fit.mse, n, m, Criterion.BIC)
             assert aic - bic == pytest.approx(
                 2 * m * (1 - math.log(n) / 2), rel=1e-10
             )
@@ -60,7 +62,7 @@ class TestCriterionValues:
         for criterion in (Criterion.AIC, Criterion.BIC, Criterion.HQIC):
             xi = penalty_constant(criterion, n)
             values = [
-                information_criterion_value(fit, n, m, criterion)
+                information_criterion_value(fit.mse, n, m, criterion)
                 for m in range(1, 6)
             ]
             diffs = np.diff(values)
@@ -76,7 +78,7 @@ class TestCriterionValues:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         ds = make_dataset(x, 2.0 * x[:, 0] + 1.0)
         fit = fit_subset(ds, FeatureSubset((1,)))
-        assert information_criterion_value(fit, 4, 1, Criterion.BIC) == -math.inf
+        assert information_criterion_value(fit.mse, 4, 1, Criterion.BIC) == -math.inf
 
 
 class TestSelectOrder:
@@ -142,7 +144,7 @@ class TestPValueStopping:
         x = rng.normal(size=(50, 4))
         y = 3.0 * x[:, 0] + 0.05 * rng.normal(size=50)
         ds = make_dataset(x, y)
-        chosen = pvalue_stopping(ds, rank_pvalues(ds))
+        chosen = pvalue_stopping(rank_pvalues(ds))
         assert chosen.m_star == 1
         assert chosen.curve[0] == 1.0
 
@@ -152,7 +154,7 @@ class TestPValueStopping:
             rng = np.random.default_rng(1000 + seed)
             x = rng.normal(size=(40, 5))
             ds = make_dataset(x, rng.normal(size=40))
-            stars.append(pvalue_stopping(ds, rank_pvalues(ds)).m_star)
+            stars.append(pvalue_stopping(rank_pvalues(ds)).m_star)
         # frozen for these seeds: 38 runs stop at 1, two at 2
         assert max(stars) <= 2
         assert sum(1 for s in stars if s == 1) >= 35
@@ -161,7 +163,38 @@ class TestPValueStopping:
         x, y, _ = random_instance(33, 30, 4)
         ds = make_dataset(x, y)
         with pytest.raises(Exception):
-            pvalue_stopping(ds, rank_forward_selection(ds))
+            pvalue_stopping(rank_forward_selection(ds))
+
+
+class TestSelectOrderReadsTheRanking:
+    """``select_order`` scores the MSEs the ranking already fitted and
+    reproduces the loop that refitted every prefix, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dataset=awkward_tables())
+    def test_matches_the_refit_loop(self, dataset):
+        for method in RankingMethod:
+            try:
+                ranking = rank_features(dataset, method)
+            except DegenerateStepError:
+                continue  # RM1/RM4 on a duplicate or zero column
+            for criterion in (Criterion.AIC, Criterion.BIC, Criterion.HQIC):
+                try:
+                    want_curve, want_m = loop_select_order(dataset, ranking,
+                                                           criterion)
+                except ConfigError:
+                    with pytest.raises(ConfigError):
+                        select_order(dataset, ranking, criterion)
+                    continue
+                got = select_order(dataset, ranking, criterion)
+                assert got.curve.tobytes() == want_curve.tobytes(), method
+                assert got.m_star == want_m, method
+
+    def test_rejects_a_ranking_of_another_size(self):
+        x, y, _ = random_instance(35, 30, 4)
+        ranking = rank_forward_selection(make_dataset(x[:, :3], y))
+        with pytest.raises(ConfigError):
+            select_order(make_dataset(x, y), ranking, Criterion.BIC)
 
 
 class TestElbow:
