@@ -124,32 +124,46 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     )
 
 
+def constant_columns(values: np.ndarray) -> np.ndarray:
+    """Mask of the constant columns, ``max == min``: a test on centered
+    values or on the std misses a constant such as 0.1, whose centering
+    leaves a rounding residue."""
+    return values.max(axis=0) == values.min(axis=0)
+
+
+def unit_centered_columns(values: np.ndarray) -> np.ndarray:
+    """Columns centered and scaled to unit norm in one new array, so that a
+    Pearson correlation is an inner product; constant columns come out as
+    exact zeros (any other column keeps a nonzero entry after centering)."""
+    out = values - values.mean(axis=0)
+    constant = constant_columns(values)
+    out[:, constant] = 0.0
+    norms = np.sqrt(np.einsum("ij,ij->j", out, out))
+    norms[constant] = 1.0
+    out /= norms
+    return out
+
+
 def normalize_columns(values: np.ndarray, mode: str) -> np.ndarray:
     """Column-wise feature normalization used at ingestion.
 
     ``zscore`` centers and scales to unit (population) standard deviation,
-    ``minmax`` maps the observed range onto [0, 1]; constant columns map to
-    zero in both modes.
+    ``minmax`` maps the observed range onto [0, 1]; constant columns
+    (``constant_columns``) map to zero in both modes.
     """
-    if mode == "none":
-        return np.array(values, dtype=float)
     values = np.array(values, dtype=float)
+    if mode == "none":
+        return values
     if mode == "zscore":
-        mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        safe = np.where(std > 0, std, 1.0)
-        out = (values - mean) / safe
-        out[:, std == 0] = 0.0
-        return out
-    if mode == "minmax":
-        lo = values.min(axis=0)
-        hi = values.max(axis=0)
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        out = (values - lo) / safe
-        out[:, span == 0] = 0.0
-        return out
-    raise ConfigError(f"unknown normalization mode {mode!r}")
+        shift, scale = values.mean(axis=0), values.std(axis=0)
+    elif mode == "minmax":
+        shift, scale = values.min(axis=0), np.ptp(values, axis=0)
+    else:
+        raise ConfigError(f"unknown normalization mode {mode!r}")
+    constant = constant_columns(values)
+    out = (values - shift) / np.where(constant, 1.0, scale)
+    out[:, constant] = 0.0
+    return out
 
 
 def make_dataset(

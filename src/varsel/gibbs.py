@@ -7,7 +7,8 @@ conditional (an explicit categorical over the unused indices), and the
 retained states give an empirical inclusion probability per feature: how
 often that feature appears in a low-error subset.  Small eta flattens the
 density toward uniform; large eta concentrates it near the minimum-cost
-subset (verified against exact enumeration in the tests).
+subset (verified against exact enumeration in the tests).  Costs come from
+a ``CostCache`` as in ``search``.
 
 Costs at eta around 100 differ by hundreds of units, so every softmax here
 subtracts the largest exponent before exponentiating.
@@ -34,8 +35,6 @@ class GibbsConfig:
 
     m: int
     eta: float = 100.0
-    p_norm: float = 1.0
-    alpha: float = 1.0
     sweeps: int = 5000
     burn_in: int | None = None
     seed: int = 0
@@ -108,7 +107,7 @@ def full_conditional_weights(
     state.validate_against(dataset)
     if not 1 <= j <= state.m:
         raise ConfigError(f"position {j} outside [1, {state.m}]")
-    cache = cache or CostCache(dataset, config.p_norm, config.alpha)
+    cache = cache or CostCache(dataset)
     others = state.indices[:j - 1] + state.indices[j:]
     candidates = [k for k in range(1, dataset.n_features + 1) if k not in others]
     costs = cache.neighbour_costs(others, candidates)
@@ -127,7 +126,7 @@ def gibbs_run(
     r = dataset.n_features
     if config.m > r:
         raise ConfigError(f"m={config.m} exceeds R={r}")
-    cache = cache or CostCache(dataset, config.p_norm, config.alpha)
+    cache = cache or CostCache(dataset)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     state = random_subset(rng, r, config.m)
     states, costs = [], []
@@ -176,8 +175,6 @@ def exact_target_enumeration(
     dataset: Dataset,
     m: int,
     eta: float,
-    p: float = 1.0,
-    alpha: float = 1.0,
     budget: int = ENUMERATION_BUDGET,
     cache: CostCache | None = None,
 ) -> ExactDistribution:
@@ -186,7 +183,7 @@ def exact_target_enumeration(
     r = dataset.n_features
     if not 1 <= m <= r:
         raise ConfigError(f"m={m} outside [1, {r}]")
-    cache = cache or CostCache(dataset, p, alpha)
+    cache = cache or CostCache(dataset)
     keys, costs = zip(*all_subset_costs(cache, m, budget))
     probs = _stable_weights(-eta * np.array(costs))
     inclusion = np.zeros(r, dtype=float)

@@ -213,8 +213,6 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
                     m,
                     runs=config.search_runs,
                     seed=config.seed,
-                    p=config.p_norm,
-                    alpha=config.cost_alpha,
                     max_iters=config.max_iters,
                     cache=cache,
                 )
@@ -239,8 +237,6 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
                 gibbs_config = GibbsConfig(
                     m=m,
                     eta=config.eta,
-                    p_norm=config.p_norm,
-                    alpha=config.cost_alpha,
                     sweeps=config.sweeps,
                     burn_in=config.burn_in,
                     seed=config.seed,

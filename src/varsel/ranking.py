@@ -10,7 +10,12 @@ features plus the per-prefix MAE and MSE curves.  Methods whose native
 output runs worst-to-best (backward elimination, add-max) are normalized
 by reversal; the raw removal/addition sequence is kept alongside so reports
 can show both conventions.  Ties are always broken by the lowest feature
-index.
+index.  RM5 ties |rho| values within ``RHO_TIE`` = 1e-10 of their
+neighbour in decreasing order, transitively: affine copies of a column
+correlate equally in exact arithmetic, and a fixed grid such as
+``round(|rho|, 10)`` still orders the copies that straddle a grid line.  A
+constant column (``max == min``) correlates 0 with everything, and a
+constant target with every feature.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import t as student_t
 
-from .data import Dataset, FeatureSubset
+from .data import Dataset, FeatureSubset, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
 from .linmodel import (
     build_design_matrix,
@@ -32,6 +37,8 @@ from .linmodel import (
     fit_subset,
     neighbour_costs,
 )
+
+RHO_TIE = 1e-10
 
 
 class RankingMethod(str, Enum):
@@ -225,23 +232,15 @@ def rank_add_max_error(dataset: Dataset) -> Ranking:
 
 
 def rank_correlation(dataset: Dataset) -> Ranking:
-    """RM5: sort by decreasing |Pearson correlation| with the target;
-    zero-variance features correlate 0 and rank last."""
-    y = dataset.target
-    yc = y - y.mean()
-    y_norm = np.linalg.norm(yc)
-    scores = []
-    for k in range(1, dataset.n_features + 1):
-        x = dataset.features[:, k - 1]
-        xc = x - x.mean()
-        x_norm = np.linalg.norm(xc)
-        if x_norm == 0.0 or y_norm == 0.0:
-            rho = 0.0
-        else:
-            rho = float(xc @ yc) / (x_norm * y_norm)
-        scores.append((-abs(rho), k))
-    order = [k for _, k in sorted(scores)]
-    return _finish(RankingMethod.RM5_CORRELATION, dataset, order)
+    """RM5: sort by decreasing |Pearson correlation| with the target, one
+    product of ``unit_centered_columns``; ties as in the module docstring."""
+    unit = unit_centered_columns(dataset.features)
+    rho = unit.T @ unit_centered_columns(dataset.target[:, None])[:, 0]
+    score = np.abs(rho)
+    desc = np.argsort(-score, kind="stable")
+    tie_group = np.cumsum(np.r_[0, -np.diff(score[desc]) > RHO_TIE])
+    order = desc[np.lexsort((desc, tie_group))] + 1
+    return _finish(RankingMethod.RM5_CORRELATION, dataset, order.tolist())
 
 
 def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarray:

@@ -5,6 +5,8 @@ alternating optimization: cycle through the M subset positions, solving each
 one-position subproblem exhaustively over the unused feature indices, until
 a full sweep makes no change.  Restarting from many random initializations
 and keeping the best run recovers the global minimum with high probability.
+Costs come from a ``CostCache``, the one holder of the cost settings; an
+omitted cache means the L1 cost.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ def all_subset_costs(cache: CostCache, m: int, budget: int):
 def exhaustive_best_subset(
     dataset: Dataset,
     m: int,
-    p: float = 1.0,
-    alpha: float = 1.0,
     budget: int = EXHAUSTIVE_BUDGET,
     cache: CostCache | None = None,
 ) -> SearchResult:
@@ -72,7 +72,7 @@ def exhaustive_best_subset(
     r = dataset.n_features
     if not 0 <= m <= r:
         raise ConfigError(f"m={m} outside [0, {r}]")
-    cache = cache or CostCache(dataset, p, alpha)
+    cache = cache or CostCache(dataset)
     best_key, best_cost = None, math.inf
     for key, cost in all_subset_costs(cache, m, budget):
         if cost < best_cost:
@@ -92,8 +92,6 @@ def alternating_optimization(
     m: int,
     init: FeatureSubset,
     max_iters: int = DEFAULT_MAX_SWEEPS,
-    p: float = 1.0,
-    alpha: float = 1.0,
     cache: CostCache | None = None,
     track_updates: bool = False,
 ) -> SearchResult:
@@ -107,7 +105,7 @@ def alternating_optimization(
     init.validate_against(dataset)
     if init.m != m:
         raise ConfigError(f"init has {init.m} indices, expected m={m}")
-    cache = cache or CostCache(dataset, p, alpha)
+    cache = cache or CostCache(dataset)
     r = dataset.n_features
     state = list(init.indices)
     current_cost = cache.cost(tuple(state))
@@ -150,8 +148,6 @@ def multi_restart_search(
     m: int,
     runs: int = 1000,
     seed: int = 0,
-    p: float = 1.0,
-    alpha: float = 1.0,
     max_iters: int = DEFAULT_MAX_SWEEPS,
     cache: CostCache | None = None,
 ) -> SearchResult:
@@ -166,15 +162,14 @@ def multi_restart_search(
     r = dataset.n_features
     if not 1 <= m <= r:
         raise ConfigError(f"m={m} outside [1, {r}]")
-    cache = cache or CostCache(dataset, p, alpha)
+    cache = cache or CostCache(dataset)
     best: SearchResult | None = None
     iterations = 0
     for run in range(runs):
         init = random_subset(run_rng(seed, run), r, m)
         try:
             result = alternating_optimization(
-                dataset, m, init, max_iters=max_iters, p=p, alpha=alpha,
-                cache=cache,
+                dataset, m, init, max_iters=max_iters, cache=cache
             )
         except DegenerateStepError:
             continue

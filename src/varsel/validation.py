@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, run_rng
+from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
 from .errors import ConfigError, RankDeficiencyError
 from .linmodel import FitResult, fit_subset, full_rank_lstsq
 
@@ -153,22 +153,16 @@ class CorrelationGraph:
 
 
 def correlation_graph(dataset: Dataset, threshold: float = 0.95) -> CorrelationGraph:
-    """All pairs (i < j, both 1-based) with |rho| >= threshold; zero-variance
-    columns produce no edges."""
-    x = dataset.features
-    centered = x - x.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=0)
-    r = dataset.n_features
-    edges = []
-    for i in range(r):
-        if norms[i] == 0.0:
-            continue
-        for j in range(i + 1, r):
-            if norms[j] == 0.0:
-                continue
-            rho = float(centered[:, i] @ centered[:, j]) / (norms[i] * norms[j])
-            if abs(rho) >= threshold:
-                edges.append((i + 1, j + 1, rho))
+    """All pairs (i < j, both 1-based, row-major) with |rho| >= threshold,
+    rho from one product of ``unit_centered_columns`` clipped to [-1, 1];
+    constant columns (``max == min``) produce no edges."""
+    unit = unit_centered_columns(dataset.features)
+    rho = np.clip(unit.T @ unit, -1.0, 1.0)
+    varying = unit.any(axis=0)
+    i, j = np.triu_indices(dataset.n_features, 1)
+    keep = (np.abs(rho[i, j]) >= threshold) & varying[i] & varying[j]
+    i, j = i[keep], j[keep]
+    edges = zip((i + 1).tolist(), (j + 1).tolist(), rho[i, j].tolist())
     return CorrelationGraph(edges=tuple(edges), threshold=threshold)
 
 

@@ -4,9 +4,10 @@ The ``oracle_*`` functions fit through the pseudo-inverse and re-implement
 the greedy loops directly, so none of them shares code with the library
 paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
-fit, the hand-written backward loops the stepwise driver replaced, and the
-order selection that refitted every ranking prefix; the library paths must
-reproduce them.
+fit, the hand-written backward loops the stepwise driver replaced, the
+order selection that refitted every ranking prefix, and the per-feature and
+per-pair Pearson loops of RM5 and the correlation graph; the library paths
+must reproduce them.
 """
 
 import math
@@ -262,3 +263,43 @@ def loop_select_order(dataset, ranking, criterion, penalty_offset=0):
         raise ConfigError("every ranking prefix is rank-deficient")
     m_star = int(np.argmin(curve)) + 1
     return curve, m_star
+
+
+def loop_correlation(dataset):
+    """The old RM5 loop: (best-to-worst order, rho per feature)."""
+    y = dataset.target
+    yc = y - y.mean()
+    y_norm = np.linalg.norm(yc)
+    scores = []
+    rhos = []
+    for k in range(1, dataset.n_features + 1):
+        x = dataset.features[:, k - 1]
+        xc = x - x.mean()
+        x_norm = np.linalg.norm(xc)
+        if x_norm == 0.0 or y_norm == 0.0:
+            rho = 0.0
+        else:
+            rho = float(xc @ yc) / (x_norm * y_norm)
+        scores.append((-abs(rho), k))
+        rhos.append(rho)
+    order = [k for _, k in sorted(scores)]
+    return order, np.array(rhos)
+
+
+def loop_correlation_graph(dataset, threshold=0.95):
+    """The old correlation graph loop: edges (i, j, rho), i < j, 1-based."""
+    x = dataset.features
+    centered = x - x.mean(axis=0)
+    norms = np.linalg.norm(centered, axis=0)
+    r = dataset.n_features
+    edges = []
+    for i in range(r):
+        if norms[i] == 0.0:
+            continue
+        for j in range(i + 1, r):
+            if norms[j] == 0.0:
+                continue
+            rho = float(centered[:, i] @ centered[:, j]) / (norms[i] * norms[j])
+            if abs(rho) >= threshold:
+                edges.append((i + 1, j + 1, rho))
+    return tuple(edges)

@@ -73,6 +73,11 @@ class TestNormalization:
         np.testing.assert_allclose(out[:, 0].std(), 1.0, rtol=1e-12)
         np.testing.assert_array_equal(out[:, 1], 0.0)  # constant column
 
+    def test_zscore_maps_a_constant_with_rounding_residue_to_zero(self):
+        # the std of 1213 copies of 0.1 is about 1.4e-17, not 0
+        out = normalize_columns(np.full((1213, 1), 0.1), "zscore")
+        np.testing.assert_array_equal(out, 0.0)
+
     def test_minmax_maps_to_unit_interval(self):
         x = np.array([[2.0], [4.0], [10.0]])
         out = normalize_columns(x, "minmax")

@@ -103,6 +103,34 @@ class TestPipeline:
         edges = varsel.correlation_graph(ds, 0.95).edges
         assert report["correlation"]["edges"] == [[i, j, r] for i, j, r in edges]
 
+    def test_cost_settings_reach_search_and_gibbs(self, tmp_path):
+        data = write_fixture(tmp_path, seed=5, n=50, r=8)
+        config = RunConfig(
+            dataset_path=str(data),
+            target_column="y",
+            output_dir=str(tmp_path / "out"),
+            stages=("search", "gibbs"),
+            m_values=(2, 3),
+            p_norm=2.0,
+            cost_alpha=2.0,
+            search_runs=10,
+            sweeps=100,
+            seed=8,
+        )
+        report, _ = run_pipeline(config)
+        ds = varsel.ingest_csv(data, "y")
+        for entry in report["best_subsets"]:
+            subset = varsel.FeatureSubset(tuple(entry["subset"]))
+            # the cache may price a subset through the batched kernel, which
+            # agrees with subset_cost to rounding
+            assert entry["cost"] == pytest.approx(
+                varsel.subset_cost(ds, subset, 2.0, 2.0), rel=1e-9)
+        for m, entry in zip((2, 3), report["inclusion_profiles"]):
+            gc = GibbsConfig(m=m, sweeps=100, seed=8)
+            chain = varsel.gibbs_run(ds, gc, cache=varsel.CostCache(ds, 2.0, 2.0))
+            profile = varsel.inclusion_frequencies(chain, gc.burn_in)
+            assert entry["probabilities"] == profile.probabilities.tolist()
+
     def test_reports_are_byte_identical_across_output_dirs(self, tmp_path):
         data = write_fixture(tmp_path, seed=6)
         trees = []

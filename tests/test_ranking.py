@@ -21,11 +21,13 @@ from varsel import (
     rank_pvalues,
     rank_remove_max_error,
 )
+from varsel.data import unit_centered_columns
 from varsel.ranking import _stepwise
 
 from conftest import awkward_tables, random_instance
 from oracles import (
     loop_backward_elimination,
+    loop_correlation,
     loop_pvalues,
     loop_remove_max_error,
     oracle_mae,
@@ -167,6 +169,37 @@ class TestCorrelation:
         rescaled = x.copy()
         rescaled[:, 2] = scale * rescaled[:, 2] + shift
         assert rank_correlation(make_dataset(rescaled, y)).order == rank_correlation(ds).order
+
+    @pytest.mark.parametrize("seed,n,r", [(0, 30, 4), (1, 60, 12), (2, 200, 40),
+                                          (3, 1213, 30)])
+    def test_matches_the_per_feature_loop(self, seed, n, r):
+        x, y, _ = random_instance(seed, n, r, sparse=r // 2)
+        ds = make_dataset(x, y)
+        order, rhos = loop_correlation(ds)
+        assert list(rank_correlation(ds).order) == order
+        unit = unit_centered_columns(ds.features)
+        rho = unit.T @ unit_centered_columns(ds.target[:, None])[:, 0]
+        np.testing.assert_allclose(rho, rhos, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
+           log_offset=st.floats(-3.0, 5.0))
+    def test_affine_copy_ranks_after_the_original(self, seed, log_scale,
+                                                  log_offset):
+        # equal |rho| in exact arithmetic: the lower index must win the tie,
+        # for offsets b up to 1e5 times the scale a (|b/a| <= 1e5)
+        rng = np.random.default_rng(seed)
+        x1 = rng.normal(size=200)
+        a = rng.choice([-1.0, 1.0]) * 10.0**log_scale
+        b = a * rng.choice([-1.0, 1.0]) * 10.0**log_offset
+        x = np.column_stack([x1, a * x1 + b])
+        ds = make_dataset(x, x1 + rng.normal(size=200))
+        assert rank_correlation(ds).order == (1, 2)
+
+    def test_constant_target_gives_index_order(self):
+        rng = np.random.default_rng(23)
+        ds = make_dataset(rng.normal(size=(1213, 6)), np.full(1213, 0.1))
+        assert rank_correlation(ds).order == (1, 2, 3, 4, 5, 6)
 
 
 class TestPValues:

@@ -14,6 +14,9 @@ from varsel import (
 )
 from varsel.data import run_rng
 
+from conftest import random_instance
+from oracles import loop_correlation_graph
+
 
 def linear_dataset(seed=15, n=30, r=3, noise=0.3):
     rng = np.random.default_rng(seed)
@@ -142,6 +145,39 @@ class TestCorrelationGraph:
         swapped = make_dataset(x[:, [1, 0, 2]], ds.target)
         swapped_edges = correlation_graph(swapped, 0.95).edges
         assert [(i, j) for i, j, _ in swapped_edges] == [(1, 3)]
+
+    @pytest.mark.parametrize("seed,n,r", [(0, 30, 4), (1, 60, 12), (2, 200, 40),
+                                          (3, 1213, 30)])
+    def test_matches_the_per_pair_loop(self, seed, n, r):
+        x, y, _ = random_instance(seed, n, r)
+        # correlated columns, so that the higher thresholds keep some pairs
+        x[:, 1::2] = x[:, ::2][:, :r // 2] + 0.1 * x[:, 1::2]
+        ds = make_dataset(x, y)
+        for threshold in (0.0, 0.5, 0.95):
+            got = correlation_graph(ds, threshold).edges
+            want = loop_correlation_graph(ds, threshold)
+            assert [e[:2] for e in got] == [e[:2] for e in want]
+            np.testing.assert_allclose([e[2] for e in got], [e[2] for e in want],
+                                       rtol=0, atol=1e-12)
+
+    def test_constant_columns_with_rounding_residue_have_no_edge(self):
+        # centering 0.1 or 0.3 over 1213 rows does not give exact zeros
+        rng = np.random.default_rng(45)
+        x = np.column_stack([np.full(1213, 0.1), np.full(1213, 0.3),
+                             rng.normal(size=1213)])
+        ds = make_dataset(x, rng.normal(size=1213))
+        assert correlation_graph(ds, 0.95).edges == ()
+        assert correlation_graph(ds, 0.0).edges == ()
+
+    def test_every_rho_is_within_one(self):
+        rng = np.random.default_rng(46)
+        base = rng.normal(size=(1213, 4)) + 0.7
+        # affine copies: the old per-pair quotient gave |rho| up to 1 + 7 ulp
+        x = np.hstack([base, 3.0 * base + 0.1, -base / 7.0])
+        ds = make_dataset(x, rng.normal(size=1213))
+        rhos = [rho for _, _, rho in correlation_graph(ds, 0.0).edges]
+        assert len(rhos) == 66
+        assert max(abs(rho) for rho in rhos) <= 1.0
 
 
 class TestNamedModel:
