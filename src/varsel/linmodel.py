@@ -20,6 +20,16 @@ columns and conditioning matters.
   candidate design's condition far inside the SVD rule
   (``CERTIFIED_RATIO_CAP``); every other candidate, and every candidate of
   a fixed set that fails the bound, is solved by ``subset_cost``.
+* ``pool_factor`` answers the backward questions about one pool of
+  features, "fit without column j, for every j" and "t statistic of every
+  coefficient", from one QR ``[1, X_pool] = Q R``: the coefficients, the
+  residual, ``d_j = (X^T X)^-1_jj`` and the dual basis ``W = Q R^-T``.  It
+  returns None unless the same bound certifies the pool, and by
+  singular-value interlacing a certified pool certifies each of its
+  sub-pools, so every removal it prices is full-rank under the SVD rule.
+  Its callers (``ranking._removal_maes``, ``ranking.coefficient_pvalues``)
+  fall back to one SVD fit per candidate, or to the SVD fit plus a
+  triangular solve, for a pool it does not certify.
 """
 
 from __future__ import annotations
@@ -176,6 +186,28 @@ def subset_cost(
     return residual_norm_cost(fit.residuals, p, alpha)
 
 
+def _certified_inverse(
+    a: np.ndarray, design_norm: float
+) -> tuple[np.ndarray, float] | None:
+    """Inverse of the triangular QR factor ``a`` of a design whose Frobenius
+    norm is ``design_norm``, and the inverse's Frobenius norm; None unless
+    ``1 / ||A^-1||_F``, a lower bound on the design's sigma_min, exceeds
+    ``CERTIFIED_RATIO_CAP`` times that norm, an upper bound on its
+    sigma_max."""
+    # sigma_min(A) <= min |diag(A)| for triangular A, so a tiny diagonal
+    # fails the bound for certain; checking it first also keeps the inverse
+    # away from an exactly singular factor.  ``inv``, not a triangular
+    # solve: the same cost single-threaded, and far cheaper than a
+    # multithreaded BLAS triangular solve on small factors.
+    if np.abs(np.diag(a)).min() <= CERTIFIED_RATIO_CAP * design_norm:
+        return None
+    a_inv = np.linalg.inv(a)
+    a_inv_norm = float(np.linalg.norm(a_inv))
+    if a_inv_norm * design_norm * CERTIFIED_RATIO_CAP >= 1.0:
+        return None
+    return a_inv, a_inv_norm
+
+
 def _neighbour_residuals(
     dataset: Dataset, fixed: tuple[int, ...], candidates: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +224,10 @@ def _neighbour_residuals(
         return undecided
     q, a = np.linalg.qr(base)
     base_norm2 = float(np.einsum("ij,ij->", base, base))
-    # sigma_min(A) <= min |diag(A)| for triangular A, so a tiny diagonal
-    # fails the bound below for every candidate; checking it first also
-    # keeps the triangular inverse away from an exactly singular factor.
-    if np.abs(np.diag(a)).min() <= CERTIFIED_RATIO_CAP * math.sqrt(base_norm2):
+    certified = _certified_inverse(a, math.sqrt(base_norm2))
+    if certified is None:
         return undecided
-    # Frobenius norm, an upper bound on ||A^-1||_2
-    a_inv_norm = float(np.linalg.norm(np.linalg.inv(a)))
-    if a_inv_norm * math.sqrt(base_norm2) * CERTIFIED_RATIO_CAP >= 1.0:
-        return undecided
+    a_inv_norm = certified[1]
 
     # One row per candidate, so each residual is summed contiguously.
     z = dataset.features.T[np.asarray(candidates) - 1]
@@ -277,6 +304,47 @@ def neighbour_costs(
         except RankDeficiencyError:
             costs[i] = math.inf
     return costs
+
+
+@dataclass(frozen=True)
+class PoolFactor:
+    """What one certified QR ``[1, X_pool] = Q R`` says about a pool, in
+    design-column order (intercept first)."""
+
+    coefficients: np.ndarray  # b = R^-1 Q^T y
+    residuals: np.ndarray  # r = y - X b
+    gram_inv_diag: np.ndarray  # d_j = ||row j of R^-1||^2 = (X^T X)^-1_jj
+    dual_basis: np.ndarray  # W = Q R^-T = X (X^T X)^-1, N x (M+1)
+
+
+def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None:
+    """The least-squares fit on ``indices`` and the quantities every removal
+    and every coefficient test reads, from one economic QR; None when the
+    bound of ``neighbour_costs`` does not certify the pool's design.
+
+    Dropping column j of a certified pool leaves the residual
+    ``r + (b_j / d_j) W[:, j]``: ``X^T W[:, j] = e_j``, so that residual is
+    orthogonal to every other column, and it zeroes coefficient j.  The
+    residual gets one reorthogonalization pass, as in ``neighbour_costs``.
+    """
+    x = build_design_matrix(dataset, FeatureSubset(tuple(indices))).values
+    q, a = np.linalg.qr(x)
+    certified = _certified_inverse(a, math.sqrt(float(np.einsum("ij,ij->", x, x))))
+    if certified is None:
+        return None
+    a_inv = certified[0]
+    y = dataset.target
+    c = q.T @ y
+    r = y - q @ c
+    c2 = q.T @ r  # one reorthogonalization pass
+    r -= q @ c2
+    c += c2
+    return PoolFactor(
+        coefficients=a_inv @ c,
+        residuals=r,
+        gram_inv_diag=np.einsum("ij,ij->i", a_inv, a_inv),
+        dual_basis=q @ a_inv.T,
+    )
 
 
 class CostCache:

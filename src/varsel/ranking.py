@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 from scipy.stats import t as student_t
 
 from .data import Dataset, FeatureSubset, unit_centered_columns
@@ -36,6 +35,7 @@ from .linmodel import (
     fit_least_squares,
     fit_subset,
     neighbour_costs,
+    pool_factor,
 )
 
 RHO_TIE = 1e-10
@@ -187,9 +187,16 @@ def _grow(dataset: Dataset, largest: bool) -> list[int]:
 
 
 def _removal_maes(dataset: Dataset):
-    """Price each removal by the MAE of the rest of the pool (one SVD fit
-    per candidate)."""
+    """Price each removal by the MAE of the rest of the pool: all at once
+    from the ``pool_factor`` of a certified pool, else one SVD fit per
+    candidate."""
     def price(taken, pool):
+        factor = pool_factor(dataset, tuple(pool))
+        if factor is not None:
+            step = factor.coefficients[1:] / factor.gram_inv_diag[1:]
+            dropped = factor.dual_basis[:, 1:].T * step[:, None]
+            dropped += factor.residuals  # row j: the residual without column j
+            return np.abs(dropped).mean(axis=1)
         maes = np.full(len(pool), math.inf)
         for i in range(len(pool)):
             rest = FeatureSubset(tuple(pool[:i] + pool[i + 1:]))
@@ -248,29 +255,35 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
     ``indices`` (intercept excluded).
 
     Standard errors come from sigma^2 * diag((X^T X)^-1) with the unbiased
-    sigma^2 = SS_res / (N - M - 1), computed through the economic QR factor
-    rather than an explicit Gram inverse.
+    sigma^2 = SS_res / (N - M - 1).  A certified pool reads the fit and the
+    diagonal from its ``pool_factor``; any other pool is fitted by the SVD
+    rule, which decides rank deficiency, and its diagonal comes from a
+    triangular solve on the QR factor.  A zero standard error gives p = 0
+    for a nonzero coefficient and p = 1 for a zero one.
     """
-    design = build_design_matrix(dataset, FeatureSubset(indices))
-    fit = fit_least_squares(design, dataset.target)
-    x = design.values
-    n, p = x.shape
+    factor = pool_factor(dataset, indices)
+    if factor is not None:
+        coefs, residuals = factor.coefficients[1:], factor.residuals
+        gram_inv_diag = factor.gram_inv_diag
+    else:
+        design = build_design_matrix(dataset, FeatureSubset(indices))
+        fit = fit_least_squares(design, dataset.target)
+        coefs, residuals = fit.coefficients, fit.residuals
+        # LU leaves a triangular factor as it is, so ``solve`` is the
+        # triangular back substitution
+        r_inv = np.linalg.solve(np.linalg.qr(design.values, mode="r"),
+                                np.eye(design.n_columns))
+        gram_inv_diag = (r_inv**2).sum(axis=1)
+    n, p = dataset.n_rows, len(indices) + 1
     dof = n - p
     if dof < 1:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
-    _, r_factor = scipy.linalg.qr(x, mode="economic")
-    r_inv = scipy.linalg.solve_triangular(r_factor, np.eye(p))
-    gram_inv_diag = (r_inv**2).sum(axis=1)
-    sigma2 = float(fit.residuals @ fit.residuals) / dof
+    sigma2 = float(residuals @ residuals) / dof
     se = np.sqrt(sigma2 * gram_inv_diag[1:])
-    coefs = fit.coefficients
-    pvalues = np.empty(len(indices), dtype=float)
-    for i, (b, s) in enumerate(zip(coefs, se)):
-        if s == 0.0:
-            pvalues[i] = 0.0 if b != 0.0 else 1.0
-        else:
-            pvalues[i] = 2.0 * float(student_t.sf(abs(b) / s, dof))
-    return pvalues
+    positive = se > 0.0
+    t = np.divide(np.abs(coefs), se, out=np.zeros(len(se)), where=positive)
+    return np.where(positive, 2.0 * student_t.sf(t, dof),
+                    np.where(coefs != 0.0, 0.0, 1.0))
 
 
 def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:

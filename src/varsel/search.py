@@ -27,13 +27,19 @@ DEFAULT_MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best subset found, reported with ascending indices."""
+    """Best subset found, reported with ascending indices.
+
+    ``degenerate_restarts`` counts the restarts of ``multi_restart_search``
+    that ended on a rank-deficient subset with no finite-cost move; they add
+    nothing to ``iterations``.
+    """
 
     subset: FeatureSubset
     cost: float
     iterations: int
     converged: bool
     update_costs: tuple[float, ...] | None = None
+    degenerate_restarts: int = 0
 
 
 def random_subset(rng: np.random.Generator, r: int, m: int) -> FeatureSubset:
@@ -155,7 +161,11 @@ def multi_restart_search(
 
     Ties between runs resolve to the lexicographically smallest ascending
     subset, making the result deterministic for a given (seed, runs, m)
-    regardless of any parallel execution of the runs.
+    regardless of any parallel execution of the runs.  Restarts stuck on a
+    rank-deficient subset are counted in ``degenerate_restarts``.
+
+    Raises:
+        DegenerateStepError: every restart was degenerate.
     """
     if runs < 1:
         raise ConfigError("runs must be >= 1")
@@ -164,7 +174,7 @@ def multi_restart_search(
         raise ConfigError(f"m={m} outside [1, {r}]")
     cache = cache or CostCache(dataset)
     best: SearchResult | None = None
-    iterations = 0
+    iterations = degenerate = 0
     for run in range(runs):
         init = random_subset(run_rng(seed, run), r, m)
         try:
@@ -172,6 +182,7 @@ def multi_restart_search(
                 dataset, m, init, max_iters=max_iters, cache=cache
             )
         except DegenerateStepError:
+            degenerate += 1
             continue
         iterations += result.iterations
         key = (result.cost, result.subset.indices)
@@ -186,4 +197,5 @@ def multi_restart_search(
         cost=best.cost,
         iterations=iterations,
         converged=best.converged,
+        degenerate_restarts=degenerate,
     )

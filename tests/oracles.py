@@ -5,14 +5,17 @@ the greedy loops directly, so none of them shares code with the library
 paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
 fit, the hand-written backward loops the stepwise driver replaced, the
-order selection that refitted every ranking prefix, and the per-feature and
-per-pair Pearson loops of RM5 and the correlation graph; the library paths
-must reproduce them.
+order selection that refitted every ranking prefix, the per-feature and
+per-pair Pearson loops of RM5 and the correlation graph, and the p-values
+that fitted by SVD and took the standard errors from a second (scipy) QR;
+the library paths must reproduce them.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
+from scipy.stats import t as student_t
 
 from varsel import (
     ConfigError,
@@ -20,7 +23,8 @@ from varsel import (
     FeatureSubset,
     RankDeficiencyError,
     RankingMethod,
-    coefficient_pvalues,
+    build_design_matrix,
+    fit_least_squares,
     fit_subset,
     information_criterion_value,
 )
@@ -228,6 +232,31 @@ def loop_remove_max_error(dataset):
                    raw_order=removals + dropped)
 
 
+def loop_coefficient_pvalues(dataset, indices):
+    """The old ``coefficient_pvalues``: an SVD fit for the residuals, a scipy
+    QR for the standard errors, one ``student_t.sf`` call per coefficient."""
+    design = build_design_matrix(dataset, FeatureSubset(indices))
+    fit = fit_least_squares(design, dataset.target)
+    x = design.values
+    n, p = x.shape
+    dof = n - p
+    if dof < 1:
+        raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
+    _, r_factor = scipy.linalg.qr(x, mode="economic")
+    r_inv = scipy.linalg.solve_triangular(r_factor, np.eye(p))
+    gram_inv_diag = (r_inv**2).sum(axis=1)
+    sigma2 = float(fit.residuals @ fit.residuals) / dof
+    se = np.sqrt(sigma2 * gram_inv_diag[1:])
+    coefs = fit.coefficients
+    pvalues = np.empty(len(indices), dtype=float)
+    for i, (b, s) in enumerate(zip(coefs, se)):
+        if s == 0.0:
+            pvalues[i] = 0.0 if b != 0.0 else 1.0
+        else:
+            pvalues[i] = 2.0 * float(student_t.sf(abs(b) / s, dof))
+    return pvalues
+
+
 def loop_pvalues(dataset, alpha_threshold=0.05):
     """The old p-value backward elimination loop."""
     usable, dropped = _usable_features(dataset)
@@ -236,7 +265,7 @@ def loop_pvalues(dataset, alpha_threshold=0.05):
     r = dataset.n_features
     admissible = [False] * r
     while current:
-        pvalues = coefficient_pvalues(dataset, tuple(current))
+        pvalues = loop_coefficient_pvalues(dataset, tuple(current))
         m = len(current)
         admissible[m - 1] = bool(np.max(pvalues) < alpha_threshold)
         worst_pos = int(np.argmax(pvalues))  # argmax: first (lowest index) wins ties

@@ -27,7 +27,13 @@ from varsel import (
 from varsel.linmodel import CERTIFIED_RATIO_CAP, _neighbour_residuals
 from varsel.search import random_subset
 
-from conftest import assert_residuals_orthogonal, random_instance
+from conftest import (
+    assert_residuals_orthogonal,
+    cost_tolerance,
+    near_duplicate_table,
+    orthogonal_direction,
+    random_instance,
+)
 from oracles import (
     loop_alternating_optimization,
     loop_forward_order,
@@ -35,30 +41,8 @@ from oracles import (
     loop_multi_restart_search,
 )
 
-EPS = np.finfo(float).eps
 P_VALUES = st.sampled_from([1.0, 2.0, 0.5, 3.0])
 ALPHA_VALUES = st.sampled_from([1.0, 2.0, 0.5])
-
-
-def orthogonal_direction(rng, x, columns):
-    """Unit vector orthogonal to the ones vector and the given columns."""
-    basis, _ = np.linalg.qr(np.column_stack([np.ones(len(x)), x[:, columns]]))
-    u = rng.normal(size=len(x))
-    u -= basis @ (basis.T @ u)
-    u -= basis @ (basis.T @ u)
-    return u / np.linalg.norm(u)
-
-
-def near_duplicate_table(seed, ratio, n=40, r=6):
-    """Column 2 is column 1 plus a component orthogonal to [1, x1] whose
-    norm is ``ratio`` times the column's; the target carries noise, so no
-    cost is near zero."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, r))
-    x[:, 1] = x[:, 0] + ratio * np.linalg.norm(x[:, 0]) * orthogonal_direction(
-        rng, x, [0])
-    y = x @ rng.normal(size=r) + 1.0 + 0.5 * rng.normal(size=n)
-    return make_dataset(x, y)
 
 
 def svd_costs(dataset, fixed, candidates, p=1.0, alpha=1.0):
@@ -69,22 +53,6 @@ def svd_costs(dataset, fixed, candidates, p=1.0, alpha=1.0):
         except RankDeficiencyError:
             out.append(math.inf)
     return np.array(out)
-
-
-def cost_tolerance(dataset, design, p, alpha):
-    """Relative 1e-9, widened to what the SVD reference itself resolves.
-
-    A least-squares residual is determined to about eps * (1 + 2 kappa)
-    * ||y|| (Golub & Van Loan, Thm 5.3.1), and the cost magnifies a
-    relative residual error by up to max(alpha, alpha / p).  A column
-    scaled by 1e5 with p = 0.5, alpha = 2 already puts the SVD path 1.4e-9
-    off a 50-digit solve that the kernel matched exactly."""
-    sv = np.linalg.svd(design, compute_uv=False)
-    y = dataset.target
-    residual = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
-    spread = (EPS * (1.0 + 2.0 * sv[0] / sv[-1]) * np.linalg.norm(y)
-              / np.linalg.norm(residual) * max(alpha, alpha / p))
-    return max(1e-9, 10.0 * spread)
 
 
 def assert_matches_svd(dataset, fixed, p=1.0, alpha=1.0):

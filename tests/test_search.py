@@ -159,3 +159,21 @@ class TestMultiRestart:
         ds = make_dataset(x, y)
         result = multi_restart_search(ds, 3, runs=10, seed=3)
         assert list(result.subset.indices) == sorted(result.subset.indices)
+
+    def test_degenerate_restarts_are_counted(self):
+        # x1 and x2 are zero columns: a restart that starts on {1, 2} has no
+        # finite-cost move, and every other start escapes them
+        x, y, _ = random_instance(12, 25, 5)
+        x[:, :2] = 0.0
+        ds = make_dataset(x, y)
+        runs, seed = 40, 6
+        stuck = sum(set(random_subset(run_rng(seed, run), 5, 2).indices) == {1, 2}
+                    for run in range(runs))
+        assert stuck >= 2
+        result = multi_restart_search(ds, 2, runs=runs, seed=seed)
+        assert result.degenerate_restarts == stuck
+        assert math.isfinite(result.cost)
+        assert not set(result.subset.indices) & {1, 2}
+        clean = multi_restart_search(make_dataset(*random_instance(12, 25, 5)[:2]),
+                                     2, runs=runs, seed=seed)
+        assert clean.degenerate_restarts == 0
