@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto pipeline stages, plus ``report`` which runs
-everything.  Exit codes: 0 success, 65 input parse failure, 64 invalid
-configuration, 70 computation failure (argparse itself exits 2 on usage
-errors).
+everything and takes every stage subcommand's flags.  Each flag is declared
+once, in ``_FLAGS``, by the ``RunConfig`` field it sets.  Exit codes: 0
+success, 65 input parse failure, 64 invalid configuration, 70 computation
+failure (argparse itself exits 2 on usage errors).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     RankDeficiencyError,
     VarselError,
 )
-from .pipeline import ALL_METHODS, IC_CRITERIA, RunConfig, run_pipeline
+from .pipeline import ALL_METHODS, ALL_STAGES, RunConfig, run_pipeline
 
 EXIT_OK = 0
 EXIT_PARSE = 65
@@ -38,8 +39,8 @@ _METHOD_ALIASES = {
 }
 
 
-def _csv_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _csv_list(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -59,21 +60,74 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_required: bool) -> None:
-    parser.add_argument("--input", "-i", required=True, help="input table")
-    parser.add_argument("--target", required=True, help="target column name")
-    parser.add_argument("--drop", default="", help="columns to exclude (comma list)")
-    parser.add_argument("--delimiter", default=",")
-    parser.add_argument(
-        "--normalize", default="none", choices=["none", "zscore", "minmax"]
-    )
-    parser.add_argument(
-        "--output-dir", "-o",
-        default=os.environ.get("VARSEL_OUTPUT_DIR", "."),
-        help="where to write report.json and flat files "
-             "(default: $VARSEL_OUTPUT_DIR or '.')",
-    )
-    parser.add_argument("--seed", type=int, required=seed_required, default=0)
+_COMMANDS = {
+    "rank": "feature rankings and error curves",
+    "search": "best subset of each size m",
+    "gibbs": "inclusion probabilities by sampling",
+    "select": "model-order selection",
+    "cv": "Monte Carlo cross-validation of a subset",
+    "corr": "high-correlation feature pairs",
+    "report": "full pipeline",
+}
+_ALL = tuple(_COMMANDS)
+_COST = ("search", "gibbs", "report")  # the subcommands that price subsets
+
+# One row per flag: option strings, the RunConfig field it sets (the argparse
+# dest), the subcommands that take it, and its argparse keywords.  A flag
+# whose field or requiredness differs between subcommands has one row per
+# variant.  No row carries a default: a flag left off the command line is
+# absent from the namespace, and RunConfig supplies the value.
+_FLAGS = (
+    (("--input", "-i"), "dataset_path", _ALL,
+     {"required": True, "help": "input table"}),
+    (("--target",), "target_column", _ALL,
+     {"required": True, "help": "target column name"}),
+    (("--drop",), "drop_columns", _ALL,
+     {"help": "columns to exclude (comma list)"}),
+    (("--delimiter",), "delimiter", _ALL, {}),
+    (("--normalize",), "normalize", _ALL,
+     {"choices": ["none", "zscore", "minmax"]}),
+    (("--output-dir", "-o"), "output_dir", _ALL,
+     {"help": "where to write report.json and flat files "
+              "(default: $VARSEL_OUTPUT_DIR or '.')"}),
+    (("--seed",), "seed", ("rank", "select", "corr"), {"type": int}),
+    (("--seed",), "seed", ("search", "gibbs", "cv", "report"),
+     {"type": int, "required": True}),
+    (("--methods",), "methods", ("rank", "select", "report"), {}),
+    (("--criteria",), "criteria", ("select", "report"), {}),
+    (("--alpha",), "alpha_threshold", ("rank", "select", "report"),
+     {"type": float, "help": "p-value threshold"}),
+    (("--m",), "m_values", _COST,
+     {"required": True, "help": "subset sizes (comma list)"}),
+    (("--runs",), "search_runs", ("search", "report"),
+     {"type": int, "help": "search restarts"}),
+    (("--max-iters",), "max_iters", ("search", "report"), {"type": int}),
+    (("--eta",), "eta", ("gibbs", "report"), {"type": float}),
+    (("--sweeps",), "sweeps", ("gibbs", "report"), {"type": int}),
+    (("--burn-in",), "burn_in", ("gibbs", "report"), {"type": int}),
+    (("--p-norm",), "p_norm", _COST, {"type": float}),
+    (("--cost-alpha",), "cost_alpha", _COST, {"type": float}),
+    (("--subset",), "cv_subset", ("cv",),
+     {"required": True, "help": "1-based feature indices (comma list)"}),
+    (("--subset",), "cv_subset", ("report",),
+     {"help": "CV subset (default: best search subset)"}),
+    (("--runs",), "cv_runs", ("cv",), {"type": int, "help": "CV splits"}),
+    (("--cv-runs",), "cv_runs", ("report",), {"type": int, "help": "CV splits"}),
+    (("--train-fraction",), "train_fraction", ("cv", "report"), {"type": float}),
+    (("--threshold",), "corr_threshold", ("corr", "report"),
+     {"type": float, "help": "correlation threshold"}),
+)
+
+# Fields given as comma lists.  They are parsed after argparse, inside
+# main's error handling, so a bad value exits 64 like any other invalid
+# configuration.
+_LIST_PARSERS = {
+    "drop_columns": _csv_list,
+    "methods": _parse_methods,
+    "criteria": _csv_list,
+    "m_values": _parse_ints,
+    "cv_subset": _parse_ints,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,124 +140,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rank = sub.add_parser("rank", help="feature rankings and error curves")
-    _add_common(p_rank, seed_required=False)
-    p_rank.add_argument("--methods", default=",".join(ALL_METHODS))
-    p_rank.add_argument("--alpha", type=float, default=0.05,
-                        help="p-value threshold")
-
-    p_search = sub.add_parser("search", help="best subset of each size m")
-    _add_common(p_search, seed_required=True)
-    p_search.add_argument("--m", required=True, help="subset sizes (comma list)")
-    p_search.add_argument("--runs", type=int, default=1000)
-    p_search.add_argument("--max-iters", type=int, default=100)
-    p_search.add_argument("--p-norm", type=float, default=1.0)
-    p_search.add_argument("--cost-alpha", type=float, default=1.0)
-
-    p_gibbs = sub.add_parser("gibbs", help="inclusion probabilities by sampling")
-    _add_common(p_gibbs, seed_required=True)
-    p_gibbs.add_argument("--m", required=True, help="subset sizes (comma list)")
-    p_gibbs.add_argument("--eta", type=float, default=100.0)
-    p_gibbs.add_argument("--sweeps", type=int, default=5000)
-    p_gibbs.add_argument("--burn-in", type=int, default=None)
-    p_gibbs.add_argument("--p-norm", type=float, default=1.0)
-    p_gibbs.add_argument("--cost-alpha", type=float, default=1.0)
-
-    p_select = sub.add_parser("select", help="model-order selection")
-    _add_common(p_select, seed_required=False)
-    p_select.add_argument("--methods", default=",".join(ALL_METHODS))
-    p_select.add_argument("--criteria", default=",".join(IC_CRITERIA))
-    p_select.add_argument("--alpha", type=float, default=0.05)
-
-    p_cv = sub.add_parser("cv", help="Monte Carlo cross-validation of a subset")
-    _add_common(p_cv, seed_required=True)
-    p_cv.add_argument("--subset", required=True,
-                      help="1-based feature indices (comma list)")
-    p_cv.add_argument("--runs", type=int, default=20000)
-    p_cv.add_argument("--train-fraction", type=float, default=0.8)
-
-    p_corr = sub.add_parser("corr", help="high-correlation feature pairs")
-    _add_common(p_corr, seed_required=False)
-    p_corr.add_argument("--threshold", type=float, default=0.95)
-
-    p_report = sub.add_parser("report", help="full pipeline")
-    _add_common(p_report, seed_required=True)
-    p_report.add_argument("--methods", default=",".join(ALL_METHODS))
-    p_report.add_argument("--criteria", default=",".join(IC_CRITERIA))
-    p_report.add_argument("--alpha", type=float, default=0.05)
-    p_report.add_argument("--m", required=True, help="subset sizes (comma list)")
-    p_report.add_argument("--runs", type=int, default=1000,
-                          help="search restarts")
-    p_report.add_argument("--max-iters", type=int, default=100)
-    p_report.add_argument("--eta", type=float, default=100.0)
-    p_report.add_argument("--sweeps", type=int, default=5000)
-    p_report.add_argument("--burn-in", type=int, default=None)
-    p_report.add_argument("--p-norm", type=float, default=1.0)
-    p_report.add_argument("--cost-alpha", type=float, default=1.0)
-    p_report.add_argument("--subset", default=None,
-                          help="CV subset (default: best search subset)")
-    p_report.add_argument("--cv-runs", type=int, default=20000)
-    p_report.add_argument("--train-fraction", type=float, default=0.8)
-    p_report.add_argument("--threshold", type=float, default=0.95,
-                          help="correlation threshold")
-
+    commands = {
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for name, text in _COMMANDS.items()
+    }
+    for options, field, takers, keywords in _FLAGS:
+        for name in takers:
+            commands[name].add_argument(*options, dest=field, **keywords)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(
-        dataset_path=args.input,
-        target_column=args.target,
-        drop_columns=tuple(_csv_list(args.drop)),
-        delimiter=args.delimiter,
-        normalize=args.normalize,
-        output_dir=args.output_dir,
-        seed=args.seed,
-    )
-    cmd = args.command
-    if cmd == "rank":
-        return RunConfig(stages=("rank",), methods=_parse_methods(args.methods),
-                         alpha_threshold=args.alpha, **common)
-    if cmd == "search":
-        return RunConfig(stages=("search",), m_values=_parse_ints(args.m),
-                         search_runs=args.runs, max_iters=args.max_iters,
-                         p_norm=args.p_norm, cost_alpha=args.cost_alpha, **common)
-    if cmd == "gibbs":
-        return RunConfig(stages=("gibbs",), m_values=_parse_ints(args.m),
-                         eta=args.eta, sweeps=args.sweeps, burn_in=args.burn_in,
-                         p_norm=args.p_norm, cost_alpha=args.cost_alpha, **common)
-    if cmd == "select":
-        return RunConfig(stages=("select",), methods=_parse_methods(args.methods),
-                         criteria=tuple(_csv_list(args.criteria)),
-                         alpha_threshold=args.alpha, **common)
-    if cmd == "cv":
-        return RunConfig(stages=("cv",), cv_subset=_parse_ints(args.subset),
-                         cv_runs=args.runs, train_fraction=args.train_fraction,
-                         **common)
-    if cmd == "corr":
-        return RunConfig(stages=("corr",), corr_threshold=args.threshold, **common)
-    if cmd == "report":
-        return RunConfig(
-            stages=("rank", "search", "gibbs", "select", "cv", "corr"),
-            methods=_parse_methods(args.methods),
-            criteria=tuple(_csv_list(args.criteria)),
-            alpha_threshold=args.alpha,
-            m_values=_parse_ints(args.m),
-            search_runs=args.runs,
-            max_iters=args.max_iters,
-            eta=args.eta,
-            sweeps=args.sweeps,
-            burn_in=args.burn_in,
-            p_norm=args.p_norm,
-            cost_alpha=args.cost_alpha,
-            cv_subset=None if args.subset is None else _parse_ints(args.subset),
-            cv_runs=args.cv_runs,
-            train_fraction=args.train_fraction,
-            corr_threshold=args.threshold,
-            **common,
-        )
-    raise ConfigError(f"unknown command {cmd!r}")
+    values = dict(vars(args))
+    command = values.pop("command")
+    for field, parse in _LIST_PARSERS.items():
+        if field in values:
+            values[field] = parse(values[field])
+    if "VARSEL_OUTPUT_DIR" in os.environ:
+        values.setdefault("output_dir", os.environ["VARSEL_OUTPUT_DIR"])
+    stages = ALL_STAGES if command == "report" else (command,)
+    return RunConfig(stages=stages, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

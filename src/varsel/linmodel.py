@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSubset
-from .errors import RankDeficiencyError, VarselError
+from .errors import ConfigError, RankDeficiencyError, VarselError
 
 # Relative singular-value cutoff for declaring a design rank-deficient.
 RANK_RCOND = 1e-10
@@ -162,7 +162,7 @@ def residual_norm_cost(residuals: np.ndarray, p: float,
     along the last axis: a float for one residual vector, an array of costs
     for a stack of them."""
     if p <= 0 or alpha <= 0:
-        raise VarselError("cost parameters require p > 0 and alpha > 0")
+        raise ConfigError("cost parameters require p > 0 and alpha > 0")
     powered = np.abs(np.asarray(residuals, dtype=float))
     if p != 1:
         powered **= p  # in place: a stack of residuals can be large

@@ -74,6 +74,10 @@ class RunConfig:
         unknown = set(self.criteria) - set(IC_CRITERIA)
         if unknown:
             raise ConfigError(f"unknown criterion/criteria {sorted(unknown)}")
+        for name in ("methods", "criteria", "m_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"repeated {name} in {list(values)}")
         needs_m = {"search", "gibbs"} & set(self.stages)
         if needs_m and not self.m_values:
             raise ConfigError(f"stages {sorted(needs_m)} need --m values")

@@ -108,6 +108,8 @@ def alternating_optimization(
     improvement on the current cost, so a sweep without change is a fixed
     point and the cost trace is non-increasing by construction.
     """
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
     init.validate_against(dataset)
     if init.m != m:
         raise ConfigError(f"init has {init.m} indices, expected m={m}")

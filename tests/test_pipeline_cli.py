@@ -1,6 +1,11 @@
 """Pipeline orchestration, report emission, and the CLI surface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +15,7 @@ import pytest
 import varsel
 from varsel import GibbsConfig, RunConfig, run_pipeline
 from varsel.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
-from varsel.pipeline import config_hash, dataset_sha256
+from varsel.pipeline import ALL_STAGES, config_hash, dataset_sha256
 
 SCHEMA_PATH = Path(varsel.__file__).parent / "schema" / "report.schema.json"
 
@@ -237,11 +242,29 @@ class TestCli:
         assert code == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
-    def test_validation_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["rank", "--target", "nope"], id="unknown-target"),
+        pytest.param(["search", "--target", "y", "--m", "2,x", "--seed", "1"],
+                     id="bad-m"),
+        pytest.param(["gibbs", "--target", "y", "--m", "2,2", "--sweeps", "20",
+                      "--seed", "1"], id="repeated-m"),
+        pytest.param(["rank", "--target", "y", "--methods", "rm1,rm1-forward"],
+                     id="repeated-method"),
+        pytest.param(["select", "--target", "y", "--criteria", "bic,bic"],
+                     id="repeated-criterion"),
+        pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
+                      "--seed", "1", "--p-norm", "0"], id="zero-p-norm"),
+        pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
+                      "--seed", "1", "--cost-alpha", "-1"],
+                     id="negative-cost-alpha"),
+        pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
+                      "--seed", "1", "--max-iters", "0"], id="zero-max-iters"),
+    ])
+    def test_validation_error_exit_code(self, tmp_path, capsys, argv):
         data = write_fixture(tmp_path)
-        code = main(["rank", "-i", str(data), "--target", "nope",
-                     "-o", str(tmp_path / "o")])
+        code = main([*argv, "-i", str(data), "-o", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_computation_error_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -339,3 +362,106 @@ class TestCli:
         assert [e["method"] for e in report["rankings"]] == [
             "rm1-forward", "rm5-correlation"
         ]
+
+
+def test_module_entry_point_prints_version():
+    src = Path(varsel.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "varsel", "--version"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"varsel {varsel.__version__}\n"
+
+
+# Each row: flag, its argument, the RunConfig field it sets, the parsed value.
+# Every value differs from the field's default, so a flag that fails to land
+# in its field shows up as a default.
+_COMMON_FLAGS = [
+    ("--drop", "f9,f8", "drop_columns", ("f9", "f8")),
+    ("--delimiter", ";", "delimiter", ";"),
+    ("--normalize", "minmax", "normalize", "minmax"),
+    ("--output-dir", "elsewhere", "output_dir", "elsewhere"),
+    ("--seed", "11", "seed", 11),
+]
+_METHODS = ("--methods", "rm2,pvalue", "methods", ("rm2-backward", "pvalue"))
+_CRITERIA = ("--criteria", "hqic,aic", "criteria", ("hqic", "aic"))
+_ALPHA = ("--alpha", "0.1", "alpha_threshold", 0.1)
+_M = ("--m", "3,2", "m_values", (3, 2))
+_SEARCH = [("--runs", "9", "search_runs", 9), ("--max-iters", "4", "max_iters", 4)]
+_GIBBS = [("--eta", "3", "eta", 3.0), ("--sweeps", "40", "sweeps", 40),
+          ("--burn-in", "4", "burn_in", 4)]
+_COST = [("--p-norm", "2", "p_norm", 2.0), ("--cost-alpha", "0.5", "cost_alpha", 0.5)]
+_SUBSET = ("--subset", "2,1", "cv_subset", (2, 1))
+_TRAIN = ("--train-fraction", "0.7", "train_fraction", 0.7)
+_THRESHOLD = ("--threshold", "0.5", "corr_threshold", 0.5)
+_STAGE_FLAGS = {
+    "rank": [_METHODS, _ALPHA],
+    "search": [_M, *_SEARCH, *_COST],
+    "gibbs": [_M, *_GIBBS, *_COST],
+    "select": [_METHODS, _CRITERIA, _ALPHA],
+    "cv": [_SUBSET, ("--runs", "25", "cv_runs", 25), _TRAIN],
+    "corr": [_THRESHOLD],
+    "report": [_METHODS, _CRITERIA, _ALPHA, _M, *_SEARCH, *_GIBBS, *_COST,
+               _SUBSET, ("--cv-runs", "25", "cv_runs", 25), _TRAIN, _THRESHOLD],
+}
+# what a subcommand cannot run without
+_REQUIRED = {
+    "rank": [], "select": [], "corr": [],
+    "search": [("--m", "2", "m_values", (2,)), ("--seed", "0", "seed", 0)],
+    "gibbs": [("--m", "2", "m_values", (2,)), ("--seed", "0", "seed", 0)],
+    "cv": [("--subset", "1", "cv_subset", (1,)), ("--seed", "0", "seed", 0)],
+    "report": [("--m", "2", "m_values", (2,)), ("--seed", "0", "seed", 0)],
+}
+
+
+def _argv(rows):
+    return [token for flag, text, _, _ in rows for token in (flag, text)]
+
+
+def _expected(command, rows):
+    stages = ALL_STAGES if command == "report" else (command,)
+    return RunConfig(dataset_path="t.csv", target_column="y", stages=stages,
+                     **{field: value for _, _, field, value in rows})
+
+
+class TestFlagMapping:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        configs = []
+
+        def fake_run_pipeline(config):
+            configs.append(config)
+            return {}, []
+
+        monkeypatch.setattr("varsel.cli.run_pipeline", fake_run_pipeline)
+        monkeypatch.delenv("VARSEL_OUTPUT_DIR", raising=False)
+        return configs
+
+    @pytest.mark.parametrize("command", list(_STAGE_FLAGS))
+    def test_minimal_argv_gives_runconfig_defaults(self, command, captured):
+        rows = _REQUIRED[command]
+        argv = [command, "-i", "t.csv", "--target", "y", *_argv(rows)]
+        assert main(argv) == EXIT_OK
+        assert asdict(captured[0]) == asdict(_expected(command, rows))
+
+    @pytest.mark.parametrize("command", list(_STAGE_FLAGS))
+    def test_every_flag_lands_in_its_field(self, command, captured):
+        rows = _COMMON_FLAGS + _STAGE_FLAGS[command]
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        assert all(value != defaults[field] for _, _, field, value in rows)
+        argv = [command, "--input", "t.csv", "--target", "y", *_argv(rows)]
+        assert main(argv) == EXIT_OK
+        assert asdict(captured[0]) == asdict(_expected(command, rows))
+
+    @pytest.mark.parametrize("command", list(_STAGE_FLAGS))
+    def test_each_subcommand_takes_exactly_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*",
+                                capsys.readouterr().out))
+        rows = _COMMON_FLAGS + _STAGE_FLAGS[command]
+        assert listed == {"-h", "--help", "-i", "--input", "--target", "-o",
+                          *(flag for flag, _, _, _ in rows)}
