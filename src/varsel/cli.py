@@ -131,9 +131,12 @@ _LIST_PARSERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix of one flag must not be read as
+    # another (``rank --m 2`` would be ``--methods 2``)
     parser = argparse.ArgumentParser(
         prog="varsel",
         description="Variable selection toolkit for linear regression models.",
+        allow_abbrev=False,
     )
     from . import __version__
 
@@ -141,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS,
+                             allow_abbrev=False)
         for name, text in _COMMANDS.items()
     }
     for options, field, takers, keywords in _FLAGS:

@@ -156,13 +156,17 @@ def fit_subset(dataset: Dataset, subset: FeatureSubset) -> FitResult:
     return fit_least_squares(build_design_matrix(dataset, subset), dataset.target)
 
 
-def residual_norm_cost(residuals: np.ndarray, p: float,
-                       alpha: float) -> float | np.ndarray:
-    """``||residuals||_p ** alpha`` for any p > 0 (p < 1 allowed), taken
-    along the last axis: a float for one residual vector, an array of costs
-    for a stack of them."""
+def check_cost_parameters(p: float, alpha: float) -> None:
+    """The cost's domain: p > 0 (p < 1 allowed) and alpha > 0."""
     if p <= 0 or alpha <= 0:
         raise ConfigError("cost parameters require p > 0 and alpha > 0")
+
+
+def residual_norm_cost(residuals: np.ndarray, p: float,
+                       alpha: float) -> float | np.ndarray:
+    """``||residuals||_p ** alpha``, taken along the last axis: a float for
+    one residual vector, an array of costs for a stack of them."""
+    check_cost_parameters(p, alpha)
     powered = np.abs(np.asarray(residuals, dtype=float))
     if p != 1:
         powered **= p  # in place: a stack of residuals can be large

@@ -19,15 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import FeatureSubset
+from .data import Dataset, FeatureSubset
 from .errors import ConfigError, VarselError
 from .gibbs import GibbsConfig, gibbs_run, inclusion_frequencies
 from .ingest import ingest_csv
-from .linmodel import CostCache
+from .linmodel import CostCache, check_cost_parameters
 from .ranking import Ranking, RankingMethod, rank_features
-from .search import multi_restart_search
+from .search import check_search_settings, multi_restart_search
 from .selection import Criterion, elbow_annotation, pvalue_stopping, select_order
-from .validation import correlation_graph, fit_named_model, monte_carlo_cv
+from .validation import (
+    check_cv_settings,
+    correlation_graph,
+    fit_named_model,
+    monte_carlo_cv,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -38,7 +43,11 @@ IC_CRITERIA = ("aic", "bic", "hqic")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one batch run needs; see the CLI for the flag mapping."""
+    """Everything one batch run needs; see the CLI for the flag mapping.
+
+    Construction rejects every setting that a configured stage would reject
+    without reading the table, so such a run writes nothing.
+    """
 
     dataset_path: str
     target_column: str
@@ -78,9 +87,34 @@ class RunConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"repeated {name} in {list(values)}")
-        needs_m = {"search", "gibbs"} & set(self.stages)
+        stages = set(self.stages)
+        needs_m = {"search", "gibbs"} & stages
         if needs_m and not self.m_values:
             raise ConfigError(f"stages {sorted(needs_m)} need --m values")
+        # by the check each stage calls; the checks against the table stay there
+        if needs_m:
+            check_cost_parameters(self.p_norm, self.cost_alpha)
+        if "search" in stages:
+            for m in self.m_values:
+                check_search_settings(m, self.search_runs, self.max_iters)
+        if "gibbs" in stages:
+            self.gibbs_configs()
+        if "cv" in stages:
+            check_cv_settings(self.train_fraction, self.cv_runs)
+            if self.cv_subset is not None:
+                FeatureSubset(self.cv_subset)
+            elif "search" not in stages:
+                raise ConfigError(
+                    "cv stage needs --subset or a search stage to supply one"
+                )
+
+    def gibbs_configs(self) -> tuple[GibbsConfig, ...]:
+        """One sampler configuration per m; each checks its settings."""
+        return tuple(
+            GibbsConfig(m=m, eta=self.eta, sweeps=self.sweeps,
+                        burn_in=self.burn_in, seed=self.seed)
+            for m in self.m_values
+        )
 
 
 def _jsonable(value):
@@ -130,27 +164,107 @@ def config_hash(config: RunConfig, dataset_digest: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _ranking_entry(ranking: Ranking) -> dict:
+def _rankings(config: RunConfig, dataset: Dataset, made: dict) -> dict[str, Ranking]:
+    """The configured rankings, computed by the first of rank and select to
+    run (a failure is charged to that stage) and kept for the other."""
+    if "ranked" not in made:
+        made["ranked"] = {name: rank_features(dataset, RankingMethod(name),
+                                              config.alpha_threshold)
+                          for name in config.methods}
+    return made["ranked"]
+
+
+def _rank(config: RunConfig, dataset: Dataset, made: dict) -> dict:
+    return {"rankings": [
+        {
+            "method": ranking.method.value,
+            "order": list(ranking.order),
+            "raw_order": None if ranking.raw_order is None else list(ranking.raw_order),
+            "error_curve": _jsonable(ranking.error_curve),
+            "filled_prefixes": list(ranking.filled_prefixes),
+            "elbow_hint": elbow_annotation(ranking.error_curve),
+        }
+        for ranking in _rankings(config, dataset, made).values()
+    ]}
+
+
+def _search(config: RunConfig, dataset: Dataset, made: dict) -> dict:
+    entries = []
+    for m in config.m_values:
+        result = multi_restart_search(dataset, m, runs=config.search_runs,
+                                      seed=config.seed, max_iters=config.max_iters,
+                                      cache=made["cache"])
+        entries.append({"m": m, "subset": list(result.subset.indices),
+                        "cost": result.cost, "restarts": config.search_runs,
+                        "total_sweeps": result.iterations})
+    return {"best_subsets": entries}
+
+
+def _gibbs(config: RunConfig, dataset: Dataset, made: dict) -> dict:
+    profiles = []
+    for gibbs_config in config.gibbs_configs():
+        chain = gibbs_run(dataset, gibbs_config, cache=made["cache"])
+        profile = inclusion_frequencies(chain, gibbs_config.burn_in)
+        profiles.append({
+            "m": gibbs_config.m,
+            "eta": gibbs_config.eta,
+            "sweeps": gibbs_config.sweeps,
+            "burn_in": gibbs_config.burn_in,
+            "uniform_reference": profile.uniform_reference,
+            "probabilities": _jsonable(profile.probabilities),
+        })
+    return {"inclusion_profiles": profiles}
+
+
+def _select(config: RunConfig, dataset: Dataset, made: dict) -> dict:
+    entries = []
+    for name, ranking in _rankings(config, dataset, made).items():
+        if name == RankingMethod.PVALUE.value:
+            chosen = [pvalue_stopping(ranking)]
+        else:
+            chosen = [select_order(dataset, ranking, Criterion(crit))
+                      for crit in config.criteria]
+        entries += [{"criterion": selection.criterion.value,
+                     "ranking_method": name,
+                     "m_star": selection.m_star,
+                     "curve": _jsonable(selection.curve)} for selection in chosen]
+    return {"order_selection": entries}
+
+
+def _cv(config: RunConfig, dataset: Dataset, made: dict) -> dict:
+    """CV of ``--subset``, or else of the largest search subset."""
+    if config.cv_subset is not None:
+        subset = FeatureSubset(tuple(sorted(config.cv_subset)))
+    else:
+        largest = max(made["best_subsets"], key=lambda entry: entry["m"])
+        subset = FeatureSubset(tuple(largest["subset"]))
+    cv = monte_carlo_cv(dataset, subset, train_fraction=config.train_fraction,
+                        runs=config.cv_runs, seed=config.seed)
+    named = fit_named_model(dataset, subset)
     return {
-        "method": ranking.method.value,
-        "order": list(ranking.order),
-        "raw_order": None if ranking.raw_order is None else list(ranking.raw_order),
-        "error_curve": _jsonable(ranking.error_curve),
-        "filled_prefixes": list(ranking.filled_prefixes),
-        "elbow_hint": elbow_annotation(ranking.error_curve),
+        "cv": json.loads(cv.to_json()),
+        "named_model": {
+            "subset": list(subset.indices),
+            "intercept": named.intercept,
+            "coefficients": [[label, b] for label, b in named.coefficients],
+            "mae": named.fit.mae,
+            "mse": named.fit.mse,
+            "rmse": named.fit.rmse,
+            "r_squared": named.fit.r_squared,
+        },
     }
 
 
-def _guard(stage: str, report: dict, output_dir: str, body):
-    """Run one stage; on failure emit the partial report flagged incomplete
-    and re-raise with the stage attached."""
-    try:
-        return body()
-    except VarselError as exc:
-        report["incomplete"] = {"failed_stage": stage, "error": str(exc)}
-        _emit(report, Path(output_dir))
-        exc.stage = stage
-        raise
+def _corr(config: RunConfig, dataset: Dataset, made: dict) -> dict:
+    graph = correlation_graph(dataset, config.corr_threshold)
+    return {"correlation": {"threshold": graph.threshold,
+                            "edges": [[i, j, rho] for i, j, rho in graph.edges]}}
+
+
+# Each stage maps (config, dataset, what earlier stages made) to its report
+# sections; the loop in ``run_pipeline`` runs them in ``ALL_STAGES`` order.
+_STAGES = {"rank": _rank, "search": _search, "gibbs": _gibbs,
+           "select": _select, "cv": _cv, "corr": _corr}
 
 
 def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
@@ -158,7 +272,8 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
     list of files written under the output directory.
 
     A failing stage still writes whatever completed before it, with an
-    ``incomplete`` marker naming the stage, then propagates the error.
+    ``incomplete`` marker naming the stage, then propagates the error with
+    the stage attached as ``exc.stage``.
     """
     dataset = ingest_csv(
         config.dataset_path,
@@ -168,8 +283,6 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
         drop_columns=config.drop_columns,
     )
     digest = dataset_sha256(config.dataset_path)
-    stages = set(config.stages)
-
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
@@ -186,159 +299,23 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
             "target": config.target_column,
             "normalize": config.normalize,
         },
-        "stages_run": sorted(stages),
+        "stages_run": sorted(set(config.stages)),
     }
-
-    rankings: dict[str, Ranking] = {}
-    if stages & {"rank", "select"}:
-
-        def compute_rankings():
-            for name in config.methods:
-                rankings[name] = rank_features(
-                    dataset, RankingMethod(name), config.alpha_threshold
-                )
-
-        _guard("rank" if "rank" in stages else "select", report,
-               config.output_dir, compute_rankings)
-    if "rank" in stages:
-        report["rankings"] = [
-            _ranking_entry(rankings[name]) for name in config.methods
-        ]
-
-    cache = CostCache(dataset, config.p_norm, config.cost_alpha)
-
-    best_subsets: list[dict] = []
-    if "search" in stages:
-
-        def run_search():
-            for m in config.m_values:
-                result = multi_restart_search(
-                    dataset,
-                    m,
-                    runs=config.search_runs,
-                    seed=config.seed,
-                    max_iters=config.max_iters,
-                    cache=cache,
-                )
-                best_subsets.append(
-                    {
-                        "m": m,
-                        "subset": list(result.subset.indices),
-                        "cost": result.cost,
-                        "restarts": config.search_runs,
-                        "total_sweeps": result.iterations,
-                    }
-                )
-
-        _guard("search", report, config.output_dir, run_search)
-        report["best_subsets"] = best_subsets
-
-    if "gibbs" in stages:
-        profiles = []
-
-        def run_gibbs():
-            for m in config.m_values:
-                gibbs_config = GibbsConfig(
-                    m=m,
-                    eta=config.eta,
-                    sweeps=config.sweeps,
-                    burn_in=config.burn_in,
-                    seed=config.seed,
-                )
-                chain = gibbs_run(dataset, gibbs_config, cache=cache)
-                profile = inclusion_frequencies(chain, gibbs_config.burn_in)
-                profiles.append(
-                    {
-                        "m": m,
-                        "eta": config.eta,
-                        "sweeps": config.sweeps,
-                        "burn_in": gibbs_config.burn_in,
-                        "uniform_reference": profile.uniform_reference,
-                        "probabilities": _jsonable(profile.probabilities),
-                    }
-                )
-
-        _guard("gibbs", report, config.output_dir, run_gibbs)
-        report["inclusion_profiles"] = profiles
-
-    if "select" in stages:
-        selections = []
-
-        def run_select():
-            for name in config.methods:
-                ranking = rankings[name]
-                if name == RankingMethod.PVALUE.value:
-                    chosen = pvalue_stopping(ranking)
-                    selections.append(
-                        {
-                            "criterion": chosen.criterion.value,
-                            "ranking_method": name,
-                            "m_star": chosen.m_star,
-                            "curve": _jsonable(chosen.curve),
-                        }
-                    )
-                    continue
-                for crit in config.criteria:
-                    chosen = select_order(dataset, ranking, Criterion(crit))
-                    selections.append(
-                        {
-                            "criterion": crit,
-                            "ranking_method": name,
-                            "m_star": chosen.m_star,
-                            "curve": _jsonable(chosen.curve),
-                        }
-                    )
-
-        _guard("select", report, config.output_dir, run_select)
-        report["order_selection"] = selections
-
-    if "cv" in stages:
-
-        def run_cv():
-            if config.cv_subset is not None:
-                indices = tuple(sorted(config.cv_subset))
-            elif best_subsets:
-                largest = max(best_subsets, key=lambda entry: entry["m"])
-                indices = tuple(largest["subset"])
-            else:
-                raise ConfigError(
-                    "cv stage needs --subset or a search stage to supply one"
-                )
-            subset = FeatureSubset(indices)
-            cv = monte_carlo_cv(
-                dataset,
-                subset,
-                train_fraction=config.train_fraction,
-                runs=config.cv_runs,
-                seed=config.seed,
-            )
-            named = fit_named_model(dataset, subset)
-            report["cv"] = json.loads(cv.to_json())
-            report["named_model"] = {
-                "subset": list(subset.indices),
-                "intercept": named.intercept,
-                "coefficients": [[label, b] for label, b in named.coefficients],
-                "mae": named.fit.mae,
-                "mse": named.fit.mse,
-                "rmse": named.fit.rmse,
-                "r_squared": named.fit.r_squared,
-            }
-
-        _guard("cv", report, config.output_dir, run_cv)
-
-    if "corr" in stages:
-
-        def run_corr():
-            graph = correlation_graph(dataset, config.corr_threshold)
-            report["correlation"] = {
-                "threshold": graph.threshold,
-                "edges": [[i, j, rho] for i, j, rho in graph.edges],
-            }
-
-        _guard("corr", report, config.output_dir, run_corr)
-
-    written = _emit(report, Path(config.output_dir))
-    return report, written
+    # the shared cost cache, the rankings and every section made so far
+    made: dict = {"cache": CostCache(dataset, config.p_norm, config.cost_alpha)}
+    for stage in ALL_STAGES:
+        if stage not in config.stages:
+            continue
+        try:
+            sections = _STAGES[stage](config, dataset, made)
+        except VarselError as exc:
+            report["incomplete"] = {"failed_stage": stage, "error": str(exc)}
+            _emit(report, Path(config.output_dir))
+            exc.stage = stage
+            raise
+        report.update(sections)
+        made.update(sections)
+    return report, _emit(report, Path(config.output_dir))
 
 
 def _emit(report: dict, output_dir: Path) -> list[Path]:

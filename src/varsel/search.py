@@ -93,6 +93,17 @@ def exhaustive_best_subset(
     )
 
 
+def check_search_settings(m: int, runs: int, max_iters: int) -> None:
+    """The settings ``multi_restart_search`` rejects before it reads the
+    table; m <= R is checked against the table."""
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
+    if m < 1:
+        raise ConfigError("m must be >= 1")
+
+
 def alternating_optimization(
     dataset: Dataset,
     m: int,
@@ -108,8 +119,7 @@ def alternating_optimization(
     improvement on the current cost, so a sweep without change is a fixed
     point and the cost trace is non-increasing by construction.
     """
-    if max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
+    check_search_settings(m, 1, max_iters)
     init.validate_against(dataset)
     if init.m != m:
         raise ConfigError(f"init has {init.m} indices, expected m={m}")
@@ -169,10 +179,9 @@ def multi_restart_search(
     Raises:
         DegenerateStepError: every restart was degenerate.
     """
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    check_search_settings(m, runs, max_iters)
     r = dataset.n_features
-    if not 1 <= m <= r:
+    if m > r:
         raise ConfigError(f"m={m} outside [1, {r}]")
     cache = cache or CostCache(dataset)
     best: SearchResult | None = None

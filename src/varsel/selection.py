@@ -62,28 +62,26 @@ def penalty_constant(criterion: Criterion, n: int) -> float:
 
 
 def information_criterion_value(
-    mse: float, n: int, m: int, criterion: Criterion,
-    penalty_offset: int = 0,
+    mse: float, n: int, m: int, criterion: Criterion
 ) -> float:
     """Gaussian -2 log-likelihood at the MLE plus the complexity penalty.
 
     With sigma^2 estimated by the in-sample MSE the fitting term closes to
-    n*log(2*pi*mse) + n.  The penalty counts the m features only;
-    ``penalty_offset`` adds a constant parameter count (e.g. 1 for the
-    intercept) for sensitivity analysis.  A perfect fit (mse = 0) returns
-    -inf, a sentinel that always wins the argmin.
+    n*log(2*pi*mse) + n.  The penalty counts the m features only (counting
+    the intercept too would add the same constant to every prefix and
+    could not move the argmin).  A perfect fit (mse = 0) returns -inf, a
+    sentinel that always wins the argmin.
     """
     if n < m + 2:
         raise ConfigError(f"need n >= m + 2 (n={n}, m={m})")
     if mse == 0.0:
         return -math.inf
     fitting = n * math.log(2.0 * math.pi * mse) + n
-    return fitting + 2.0 * penalty_constant(criterion, n) * (m + penalty_offset)
+    return fitting + 2.0 * penalty_constant(criterion, n) * m
 
 
 def select_order(
-    dataset: Dataset, ranking: Ranking, criterion: Criterion,
-    penalty_offset: int = 0,
+    dataset: Dataset, ranking: Ranking, criterion: Criterion
 ) -> OrderSelection:
     """Evaluate the criterion along ranking prefixes and return the argmin.
 
@@ -100,7 +98,7 @@ def select_order(
     for m, mse in enumerate(ranking.mse_curve.tolist(), start=1):
         try:  # a rank-deficient prefix's +inf MSE scores +inf
             curve[m - 1] = information_criterion_value(
-                mse, dataset.n_rows, m, criterion, penalty_offset)
+                mse, dataset.n_rows, m, criterion)
         except ConfigError:
             continue  # n < m + 2
     if not (curve < math.inf).any():

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
 from .errors import ConfigError, RankDeficiencyError
-from .linmodel import FitResult, fit_subset, full_rank_lstsq
+from .linmodel import FitResult, build_design_matrix, fit_subset, full_rank_lstsq
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,24 @@ class CvReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
-def _split_metrics(dataset, subset, train_rows, test_rows, r2_baseline):
-    """Fit on the train rows, score on the test rows; None if degenerate."""
-    cols = [k - 1 for k in subset.indices]
-    x_train = np.hstack(
-        [np.ones((len(train_rows), 1)), dataset.features[np.ix_(train_rows, cols)]]
-    )
-    y_train = dataset.target[train_rows]
+def check_cv_settings(train_fraction: float, runs: int) -> None:
+    """The settings ``monte_carlo_cv`` rejects before it reads the table."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError("train_fraction must lie in (0, 1)")
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
+
+
+def _split_metrics(x, y, subset, train_rows, test_rows, r2_baseline):
+    """Fit on the train rows of design ``x``, score on its test rows; None
+    if degenerate."""
+    y_train = y[train_rows]
     try:
-        coef = full_rank_lstsq(x_train, y_train, subset)
+        coef = full_rank_lstsq(x[train_rows], y_train, subset)
     except RankDeficiencyError:
         return None
-    x_test = np.hstack(
-        [np.ones((len(test_rows), 1)), dataset.features[np.ix_(test_rows, cols)]]
-    )
-    y_test = dataset.target[test_rows]
-    residuals = y_test - x_test @ coef
+    y_test = y[test_rows]
+    residuals = y_test - x[test_rows] @ coef
     mae = float(np.abs(residuals).mean())
     mse = float(residuals @ residuals) / len(test_rows)
     baseline = y_test.mean() if r2_baseline == "test-mean" else y_train.mean()
@@ -82,10 +84,7 @@ def monte_carlo_cv(
     ``linmodel.full_rank_lstsq`` is resampled once, then counted as skipped.
     """
     subset.validate_against(dataset)
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError("train_fraction must lie in (0, 1)")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    check_cv_settings(train_fraction, runs)
     if r2_baseline not in ("test-mean", "train-mean"):
         raise ConfigError(f"unknown r2_baseline {r2_baseline!r}")
     n = dataset.n_rows
@@ -96,13 +95,15 @@ def monte_carlo_cv(
         )
     if n_train >= n:
         raise ConfigError("test split is empty")
+    x = build_design_matrix(dataset, subset).values
 
     def one_run(run: int):
         rng = run_rng(seed, run)
         for _ in range(2):  # one resample allowed per run
             perm = rng.permutation(n)
             metrics = _split_metrics(
-                dataset, subset, perm[:n_train], perm[n_train:], r2_baseline
+                x, dataset.target, subset, perm[:n_train], perm[n_train:],
+                r2_baseline,
             )
             if metrics is not None:
                 return metrics

@@ -275,7 +275,7 @@ def loop_pvalues(dataset, alpha_threshold=0.05):
                    raw_order=removals + dropped, admissible=admissible)
 
 
-def loop_select_order(dataset, ranking, criterion, penalty_offset=0):
+def loop_select_order(dataset, ranking, criterion):
     """(curve, m_star) of the old ``select_order``, which refitted every
     prefix of the ranking."""
     n = dataset.n_rows
@@ -284,8 +284,7 @@ def loop_select_order(dataset, ranking, criterion, penalty_offset=0):
     for m in range(1, r + 1):
         try:
             fit = fit_subset(dataset, FeatureSubset(ranking.order[:m]))
-            curve[m - 1] = information_criterion_value(fit.mse, n, m, criterion,
-                                                       penalty_offset)
+            curve[m - 1] = information_criterion_value(fit.mse, n, m, criterion)
         except (RankDeficiencyError, ConfigError):
             continue  # unscorable prefix (rank-deficient or n < m + 2)
     if not (curve < math.inf).any():

@@ -204,7 +204,8 @@ class TestPipeline:
             dataset_path=str(data),
             target_column="y",
             output_dir=str(out),
-            stages=("rank", "cv"),  # cv has no subset and no search stage
+            stages=("rank", "cv"),
+            cv_subset=(1, 9),  # R=4: out of range, which only the table shows
             cv_runs=10,
         )
         with pytest.raises(Exception) as err:
@@ -213,6 +214,36 @@ class TestPipeline:
         partial = json.loads((out / "report.json").read_text())
         assert partial["incomplete"]["failed_stage"] == "cv"
         assert len(partial["rankings"]) == 6  # completed stage kept
+
+    def test_ranking_failure_without_rank_stage_is_charged_to_select(self, tmp_path):
+        # N = R + 1 rows: every fit is exact, but p-values need N >= M + 2
+        data = write_fixture(tmp_path, seed=12, n=5, r=4)
+        out = tmp_path / "partial"
+        config = RunConfig(dataset_path=str(data), target_column="y",
+                           output_dir=str(out), stages=("select",))
+        with pytest.raises(varsel.ConfigError, match="p-values need") as err:
+            run_pipeline(config)
+        assert err.value.stage == "select"
+        partial = json.loads((out / "report.json").read_text())
+        assert partial["incomplete"]["failed_stage"] == "select"
+        assert "rankings" not in partial
+        assert "order_selection" not in partial
+
+    def test_failed_stage_keeps_earlier_sections_only(self, tmp_path):
+        data = write_fixture(tmp_path, seed=13, r=4)
+        out = tmp_path / "partial"
+        config = RunConfig(dataset_path=str(data), target_column="y",
+                           output_dir=str(out), stages=("rank", "search"),
+                           m_values=(2, 7), search_runs=3, seed=1)  # 7 = R + 3
+        with pytest.raises(varsel.ConfigError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "search"
+        partial = json.loads((out / "report.json").read_text())
+        assert partial["incomplete"]["failed_stage"] == "search"
+        assert len(partial["rankings"]) == 6
+        assert "best_subsets" not in partial
+        names = {p.name for p in out.iterdir()}
+        assert names == {"report.json", "error_curves.csv"}
 
     def test_feature_indices_are_one_based_everywhere(self, tmp_path):
         data = write_fixture(tmp_path, seed=9, r=3)
@@ -259,12 +290,48 @@ class TestCli:
                      id="negative-cost-alpha"),
         pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
                       "--seed", "1", "--max-iters", "0"], id="zero-max-iters"),
+        # settings a stage would reject without the table: no stage runs
+        *(pytest.param(["report", "--target", "y", "--m", "2", "--seed", "1",
+                        "--runs", "2", "--sweeps", "20", "--cv-runs", "5", *bad],
+                       id=f"report-{name}") for name, bad in (
+            ("train-fraction", ["--train-fraction", "1.5"]),
+            ("zero-cv-runs", ["--cv-runs", "0"]),
+            ("zero-sweeps", ["--sweeps", "0"]),
+            ("negative-eta", ["--eta", "-1"]),
+            ("burn-in-not-below-sweeps", ["--burn-in", "20"]),
+            ("zero-runs", ["--runs", "0"]),
+            ("zero-p-norm", ["--p-norm", "0"]),
+            ("zero-m", ["--m", "0"]),
+            ("zero-max-iters", ["--max-iters", "0"]),
+            ("repeated-subset-index", ["--subset", "2,2"]),
+        )),
     ])
     def test_validation_error_exit_code(self, tmp_path, capsys, argv):
         data = write_fixture(tmp_path)
-        code = main([*argv, "-i", str(data), "-o", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main([*argv, "-i", str(data), "-o", str(out)])
         assert code == EXIT_VALIDATION
         assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_cv_without_subset_or_search_is_rejected_up_front(self, tmp_path):
+        data = write_fixture(tmp_path)
+        with pytest.raises(varsel.ConfigError, match="cv stage needs"):
+            RunConfig(dataset_path=str(data), target_column="y",
+                      stages=("rank", "cv"))
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["rank", "--m", "2"], id="rank-m-is-not-methods"),
+        pytest.param(["report", "--m", "2", "--seed", "1", "--cv", "7"],
+                     id="report-cv-is-not-cv-runs"),
+    ])
+    def test_flag_prefixes_are_not_expanded(self, tmp_path, capsys, argv):
+        data = write_fixture(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-i", str(data), "--target", "y",
+                  "-o", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_computation_error_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
