@@ -147,10 +147,8 @@ def inclusion_frequencies(chain: GibbsChain, burn_in: int) -> InclusionProfile:
     if not 0 <= burn_in < len(chain):
         raise ConfigError("burn_in must satisfy 0 <= burn_in < chain length")
     retained = chain.states[burn_in:]
-    counts = np.zeros(chain.n_features, dtype=float)
-    for state in retained:
-        for k in state.indices:
-            counts[k - 1] += 1.0
+    taken = np.array([state.indices for state in retained]).ravel() - 1
+    counts = np.bincount(taken, minlength=chain.n_features).astype(float)
     return InclusionProfile(
         probabilities=counts / len(retained),
         uniform_reference=1.0 / chain.n_features,
@@ -186,10 +184,9 @@ def exact_target_enumeration(
     cache = cache or CostCache(dataset)
     keys, costs = zip(*all_subset_costs(cache, m, budget))
     probs = _stable_weights(-eta * np.array(costs))
-    inclusion = np.zeros(r, dtype=float)
-    for key, prob in zip(keys, probs):
-        for k in key:
-            inclusion[k - 1] += prob
+    # bincount adds in input order: key by key, index by index
+    inclusion = np.bincount(np.array(keys).ravel() - 1,
+                            weights=np.repeat(probs, m), minlength=r)
     return ExactDistribution(
         subset_probabilities={k: float(pr) for k, pr in zip(keys, probs)},
         inclusion=InclusionProfile(

@@ -4,38 +4,34 @@ Two routes compute a fit, both through orthogonal decompositions, never
 raw normal equations: feature tables in this domain contain near-duplicate
 columns and conditioning matters.
 
-* ``full_rank_lstsq`` is the one rank rule, and the only ``lstsq`` call:
-  ``fit_least_squares`` / ``subset_cost`` and every CV train split solve
-  through it.  A design whose numerical rank (relative singular-value
-  threshold ``RANK_RCOND``) is below its column count raises
-  ``RankDeficiencyError`` instead of being silently pseudo-inverted, so
-  search procedures can skip degenerate subsets deterministically.  (The
-  backward rankings also set aside columns by a stricter Gram-Schmidt cut,
-  ``ranking._usable_features``, before they fit anything.)
-* ``neighbour_costs`` answers the question every search and sampling loop
-  asks, "cost of the fixed columns plus candidate k, for every k", from one
-  QR factorization of the fixed columns: all candidates are projected onto
-  its orthogonal complement at once and every residual follows by a rank-one
-  update.  It decides a candidate itself only when a bound certifies the
-  candidate design's condition far inside the SVD rule
-  (``CERTIFIED_RATIO_CAP``); every other candidate, and every candidate of
-  a fixed set that fails the bound, is solved by ``subset_cost``.
-* ``pool_factor`` answers the backward questions about one pool of
-  features, "fit without column j, for every j" and "t statistic of every
-  coefficient", from one QR ``[1, X_pool] = Q R``: the coefficients, the
-  residual, ``d_j = (X^T X)^-1_jj`` and the dual basis ``W = Q R^-T``.  It
-  returns None unless the same bound certifies the pool, and by
-  singular-value interlacing a certified pool certifies each of its
-  sub-pools, so every removal it prices is full-rank under the SVD rule.
-  Its callers (``ranking._removal_maes``, ``ranking.coefficient_pvalues``)
-  fall back to one SVD fit per candidate, or to the SVD fit plus a
-  triangular solve, for a pool it does not certify.
+* The SVD rule.  ``full_rank_lstsq`` is the one rank rule, and the only
+  ``lstsq`` call: ``fit_least_squares`` / ``subset_cost``, every CV train
+  split and every fit the certified factor does not decide (``_svd_costs``,
+  +inf when rank-deficient) solve through it.  A design whose numerical
+  rank (relative singular-value threshold ``RANK_RCOND``) is below its
+  column count raises ``RankDeficiencyError`` instead of being silently
+  pseudo-inverted, so search procedures can skip degenerate subsets
+  deterministically.  (The backward rankings also set aside columns by a
+  stricter Gram-Schmidt cut, ``ranking._usable_features``, before they fit
+  anything.)
+* One certified factor.  ``pool_factor`` takes one economic QR of a set of
+  columns, ``[1, X_pool] = Q A``, and fits it only when a bound certifies
+  the design's condition far inside the SVD rule (``CERTIFIED_RATIO_CAP``).
+  It answers the three questions of the greedy rankings, search and
+  sampling: add (``neighbour_costs``: every candidate projected onto the
+  complement of Q at once, each candidate design certified by a second
+  bound, each residual a rank-one update), drop (``removal_maes``: every
+  removal from the dual basis ``Q A^-T``) and test
+  (``ranking.coefficient_pvalues``: every t statistic from b, r and
+  ``diag((X^T X)^-1)``).  Whatever the bounds do not certify goes to the
+  SVD rule, so that rule alone says what is rank-deficient.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,14 +186,44 @@ def subset_cost(
     return residual_norm_cost(fit.residuals, p, alpha)
 
 
-def _certified_inverse(
-    a: np.ndarray, design_norm: float
-) -> tuple[np.ndarray, float] | None:
-    """Inverse of the triangular QR factor ``a`` of a design whose Frobenius
-    norm is ``design_norm``, and the inverse's Frobenius norm; None unless
-    ``1 / ||A^-1||_F``, a lower bound on the design's sigma_min, exceeds
-    ``CERTIFIED_RATIO_CAP`` times that norm, an upper bound on its
-    sigma_max."""
+def _svd_costs(dataset: Dataset, subsets, p=1.0, alpha=1.0) -> np.ndarray:
+    """``subset_cost`` of each index tuple by the SVD rule, +inf where its
+    design is rank-deficient: the fallback of every fit the certified
+    factor does not decide."""
+    costs = np.full(len(subsets), math.inf)
+    for i, indices in enumerate(subsets):
+        with suppress(RankDeficiencyError):
+            costs[i] = subset_cost(dataset, FeatureSubset(tuple(indices)), p, alpha)
+    return costs
+
+
+@dataclass(frozen=True)
+class PoolFactor:
+    """One certified economic QR ``[1, X_pool] = Q A`` and the fit it
+    gives, in design-column order (intercept first)."""
+
+    q: np.ndarray  # N x (M+1), orthonormal columns
+    a_inv: np.ndarray  # A^-1
+    a_inv_norm: float  # ||A^-1||_F = 1 / (a lower bound on sigma_min)
+    design_norm2: float  # ||[1, X_pool]||_F^2 >= sigma_max^2
+    coefficients: np.ndarray  # b = A^-1 Q^T y
+    residuals: np.ndarray  # r = y - X b
+
+    @property
+    def gram_inv_diag(self) -> np.ndarray:
+        """``d_j = ||row j of A^-1||^2 = (X^T X)^-1_jj``."""
+        return np.einsum("ij,ij->i", self.a_inv, self.a_inv)
+
+
+def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None:
+    """The least-squares fit on ``indices`` from one economic QR
+    ``[1, X_pool] = Q A``; None unless ``1 / ||A^-1||_F``, a lower bound on
+    the design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
+    ``||[1, X_pool]||_F``, an upper bound on its sigma_max."""
+    x = build_design_matrix(dataset, FeatureSubset(tuple(indices))).values
+    q, a = np.linalg.qr(x)
+    design_norm2 = float(np.einsum("ij,ij->", x, x))
+    design_norm = math.sqrt(design_norm2)
     # sigma_min(A) <= min |diag(A)| for triangular A, so a tiny diagonal
     # fails the bound for certain; checking it first also keeps the inverse
     # away from an exactly singular factor.  ``inv``, not a triangular
@@ -209,7 +235,13 @@ def _certified_inverse(
     a_inv_norm = float(np.linalg.norm(a_inv))
     if a_inv_norm * design_norm * CERTIFIED_RATIO_CAP >= 1.0:
         return None
-    return a_inv, a_inv_norm
+    y = dataset.target
+    c = q.T @ y
+    r = y - q @ c
+    c2 = q.T @ r  # one reorthogonalization pass
+    r -= q @ c2
+    c += c2
+    return PoolFactor(q, a_inv, a_inv_norm, design_norm2, a_inv @ c, r)
 
 
 def _neighbour_residuals(
@@ -221,17 +253,13 @@ def _neighbour_residuals(
     Returns ``(certified, residuals)``: a boolean mask over the candidates
     and one residual row per certified candidate, in candidate order.
     """
-    base = build_design_matrix(dataset, FeatureSubset(fixed)).values
-    n = base.shape[0]
-    undecided = np.zeros(len(candidates), dtype=bool), np.empty((0, n))
+    undecided = np.zeros(len(candidates), dtype=bool), np.empty((0, dataset.n_rows))
     if not candidates:
         return undecided
-    q, a = np.linalg.qr(base)
-    base_norm2 = float(np.einsum("ij,ij->", base, base))
-    certified = _certified_inverse(a, math.sqrt(base_norm2))
-    if certified is None:
+    factor = pool_factor(dataset, fixed)
+    if factor is None:
         return undecided
-    a_inv_norm = certified[1]
+    q = factor.q
 
     # One row per candidate, so each residual is summed contiguously.
     z = dataset.features.T[np.asarray(candidates) - 1]
@@ -243,18 +271,15 @@ def _neighbour_residuals(
     c += c2
     zeta = np.sqrt(np.einsum("ij,ij->i", z, z))
     c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
-    sigma_min_lb = zeta / (a_inv_norm * (zeta + c_norm) + 1.0)
-    sigma_max_ub = np.sqrt(base_norm2 + col_norm2)
+    sigma_min_lb = zeta / (factor.a_inv_norm * (zeta + c_norm) + 1.0)
+    sigma_max_ub = np.sqrt(factor.design_norm2 + col_norm2)
     certified = sigma_min_lb > CERTIFIED_RATIO_CAP * sigma_max_ub
     if not certified.all():
         z, zeta = z[certified], zeta[certified]
 
-    y = dataset.target
-    r0 = y - q @ (q.T @ y)
-    r0 -= q @ (q.T @ r0)
-    step = (z @ r0) / (zeta * zeta)
+    step = (z @ factor.residuals) / (zeta * zeta)
     z *= step[:, None]
-    np.subtract(r0, z, out=z)
+    np.subtract(factor.residuals, z, out=z)
     return certified, z
 
 
@@ -266,12 +291,12 @@ def neighbour_costs(
     alpha: float = 1.0,
 ) -> np.ndarray:
     """``subset_cost`` of ``fixed + (k,)`` for every candidate k, +inf where
-    that design is rank-deficient, from one QR of the fixed columns.
+    that design is rank-deficient, from the fixed columns' ``pool_factor``.
 
-    With ``[1, X_fixed] = Q A`` (economic QR), ``c = Q^T x`` and ``z`` the
-    component of a candidate column ``x`` orthogonal to ``Q`` (two
-    Gram-Schmidt passes), the candidate design is ``[Q, z/|z|]`` times
-    ``[[A, c], [0, |z|]]``, whose inverse bounds
+    With ``[1, X_fixed] = Q A``, ``c = Q^T x`` and ``z`` the component of a
+    candidate column ``x`` orthogonal to ``Q`` (two Gram-Schmidt passes),
+    the candidate design is ``[Q, z/|z|]`` times ``[[A, c], [0, |z|]]``,
+    whose inverse bounds
     ``sigma_min >= 1 / (||A^-1|| (1 + |c|/|z|) + 1/|z|)``, while
     ``sigma_max <= ||[1, X_fixed, x]||_F``.  Its residual is
     ``r0 - z (z^T r0) / |z|^2`` with ``r0`` the residual of the fixed
@@ -287,7 +312,7 @@ def neighbour_costs(
     every cap from 1e-9 to 1e-3 leaves the same candidates to the SVD (those
     pairing the two columns of a near-rank-deficient pair), and only from
     1e-2 do ordinary near-duplicate pairs join them.  Every candidate the
-    bound cannot decide goes through ``subset_cost``, so the SVD rule alone
+    bound cannot decide goes through ``_svd_costs``, so the SVD rule alone
     says what is rank-deficient.
 
     Raises:
@@ -300,55 +325,31 @@ def neighbour_costs(
     certified, residuals = _neighbour_residuals(dataset, fixed, candidates)
     costs = np.empty(len(candidates))
     costs[certified] = residual_norm_cost(residuals, p, alpha)
-    for i in np.flatnonzero(~certified):
-        try:
-            costs[i] = subset_cost(
-                dataset, FeatureSubset(fixed + (candidates[i],)), p, alpha
-            )
-        except RankDeficiencyError:
-            costs[i] = math.inf
+    undecided = [fixed + (k,) for k, ok in zip(candidates, certified) if not ok]
+    costs[~certified] = _svd_costs(dataset, undecided, p, alpha)
     return costs
 
 
-@dataclass(frozen=True)
-class PoolFactor:
-    """What one certified QR ``[1, X_pool] = Q R`` says about a pool, in
-    design-column order (intercept first)."""
+def removal_maes(dataset: Dataset, pool) -> np.ndarray:
+    """MAE of the fit on ``pool`` without each entry, in pool order; +inf
+    where that fit is rank-deficient.
 
-    coefficients: np.ndarray  # b = R^-1 Q^T y
-    residuals: np.ndarray  # r = y - X b
-    gram_inv_diag: np.ndarray  # d_j = ||row j of R^-1||^2 = (X^T X)^-1_jj
-    dual_basis: np.ndarray  # W = Q R^-T = X (X^T X)^-1, N x (M+1)
-
-
-def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None:
-    """The least-squares fit on ``indices`` and the quantities every removal
-    and every coefficient test reads, from one economic QR; None when the
-    bound of ``neighbour_costs`` does not certify the pool's design.
-
-    Dropping column j of a certified pool leaves the residual
-    ``r + (b_j / d_j) W[:, j]``: ``X^T W[:, j] = e_j``, so that residual is
-    orthogonal to every other column, and it zeroes coefficient j.  The
-    residual gets one reorthogonalization pass, as in ``neighbour_costs``.
+    With the dual basis ``W = Q A^-T = X (X^T X)^-1`` of a certified pool,
+    dropping column j leaves the residual ``r + (b_j / d_j) W[:, j]``: it is
+    orthogonal to every other column (``X^T W[:, j] = e_j``) and zeroes
+    coefficient j.  By singular-value interlacing every sub-pool of a
+    certified pool is full-rank under the SVD rule.  Any other pool takes
+    one SVD fit per removal.
     """
-    x = build_design_matrix(dataset, FeatureSubset(tuple(indices))).values
-    q, a = np.linalg.qr(x)
-    certified = _certified_inverse(a, math.sqrt(float(np.einsum("ij,ij->", x, x))))
-    if certified is None:
-        return None
-    a_inv = certified[0]
-    y = dataset.target
-    c = q.T @ y
-    r = y - q @ c
-    c2 = q.T @ r  # one reorthogonalization pass
-    r -= q @ c2
-    c += c2
-    return PoolFactor(
-        coefficients=a_inv @ c,
-        residuals=r,
-        gram_inv_diag=np.einsum("ij,ij->i", a_inv, a_inv),
-        dual_basis=q @ a_inv.T,
-    )
+    pool = tuple(int(k) for k in pool)
+    factor = pool_factor(dataset, pool)
+    if factor is None:
+        rests = [pool[:i] + pool[i + 1:] for i in range(len(pool))]
+        return _svd_costs(dataset, rests) / dataset.n_rows
+    step = factor.coefficients[1:] / factor.gram_inv_diag[1:]
+    dropped = (factor.q @ factor.a_inv.T)[:, 1:].T * step[:, None]
+    dropped += factor.residuals  # row j: the residual without column j
+    return np.abs(dropped).mean(axis=1)
 
 
 class CostCache:
@@ -390,10 +391,7 @@ class CostCache:
         found = self._lookup(key)
         if found is not None:
             return found
-        try:
-            value = subset_cost(self.dataset, FeatureSubset(key), self.p, self.alpha)
-        except RankDeficiencyError:
-            value = math.inf
+        value = float(_svd_costs(self.dataset, [key], self.p, self.alpha)[0])
         self._insert(key, value)
         return value
 

@@ -24,10 +24,11 @@ from .errors import ConfigError, VarselError
 from .gibbs import GibbsConfig, gibbs_run, inclusion_frequencies
 from .ingest import ingest_csv
 from .linmodel import CostCache, check_cost_parameters
-from .ranking import Ranking, RankingMethod, rank_features
+from .ranking import Ranking, RankingMethod, check_pvalue_threshold, rank_features
 from .search import check_search_settings, multi_restart_search
 from .selection import Criterion, elbow_annotation, pvalue_stopping, select_order
 from .validation import (
+    check_correlation_threshold,
     check_cv_settings,
     correlation_graph,
     fit_named_model,
@@ -107,6 +108,10 @@ class RunConfig:
                 raise ConfigError(
                     "cv stage needs --subset or a search stage to supply one"
                 )
+        if {"rank", "select"} & stages and RankingMethod.PVALUE.value in self.methods:
+            check_pvalue_threshold(self.alpha_threshold)
+        if "corr" in stages:
+            check_correlation_threshold(self.corr_threshold)
 
     def gibbs_configs(self) -> tuple[GibbsConfig, ...]:
         """One sampler configuration per m; each checks its settings."""
@@ -242,7 +247,7 @@ def _cv(config: RunConfig, dataset: Dataset, made: dict) -> dict:
                         runs=config.cv_runs, seed=config.seed)
     named = fit_named_model(dataset, subset)
     return {
-        "cv": json.loads(cv.to_json()),
+        "cv": asdict(cv),
         "named_model": {
             "subset": list(subset.indices),
             "intercept": named.intercept,

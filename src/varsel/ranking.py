@@ -21,7 +21,6 @@ constant target with every feature.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +35,7 @@ from .linmodel import (
     fit_subset,
     neighbour_costs,
     pool_factor,
+    removal_maes,
 )
 
 RHO_TIE = 1e-10
@@ -186,26 +186,6 @@ def _grow(dataset: Dataset, largest: bool) -> list[int]:
     )
 
 
-def _removal_maes(dataset: Dataset):
-    """Price each removal by the MAE of the rest of the pool: all at once
-    from the ``pool_factor`` of a certified pool, else one SVD fit per
-    candidate."""
-    def price(taken, pool):
-        factor = pool_factor(dataset, tuple(pool))
-        if factor is not None:
-            step = factor.coefficients[1:] / factor.gram_inv_diag[1:]
-            dropped = factor.dual_basis[:, 1:].T * step[:, None]
-            dropped += factor.residuals  # row j: the residual without column j
-            return np.abs(dropped).mean(axis=1)
-        maes = np.full(len(pool), math.inf)
-        for i in range(len(pool)):
-            rest = FeatureSubset(tuple(pool[:i] + pool[i + 1:]))
-            with suppress(RankDeficiencyError):
-                maes[i] = fit_subset(dataset, rest).mae
-        return maes
-    return price
-
-
 def rank_forward_selection(dataset: Dataset) -> Ranking:
     """RM1: grow the model by the feature minimizing the prefix MAE."""
     return _finish(RankingMethod.RM1_FORWARD, dataset,
@@ -216,7 +196,8 @@ def rank_backward_elimination(dataset: Dataset) -> Ranking:
     """RM2: repeatedly remove the feature whose removal leaves the lowest
     MAE; the reversed removal order is best-to-worst."""
     usable, dropped = _usable_features(dataset)
-    removals = _stepwise(usable, _removal_maes(dataset), largest=False)
+    removals = _stepwise(usable, lambda taken, pool: removal_maes(dataset, pool),
+                         largest=False)
     return _finish(RankingMethod.RM2_BACKWARD, dataset,
                    removals[::-1] + dropped, raw_order=removals + dropped)
 
@@ -225,7 +206,8 @@ def rank_remove_max_error(dataset: Dataset) -> Ranking:
     """RM3: repeatedly remove the feature whose removal raises the MAE the
     most; the removal order itself is best-to-worst."""
     usable, dropped = _usable_features(dataset)
-    order = _stepwise(usable, _removal_maes(dataset), largest=True) + dropped
+    order = _stepwise(usable, lambda taken, pool: removal_maes(dataset, pool),
+                      largest=True) + dropped
     return _finish(RankingMethod.RM3_REMOVE_MAX, dataset, order,
                    raw_order=order)
 
@@ -286,6 +268,12 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
                     np.where(coefs != 0.0, 0.0, 1.0))
 
 
+def check_pvalue_threshold(alpha_threshold: float) -> None:
+    """The significance levels ``rank_pvalues`` accepts: (0, 1]."""
+    if not 0.0 < alpha_threshold <= 1.0:
+        raise ConfigError("the p-value threshold must lie in (0, 1]")
+
+
 def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     """Backward stepwise elimination on t-test p-values.
 
@@ -294,6 +282,7 @@ def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     flag records whether all retained coefficients had p < alpha, which is
     where the classical stopping rule would halt.
     """
+    check_pvalue_threshold(alpha_threshold)
     admissible = [False] * dataset.n_features
 
     def price(taken, pool):

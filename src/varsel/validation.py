@@ -153,10 +153,17 @@ class CorrelationGraph:
     threshold: float
 
 
+def check_correlation_threshold(threshold: float) -> None:
+    """The thresholds ``correlation_graph`` accepts: [0, 1], as |rho|."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError("the correlation threshold must lie in [0, 1]")
+
+
 def correlation_graph(dataset: Dataset, threshold: float = 0.95) -> CorrelationGraph:
     """All pairs (i < j, both 1-based, row-major) with |rho| >= threshold,
     rho from one product of ``unit_centered_columns`` clipped to [-1, 1];
     constant columns (``max == min``) produce no edges."""
+    check_correlation_threshold(threshold)
     unit = unit_centered_columns(dataset.features)
     rho = np.clip(unit.T @ unit, -1.0, 1.0)
     varying = unit.any(axis=0)

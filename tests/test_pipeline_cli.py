@@ -304,7 +304,15 @@ class TestCli:
             ("zero-m", ["--m", "0"]),
             ("zero-max-iters", ["--max-iters", "0"]),
             ("repeated-subset-index", ["--subset", "2,2"]),
+            ("alpha-above-one", ["--alpha", "1.5"]),
+            ("negative-threshold", ["--threshold", "-0.5"]),
         )),
+        # thresholds no p-value or |rho| can meet, or every one meets
+        pytest.param(["select", "--target", "y", "--methods", "pvalue",
+                      "--alpha", "-1"], id="select-negative-alpha"),
+        pytest.param(["rank", "--target", "y", "--alpha", "0"], id="rank-zero-alpha"),
+        pytest.param(["corr", "--target", "y", "--threshold", "5"],
+                     id="corr-threshold-above-one"),
     ])
     def test_validation_error_exit_code(self, tmp_path, capsys, argv):
         data = write_fixture(tmp_path)
@@ -313,6 +321,19 @@ class TestCli:
         assert code == EXIT_VALIDATION
         assert "invalid configuration" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_thresholds_are_checked_only_for_the_stages_that_read_them(
+            self, tmp_path):
+        data = str(write_fixture(tmp_path))
+        RunConfig(dataset_path=data, target_column="y", stages=("rank",),
+                  methods=("rm1-forward",), alpha_threshold=-1.0,
+                  corr_threshold=5.0)
+        with pytest.raises(varsel.ConfigError, match="p-value threshold"):
+            RunConfig(dataset_path=data, target_column="y", stages=("select",),
+                      methods=("pvalue",), alpha_threshold=-1.0)
+        with pytest.raises(varsel.ConfigError, match="correlation threshold"):
+            RunConfig(dataset_path=data, target_column="y", stages=("corr",),
+                      corr_threshold=5.0)
 
     def test_cv_without_subset_or_search_is_rejected_up_front(self, tmp_path):
         data = write_fixture(tmp_path)

@@ -1,7 +1,8 @@
 """The pool factor against the per-candidate paths it replaces: removal MAEs
 of RM2/RM3 against one SVD fit per removal, coefficient p-values against the
 former two-factor computation, and the unchanged fallback of a pool the
-bound does not certify."""
+bound does not certify; and its drop direction (``removal_maes``) against
+its add direction (``neighbour_costs``)."""
 
 import math
 
@@ -18,12 +19,17 @@ from varsel import (
     coefficient_pvalues,
     fit_subset,
     make_dataset,
+    neighbour_costs,
     rank_backward_elimination,
     rank_pvalues,
     rank_remove_max_error,
 )
-from varsel.linmodel import CERTIFIED_RATIO_CAP, pool_factor
-from varsel.ranking import _removal_maes
+from varsel.linmodel import (
+    CERTIFIED_RATIO_CAP,
+    _neighbour_residuals,
+    pool_factor,
+    removal_maes,
+)
 
 from conftest import (
     assert_residuals_orthogonal,
@@ -83,7 +89,7 @@ def assert_pool_matches(dataset, pool):
     and errors of those paths.  Returns whether the pool was certified."""
     pool = tuple(pool)
     factor = pool_factor(dataset, pool)
-    got = _removal_maes(dataset)([], list(pool))
+    got = removal_maes(dataset, pool)
     want = loop_removal_maes(dataset, pool)
     got_p = outcome(coefficient_pvalues, dataset, pool)
     want_p = outcome(loop_coefficient_pvalues, dataset, pool)
@@ -142,6 +148,25 @@ class TestPoolFactorAgainstLoops:
         assert assert_pool_matches(near_duplicate_table(3, 1e-3), (1, 2, 3))
         assert not assert_pool_matches(near_duplicate_table(3, 1e-9), (1, 2, 3))
 
+    def test_norm_bound_rejects_what_the_diagonal_passes(self):
+        # design = Q K with K a 30 x 30 Kahan matrix: every |R_kk| is above
+        # 2e-3 of the design's norm, but sigma_min / sigma_max is 4.5e-8,
+        # below the cap (and above the SVD rule's 1e-10)
+        n, c = 60, 0.5
+        s = math.sqrt(1.0 - c * c)
+        kahan = np.diag(s ** np.arange(30)) @ (
+            np.eye(30) - c * np.triu(np.ones((30, 30)), 1))
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, 29))]))
+        design = math.sqrt(n) * (q * np.sign(q[0, 0])) @ kahan
+        ds = make_dataset(design[:, 1:], rng.normal(size=n))
+        pool = tuple(range(1, 30))
+        diagonal = np.abs(np.diag(np.linalg.qr(design, mode="r")))
+        assert diagonal.min() > 2e-3 * np.linalg.norm(design)
+        assert pool_factor(ds, pool) is None
+        assert not assert_pool_matches(ds, pool)
+        assert np.isfinite(removal_maes(ds, pool)).all()
+
     def test_degrees_of_freedom_and_rank_errors_as_before(self):
         x, y, _ = random_instance(21, 7, 6)
         square = make_dataset(x, y)  # N = M + 1: a full-rank fit, no dof
@@ -151,6 +176,49 @@ class TestPoolFactorAgainstLoops:
         x[:, 5] = x[:, 4]
         with pytest.raises(RankDeficiencyError):
             coefficient_pvalues(make_dataset(x, y), (5, 6))
+
+
+def assert_add_and_drop_agree(dataset, pool):
+    """On a certified pool the drop and add directions price the same fit:
+    for every j and every other entry i, N times ``removal_maes`` entry j
+    (the fit on the pool without j) equals ``neighbour_costs`` of the pool
+    without i and j plus i, within ``cost_tolerance``.  Returns how many of
+    those additions the factor decided itself."""
+    pool = tuple(pool)
+    if pool_factor(dataset, pool) is None:
+        return 0
+    dropped = dataset.n_rows * removal_maes(dataset, pool)
+    decided = 0
+    for j in range(len(pool)):
+        rest = pool[:j] + pool[j + 1:]
+        design = build_design_matrix(dataset, FeatureSubset(rest)).values
+        tol = cost_tolerance(dataset, design, 1.0, 1.0)
+        for i, k in enumerate(rest):
+            others = rest[:i] + rest[i + 1:]
+            added = neighbour_costs(dataset, others, [k])[0]
+            assert abs(dropped[j] - added) <= tol * added, (pool, j, k)
+            decided += bool(_neighbour_residuals(dataset, others, [k])[0][0])
+    return decided
+
+
+class TestAddAndDropAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_ratio=st.floats(-12.0, -4.0),
+           pool=POOLS)
+    def test_near_duplicate_columns(self, seed, log_ratio, pool):
+        assert_add_and_drop_agree(near_duplicate_table(seed, 10.0**log_ratio), pool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_scale=st.floats(-12.0, 6.0),
+           column=st.integers(1, 6), pool=POOLS)
+    def test_scaled_columns(self, seed, log_scale, column, pool):
+        x, y, _ = random_instance(seed, 30, 6)
+        x[:, column - 1] *= 10.0**log_scale
+        assert_add_and_drop_agree(make_dataset(x, y), pool)
+
+    def test_the_factor_decides_both_directions(self):
+        pool = (1, 2, 3, 4, 5, 6)
+        assert assert_add_and_drop_agree(near_duplicate_table(3, 1e-3), pool) == 30
 
 
 class TestBackwardRankingsOnNearDuplicates:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import t as student_t
 
 from varsel import (
+    ConfigError,
     DegenerateStepError,
     FeatureSubset,
     RankingMethod,
@@ -239,6 +240,17 @@ class TestPValues:
         ranking = rank_pvalues(make_dataset(x, y))
         assert ranking.admissible is not None and len(ranking.admissible) == 3
         assert ranking.admissible[0]  # the strong single feature passes
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="p-value threshold"):
+            rank_pvalues(exact_predictor_dataset(), alpha)
+        with pytest.raises(ConfigError, match="p-value threshold"):
+            rank_features(exact_predictor_dataset(), RankingMethod.PVALUE, alpha)
+
+    def test_threshold_one_is_accepted(self):
+        ranking = rank_pvalues(exact_predictor_dataset(), 1.0)
+        assert ranking.order == (1, 2)
 
 
 class TestErrorCurve:

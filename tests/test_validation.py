@@ -134,6 +134,18 @@ class TestCorrelationGraph:
             e for e in correlation_graph(ds, threshold=0.0).edges if 1 not in e[:2]
         )
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.01, 5.0, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="correlation threshold"):
+            correlation_graph(linear_dataset(), threshold)
+
+    def test_threshold_one_keeps_exact_copies_only(self):
+        rng = np.random.default_rng(44)
+        base = rng.normal(size=20)
+        x = np.column_stack([base, rng.normal(size=20), 2.0 * base + 1.0])
+        edges = correlation_graph(make_dataset(x, rng.normal(size=20)), 1.0).edges
+        assert [e[:2] for e in edges] in ([], [(1, 3)])
+
     def test_column_permutation_permutes_edges(self):
         rng = np.random.default_rng(44)
         base = rng.normal(size=25)
