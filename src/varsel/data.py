@@ -116,9 +116,16 @@ class FeatureSubset:
         return FeatureSubset(tuple(items))
 
 
+def check_seed(seed: int) -> None:
+    """The master seeds numpy's ``SeedSequence`` takes: integers >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
     """Per-run generator derived by counter-based splitting of the master
     seed, so results never depend on execution order."""
+    check_seed(seed)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(run_index,))
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset
+from .data import Dataset, FeatureSubset, check_seed
 from .errors import ConfigError, DegenerateStepError
 from .linmodel import CostCache
 from .search import all_subset_costs, random_subset
@@ -44,12 +44,13 @@ class GibbsConfig:
             object.__setattr__(self, "burn_in", self.sweeps // 5)
         if self.m < 1:
             raise ConfigError("m must be >= 1")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError("eta must be finite and positive")
         if self.sweeps < 1:
             raise ConfigError("sweeps must be >= 1")
         if not 0 <= self.burn_in < self.sweeps:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < sweeps")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

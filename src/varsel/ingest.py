@@ -1,10 +1,10 @@
 """Dataset ingestion from headered delimiter-separated text.
 
 Input contract: UTF-8, one header row, '.' decimal separator, every cell
-numeric and finite.  Violations raise IngestError naming the offending
-line and column.  Columns other than the target (and any explicitly
-dropped columns) become features in file order, so the k-th remaining
-column is feature k in every report.
+numeric and finite.  Violations raise IngestError naming the file and, for
+a bad row or cell, the offending line and column.  Columns other than the
+target (and any explicitly dropped columns) become features in file order,
+so the k-th remaining column is feature k in every report.
 """
 
 from __future__ import annotations
@@ -19,6 +19,16 @@ from .data import Dataset, normalize_columns
 from .errors import ConfigError, IngestError
 
 
+def _utf8_lines(handle, path: Path):
+    """The lines of a text handle; a byte that is not UTF-8 raises
+    IngestError naming the file (decoding runs ahead of the csv line
+    count, so no line number is given)."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def ingest_csv(
     path: str | Path,
     target_column: str,
@@ -27,11 +37,13 @@ def ingest_csv(
     drop_columns: Sequence[str] = (),
 ) -> Dataset:
     """Read a numeric table and split it into features and target."""
+    if len(delimiter) != 1:
+        raise ConfigError(f"the delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(_utf8_lines(handle, path), delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:

@@ -25,6 +25,10 @@ columns and conditioning matters.
   (``ranking.coefficient_pvalues``: every t statistic from b, r and
   ``diag((X^T X)^-1)``).  Whatever the bounds do not certify goes to the
   SVD rule, so that rule alone says what is rank-deficient.
+
+``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
+R-squared of every ``fit_least_squares`` fit and every CV test split
+(``validation.monte_carlo_cv``), with one rule for a constant target.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset
+from .data import Dataset, FeatureSubset, constant_columns
 from .errors import ConfigError, RankDeficiencyError, VarselError
 
 # Relative singular-value cutoff for declaring a design rank-deficient.
@@ -106,11 +110,28 @@ def full_rank_lstsq(x: np.ndarray, y: np.ndarray,
     return coef
 
 
-def fit_least_squares(design: DesignMatrix, target: np.ndarray) -> FitResult:
-    """Fit ``target ~ design`` by least squares and compute error metrics.
+def error_metrics(residuals: np.ndarray,
+                  target: np.ndarray) -> tuple[float, float, float, float]:
+    """MAE, MSE, RMSE and R-squared of ``residuals`` scored against
+    ``target``: the one scorer of in-sample fits and CV test splits.
 
-    R-squared is ``1 - SS_res / SS_tot`` with SS_tot about the target mean;
-    a zero-variance target with a perfect fit reports 0 by convention.
+    R-squared is ``1 - SS_res / SS_tot`` with SS_tot about the mean of the
+    scored target, and 0 when SS_tot is 0.  A constant target
+    (``constant_columns``, ``max == min``) has SS_tot 0 by that rule, not by
+    centering: centering a constant such as 0.1 leaves a rounding residue.
+    """
+    mae = float(np.abs(residuals).mean())
+    ss_res = float(residuals @ residuals)
+    mse = ss_res / len(residuals)
+    ss_tot = 0.0
+    if not constant_columns(target):
+        ss_tot = float(((target - target.mean()) ** 2).sum())
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
+    return mae, mse, math.sqrt(mse), r_squared
+
+
+def fit_least_squares(design: DesignMatrix, target: np.ndarray) -> FitResult:
+    """Fit ``target ~ design`` by least squares, scored by ``error_metrics``.
 
     Raises:
         RankDeficiencyError: numerical rank below the column count.
@@ -122,29 +143,10 @@ def fit_least_squares(design: DesignMatrix, target: np.ndarray) -> FitResult:
         raise VarselError(f"target length {y.shape} does not match {n} design rows")
     coef = full_rank_lstsq(x, y, design.subset)
     residuals = y - x @ coef
-    mae = float(np.abs(residuals).mean())
-    mse = float((residuals @ residuals) / n)
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot > 0.0:
-        r_squared = 1.0 - ss_res / ss_tot
-    elif ss_res <= 1e-20 * max(1.0, float(y @ y)):
-        r_squared = 0.0
-    else:
-        raise VarselError("zero-variance target with a nonzero residual")
-
     residuals.setflags(write=False)
     coefs = coef[1:].copy()
     coefs.setflags(write=False)
-    return FitResult(
-        intercept=float(coef[0]),
-        coefficients=coefs,
-        residuals=residuals,
-        mae=mae,
-        mse=mse,
-        rmse=math.sqrt(mse),
-        r_squared=r_squared,
-    )
+    return FitResult(float(coef[0]), coefs, residuals, *error_metrics(residuals, y))
 
 
 def fit_subset(dataset: Dataset, subset: FeatureSubset) -> FitResult:
@@ -153,9 +155,9 @@ def fit_subset(dataset: Dataset, subset: FeatureSubset) -> FitResult:
 
 
 def check_cost_parameters(p: float, alpha: float) -> None:
-    """The cost's domain: p > 0 (p < 1 allowed) and alpha > 0."""
-    if p <= 0 or alpha <= 0:
-        raise ConfigError("cost parameters require p > 0 and alpha > 0")
+    """The cost's domain: finite p > 0 (p < 1 allowed) and finite alpha > 0."""
+    if not (0 < p < math.inf and 0 < alpha < math.inf):
+        raise ConfigError("cost parameters require finite p > 0 and alpha > 0")
 
 
 def residual_norm_cost(residuals: np.ndarray, p: float,

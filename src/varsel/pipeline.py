@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, FeatureSubset
+from .data import Dataset, FeatureSubset, check_seed
 from .errors import ConfigError, VarselError
 from .gibbs import GibbsConfig, gibbs_run, inclusion_frequencies
 from .ingest import ingest_csv
@@ -95,6 +95,8 @@ class RunConfig:
         # by the check each stage calls; the checks against the table stay there
         if needs_m:
             check_cost_parameters(self.p_norm, self.cost_alpha)
+        if {"search", "gibbs", "cv"} & stages:
+            check_seed(self.seed)
         if "search" in stages:
             for m in self.m_values:
                 check_search_settings(m, self.search_runs, self.max_iters)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .data import Dataset, FeatureSubset, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
@@ -264,7 +264,9 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
     se = np.sqrt(sigma2 * gram_inv_diag[1:])
     positive = se > 0.0
     t = np.divide(np.abs(coefs), se, out=np.zeros(len(se)), where=positive)
-    return np.where(positive, 2.0 * student_t.sf(t, dof),
+    # stdtr(dof, -t) is the t survival function, the very call that
+    # ``scipy.stats.t.sf`` makes, without importing ``scipy.stats``
+    return np.where(positive, 2.0 * stdtr(dof, -t),
                     np.where(coefs != 0.0, 0.0, 1.0))
 
 

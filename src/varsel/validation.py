@@ -1,4 +1,7 @@
-"""Monte Carlo cross-validation and the feature-correlation graph."""
+"""Monte Carlo cross-validation and the feature-correlation graph.
+
+Each CV test split is scored by ``linmodel.error_metrics``, as every
+in-sample fit is."""
 
 from __future__ import annotations
 
@@ -10,7 +13,8 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
 from .errors import ConfigError, RankDeficiencyError
-from .linmodel import FitResult, build_design_matrix, fit_subset, full_rank_lstsq
+from .linmodel import (FitResult, build_design_matrix, error_metrics, fit_subset,
+                       full_rank_lstsq)
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,7 @@ class CvReport:
     skipped: int
     train_fraction: float
     seed: int
-    r2_baseline: str
+    r2_baseline: str  # always "test-mean", see ``monte_carlo_cv``
     mean_mae: float
     mean_mse: float
     mean_rmse: float
@@ -48,45 +52,23 @@ def check_cv_settings(train_fraction: float, runs: int) -> None:
         raise ConfigError("runs must be >= 1")
 
 
-def _split_metrics(x, y, subset, train_rows, test_rows, r2_baseline):
-    """Fit on the train rows of design ``x``, score on its test rows; None
-    if degenerate."""
-    y_train = y[train_rows]
-    try:
-        coef = full_rank_lstsq(x[train_rows], y_train, subset)
-    except RankDeficiencyError:
-        return None
-    y_test = y[test_rows]
-    residuals = y_test - x[test_rows] @ coef
-    mae = float(np.abs(residuals).mean())
-    mse = float(residuals @ residuals) / len(test_rows)
-    baseline = y_test.mean() if r2_baseline == "test-mean" else y_train.mean()
-    ss_tot = float(((y_test - baseline) ** 2).sum())
-    ss_res = float(residuals @ residuals)
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return mae, mse, math.sqrt(mse), r2
-
-
 def monte_carlo_cv(
     dataset: Dataset,
     subset: FeatureSubset,
     train_fraction: float = 0.8,
     runs: int = 20000,
     seed: int = 0,
-    r2_baseline: str = "test-mean",
 ) -> CvReport:
     """Repeated random-split validation of one subset model.
 
     Each run draws a fresh uniform split from a per-run generator keyed by
-    (seed, run index), fits on the train part and scores on the test part.
-    Test R-squared is computed against the test-set mean by default
-    ("train-mean" available).  A train fit that is rank-deficient under
-    ``linmodel.full_rank_lstsq`` is resampled once, then counted as skipped.
+    (seed, run index), fits the train rows with ``linmodel.full_rank_lstsq``
+    and scores the test rows with ``linmodel.error_metrics``, so test
+    R-squared is taken about the test-split mean.  A train fit that is
+    rank-deficient is resampled once, then counted as skipped.
     """
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)
-    if r2_baseline not in ("test-mean", "train-mean"):
-        raise ConfigError(f"unknown r2_baseline {r2_baseline!r}")
     n = dataset.n_rows
     n_train = int(math.floor(train_fraction * n))
     if n_train < subset.m + 2:
@@ -95,18 +77,18 @@ def monte_carlo_cv(
         )
     if n_train >= n:
         raise ConfigError("test split is empty")
-    x = build_design_matrix(dataset, subset).values
+    x, y = build_design_matrix(dataset, subset).values, dataset.target
 
     def one_run(run: int):
         rng = run_rng(seed, run)
         for _ in range(2):  # one resample allowed per run
             perm = rng.permutation(n)
-            metrics = _split_metrics(
-                x, dataset.target, subset, perm[:n_train], perm[n_train:],
-                r2_baseline,
-            )
-            if metrics is not None:
-                return metrics
+            train, test = perm[:n_train], perm[n_train:]
+            try:
+                coef = full_rank_lstsq(x[train], y[train], subset)
+            except RankDeficiencyError:
+                continue
+            return error_metrics(y[test] - x[test] @ coef, y[test])
         return None
 
     outcomes = [one_run(run) for run in range(runs)]
@@ -130,7 +112,7 @@ def monte_carlo_cv(
         skipped=int(skipped),
         train_fraction=train_fraction,
         seed=seed,
-        r2_baseline=r2_baseline,
+        r2_baseline="test-mean",
         mean_mae=float(means[0]),
         mean_mse=float(means[1]),
         mean_rmse=float(means[2]),

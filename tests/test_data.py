@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from varsel import ConfigError, FeatureSubset, InvalidSubsetError, make_dataset
-from varsel.data import Dataset, normalize_columns
+from varsel.data import Dataset, normalize_columns, run_rng
 
 
 class TestDataset:
@@ -92,3 +92,10 @@ class TestNormalization:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="normalization"):
             normalize_columns(np.ones((2, 1)), "sigmoid")
+
+
+class TestRunRng:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            run_rng(-1, 0)
+        run_rng(0, 0)  # the smallest accepted seed

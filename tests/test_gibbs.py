@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varsel import (
+    ConfigError,
     DegenerateStepError,
     FeatureSubset,
     GibbsChain,
@@ -138,6 +139,11 @@ class TestConfig:
             GibbsConfig(m=0)
         with pytest.raises(Exception, match="sweeps"):
             GibbsConfig(m=1, sweeps=0)
+        for eta in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="eta must be finite"):
+                GibbsConfig(m=2, eta=eta)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            GibbsConfig(m=2, seed=-1)
 
 
 class TestGibbsRun:

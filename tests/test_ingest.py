@@ -74,6 +74,21 @@ class TestIngest:
         ds = ingest_csv(path, "y", delimiter=";")
         assert ds.labels == ("a", "b")
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = write(tmp_path, "a;b;y\n1;2;3\n4;5;6\n7;8;10\n")
+        with pytest.raises(ConfigError, match="one character"):
+            ingest_csv(path, "y", delimiter=delimiter)
+
+    @pytest.mark.parametrize("row", [0, 2000], ids=["header", "late-row"])
+    def test_non_utf8_bytes_raise_ingest_error_naming_file(self, tmp_path, row):
+        lines = [b"a,b,y"] + [b"%d,%d,%d" % (i, i * i, i + 3) for i in range(2500)]
+        lines[row] = b"\xe9" + lines[row]  # Latin-1 e-acute, not UTF-8
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IngestError, match="latin1.csv: not UTF-8"):
+            ingest_csv(path, "y")
+
     def test_too_few_rows_rejected(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
         with pytest.raises(ConfigError, match="R\\+1"):

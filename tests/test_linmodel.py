@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varsel import (
+    ConfigError,
     CostCache,
     FeatureSubset,
     InvalidSubsetError,
@@ -17,7 +18,7 @@ from varsel import (
     make_dataset,
     subset_cost,
 )
-from varsel.linmodel import residual_norm_cost
+from varsel.linmodel import error_metrics, residual_norm_cost
 
 from conftest import assert_residuals_orthogonal, random_instance
 
@@ -25,6 +26,14 @@ from conftest import assert_residuals_orthogonal, random_instance
 def small_dataset():
     x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 31.0], [4.0, 39.0]])
     return make_dataset(x, np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+class TestErrorMetrics:
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3.7, 1e300])
+    def test_constant_target_scores_zero_r2(self, value):
+        # nonzero residuals, as a CV test split has: still R-squared 0
+        residuals = np.random.default_rng(6).normal(size=45)
+        assert error_metrics(residuals, np.full(45, value))[3] == 0.0
 
 
 class TestDesignMatrix:
@@ -96,11 +105,13 @@ class TestFit:
         assert "(1, 2)" in str(err.value)
 
     def test_zero_variance_target_reports_zero_r2(self):
-        x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        ds = make_dataset(x, [5.0, 5.0, 5.0, 5.0])
-        fit = fit_subset(ds, FeatureSubset((1,)))
-        assert fit.r_squared == 0.0
-        assert fit.mae == pytest.approx(0.0, abs=1e-12)
+        # 60 copies of 0.1 do not centre to exact zeros: the rule is max == min
+        for value, n in ((5.0, 4), (0.1, 60)):
+            x = np.arange(1.0, n + 1).reshape(-1, 1)
+            ds = make_dataset(x, np.full(n, value))
+            fit = fit_subset(ds, FeatureSubset((1,)))
+            assert fit.r_squared == 0.0
+            assert fit.mae == pytest.approx(0.0, abs=1e-12)
 
     def test_metrics_recomputable_from_residuals(self):
         x, y, _ = random_instance(3, 30, 4)
@@ -173,6 +184,12 @@ class TestSubsetCost:
         assert residual_norm_cost(np.array([1.0, -1.0, 2.0]), 1, 1) == pytest.approx(
             4.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("p, alpha", [(math.inf, 1.0), (math.nan, 1.0),
+                                          (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_cost_parameters_rejected(self, p, alpha):
+        with pytest.raises(ConfigError, match="finite p > 0"):
+            residual_norm_cost(np.array([3.0, 4.0]), p, alpha)
 
     def test_squared_l2_cost(self):
         assert residual_norm_cost(np.array([3.0, 4.0]), 2, 2) == pytest.approx(

@@ -290,6 +290,20 @@ class TestCli:
                      id="negative-cost-alpha"),
         pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
                       "--seed", "1", "--max-iters", "0"], id="zero-max-iters"),
+        pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
+                      "--seed", "1", "--p-norm", "inf"], id="infinite-p-norm"),
+        # numpy's SeedSequence takes no negative seed
+        pytest.param(["search", "--target", "y", "--m", "1", "--runs", "2",
+                      "--seed", "-1"], id="search-negative-seed"),
+        pytest.param(["gibbs", "--target", "y", "--m", "1", "--sweeps", "20",
+                      "--seed", "-1"], id="gibbs-negative-seed"),
+        pytest.param(["cv", "--target", "y", "--subset", "1,2", "--runs", "5",
+                      "--seed", "-1"], id="cv-negative-seed"),
+        # csv reads a delimiter of exactly one character
+        pytest.param(["rank", "--target", "y", "--delimiter", ""],
+                     id="empty-delimiter"),
+        pytest.param(["rank", "--target", "y", "--delimiter", ";;"],
+                     id="two-character-delimiter"),
         # settings a stage would reject without the table: no stage runs
         *(pytest.param(["report", "--target", "y", "--m", "2", "--seed", "1",
                         "--runs", "2", "--sweeps", "20", "--cv-runs", "5", *bad],
@@ -306,6 +320,11 @@ class TestCli:
             ("repeated-subset-index", ["--subset", "2,2"]),
             ("alpha-above-one", ["--alpha", "1.5"]),
             ("negative-threshold", ["--threshold", "-0.5"]),
+            ("negative-seed", ["--seed", "-1"]),
+            ("infinite-p-norm", ["--p-norm", "inf"]),
+            ("nan-cost-alpha", ["--cost-alpha", "nan"]),
+            ("nan-eta", ["--eta", "nan"]),
+            ("infinite-eta", ["--eta", "inf"]),
         )),
         # thresholds no p-value or |rho| can meet, or every one meets
         pytest.param(["select", "--target", "y", "--methods", "pvalue",
@@ -320,7 +339,25 @@ class TestCli:
         code = main([*argv, "-i", str(data), "-o", str(out)])
         assert code == EXIT_VALIDATION
         assert "invalid configuration" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    def test_non_utf8_table_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("caf\u00e9,b,y\n1,2,3\n4,5,6\n7,8,10\n".encode("latin-1"))
+        out = tmp_path / "o"
+        code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out)])
+        assert code == EXIT_PARSE
+        assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_is_checked_only_for_the_stages_that_draw(self, tmp_path):
+        data = str(write_fixture(tmp_path))
+        RunConfig(dataset_path=data, target_column="y",
+                  stages=("rank", "select", "corr"), seed=-1)
+        for stage in ("search", "gibbs", "cv"):
+            with pytest.raises(varsel.ConfigError, match="seed must be >= 0"):
+                RunConfig(dataset_path=data, target_column="y", stages=(stage,),
+                          m_values=(1,), cv_subset=(1,), seed=-1)
 
     def test_thresholds_are_checked_only_for_the_stages_that_read_them(
             self, tmp_path):
@@ -461,6 +498,19 @@ def test_module_entry_point_prints_version():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"varsel {varsel.__version__}\n"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes about 0.3 s to import; the p-values need only stdtr
+    src = Path(varsel.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, varsel; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # Each row: flag, its argument, the RunConfig field it sets, the parsed value.

@@ -8,6 +8,7 @@ import pytest
 
 from varsel import (
     BudgetExceededError,
+    ConfigError,
     FeatureSubset,
     alternating_optimization,
     exhaustive_best_subset,
@@ -120,6 +121,11 @@ class TestAlternatingOptimization:
 
 
 class TestMultiRestart:
+    def test_negative_seed_rejected(self):
+        x, y, _ = random_instance(7, 25, 6)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            multi_restart_search(make_dataset(x, y), 2, runs=3, seed=-1)
+
     def test_single_run_reduces_to_alternating_from_seeded_init(self):
         x, y, _ = random_instance(7, 25, 6)
         ds = make_dataset(x, y)
