@@ -63,14 +63,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def feature_column(self, index: int) -> np.ndarray:
-        """Column for a 1-based feature index."""
-        if not 1 <= index <= self.n_features:
-            raise InvalidSubsetError(
-                f"feature index {index} outside [1, {self.n_features}]"
-            )
-        return self.features[:, index - 1]
-
     def label_of(self, index: int) -> str:
         if not 1 <= index <= self.n_features:
             raise InvalidSubsetError(
@@ -103,9 +95,6 @@ class FeatureSubset:
             raise InvalidSubsetError(
                 f"indices {bad} outside [1, {dataset.n_features}]"
             )
-
-    def sorted(self) -> "FeatureSubset":
-        return FeatureSubset(tuple(sorted(self.indices)))
 
     def replace_position(self, position: int, index: int) -> "FeatureSubset":
         """New subset with the 1-based position set to a new feature index."""

@@ -70,13 +70,16 @@ class InclusionProfile:
     """Per-feature probability of appearing in a sampled subset."""
 
     probabilities: np.ndarray
-    uniform_reference: float
-    m: int
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
+
+    @property
+    def uniform_reference(self) -> float:
+        """The uniform level 1/R the probabilities are read against."""
+        return 1.0 / len(self.probabilities)
 
 
 def _stable_weights(exponents: np.ndarray) -> np.ndarray:
@@ -150,11 +153,7 @@ def inclusion_frequencies(chain: GibbsChain, burn_in: int) -> InclusionProfile:
     retained = chain.states[burn_in:]
     taken = np.array([state.indices for state in retained]).ravel() - 1
     counts = np.bincount(taken, minlength=chain.n_features).astype(float)
-    return InclusionProfile(
-        probabilities=counts / len(retained),
-        uniform_reference=1.0 / chain.n_features,
-        m=retained[0].m,
-    )
+    return InclusionProfile(counts / len(retained))
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,5 @@ def exact_target_enumeration(
                             weights=np.repeat(probs, m), minlength=r)
     return ExactDistribution(
         subset_probabilities={k: float(pr) for k, pr in zip(keys, probs)},
-        inclusion=InclusionProfile(
-            probabilities=inclusion, uniform_reference=1.0 / r, m=m
-        ),
+        inclusion=InclusionProfile(inclusion),
     )

@@ -29,6 +29,16 @@ def _utf8_lines(handle, path: Path):
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _check_delimiter(delimiter: str) -> None:
+    """The delimiters ``csv`` can split on as meant: one character that is
+    neither its quote character nor a line break."""
+    if len(delimiter) != 1:
+        raise ConfigError(f"the delimiter must be one character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise ConfigError(f"the delimiter {delimiter!r} cannot separate fields: "
+                          f"csv reads it as a quote or a line break")
+
+
 def ingest_csv(
     path: str | Path,
     target_column: str,
@@ -37,8 +47,7 @@ def ingest_csv(
     drop_columns: Sequence[str] = (),
 ) -> Dataset:
     """Read a numeric table and split it into features and target."""
-    if len(delimiter) != 1:
-        raise ConfigError(f"the delimiter must be one character, got {delimiter!r}")
+    _check_delimiter(delimiter)
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
@@ -113,6 +122,7 @@ def write_dataset_csv(dataset: Dataset, path: str | Path, delimiter: str = ",") 
     Floats are written with repr(), the shortest representation that parses
     back to the same double.
     """
+    _check_delimiter(delimiter)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")

@@ -59,10 +59,6 @@ class DesignMatrix:
     subset: FeatureSubset
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_columns(self) -> int:
         return self.values.shape[1]
 
@@ -78,10 +74,6 @@ class FitResult:
     mse: float
     rmse: float
     r_squared: float
-
-    @property
-    def n_rows(self) -> int:
-        return self.residuals.shape[0]
 
 
 def build_design_matrix(dataset: Dataset, subset: FeatureSubset) -> DesignMatrix:

@@ -252,7 +252,7 @@ def _cv(config: RunConfig, dataset: Dataset, made: dict) -> dict:
         "cv": asdict(cv),
         "named_model": {
             "subset": list(subset.indices),
-            "intercept": named.intercept,
+            "intercept": named.fit.intercept,
             "coefficients": [[label, b] for label, b in named.coefficients],
             "mae": named.fit.mae,
             "mse": named.fit.mse,

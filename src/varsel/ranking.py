@@ -57,9 +57,10 @@ class Ranking:
     ``raw_order`` preserves the native removal/addition sequence for the
     methods that produce one (None otherwise).  ``admissible`` is only set
     by the p-value method: entry M-1 says whether the M-feature model kept
-    all coefficients below the significance threshold.  ``filled_prefixes``
-    lists prefix sizes whose fit was rank-deficient; there ``error_curve``
-    repeats the previous prefix's MAE and ``mse_curve`` holds +inf.
+    all coefficients below the significance threshold.  A rank-deficient
+    prefix is recorded once, as +inf in ``mse_curve`` (a full-rank fit's
+    SS_res / N is finite); there ``error_curve`` repeats the previous
+    prefix's MAE.
     """
 
     method: RankingMethod
@@ -68,7 +69,6 @@ class Ranking:
     mse_curve: np.ndarray
     raw_order: tuple[int, ...] | None = None
     admissible: tuple[bool, ...] | None = None
-    filled_prefixes: tuple[int, ...] = ()
 
     def __post_init__(self):
         r = len(self.order)
@@ -81,16 +81,20 @@ class Ranking:
             if curve.shape != (r,):
                 raise ConfigError(f"{name} must have one entry per feature")
 
+    @property
+    def filled_prefixes(self) -> tuple[int, ...]:
+        """The 1-based prefix sizes whose fit was rank-deficient."""
+        return tuple((np.flatnonzero(np.isinf(self.mse_curve)) + 1).tolist())
+
 
 def error_curve(
     dataset: Dataset, order: tuple[int, ...] | list[int]
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """MAE and MSE of the least-squares fit on each prefix of ``order``.
 
     Entry M-1 holds the errors using the first M features.  At a
     rank-deficient prefix the MAE repeats the previous prefix's (the
-    intercept-only MAE for M=1), the MSE is +inf, and its size is reported
-    in the third return value.
+    intercept-only MAE for M=1) and the MSE is +inf.
     """
     order = tuple(int(k) for k in order)
     r = dataset.n_features
@@ -98,16 +102,15 @@ def error_curve(
         raise ConfigError("order must be a permutation of 1..R")
     mae_curve = np.empty(r, dtype=float)
     mse_curve = np.full(r, math.inf)
-    filled = []
     previous = fit_subset(dataset, FeatureSubset(())).mae
     for m in range(1, r + 1):
         try:
             fit = fit_subset(dataset, FeatureSubset(order[:m]))
             previous, mse_curve[m - 1] = fit.mae, fit.mse
         except RankDeficiencyError:
-            filled.append(m)
+            pass  # the MAE repeats and the MSE stays +inf
         mae_curve[m - 1] = previous
-    return mae_curve, mse_curve, tuple(filled)
+    return mae_curve, mse_curve
 
 
 def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
@@ -139,7 +142,7 @@ def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
 
 
 def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
-    mae_curve, mse_curve, filled = error_curve(dataset, tuple(order))
+    mae_curve, mse_curve = error_curve(dataset, tuple(order))
     return Ranking(
         method=method,
         order=tuple(order),
@@ -147,7 +150,6 @@ def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
         mse_curve=mse_curve,
         raw_order=None if raw_order is None else tuple(raw_order),
         admissible=None if admissible is None else tuple(admissible),
-        filled_prefixes=filled,
     )
 
 

@@ -31,7 +31,8 @@ class SearchResult:
 
     ``degenerate_restarts`` counts the restarts of ``multi_restart_search``
     that ended on a rank-deficient subset with no finite-cost move; they add
-    nothing to ``iterations``.
+    nothing to ``iterations``.  ``update_costs`` is the cost trace of one
+    ``alternating_optimization`` run, None for the other searches.
     """
 
     subset: FeatureSubset
@@ -110,14 +111,15 @@ def alternating_optimization(
     init: FeatureSubset,
     max_iters: int = DEFAULT_MAX_SWEEPS,
     cache: CostCache | None = None,
-    track_updates: bool = False,
 ) -> SearchResult:
     """Cyclic coordinate descent over subset positions from a given start.
 
     Each position update prices every feature index not used by the state
     in one ``CostCache.neighbour_costs`` batch and accepts only a strict
     improvement on the current cost, so a sweep without change is a fixed
-    point and the cost trace is non-increasing by construction.
+    point and the cost trace is non-increasing by construction.  The trace
+    is ``update_costs``: the starting cost, then the cost after each
+    position update.
     """
     check_search_settings(m, 1, max_iters)
     init.validate_against(dataset)
@@ -127,7 +129,7 @@ def alternating_optimization(
     r = dataset.n_features
     state = list(init.indices)
     current_cost = cache.cost(tuple(state))
-    trace = [current_cost] if track_updates else None
+    trace = [current_cost]
     converged = False
     sweeps = 0
     for _ in range(max_iters):
@@ -142,8 +144,7 @@ def alternating_optimization(
                 state[j] = candidates[best]
                 current_cost = float(costs[best])
                 changed = True
-            if trace is not None:
-                trace.append(current_cost)
+            trace.append(current_cost)
         if not changed:
             converged = True
             break
@@ -157,7 +158,7 @@ def alternating_optimization(
         cost=current_cost,
         iterations=sweeps,
         converged=converged,
-        update_costs=None if trace is None else tuple(trace),
+        update_costs=tuple(trace),
     )
 
 
@@ -171,10 +172,11 @@ def multi_restart_search(
 ) -> SearchResult:
     """Best-of-N alternating optimization from seeded random starts.
 
-    Ties between runs resolve to the lexicographically smallest ascending
-    subset, making the result deterministic for a given (seed, runs, m)
-    regardless of any parallel execution of the runs.  Restarts stuck on a
-    rank-deficient subset are counted in ``degenerate_restarts``.
+    Restart i starts from its own generator ``run_rng(seed, i)`` and ties
+    between runs resolve to the lexicographically smallest ascending
+    subset, so the result is deterministic for a given (seed, runs, m).
+    Restarts stuck on a rank-deficient subset are counted in
+    ``degenerate_restarts``.
 
     Raises:
         DegenerateStepError: every restart was degenerate.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .ranking import Ranking, RankingMethod
+from .ranking import Ranking
 
 
 class Criterion(str, Enum):
@@ -40,7 +40,6 @@ class OrderSelection:
     criterion: Criterion
     m_star: int
     curve: np.ndarray
-    ranking_method: RankingMethod | None = None
 
     def __post_init__(self):
         curve = np.asarray(self.curve, dtype=float)
@@ -104,8 +103,7 @@ def select_order(
     if not (curve < math.inf).any():
         raise ConfigError("every ranking prefix is rank-deficient")
     m_star = int(np.argmin(curve)) + 1
-    return OrderSelection(criterion=criterion, m_star=m_star, curve=curve,
-                          ranking_method=ranking.method)
+    return OrderSelection(criterion=criterion, m_star=m_star, curve=curve)
 
 
 def pvalue_stopping(pv_ranking: Ranking) -> OrderSelection:
@@ -121,8 +119,7 @@ def pvalue_stopping(pv_ranking: Ranking) -> OrderSelection:
     flags = np.array(pv_ranking.admissible, dtype=float)
     admissible_sizes = [m for m, ok in enumerate(pv_ranking.admissible, start=1) if ok]
     m_star = max(admissible_sizes) if admissible_sizes else 1
-    return OrderSelection(criterion=Criterion.PVALUE, m_star=m_star, curve=flags,
-                          ranking_method=pv_ranking.method)
+    return OrderSelection(criterion=Criterion.PVALUE, m_star=m_star, curve=flags)
 
 
 def elbow_annotation(error_curve: np.ndarray) -> int | None:

@@ -162,7 +162,6 @@ class NamedModel:
 
     subset: FeatureSubset
     fit: FitResult
-    intercept: float
     coefficients: tuple[tuple[str, float], ...]
 
 
@@ -173,6 +172,4 @@ def fit_named_model(dataset: Dataset, subset: FeatureSubset) -> NamedModel:
         (dataset.label_of(k), float(b))
         for k, b in zip(subset.indices, fit.coefficients)
     )
-    return NamedModel(
-        subset=subset, fit=fit, intercept=fit.intercept, coefficients=pairs
-    )
+    return NamedModel(subset=subset, fit=fit, coefficients=pairs)

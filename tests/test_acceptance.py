@@ -108,7 +108,7 @@ def test_criterion_03_best_subset_exactness():
         matches += got.subset.indices == best.subset.indices
         # every recorded coordinate update must be non-increasing
         traced = alternating_optimization(
-            ds, m, random_subset(run_rng(i, 0), 8, m), track_updates=True
+            ds, m, random_subset(run_rng(i, 0), 8, m)
         )
         assert (np.diff(traced.update_costs) <= 0).all()
     assert matches >= 48, f"only {matches}/50 matched the exhaustive optimum"

@@ -40,9 +40,9 @@ class TestDataset:
     def test_label_lookup_is_one_based(self):
         ds = make_dataset(np.eye(4)[:, :2], [1.0, 2, 3, 4], labels=("a", "b"))
         assert ds.label_of(1) == "a" and ds.label_of(2) == "b"
-        np.testing.assert_array_equal(ds.feature_column(2), ds.features[:, 1])
-        with pytest.raises(InvalidSubsetError):
-            ds.feature_column(3)
+        for outside in (0, 3):
+            with pytest.raises(InvalidSubsetError):
+                ds.label_of(outside)
 
 
 class TestFeatureSubset:
@@ -58,10 +58,10 @@ class TestFeatureSubset:
         with pytest.raises(InvalidSubsetError):
             subset.replace_position(4, 1)
 
-    def test_m_and_sorted(self):
+    def test_m_counts_indices_in_given_order(self):
         subset = FeatureSubset((9, 1, 4))
         assert subset.m == 3
-        assert subset.sorted().indices == (1, 4, 9)
+        assert subset.indices == (9, 1, 4)
         assert FeatureSubset(()).m == 0
 
 

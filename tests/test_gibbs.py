@@ -226,7 +226,7 @@ class TestInclusion:
         config = GibbsConfig(m=3, eta=1.0, sweeps=500, seed=5)
         profile = inclusion_frequencies(gibbs_run(ds, config), config.burn_in)
         assert profile.probabilities.sum() == pytest.approx(3.0, abs=1e-12)
-        assert profile.uniform_reference == pytest.approx(1 / 5)
+        assert profile.uniform_reference == 1 / 5
 
 
 class TestExactEnumeration:
@@ -241,6 +241,7 @@ class TestExactEnumeration:
             exact.inclusion.probabilities, [2 / 3] * 3, atol=1e-10
         )
         assert exact.inclusion.probabilities.sum() == pytest.approx(2.0, abs=1e-12)
+        assert exact.inclusion.uniform_reference == 1 / 3
 
     def test_matches_hand_normalized_table(self):
         x, y, _ = random_instance(609, 20, 4)

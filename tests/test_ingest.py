@@ -1,9 +1,15 @@
 """CSV ingestion: validation errors, normalization, round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
-from varsel import ConfigError, IngestError, ingest_csv, write_dataset_csv
+from varsel import ConfigError, IngestError, ingest_csv, make_dataset, write_dataset_csv
+
+# one-character delimiters that csv reads as a quote or a line break
+UNSPLITTABLE = pytest.mark.parametrize(
+    "delimiter", ['"', "\n", "\r"], ids=["quote", "newline", "carriage-return"])
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -80,6 +86,12 @@ class TestIngest:
         with pytest.raises(ConfigError, match="one character"):
             ingest_csv(path, "y", delimiter=delimiter)
 
+    @UNSPLITTABLE
+    def test_quote_or_line_break_delimiter_rejected(self, tmp_path, delimiter):
+        path = write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n7,8,10\n")
+        with pytest.raises(ConfigError, match=re.escape(repr(delimiter))):
+            ingest_csv(path, "y", delimiter=delimiter)
+
     @pytest.mark.parametrize("row", [0, 2000], ids=["header", "late-row"])
     def test_non_utf8_bytes_raise_ingest_error_naming_file(self, tmp_path, row):
         lines = [b"a,b,y"] + [b"%d,%d,%d" % (i, i * i, i + 3) for i in range(2500)]
@@ -123,6 +135,14 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.target, ds.target)
         assert (again.features == ds.features).all()
+
+    @UNSPLITTABLE
+    def test_writer_rejects_quote_or_line_break_delimiter(self, tmp_path, delimiter):
+        ds = make_dataset(np.eye(3)[:, :2], [1.0, 2.0, 3.0])
+        out = tmp_path / "copy.csv"
+        with pytest.raises(ConfigError, match=re.escape(repr(delimiter))):
+            write_dataset_csv(ds, out, delimiter=delimiter)
+        assert not out.exists()
 
     def test_round_trip_after_normalization(self, tmp_path):
         rng = np.random.default_rng(6)

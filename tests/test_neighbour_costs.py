@@ -199,8 +199,7 @@ class TestEquivalenceWithLoops:
         ds = table()
         for seed in range(6):
             init = random_subset(np.random.default_rng(seed), ds.n_features, m)
-            got = alternating_optimization(
-                ds, m, init, cache=CostCache(ds), track_updates=True)
+            got = alternating_optimization(ds, m, init, cache=CostCache(ds))
             subset, cost, sweeps, trace = loop_alternating_optimization(
                 ds, m, init, CostCache(ds))
             assert got.subset.indices == subset

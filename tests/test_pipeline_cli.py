@@ -341,6 +341,21 @@ class TestCli:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"],
+                             ids=["quote", "newline", "carriage-return"])
+    def test_unsplittable_delimiter_is_named(self, tmp_path, capsys, delimiter):
+        # csv reads these as a quote or a line break, so the header would
+        # come back as one field and the target would seem to be missing
+        data = write_fixture(tmp_path)
+        out = tmp_path / "o"
+        code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out),
+                     "--delimiter", delimiter])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"the delimiter {delimiter!r}" in err
+        assert "not in header" not in err
+        assert not out.exists()
+
     def test_non_utf8_table_exit_code(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
         data.write_bytes("caf\u00e9,b,y\n1,2,3\n4,5,6\n7,8,10\n".encode("latin-1"))

@@ -9,6 +9,8 @@ from varsel import (
     ConfigError,
     DegenerateStepError,
     FeatureSubset,
+    RankDeficiencyError,
+    Ranking,
     RankingMethod,
     coefficient_pvalues,
     error_curve,
@@ -256,14 +258,14 @@ class TestPValues:
 class TestErrorCurve:
     def test_perfect_first_feature_zeroes_the_curve(self):
         ds = exact_predictor_dataset()
-        curve, _, filled = error_curve(ds, (1, 2))
+        curve, mse = error_curve(ds, (1, 2))
         assert curve[0] == pytest.approx(0.0, abs=1e-12)
-        assert filled == ()
+        assert np.isfinite(mse).all()
 
     def test_identity_permutation_equals_direct_fits(self):
         x, y, _ = random_instance(41, 25, 3)
         ds = make_dataset(x, y)
-        curve, mse, _ = error_curve(ds, (1, 2, 3))
+        curve, mse = error_curve(ds, (1, 2, 3))
         for m in range(1, 4):
             direct = fit_subset(ds, FeatureSubset(tuple(range(1, m + 1))))
             assert curve[m - 1] == pytest.approx(direct.mae, rel=1e-12)
@@ -285,10 +287,29 @@ class TestErrorCurve:
         x = np.column_stack([x1, x1, rng.normal(size=10)])
         ds = make_dataset(x, x1 + rng.normal(size=10))
         # prefixes (1,2) and (1,2,3) both contain the duplicated pair
-        curve, mse, filled = error_curve(ds, (1, 2, 3))
-        assert filled == (2, 3)
+        curve, mse = error_curve(ds, (1, 2, 3))
+        ranking = Ranking(RankingMethod.RM1_FORWARD, (1, 2, 3), curve, mse)
+        assert ranking.filled_prefixes == (2, 3)
         assert curve[1] == curve[0] and curve[2] == curve[0]
         assert np.isfinite(mse[0]) and np.isinf(mse[1:]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dataset=awkward_tables())
+    def test_filled_prefixes_are_the_rank_deficient_refits(self, dataset):
+        """``filled_prefixes`` is read off the +inf entries of the MSE curve;
+        a refit of each prefix on its own checks that reading."""
+        for method in RankingMethod:
+            try:
+                ranking = rank_features(dataset, method)
+            except DegenerateStepError:
+                continue  # RM1/RM4 reach a step with no full-rank candidate
+            deficient = []
+            for m in range(1, dataset.n_features + 1):
+                try:
+                    fit_subset(dataset, FeatureSubset(ranking.order[:m]))
+                except RankDeficiencyError:
+                    deficient.append(m)
+            assert ranking.filled_prefixes == tuple(deficient), method.value
 
     def test_rejects_non_permutations(self):
         x, y, _ = random_instance(48, 20, 3)

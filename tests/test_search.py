@@ -113,9 +113,7 @@ class TestAlternatingOptimization:
     def test_update_costs_are_non_increasing(self):
         x, y, _ = random_instance(5, 30, 8)
         ds = make_dataset(x, y)
-        result = alternating_optimization(
-            ds, 3, FeatureSubset((8, 7, 6)), track_updates=True
-        )
+        result = alternating_optimization(ds, 3, FeatureSubset((8, 7, 6)))
         trace = np.array(result.update_costs)
         assert (np.diff(trace) <= 0).all()
 

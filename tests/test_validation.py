@@ -208,6 +208,6 @@ class TestNamedModel:
             x = np.arange(float(n)).reshape(-1, 1)
             ds = make_dataset(x, np.full(n, value))
             model = fit_named_model(ds, FeatureSubset(()))
-            assert model.intercept == pytest.approx(value, rel=1e-12)
+            assert model.fit.intercept == pytest.approx(value, rel=1e-12)
             assert model.fit.r_squared == 0.0
             assert model.coefficients == ()
