@@ -1,15 +1,22 @@
 """Dataset ingestion from headered delimiter-separated text.
 
 Input contract: UTF-8, one header row, '.' decimal separator, every cell
-numeric and finite.  Violations raise IngestError naming the file and, for
+numeric and finite.  A cell is what ``csv`` reads (quoting honoured),
+stripped of the whitespace ``str.strip`` removes and parsed by ``float``,
+so exponents and ``_`` separators are accepted and ``nan``, ``inf`` and
+overflow are not.  Violations raise IngestError naming the file and, for
 a bad row or cell, the offending line and column.  Columns other than the
 target (and any explicitly dropped columns) become features in file order,
 so the k-th remaining column is feature k in every report.
+
+Each row is parsed and checked in one ``map`` over its cells; only a row
+that fails is walked again cell by cell, to name its first bad cell.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +44,34 @@ def _check_delimiter(delimiter: str) -> None:
     if delimiter in '"\r\n':
         raise ConfigError(f"the delimiter {delimiter!r} cannot separate fields: "
                           f"csv reads it as a quote or a line break")
+
+
+def _parse_cells(row: list[str], header: list[str], path: Path,
+                 line_no: int) -> list[float]:
+    """One row's cells, stripped and parsed one at a time; the first bad
+    cell raises IngestError naming its line and column."""
+    parsed = []
+    for pos, cell in enumerate(row):
+        text = cell.strip()
+        if text == "":
+            raise IngestError(
+                f"{path}: line {line_no}, column {header[pos]!r}: "
+                f"missing value"
+            )
+        try:
+            value = float(text)
+        except ValueError:
+            raise IngestError(
+                f"{path}: line {line_no}, column {header[pos]!r}: "
+                f"non-numeric cell {text!r}"
+            ) from None
+        if not np.isfinite(value):
+            raise IngestError(
+                f"{path}: line {line_no}, column {header[pos]!r}: "
+                f"non-finite value {text!r}"
+            )
+        parsed.append(value)
+    return parsed
 
 
 def ingest_csv(
@@ -72,7 +107,6 @@ def ingest_csv(
         feature_pos = [header.index(h) for h in feature_names]
 
         rows = []
-        targets = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue  # tolerate blank trailing lines
@@ -81,36 +115,26 @@ def ingest_csv(
                     f"{path}: line {line_no} has {len(row)} cells, "
                     f"expected {len(header)}"
                 )
-            parsed = []
-            for pos, cell in enumerate(row):
-                text = cell.strip()
-                if text == "":
-                    raise IngestError(
-                        f"{path}: line {line_no}, column {header[pos]!r}: "
-                        f"missing value"
-                    )
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}: line {line_no}, column {header[pos]!r}: "
-                        f"non-numeric cell {text!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise IngestError(
-                        f"{path}: line {line_no}, column {header[pos]!r}: "
-                        f"non-finite value {text!r}"
-                    )
-                parsed.append(value)
-            rows.append([parsed[pos] for pos in feature_pos])
-            targets.append(parsed[target_pos])
+            try:
+                parsed = list(map(float, row))
+            except ValueError:
+                parsed = None
+            if parsed is None or not all(map(math.isfinite, parsed)):
+                # the slow walk finds the first bad cell, or accepts the
+                # cells that only ``str.strip`` cleans, such as '\x1c1'
+                parsed = _parse_cells(row, header, path, line_no)
+            rows.append(parsed)
 
     if not rows:
         raise IngestError(f"{path}: no data rows after the header")
-    features = normalize_columns(np.array(rows, dtype=float), normalize)
+    table = np.array(rows, dtype=float)
+    del rows
+    # a row-major take: a column-major feature array would sum its
+    # columns in another order and change the last bits of the report
+    features = normalize_columns(np.take(table, feature_pos, axis=1), normalize)
     return Dataset(
         features=features,
-        target=np.array(targets, dtype=float),
+        target=table[:, target_pos],
         labels=tuple(feature_names),
         target_label=target_column,
     )

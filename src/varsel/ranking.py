@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data import Dataset, FeatureSubset, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
@@ -267,7 +266,10 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
     positive = se > 0.0
     t = np.divide(np.abs(coefs), se, out=np.zeros(len(se)), where=positive)
     # stdtr(dof, -t) is the t survival function, the very call that
-    # ``scipy.stats.t.sf`` makes, without importing ``scipy.stats``
+    # ``scipy.stats.t.sf`` makes, without importing ``scipy.stats``; it is
+    # imported here so that only a p-value ranking loads ``scipy.special``
+    from scipy.special import stdtr
+
     return np.where(positive, 2.0 * stdtr(dof, -t),
                     np.where(coefs != 0.0, 0.0, 1.0))
 

@@ -7,11 +7,15 @@ per-candidate loops, which priced each candidate subset with its own SVD
 fit, the hand-written backward loops the stepwise driver replaced, the
 order selection that refitted every ranking prefix, the per-feature and
 per-pair Pearson loops of RM5 and the correlation graph, and the p-values
-that fitted by SVD and took the standard errors from a second (scipy) QR;
-the library paths must reproduce them.
+that fitted by SVD and took the standard errors from a second (scipy) QR,
+and the ingest that parsed and checked each cell on its own; the library
+paths must reproduce them.
 """
 
+import csv
 import math
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +25,7 @@ from varsel import (
     ConfigError,
     DegenerateStepError,
     FeatureSubset,
+    IngestError,
     RankDeficiencyError,
     RankingMethod,
     build_design_matrix,
@@ -28,7 +33,8 @@ from varsel import (
     fit_subset,
     information_criterion_value,
 )
-from varsel.data import run_rng
+from varsel.data import Dataset, normalize_columns, run_rng
+from varsel.ingest import _check_delimiter, _utf8_lines
 from varsel.ranking import _finish, _usable_features
 from varsel.search import random_subset
 
@@ -331,3 +337,80 @@ def loop_correlation_graph(dataset, threshold=0.95):
             if abs(rho) >= threshold:
                 edges.append((i + 1, j + 1, rho))
     return tuple(edges)
+
+
+def loop_ingest_csv(
+    path: str | Path,
+    target_column: str,
+    normalize: str = "none",
+    delimiter: str = ",",
+    drop_columns: Sequence[str] = (),
+) -> Dataset:
+    """The old ``ingest_csv``: strip, parse and check every cell on its own."""
+    _check_delimiter(delimiter)
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"input file not found: {path}")
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(_utf8_lines(handle, path), delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file, expected a header row") from None
+        header = [name.strip() for name in header]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise IngestError(f"{path}: duplicate header column(s) {dupes}")
+        if target_column not in header:
+            raise ConfigError(f"target column {target_column!r} not in header")
+        missing = [c for c in drop_columns if c not in header]
+        if missing:
+            raise ConfigError(f"drop column(s) {missing} not in header")
+        excluded = set(drop_columns) | {target_column}
+        feature_names = [h for h in header if h not in excluded]
+        target_pos = header.index(target_column)
+        feature_pos = [header.index(h) for h in feature_names]
+
+        rows = []
+        targets = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # tolerate blank trailing lines
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: line {line_no} has {len(row)} cells, "
+                    f"expected {len(header)}"
+                )
+            parsed = []
+            for pos, cell in enumerate(row):
+                text = cell.strip()
+                if text == "":
+                    raise IngestError(
+                        f"{path}: line {line_no}, column {header[pos]!r}: "
+                        f"missing value"
+                    )
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise IngestError(
+                        f"{path}: line {line_no}, column {header[pos]!r}: "
+                        f"non-numeric cell {text!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise IngestError(
+                        f"{path}: line {line_no}, column {header[pos]!r}: "
+                        f"non-finite value {text!r}"
+                    )
+                parsed.append(value)
+            rows.append([parsed[pos] for pos in feature_pos])
+            targets.append(parsed[target_pos])
+
+    if not rows:
+        raise IngestError(f"{path}: no data rows after the header")
+    features = normalize_columns(np.array(rows, dtype=float), normalize)
+    return Dataset(
+        features=features,
+        target=np.array(targets, dtype=float),
+        labels=tuple(feature_names),
+        target_label=target_column,
+    )

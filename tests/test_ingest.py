@@ -4,12 +4,82 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import loop_ingest_csv
 from varsel import ConfigError, IngestError, ingest_csv, make_dataset, write_dataset_csv
 
 # one-character delimiters that csv reads as a quote or a line break
 UNSPLITTABLE = pytest.mark.parametrize(
     "delimiter", ['"', "\n", "\r"], ids=["quote", "newline", "carriage-return"])
+
+
+# whitespace that float() and str.strip both remove, and the separators
+# \x1c-\x1f that only str.strip removes
+FLOAT_SPACE = " \t\x0b\x0c\x85\xa0\u2003\u3000"
+STRIP_SPACE = FLOAT_SPACE + "\x1c\x1d\x1e\x1f"
+ODD_CELLS = ["1_0", "nan", "-inf", "inf", "1e999", "-1e999", "", "   ", "\x1c",
+             "abc", "0x10", "1.5.2", '"2.5"', '" 3 "', '"1,5"', '""', "+.5", "1E5"]
+
+
+@st.composite
+def rows(draw, n_cells, max_odd, pad):
+    """A line of ``n_cells`` repr floats, up to ``max_odd`` of them replaced
+    by odd cells, each cell between two draws of ``pad``."""
+    odd = draw(st.sets(st.integers(0, max(n_cells - 1, 0)), max_size=max_odd))
+    cells = [draw(st.sampled_from(ODD_CELLS)) if k in odd
+             else repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+             for k in range(n_cells)]
+    return ",".join(draw(pad) + cell + draw(pad) for cell in cells)
+
+
+@st.composite
+def tables(draw):
+    """(file text, target, drop columns, normalize mode): the target and the
+    dropped columns anywhere, names and cells padded with whitespace that
+    float() strips or with some that only str.strip does, blank lines, and
+    now and then a ragged row."""
+    width = draw(st.integers(1, 5))
+    header = [f"c{k}" for k in range(width)]
+    target = draw(st.sampled_from(header))
+    others = [h for h in header if h != target]
+    drop = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    pad = st.text(alphabet=draw(st.sampled_from([FLOAT_SPACE, STRIP_SPACE])), max_size=2)
+    lines = [",".join(draw(pad) + h for h in header)]
+    max_odd = draw(st.sampled_from([0, 1, width]))
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["full"] * 18 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        else:
+            n_cells = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append(draw(rows(n_cells, max_odd, pad)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    mode = draw(st.sampled_from(["none", "zscore", "minmax"]))
+    return end.join(lines) + end, target, drop, mode
+
+
+def outcome(ingest, path, target, drop, mode):
+    """The dataset's bytes and layout, or the exception's type and message
+    (any exception: the suite turns numpy's overflow warnings into errors,
+    which a z-score of floats near 1e308 raises)."""
+    try:
+        ds = ingest(path, target, normalize=mode, drop_columns=drop)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ds.features.tobytes(), ds.features.shape, ds.features.flags.c_contiguous,
+            ds.target.tobytes(), ds.target.flags.c_contiguous, ds.labels,
+            ds.target_label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+def test_ingest_matches_the_per_cell_loop(tmp_path_factory, table):
+    text, target, drop, mode = table
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (outcome(ingest_csv, path, target, drop, mode)
+            == outcome(loop_ingest_csv, path, target, drop, mode))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -47,6 +117,19 @@ class TestIngest:
     def test_non_finite_rejected(self, tmp_path):
         path = write(tmp_path, "a,y\n1,2\nnan,4\n5,6\n")
         with pytest.raises(IngestError, match="non-finite"):
+            ingest_csv(path, "y")
+
+    def test_accepted_cell_forms(self, tmp_path):
+        # quoted, padded (\x1c only str.strip removes), exponent, separator
+        path = write(tmp_path, 'a,b,y\n"1.5", 2 ,1e2\n\x1c3\u3000,1_0,-.5\n4,5,6\n')
+        ds = ingest_csv(path, "y")
+        np.testing.assert_array_equal(ds.features, [[1.5, 2.0], [3.0, 10.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(ds.target, [100.0, -0.5, 6.0])
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,y\n1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(IngestError, match=rf"line 4, column 'b': non-finite value '{cell}'"):
             ingest_csv(path, "y")
 
     def test_duplicate_header_rejected(self, tmp_path):

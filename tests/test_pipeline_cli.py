@@ -528,6 +528,40 @@ def test_import_does_not_load_scipy_stats():
     assert done.stdout == "False\n"
 
 
+def run_fresh_python(code):
+    """Standard output of ``code`` run by a new interpreter on this source."""
+    src = Path(varsel.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special takes about 0.3 s and 24 MiB to import; only the
+    # p-value ranking needs it
+    assert run_fresh_python(
+        "import sys, varsel; print('scipy.special' in sys.modules)") == "False\n"
+
+
+def test_only_the_pvalue_ranking_loads_scipy_special(tmp_path):
+    data = write_fixture(tmp_path, n=40, r=4)
+    out = run_fresh_python(f"""
+import sys
+from varsel import RunConfig, run_pipeline
+def loaded(**settings):
+    run_pipeline(RunConfig(dataset_path={str(data)!r}, target_column="y",
+                           output_dir={str(tmp_path / "out")!r}, **settings))
+    return 'scipy.special' in sys.modules
+print(loaded(stages=("search", "gibbs", "cv", "corr"), m_values=(2,),
+             search_runs=4, sweeps=20, cv_runs=20))
+print(loaded(stages=("rank",), methods=("pvalue",)))
+""")
+    assert out == "False\nTrue\n"
+
+
 # Each row: flag, its argument, the RunConfig field it sets, the parsed value.
 # Every value differs from the field's default, so a flag that fails to land
 # in its field shows up as a default.
