@@ -145,18 +145,29 @@ def normalize_columns(values: np.ndarray, mode: str) -> np.ndarray:
 
     ``zscore`` centers and scales to unit (population) standard deviation,
     ``minmax`` maps the observed range onto [0, 1]; constant columns
-    (``constant_columns``) map to zero in both modes.
+    (``constant_columns``) map to zero in both modes.  A varying column
+    whose shift or scale leaves the double range (a range or a sum of
+    squares past 1.8e308, or a sum of squares that underflows to 0) is
+    rejected by its 1-based position.
     """
     values = np.array(values, dtype=float)
     if mode == "none":
         return values
-    if mode == "zscore":
-        shift, scale = values.mean(axis=0), values.std(axis=0)
-    elif mode == "minmax":
-        shift, scale = values.min(axis=0), np.ptp(values, axis=0)
-    else:
-        raise ConfigError(f"unknown normalization mode {mode!r}")
+    with np.errstate(over="ignore"):
+        if mode == "zscore":
+            shift, scale = values.mean(axis=0), values.std(axis=0)
+        elif mode == "minmax":
+            shift, scale = values.min(axis=0), np.ptp(values, axis=0)
+        else:
+            raise ConfigError(f"unknown normalization mode {mode!r}")
     constant = constant_columns(values)
+    bad = ~constant & ~(np.isfinite(shift) & np.isfinite(scale) & (scale > 0.0))
+    if bad.any():
+        raise ConfigError(
+            f"cannot {mode}-normalize feature column(s) "
+            f"{(np.flatnonzero(bad) + 1).tolist()}: shift or scale outside "
+            f"the double range"
+        )
     out = (values - shift) / np.where(constant, 1.0, scale)
     out[:, constant] = 0.0
     return out

@@ -28,7 +28,8 @@ columns and conditioning matters.
 
 ``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
 R-squared of every ``fit_least_squares`` fit and every CV test split
-(``validation.monte_carlo_cv``), with one rule for a constant target.
+(``validation.monte_carlo_cv``, a stacked block of splits to a call), with
+one rule for a constant target.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def build_design_matrix(dataset: Dataset, subset: FeatureSubset) -> DesignMatrix
     n = dataset.n_rows
     values = np.empty((n, subset.m + 1), dtype=float)
     values[:, 0] = 1.0
-    for j, k in enumerate(subset.indices):
-        values[:, j + 1] = dataset.features[:, k - 1]
+    values[:, 1:] = dataset.features[:, [k - 1 for k in subset.indices]]
     return DesignMatrix(values, subset)
 
 
@@ -102,24 +102,33 @@ def full_rank_lstsq(x: np.ndarray, y: np.ndarray,
     return coef
 
 
-def error_metrics(residuals: np.ndarray,
-                  target: np.ndarray) -> tuple[float, float, float, float]:
+def error_metrics(residuals: np.ndarray, target: np.ndarray
+                  ) -> tuple[float, ...] | tuple[np.ndarray, ...]:
     """MAE, MSE, RMSE and R-squared of ``residuals`` scored against
-    ``target``: the one scorer of in-sample fits and CV test splits.
+    ``target``, taken along the last axis: the one scorer of in-sample fits
+    and CV test splits.  One residual vector gives four floats; a stack of
+    them (one per row) gives four arrays, entry i equal, bit for bit, to the
+    call on row i.
 
     R-squared is ``1 - SS_res / SS_tot`` with SS_tot about the mean of the
     scored target, and 0 when SS_tot is 0.  A constant target
     (``constant_columns``, ``max == min``) has SS_tot 0 by that rule, not by
     centering: centering a constant such as 0.1 leaves a rounding residue.
     """
-    mae = float(np.abs(residuals).mean())
-    ss_res = float(residuals @ residuals)
-    mse = ss_res / len(residuals)
-    ss_tot = 0.0
-    if not constant_columns(target):
-        ss_tot = float(((target - target.mean()) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    return mae, mse, math.sqrt(mse), r_squared
+    mae = np.abs(residuals).mean(axis=-1)
+    # one BLAS dot per row, as ``r @ r`` takes it (einsum sums in another order)
+    ss_res = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
+    mse = ss_res / residuals.shape[-1]
+    constant = constant_columns(target.T)
+    if constant.any():
+        # scored as zeros: SS_tot 0, with no centring to overflow
+        target = np.where(constant[..., None], 0.0, target)
+    ss_tot = ((target - target.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
+    ratio = np.divide(ss_res, ss_tot, out=np.ones_like(ss_res), where=ss_tot > 0.0)
+    metrics = (mae, mse, np.sqrt(mse), 1.0 - ratio)
+    if residuals.ndim == 1:
+        return tuple(float(m) for m in metrics)
+    return metrics
 
 
 def fit_least_squares(design: DesignMatrix, target: np.ndarray) -> FitResult:

@@ -1,7 +1,10 @@
 """Monte Carlo cross-validation and the feature-correlation graph.
 
-Each CV test split is scored by ``linmodel.error_metrics``, as every
-in-sample fit is."""
+CV test splits are scored by ``linmodel.error_metrics``, as every in-sample
+fit is, a block of splits to a call: ``monte_carlo_cv`` writes each kept
+split's test residuals and test targets into one row of two block buffers
+(``CV_BLOCK_ENTRIES`` entries each) and scores the full block, and the
+partial one at the end, with one stacked call."""
 
 from __future__ import annotations
 
@@ -15,6 +18,10 @@ from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
 from .errors import ConfigError, RankDeficiencyError
 from .linmodel import (FitResult, build_design_matrix, error_metrics, fit_subset,
                        full_rank_lstsq)
+
+# Entries of each of CV's two block buffers (test residuals, test targets):
+# 2 x 512 KiB, 269 splits a block at 243 test rows.
+CV_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,10 +69,13 @@ def monte_carlo_cv(
     """Repeated random-split validation of one subset model.
 
     Each run draws a fresh uniform split from a per-run generator keyed by
-    (seed, run index), fits the train rows with ``linmodel.full_rank_lstsq``
-    and scores the test rows with ``linmodel.error_metrics``, so test
-    R-squared is taken about the test-split mean.  A train fit that is
-    rank-deficient is resampled once, then counted as skipped.
+    (seed, run index) and gathers the permuted rows once: the first
+    ``floor(train_fraction * N)`` are fitted with ``linmodel.full_rank_lstsq``
+    and the rest are scored with ``linmodel.error_metrics``, a block of
+    splits to a call (see the module docstring), so test R-squared is taken
+    about the test-split mean.  A train fit that is rank-deficient is
+    resampled once, then counted as skipped.  The report aggregates the kept
+    splits in run order.
     """
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)
@@ -78,27 +88,34 @@ def monte_carlo_cv(
     if n_train >= n:
         raise ConfigError("test split is empty")
     x, y = build_design_matrix(dataset, subset).values, dataset.target
-
-    def one_run(run: int):
+    n_test = n - n_train
+    block = min(runs, max(1, CV_BLOCK_ENTRIES // n_test))
+    residuals, targets = np.empty((block, n_test)), np.empty((block, n_test))
+    scored, filled = [], 0
+    for run in range(runs):
         rng = run_rng(seed, run)
         for _ in range(2):  # one resample allowed per run
             perm = rng.permutation(n)
-            train, test = perm[:n_train], perm[n_train:]
+            xp, yp = x.take(perm, axis=0), y.take(perm)
             try:
-                coef = full_rank_lstsq(x[train], y[train], subset)
+                coef = full_rank_lstsq(xp[:n_train], yp[:n_train], subset)
             except RankDeficiencyError:
                 continue
-            return error_metrics(y[test] - x[test] @ coef, y[test])
-        return None
-
-    outcomes = [one_run(run) for run in range(runs)]
-    kept = np.array([m for m in outcomes if m is not None], dtype=float)
-    skipped = runs - len(kept)
-    if len(kept) == 0:
+            np.subtract(yp[n_train:], xp[n_train:] @ coef, out=residuals[filled])
+            targets[filled] = yp[n_train:]
+            filled += 1
+            break
+        if filled == block or (run == runs - 1 and filled):
+            scored.append(np.column_stack(
+                error_metrics(residuals[:filled], targets[:filled])))
+            filled = 0
+    if not scored:
         raise RankDeficiencyError(
             f"every CV train fit for subset {subset.indices} was rank-deficient",
             subset=subset,
         )
+    kept = np.concatenate(scored)
+    skipped = runs - len(kept)
     # compensated accumulation in run order
     count = len(kept)
     means = [math.fsum(kept[:, c]) / count for c in range(4)]

@@ -8,8 +8,9 @@ fit, the hand-written backward loops the stepwise driver replaced, the
 order selection that refitted every ranking prefix, the per-feature and
 per-pair Pearson loops of RM5 and the correlation graph, and the p-values
 that fitted by SVD and took the standard errors from a second (scipy) QR,
-and the ingest that parsed and checked each cell on its own; the library
-paths must reproduce them.
+the ingest that parsed and checked each cell on its own, and the CV that
+gathered and scored each split on its own, with the one-vector scorer; the
+library paths must reproduce them.
 """
 
 import csv
@@ -23,6 +24,7 @@ from scipy.stats import t as student_t
 
 from varsel import (
     ConfigError,
+    CvReport,
     DegenerateStepError,
     FeatureSubset,
     IngestError,
@@ -33,10 +35,12 @@ from varsel import (
     fit_subset,
     information_criterion_value,
 )
-from varsel.data import Dataset, normalize_columns, run_rng
+from varsel.data import Dataset, constant_columns, normalize_columns, run_rng
 from varsel.ingest import _check_delimiter, _utf8_lines
+from varsel.linmodel import full_rank_lstsq
 from varsel.ranking import _finish, _usable_features
 from varsel.search import random_subset
+from varsel.validation import check_cv_settings
 
 
 def oracle_mae(x, y, cols):
@@ -413,4 +417,85 @@ def loop_ingest_csv(
         target=np.array(targets, dtype=float),
         labels=tuple(feature_names),
         target_label=target_column,
+    )
+
+
+def loop_error_metrics(residuals, target):
+    """The old one-vector ``error_metrics``: (MAE, MSE, RMSE, R-squared)."""
+    mae = float(np.abs(residuals).mean())
+    ss_res = float(residuals @ residuals)
+    mse = ss_res / len(residuals)
+    ss_tot = 0.0
+    if not constant_columns(target):
+        ss_tot = float(((target - target.mean()) ** 2).sum())
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
+    return mae, mse, math.sqrt(mse), r_squared
+
+
+def loop_monte_carlo_cv(
+    dataset: Dataset,
+    subset: FeatureSubset,
+    train_fraction: float = 0.8,
+    runs: int = 20000,
+    seed: int = 0,
+) -> CvReport:
+    """The old ``monte_carlo_cv``: four fancy-index gathers and one
+    ``error_metrics`` call per split."""
+    subset.validate_against(dataset)
+    check_cv_settings(train_fraction, runs)
+    n = dataset.n_rows
+    n_train = int(math.floor(train_fraction * n))
+    if n_train < subset.m + 2:
+        raise ConfigError(
+            f"train split of {n_train} rows cannot fit {subset.m} features"
+        )
+    if n_train >= n:
+        raise ConfigError("test split is empty")
+    x, y = build_design_matrix(dataset, subset).values, dataset.target
+
+    def one_run(run: int):
+        rng = run_rng(seed, run)
+        for _ in range(2):  # one resample allowed per run
+            perm = rng.permutation(n)
+            train, test = perm[:n_train], perm[n_train:]
+            try:
+                coef = full_rank_lstsq(x[train], y[train], subset)
+            except RankDeficiencyError:
+                continue
+            return loop_error_metrics(y[test] - x[test] @ coef, y[test])
+        return None
+
+    outcomes = [one_run(run) for run in range(runs)]
+    kept = np.array([m for m in outcomes if m is not None], dtype=float)
+    skipped = runs - len(kept)
+    if len(kept) == 0:
+        raise RankDeficiencyError(
+            f"every CV train fit for subset {subset.indices} was rank-deficient",
+            subset=subset,
+        )
+    # compensated accumulation in run order
+    count = len(kept)
+    means = [math.fsum(kept[:, c]) / count for c in range(4)]
+    stds = [
+        math.sqrt(math.fsum((kept[:, c] - means[c]) ** 2) / count)
+        for c in range(4)
+    ]
+    return CvReport(
+        runs=int(len(kept)),
+        requested_runs=runs,
+        skipped=int(skipped),
+        train_fraction=train_fraction,
+        seed=seed,
+        r2_baseline="test-mean",
+        mean_mae=float(means[0]),
+        mean_mse=float(means[1]),
+        mean_rmse=float(means[2]),
+        mean_r2=float(means[3]),
+        std_mae=float(stds[0]),
+        std_mse=float(stds[1]),
+        std_rmse=float(stds[2]),
+        std_r2=float(stds[3]),
+        min_rmse=float(kept[:, 2].min()),
+        max_rmse=float(kept[:, 2].max()),
+        high_skip_warning=bool(skipped > 0.01 * runs),
     )

@@ -83,6 +83,23 @@ class TestNormalization:
         out = normalize_columns(x, "minmax")
         assert out.min() == 0.0 and out.max() == 1.0
 
+    # a varying column whose range or sum of squares overflows, or whose sum
+    # of squares underflows to 0: zscore used to give a silent all-zero
+    # column (or an overflow warning), minmax a later error naming no column
+    @pytest.mark.parametrize("mode,value", [
+        ("zscore", 1.5e308), ("zscore", 1e200), ("zscore", 1e-200), ("minmax", 1.5e308)])
+    def test_column_outside_the_double_range_is_named(self, mode, value):
+        x = np.random.default_rng(3).normal(size=(6, 4))
+        x[:, 1] = x[:, 3] = value * np.array([1, -1, 1, -1, 1, -1])
+        with pytest.raises(ConfigError, match=r"normalize feature column\(s\) \[2, 4\]"):
+            make_dataset(x, np.arange(6.0), normalize=mode)
+
+    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
+    def test_constant_column_near_the_double_range_maps_to_zero(self, mode):
+        x = np.column_stack([np.full(6, 1.5e308), np.arange(6.0)])
+        ds = make_dataset(x, np.arange(6.0), normalize=mode)
+        np.testing.assert_array_equal(ds.features[:, 0], 0.0)
+
     def test_none_is_passthrough_copy(self):
         x = np.array([[1.0], [2.0], [3.0]])
         out = normalize_columns(x, "none")

@@ -202,6 +202,14 @@ class TestIngest:
         assert ds.features[:, 0].min() == 0.0
         assert ds.features[:, 0].max() == 1.0
 
+    @pytest.mark.parametrize("mode,value", [
+        ("zscore", 1.5e308), ("zscore", 1e200), ("zscore", 1e-200), ("minmax", 1.5e308)])
+    def test_column_outside_the_double_range_is_named(self, tmp_path, mode, value):
+        rows = [f"{k},{value * (-1) ** k!r},{k * k},{k}" for k in range(6)]
+        path = write(tmp_path, "\n".join(["a,b,c,y", *rows]) + "\n")
+        with pytest.raises(ConfigError, match=r"normalize feature column\(s\) \[2\]"):
+            ingest_csv(path, "y", normalize=mode)
+
 
 class TestRoundTrip:
     def test_ingest_write_reingest_is_bit_identical(self, tmp_path):

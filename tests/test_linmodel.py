@@ -21,6 +21,7 @@ from varsel import (
 from varsel.linmodel import error_metrics, residual_norm_cost
 
 from conftest import assert_residuals_orthogonal, random_instance
+from oracles import loop_error_metrics
 
 
 def small_dataset():
@@ -34,6 +35,28 @@ class TestErrorMetrics:
         # nonzero residuals, as a CV test split has: still R-squared 0
         residuals = np.random.default_rng(6).normal(size=45)
         assert error_metrics(residuals, np.full(45, value))[3] == 0.0
+
+    def test_stacked_rows_equal_the_one_vector_call(self):
+        # bit for bit: CV scores its splits in stacked blocks, in-sample fits
+        # one vector at a time, and both must give the old scorer's doubles
+        # (SS_res as BLAS ddot takes it, means and sums pairwise); a numpy
+        # whose matmul stops matching ddot fails here
+        rng = np.random.default_rng(12)
+        for n in [1, 2, 3, 7, 243, 1213, 2000, *rng.integers(1, 2001, size=40)]:
+            rows = int(rng.integers(1, 9))
+            scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 2))
+            residuals = rng.normal(size=(rows, n)) * scales[:, :1]
+            target = rng.normal(size=(rows, n)) * scales[:, 1:] + rng.normal()
+            residuals[rng.random(rows) < 0.2] = 0.0
+            for row in np.flatnonzero(rng.random(rows) < 0.3):
+                target[row] = rng.choice([0.1, 0.0])
+            stacked = np.column_stack(error_metrics(residuals, target))
+            for row in range(rows):
+                one = error_metrics(residuals[row], target[row])
+                assert all(type(v) is float for v in one)
+                assert stacked[row].tobytes() == np.array(one).tobytes(), (n, row)
+                old = loop_error_metrics(residuals[row], target[row])
+                assert np.array(one).tobytes() == np.array(old).tobytes(), (n, row)
 
 
 class TestDesignMatrix:

@@ -1,21 +1,63 @@
 """Monte Carlo cross-validation, correlation graph, named model fits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varsel import (
     ConfigError,
     FeatureSubset,
+    RankDeficiencyError,
     correlation_graph,
     fit_named_model,
     fit_subset,
     make_dataset,
     monte_carlo_cv,
 )
+from varsel import validation
 from varsel.data import run_rng
 
-from conftest import random_instance
-from oracles import loop_correlation_graph
+from conftest import awkward_tables, random_instance
+from oracles import loop_correlation_graph, loop_monte_carlo_cv
+
+
+def cv_outcome(cv, dataset, subset, train_fraction, runs, seed):
+    """The report's canonical JSON (round-trip floats, so bit for bit), or
+    the exception's type and message."""
+    try:
+        return cv(dataset, subset, train_fraction, runs, seed).to_json()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def block_runs(dataset, train_fraction, entries):
+    """Run counts about the block size ``monte_carlo_cv`` takes for this
+    table when each block buffer holds ``entries`` entries."""
+    n_test = dataset.n_rows - int(np.floor(train_fraction * dataset.n_rows))
+    block = max(1, entries // n_test)
+    return sorted({1, max(1, block - 1), block, block + 1, 2 * block + 3})
+
+
+def assert_cv_matches_the_per_split_loop(dataset, subset, train_fraction, seed,
+                                         entries):
+    with mock.patch.object(validation, "CV_BLOCK_ENTRIES", entries):
+        for runs in block_runs(dataset, train_fraction, entries):
+            args = (dataset, subset, train_fraction, runs, seed)
+            assert cv_outcome(monte_carlo_cv, *args) == cv_outcome(
+                loop_monte_carlo_cv, *args)
+
+
+def degenerate_split_dataset():
+    """Feature 1 is nonzero only in row 0; splits without that row are
+    rank-deficient, so some runs skip even after one resample."""
+    rng = np.random.default_rng(88)
+    n = 12
+    x2 = rng.normal(size=n)
+    x1 = np.zeros(n)
+    x1[0] = 1.0
+    return make_dataset(np.column_stack([x1, x2]), x2 + 0.1 * rng.normal(size=n))
 
 
 def linear_dataset(seed=15, n=30, r=3, noise=0.3):
@@ -95,6 +137,47 @@ class TestMonteCarloCv:
         report = monte_carlo_cv(ds, FeatureSubset((1, 2, 3)), runs=50, seed=1)
         assert report.mean_r2 == 0.0
         assert report.r2_baseline == "test-mean"
+
+    @settings(max_examples=120, deadline=None)
+    @given(dataset=awkward_tables(), data=st.data(),
+           train_fraction=st.sampled_from([0.3, 0.5, 0.7, 0.8, 0.95]),
+           seed=st.integers(0, 2**16), entries=st.integers(1, 64))
+    def test_matches_the_per_split_loop(self, dataset, data, train_fraction,
+                                        seed, entries):
+        # near-duplicate, duplicate and zero columns: splits that resample,
+        # skip, or all fail, and settings the table cannot take
+        r = dataset.n_features
+        subset = FeatureSubset(data.draw(st.lists(
+            st.integers(1, r), unique=True, max_size=min(r, 4))))
+        assert_cv_matches_the_per_split_loop(dataset, subset, train_fraction,
+                                             seed, entries)
+
+    @pytest.mark.parametrize("entries", [1, 8, 30, 64])
+    def test_resampled_and_skipped_splits_match_the_per_split_loop(self, entries):
+        for train_fraction in (0.5, 0.7, 0.8):
+            assert_cv_matches_the_per_split_loop(
+                degenerate_split_dataset(), FeatureSubset((1, 2)),
+                train_fraction, 4, entries)
+
+    def test_every_train_fit_rank_deficient_matches_the_per_split_loop(self):
+        x = np.random.default_rng(5).normal(size=(20, 2))
+        ds = make_dataset(np.column_stack([x, x[:, 0]]), x[:, 1])
+        with pytest.raises(RankDeficiencyError, match="every CV train fit"):
+            monte_carlo_cv(ds, FeatureSubset((1, 3)), runs=3)
+        assert_cv_matches_the_per_split_loop(ds, FeatureSubset((1, 3)), 0.8, 0, 16)
+
+    @pytest.mark.parametrize("value", [0.1, 0.0])
+    def test_constant_target_matches_the_per_split_loop(self, value):
+        x = np.random.default_rng(0).normal(size=(60, 5))
+        ds = make_dataset(x, np.full(60, value))
+        assert_cv_matches_the_per_split_loop(ds, FeatureSubset((1, 2, 3)), 0.8, 1, 40)
+
+    def test_full_size_blocks_match_the_per_split_loop(self):
+        # the module's own block size: 43 splits a block at 1500 test rows
+        x, y, support = random_instance(8, 3000, 12, sparse=5)
+        ds = make_dataset(x, y)
+        assert_cv_matches_the_per_split_loop(ds, FeatureSubset(support), 0.5, 7,
+                                             validation.CV_BLOCK_ENTRIES)
 
     def test_invalid_parameters_rejected(self):
         ds = linear_dataset()
