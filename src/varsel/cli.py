@@ -29,24 +29,16 @@ EXIT_PARSE = 65
 EXIT_VALIDATION = 64
 EXIT_COMPUTATION = 70
 
-_METHOD_ALIASES = {
-    "rm1": "rm1-forward",
-    "rm2": "rm2-backward",
-    "rm3": "rm3-remove-max",
-    "rm4": "rm4-add-max",
-    "rm5": "rm5-correlation",
-    "pvalue": "pvalue",
-}
-
 
 def _csv_list(text: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
+    short = {name.split("-")[0]: name for name in ALL_METHODS}  # rm1, ..., pvalue
     methods = []
     for name in _csv_list(text):
-        canonical = _METHOD_ALIASES.get(name, name)
+        canonical = short.get(name, name)
         if canonical not in ALL_METHODS:
             raise ConfigError(f"unknown ranking method {name!r}")
         methods.append(canonical)

@@ -1,5 +1,5 @@
 """Core immutable data containers: feature table and feature subsets, plus
-the seeded per-run generator of search restarts and CV splits.
+the seeded generator of every stochastic stage (``run_rng``).
 
 Feature indices are 1-based everywhere in the public API, matching the
 labeling used in reports (feature 113 is the 113th column of the table).
@@ -96,27 +96,21 @@ class FeatureSubset:
                 f"indices {bad} outside [1, {dataset.n_features}]"
             )
 
-    def replace_position(self, position: int, index: int) -> "FeatureSubset":
-        """New subset with the 1-based position set to a new feature index."""
-        if not 1 <= position <= self.m:
-            raise InvalidSubsetError(f"position {position} outside [1, {self.m}]")
-        items = list(self.indices)
-        items[position - 1] = index
-        return FeatureSubset(tuple(items))
-
 
 def check_seed(seed: int) -> None:
-    """The master seeds numpy's ``SeedSequence`` takes: integers >= 0."""
+    """The master seeds numpy's seed sequence takes: integers >= 0."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def run_rng(seed: int, run_index: int) -> np.random.Generator:
-    """Per-run generator derived by counter-based splitting of the master
-    seed, so results never depend on execution order."""
+def run_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The one generator rule of every stochastic stage, numpy's seed
+    sequence of the master seed at ``spawn_key``: Gibbs draws
+    ``run_rng(seed)``, search restart i and CV split i ``run_rng(seed, i)``,
+    so results never depend on execution order."""
     check_seed(seed)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(run_index,))
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     )
 
 

@@ -8,7 +8,7 @@ retained states give an empirical inclusion probability per feature: how
 often that feature appears in a low-error subset.  Small eta flattens the
 density toward uniform; large eta concentrates it near the minimum-cost
 subset (verified against exact enumeration in the tests).  Costs come from
-a ``CostCache`` as in ``search``.
+a ``CostCache``, and the generator from ``data.run_rng``, as in ``search``.
 
 Costs at eta around 100 differ by hundreds of units, so every softmax here
 subtracts the largest exponent before exponentiating.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, check_seed
+from .data import Dataset, FeatureSubset, check_seed, run_rng
 from .errors import ConfigError, DegenerateStepError
 from .linmodel import CostCache
 from .search import all_subset_costs, random_subset
@@ -91,6 +91,16 @@ def _stable_weights(exponents: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _conditional(
+    cache: CostCache, others: tuple[int, ...], eta: float
+) -> tuple[list[int], np.ndarray]:
+    """Every index not in ``others`` (in state order, which the kernel's QR
+    follows to the last bit) and its softmax weight for the free position."""
+    candidates = [k for k in range(1, cache.dataset.n_features + 1)
+                  if k not in others]
+    return candidates, _stable_weights(-eta * cache.neighbour_costs(others, candidates))
+
+
 def full_conditional_weights(
     dataset: Dataset,
     state: FeatureSubset,
@@ -111,38 +121,34 @@ def full_conditional_weights(
     state.validate_against(dataset)
     if not 1 <= j <= state.m:
         raise ConfigError(f"position {j} outside [1, {state.m}]")
-    cache = cache or CostCache(dataset)
     others = state.indices[:j - 1] + state.indices[j:]
-    candidates = [k for k in range(1, dataset.n_features + 1) if k not in others]
-    costs = cache.neighbour_costs(others, candidates)
-    return np.array(candidates, dtype=int), _stable_weights(-config.eta * costs)
+    candidates, weights = _conditional(cache or CostCache(dataset), others, config.eta)
+    return np.array(candidates, dtype=int), weights
 
 
 def gibbs_run(
     dataset: Dataset, config: GibbsConfig, cache: CostCache | None = None
 ) -> GibbsChain:
-    """Systematic-scan Gibbs sampler, fully deterministic given the seed.
+    """Systematic-scan Gibbs sampler drawing from ``run_rng(seed)``.
 
     The initial state is uniform over distinct-index subsets; each sweep
-    redraws positions 1..M in order from their full conditionals and the
-    state after every sweep is recorded.
+    redraws positions 1..M in order from their full conditionals, on a
+    plain index list checked once here, and records the state after it.
     """
     r = dataset.n_features
     if config.m > r:
         raise ConfigError(f"m={config.m} exceeds R={r}")
     cache = cache or CostCache(dataset)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
-    state = random_subset(rng, r, config.m)
+    rng = run_rng(config.seed)
+    state = list(random_subset(rng, r, config.m).indices)
     states, costs = [], []
     for _ in range(config.sweeps):
-        for j in range(1, config.m + 1):
-            candidates, weights = full_conditional_weights(
-                dataset, state, j, config, cache=cache
-            )
-            draw = rng.choice(len(candidates), p=weights)
-            state = state.replace_position(j, int(candidates[draw]))
-        states.append(state)
-        costs.append(cache.cost(state.indices))
+        for j in range(config.m):
+            others = tuple(state[:j] + state[j + 1:])
+            candidates, weights = _conditional(cache, others, config.eta)
+            state[j] = candidates[rng.choice(len(candidates), p=weights)]
+        states.append(FeatureSubset(tuple(state)))
+        costs.append(cache.cost(states[-1].indices))
     return GibbsChain(states=tuple(states), costs=tuple(costs), n_features=r)
 
 

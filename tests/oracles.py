@@ -152,7 +152,8 @@ def loop_full_conditional(dataset, state, j, eta, cache):
     )
     exponents = np.empty(len(candidates), dtype=float)
     for i, k in enumerate(candidates):
-        exponents[i] = -eta * cache.cost(state.replace_position(j, int(k)).indices)
+        exponents[i] = -eta * cache.cost(
+            state.indices[:j - 1] + (int(k),) + state.indices[j:])
     weights = np.exp(exponents - exponents.max())
     return candidates, weights / weights.sum()
 
@@ -168,7 +169,8 @@ def loop_gibbs_states(dataset, config, cache):
                 dataset, state, j, config.eta, cache
             )
             draw = rng.choice(len(candidates), p=weights)
-            state = state.replace_position(j, int(candidates[draw]))
+            state = FeatureSubset(
+                state.indices[:j - 1] + (int(candidates[draw]),) + state.indices[j:])
         states.append(state)
         cache.cost(state.indices)
     return tuple(states)

@@ -13,6 +13,7 @@ from varsel import (
     FeatureSubset,
     GibbsChain,
     GibbsConfig,
+    InvalidSubsetError,
     exact_target_enumeration,
     full_conditional_weights,
     gibbs_run,
@@ -109,6 +110,17 @@ class TestFullConditional:
             full_conditional_weights(
                 ds, FeatureSubset((1,)), 1, GibbsConfig(m=1, eta=1.0)
             )
+
+    def test_rejects_out_of_range_state_and_position(self):
+        # the checks the sampler's own loop skips, kept for outside callers
+        x, y, _ = random_instance(602, 20, 4)
+        ds = make_dataset(x, y)
+        config = GibbsConfig(m=2, eta=1.0)
+        with pytest.raises(InvalidSubsetError, match=r"\[5\] outside \[1, 4\]"):
+            full_conditional_weights(ds, FeatureSubset((1, 5)), 1, config)
+        for j in (0, 3):
+            with pytest.raises(ConfigError, match=f"position {j} outside"):
+                full_conditional_weights(ds, FeatureSubset((1, 2)), j, config)
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.05, 20.0))
