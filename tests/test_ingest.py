@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import varsel.ingest as ingest_module
 from oracles import loop_ingest_csv
 from varsel import ConfigError, IngestError, ingest_csv, make_dataset, write_dataset_csv
 
@@ -18,34 +19,40 @@ UNSPLITTABLE = pytest.mark.parametrize(
 # \x1c-\x1f that only str.strip removes
 FLOAT_SPACE = " \t\x0b\x0c\x85\xa0\u2003\u3000"
 STRIP_SPACE = FLOAT_SPACE + "\x1c\x1d\x1e\x1f"
+# cells float() or the walk treat specially, among them a full-width and an
+# Arabic-Indic 1, which float() reads and the one-call C parse declines
 ODD_CELLS = ["1_0", "nan", "-inf", "inf", "1e999", "-1e999", "", "   ", "\x1c",
-             "abc", "0x10", "1.5.2", '"2.5"', '" 3 "', '"1,5"', '""', "+.5", "1E5"]
+             "abc", "0x10", "1.5.2", '"2.5"', '" 3 "', '"1,5"', '""', "+.5", "1E5",
+             "\uff11", "\u0661"]
 
 
 @st.composite
-def rows(draw, n_cells, max_odd, pad):
+def rows(draw, n_cells, max_odd, pad, delimiter):
     """A line of ``n_cells`` repr floats, up to ``max_odd`` of them replaced
     by odd cells, each cell between two draws of ``pad``."""
     odd = draw(st.sets(st.integers(0, max(n_cells - 1, 0)), max_size=max_odd))
     cells = [draw(st.sampled_from(ODD_CELLS)) if k in odd
              else repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
              for k in range(n_cells)]
-    return ",".join(draw(pad) + cell + draw(pad) for cell in cells)
+    return delimiter.join(draw(pad) + cell + draw(pad) for cell in cells)
 
 
 @st.composite
 def tables(draw):
-    """(file text, target, drop columns, normalize mode): the target and the
-    dropped columns anywhere, names and cells padded with whitespace that
-    float() strips or with some that only str.strip does, blank lines, and
-    now and then a ragged row."""
+    """(file text, target, drop columns, normalize mode, delimiter): the
+    target and the dropped columns anywhere, names and cells padded with
+    whitespace that float() strips or with some that only str.strip does,
+    blank lines, now and then a ragged row, and the delimiter and the line
+    end drawn from several."""
     width = draw(st.integers(1, 5))
     header = [f"c{k}" for k in range(width)]
     target = draw(st.sampled_from(header))
     others = [h for h in header if h != target]
     drop = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-    pad = st.text(alphabet=draw(st.sampled_from([FLOAT_SPACE, STRIP_SPACE])), max_size=2)
-    lines = [",".join(draw(pad) + h for h in header)]
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    space = draw(st.sampled_from([FLOAT_SPACE, STRIP_SPACE])).replace(delimiter, "")
+    pad = st.text(alphabet=space, max_size=2)
+    lines = [delimiter.join(draw(pad) + h for h in header)]
     max_odd = draw(st.sampled_from([0, 1, width]))
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(["full"] * 18 + ["blank", "ragged"]))
@@ -53,18 +60,19 @@ def tables(draw):
             lines.append("")
         else:
             n_cells = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
-            lines.append(draw(rows(n_cells, max_odd, pad)))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+            lines.append(draw(rows(n_cells, max_odd, pad, delimiter)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     mode = draw(st.sampled_from(["none", "zscore", "minmax"]))
-    return end.join(lines) + end, target, drop, mode
+    return end.join(lines) + end, target, drop, mode, delimiter
 
 
-def outcome(ingest, path, target, drop, mode):
+def outcome(ingest, path, target, drop, mode, delimiter=","):
     """The dataset's bytes and layout, or the exception's type and message
     (any exception: the suite turns numpy's overflow warnings into errors,
     which a z-score of floats near 1e308 raises)."""
     try:
-        ds = ingest(path, target, normalize=mode, drop_columns=drop)
+        ds = ingest(path, target, normalize=mode, delimiter=delimiter,
+                    drop_columns=drop)
     except Exception as exc:
         return type(exc), str(exc)
     return (ds.features.tobytes(), ds.features.shape, ds.features.flags.c_contiguous,
@@ -75,11 +83,85 @@ def outcome(ingest, path, target, drop, mode):
 @settings(max_examples=200, deadline=None)
 @given(table=tables())
 def test_ingest_matches_the_per_cell_loop(tmp_path_factory, table):
-    text, target, drop, mode = table
+    text, target, drop, mode, delimiter = table
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (outcome(ingest_csv, path, target, drop, mode)
-            == outcome(loop_ingest_csv, path, target, drop, mode))
+    assert (outcome(ingest_csv, path, target, drop, mode, delimiter)
+            == outcome(loop_ingest_csv, path, target, drop, mode, delimiter))
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The calls ingest_csv makes to its row walk, one per declined table."""
+    calls = []
+    walk = ingest_module._walk_rows
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(ingest_module, "_walk_rows", counted)
+    return calls
+
+
+# (table, row walks): one table per reason the C parse declines a body, which
+# the walk then reads; '\r' line ends are split by the file's own line
+# reading, so the C parse reads them as it reads '\n'
+DECLINED = {
+    "quoted-cell": ('a,b,y\n1,2,3\n"1,5",5,6\n7,8,9\n', 1),
+    "underscore": ("a,b,y\n1,2,3\n1_0,5,6\n7,8,9\n", 1),
+    "cr-line-ends": ("a,b,y\r1,2,3\r4,5,6\r7,8,9\r", 0),
+    "full-width-digit": ("a,b,y\n1,2,3\n\uff14,5,6\n7,8,9\n", 1),
+    "whitespace-line": ("a,b,y\n1,2,3\n  \n7,8,9\n", 1),
+    "nan-cell": ("a,b,y\n1,2,3\nnan,5,6\n7,8,9\n", 1),
+    "short-rows": ("a,b,y\n1,2\n4,5\n7,8\n", 1),
+    "header-only": ("a,b,y\n", 1),
+    "one-column-header-only": ("y\n", 1),
+}
+
+
+@pytest.mark.parametrize("mode", ["none", "zscore"])
+@pytest.mark.parametrize("case", DECLINED)
+def test_declined_tables_match_the_per_cell_loop(tmp_path, recwarn, walks, case, mode):
+    text, n_walks = DECLINED[case]
+    path = tmp_path / "declined.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (outcome(ingest_csv, path, "y", [], mode)
+            == outcome(loop_ingest_csv, path, "y", [], mode))
+    assert len(walks) == n_walks
+    assert not recwarn.list  # loadtxt's "no data" warning stays inside
+
+
+def test_first_error_in_file_order_wins(tmp_path, walks):
+    # a bad cell on line 3, then a byte that is not UTF-8 past the decoder's
+    # first chunk: the C parse stops at one of them, the walk names the cell
+    lines = [b"a,b,y", b"1,2,3", b"4,oops,6"] + [b"%d,%d,%d" % (i, i * i, i + 3)
+                                                  for i in range(2500)]
+    lines[2000] = b"\xe9" + lines[2000]
+    path = tmp_path / "late-latin1.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    got = outcome(ingest_csv, path, "y", [], "none")
+    assert got == outcome(loop_ingest_csv, path, "y", [], "none")
+    assert got == (IngestError, f"{path}: line 3, column 'b': non-numeric cell 'oops'")
+    assert len(walks) == 1
+
+
+@pytest.fixture(scope="module")
+def full_size_table(tmp_path_factory):
+    """The benchmark's shape, 1213 rows of 122 features and the target, as
+    ``write_dataset_csv`` writes it; columns span ten orders of magnitude."""
+    rng = np.random.default_rng(15)
+    features = rng.normal(size=(1213, 122)) * 10.0 ** rng.integers(-5, 6, size=122)
+    path = tmp_path_factory.mktemp("full") / "full.csv"
+    write_dataset_csv(make_dataset(features, rng.normal(size=1213)), path)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["none", "zscore"])
+def test_full_size_table_is_read_by_the_c_parse_bit_for_bit(full_size_table, walks, mode):
+    assert (outcome(ingest_csv, full_size_table, "target", [], mode)
+            == outcome(loop_ingest_csv, full_size_table, "target", [], mode))
+    assert not walks
 
 
 def write(tmp_path, text, name="data.csv"):
