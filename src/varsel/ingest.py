@@ -117,12 +117,14 @@ def _load_body(lines, delimiter: str, width: int) -> np.ndarray | None:
 
 def _walk_rows(path: Path, delimiter: str, header: list[str]) -> np.ndarray:
     """The body read row by row through ``csv``; the first bad row or cell
-    in file order raises IngestError naming its line."""
+    in file order raises IngestError naming the line its record starts on."""
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(_utf8_lines(handle, path), delimiter=delimiter)
         _read_header(reader, path)
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row:
                 continue  # tolerate blank trailing lines
             if len(row) != len(header):

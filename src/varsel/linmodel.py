@@ -35,7 +35,6 @@ one rule for a constant target.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -356,71 +355,67 @@ def removal_maes(dataset: Dataset, pool) -> np.ndarray:
 
 
 class CostCache:
-    """Memo for subset costs keyed by the sorted index tuple.
+    """Memo of subset costs keyed by the subset's bitmask, the OR of
+    ``1 << k`` over its indices, so one entry serves every ordering.
 
-    The cost function is invariant under subset reordering, so one entry
-    serves every ordering.  Degenerate subsets are recorded as +inf, which
-    search treats as never-improving and sampling as weight zero.  Size is
-    bounded (LRU eviction) so long chains on wide tables stay in memory.
+    Degenerate subsets are recorded as +inf, which search treats as
+    never-improving and sampling as weight zero.  Every priced subset is
+    kept for the life of the cache, so its cost is the first value stored,
+    whichever kernel computed it.  Indices are checked on every call.
     """
 
-    def __init__(self, dataset: Dataset, p: float = 1.0, alpha: float = 1.0,
-                 max_entries: int = 262144):
+    def __init__(self, dataset: Dataset, p: float = 1.0, alpha: float = 1.0):
         self.dataset = dataset
         self.p = p
         self.alpha = alpha
-        self.max_entries = max_entries
-        self._store: OrderedDict[tuple[int, ...], float] = OrderedDict()
+        # Python ints of any width, also for numpy integer indices, whose
+        # own ``1 << k`` overflows past bit 63
+        self._bits = [1 << k for k in range(dataset.n_features + 1)]
+        self._store: dict[int, float] = {}
         self.hits = 0
         self.misses = 0
 
-    def _lookup(self, key: tuple[int, ...]) -> float | None:
-        found = self._store.get(key)
-        if found is not None:
-            self.hits += 1
-            self._store.move_to_end(key)
-        else:
-            self.misses += 1
-        return found
-
-    def _insert(self, key: tuple[int, ...], value: float) -> None:
-        self._store[key] = value
-        if len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
+    def _bitmask(self, indices: tuple[int, ...]) -> int:
+        """The key of ``indices``; ``FeatureSubset``'s ``InvalidSubsetError``
+        unless they are distinct and in [1, R]."""
+        bits = self._bits
+        key = 0
+        if not indices or 0 < min(indices) and max(indices) < len(bits):
+            for k in indices:
+                key |= bits[k]
+        if key.bit_count() != len(indices):
+            FeatureSubset(indices).validate_against(self.dataset)
+        return key
 
     def cost(self, indices: tuple[int, ...]) -> float:
         """Cost of the subset; +inf when the design is rank-deficient."""
-        key = tuple(sorted(indices))
-        found = self._lookup(key)
-        if found is not None:
-            return found
-        value = float(_svd_costs(self.dataset, [key], self.p, self.alpha)[0])
-        self._insert(key, value)
-        return value
+        indices = tuple(sorted(indices))
+        key = self._bitmask(indices)
+        found = self._store.get(key)
+        if found is None:
+            self.misses += 1
+            found = float(_svd_costs(self.dataset, [indices], self.p, self.alpha)[0])
+            self._store[key] = found
+        else:
+            self.hits += 1
+        return found
 
     def neighbour_costs(self, fixed: tuple[int, ...],
                         candidates: list[int]) -> np.ndarray:
-        """``cost(fixed + (k,))`` for every candidate k, in candidate order.
-
-        Entries are looked up, counted, stored and evicted exactly as that
-        sequence of ``cost`` calls would; the misses are computed together by
-        one ``neighbour_costs`` kernel call.
+        """``cost(fixed + (k,))`` for every candidate k, in candidate order:
+        one hit or miss counted per candidate, every miss priced by one
+        ``neighbour_costs`` kernel call.  As for the kernel, the candidates
+        must be distinct and outside ``fixed``.
         """
         fixed = tuple(fixed)
-        keys = [tuple(sorted(fixed + (k,))) for k in candidates]
-        missing = [k for k, key in zip(candidates, keys) if key not in self._store]
-        computed = {}
+        self._bitmask(fixed + tuple(candidates))
+        base = self._bitmask(fixed)
+        bits, store = self._bits, self._store
+        keys = [base | bits[k] for k in candidates]
+        missing = [k for k, key in zip(candidates, keys) if key not in store]
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
         if missing:
-            computed = dict(zip(missing, neighbour_costs(
-                self.dataset, fixed, missing, self.p, self.alpha).tolist()))
-        costs = np.empty(len(keys))
-        for i, (k, key) in enumerate(zip(candidates, keys)):
-            found = self._lookup(key)
-            if found is None:
-                found = computed.get(k)
-                if found is None:  # evicted by an earlier miss of this batch
-                    found = float(neighbour_costs(
-                        self.dataset, fixed, [k], self.p, self.alpha)[0])
-                self._insert(key, found)
-            costs[i] = found
-        return costs
+            costs = neighbour_costs(self.dataset, fixed, missing, self.p, self.alpha)
+            store.update(zip([base | bits[k] for k in missing], costs.tolist()))
+        return np.array([store[key] for key in keys])

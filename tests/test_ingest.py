@@ -224,6 +224,28 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 3"):
             ingest_csv(path, "y")
 
+    # a quoted cell that spans lines: errors name the physical line their
+    # record starts on, not the record's number
+    @pytest.mark.parametrize("text,message", [
+        ('a,"b\nc",y\n1,2,3\n4,oops,6\n',
+         "line 4, column 'b\\nc': non-numeric cell 'oops'"),
+        ('a,b,y\n1,"2\n",3\n4,oops,6\n',
+         "line 4, column 'b': non-numeric cell 'oops'"),
+        ('a,b,y\n1,"2\r\n",3\r\n4,5\r\n',
+         "line 4 has 2 cells, expected 3"),
+        ('a,b,y\n1,2,"3\n\n"\n\n4,oops,6\n',
+         "line 6, column 'b': non-numeric cell 'oops'"),
+        ('a,b,y\n1,2,3\n"4\n",oops,6\n',
+         "line 3, column 'b': non-numeric cell 'oops'"),
+    ], ids=["multi-line-header", "multi-line-cell", "ragged-after-cell",
+            "blank-lines-after-cell", "bad-cell-in-multi-line-record"])
+    def test_errors_name_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "multi-line.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(IngestError) as raised:
+            ingest_csv(path, "y")
+        assert str(raised.value) == f"{path}: {message}"
+
     def test_missing_target_is_config_error(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,3\n")
         with pytest.raises(ConfigError, match="target"):

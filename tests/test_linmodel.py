@@ -258,9 +258,9 @@ class TestCostCache:
         cache = CostCache(make_dataset(x, [1.0, 0.0, 1.0, 0.0]))
         assert cache.cost((1, 2)) == math.inf
 
-    def test_eviction_keeps_size_bounded(self):
+    def test_keeps_every_priced_subset(self):
         x, y, _ = random_instance(10, 30, 6)
-        cache = CostCache(make_dataset(x, y), max_entries=4)
-        for k in range(1, 7):
-            cache.cost((k,))
-        assert len(cache._store) == 4
+        cache = CostCache(make_dataset(x, y))
+        first = [cache.cost((k,)) for k in range(1, 7)]
+        assert [cache.cost((k,)) for k in range(1, 7)] == first
+        assert (cache.hits, cache.misses, len(cache._store)) == (6, 6, 6)

@@ -142,12 +142,11 @@ class TestKernelAgainstSvd:
 
 
 class TestCacheBatch:
-    @pytest.mark.parametrize("max_entries", [3, 8, 1000])
-    def test_matches_per_key_lookups(self, max_entries):
+    def test_matches_per_key_lookups(self):
         x, y, _ = random_instance(17, 30, 7)
         ds = make_dataset(x, y)
-        batched = CostCache(ds, max_entries=max_entries)
-        per_key = CostCache(ds, max_entries=max_entries)
+        batched = CostCache(ds)
+        per_key = CostCache(ds)
         rng = np.random.default_rng(0)
         for _ in range(40):
             fixed = tuple(int(k) + 1 for k in rng.permutation(7)[:2])
@@ -158,19 +157,54 @@ class TestCacheBatch:
             assert (batched.hits, batched.misses) == (per_key.hits, per_key.misses)
             assert list(batched._store) == list(per_key._store)
 
-    def test_entries_evicted_within_a_batch_are_misses(self):
+    def test_keeps_the_first_stored_value(self):
+        # (1, 2) priced by the SVD, then read back by a batch whose kernel
+        # prices only its miss (1, 3): the stored value is never replaced
         x, y, _ = random_instance(18, 30, 5)
         ds = make_dataset(x, y)
-        cache = CostCache(ds, max_entries=2)
-        cache.cost((1, 3))
-        cache.cost((1, 4))
-        # both stored keys are present when the batch starts, but (1, 2)
-        # evicts (1, 3), which in turn evicts (1, 4): three misses
-        costs = cache.neighbour_costs((1,), [2, 3, 4])
-        assert (cache.hits, cache.misses) == (0, 5)
-        assert list(cache._store) == [(1, 3), (1, 4)]
-        np.testing.assert_allclose(
-            costs, svd_costs(ds, (1,), [2, 3, 4]), rtol=1e-12)
+        cache = CostCache(ds)
+        first = cache.cost((2, 1))
+        costs = cache.neighbour_costs((1,), [2, 3])
+        assert costs[0] == first
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert len(cache._store) == 2
+        np.testing.assert_allclose(costs, svd_costs(ds, (1,), [2, 3]), rtol=1e-12)
+
+
+class TestCacheRejectsInvalidIndices:
+    """A bitmask key forgets order and multiplicity: (1, 1) has the bits of
+    (1,), and (1, 2) + (2,) those of (1, 2).  The cache checks the indices
+    on every call, so a warm cache raises what a cold one does."""
+
+    CALLS = [
+        ("cost", ((1, 1),), "duplicate indices in subset (1, 1)"),
+        ("cost", ((2, 1, 2),), "duplicate indices in subset (1, 2, 2)"),
+        ("cost", ((-1,),), "indices must be >= 1, got (-1,)"),
+        ("cost", ((0, 1),), "indices must be >= 1, got (0, 1)"),
+        ("cost", ((6, 1),), "indices [6] outside [1, 5]"),
+        ("neighbour_costs", ((1,), [1]), "duplicate indices in subset (1, 1)"),
+        ("neighbour_costs", ((1, 2), [2]), "duplicate indices in subset (1, 2, 2)"),
+        ("neighbour_costs", ((2, 2), [1]), "duplicate indices in subset (2, 2, 1)"),
+        ("neighbour_costs", ((1,), [2, 2]), "duplicate indices in subset (1, 2, 2)"),
+        ("neighbour_costs", ((1,), [0]), "indices must be >= 1, got (1, 0)"),
+        ("neighbour_costs", ((1,), [-1]), "indices must be >= 1, got (1, -1)"),
+        ("neighbour_costs", ((1,), [6]), "indices [6] outside [1, 5]"),
+        ("neighbour_costs", ((7,), [2]), "indices [7] outside [1, 5]"),
+    ]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("method,args,message", CALLS)
+    def test_raises_hit_or_miss(self, warm, method, args, message):
+        x, y, _ = random_instance(21, 30, 5)
+        cache = CostCache(make_dataset(x, y))
+        if warm:  # (1,) and (1, 2) have the bits of the repeated-index calls
+            cache.cost((1,))
+            cache.neighbour_costs((1,), [2, 3, 4, 5])
+        stored = dict(cache._store)
+        with pytest.raises(InvalidSubsetError) as raised:
+            getattr(cache, method)(*args)
+        assert str(raised.value) == message
+        assert cache._store == stored
 
 
 def awkward_table(seed, n=50, r=10):
@@ -234,6 +268,8 @@ class TestEquivalenceWithLoops:
         loop_multi_restart_search(ds, 3, 5, 1, loop)
         loop_gibbs_states(ds, config, loop)
         assert (library.hits, library.misses) == (loop.hits, loop.misses)
+        # every miss stores a new key: no subset is priced twice
+        assert library.misses == len(library._store)
 
     @pytest.mark.parametrize("table", TABLES)
     def test_forward_rankings(self, table):
