@@ -6,25 +6,28 @@ columns and conditioning matters.
 
 * The SVD rule.  ``full_rank_lstsq`` is the one rank rule, and the only
   ``lstsq`` call: ``fit_least_squares`` / ``subset_cost``, every CV train
-  split and every fit the certified factor does not decide (``_svd_costs``,
-  +inf when rank-deficient) solve through it.  A design whose numerical
-  rank (relative singular-value threshold ``RANK_RCOND``) is below its
-  column count raises ``RankDeficiencyError`` instead of being silently
-  pseudo-inverted, so search procedures can skip degenerate subsets
-  deterministically.  (The backward rankings also set aside columns by a
-  stricter Gram-Schmidt cut, ``ranking._usable_features``, before they fit
-  anything.)
-* One certified factor.  ``pool_factor`` takes one economic QR of a set of
-  columns, ``[1, X_pool] = Q A``, and fits it only when a bound certifies
-  the design's condition far inside the SVD rule (``CERTIFIED_RATIO_CAP``).
-  It answers the three questions of the greedy rankings, search and
-  sampling: add (``neighbour_costs``: every candidate projected onto the
-  complement of Q at once, each candidate design certified by a second
-  bound, each residual a rank-one update), drop (``removal_maes``: every
-  removal from the dual basis ``Q A^-T``) and test
-  (``ranking.coefficient_pvalues``: every t statistic from b, r and
-  ``diag((X^T X)^-1)``).  Whatever the bounds do not certify goes to the
-  SVD rule, so that rule alone says what is rank-deficient.
+  split and every fit the pool factor leaves undecided (``_svd_costs``,
+  +inf when rank-deficient) solve through it.  A design is rank-deficient
+  when ``sigma_min <= RANK_RCOND * sigma_max``; it then raises
+  ``RankDeficiencyError`` instead of being silently pseudo-inverted, so
+  search procedures can skip degenerate subsets deterministically.  (The
+  backward rankings also set aside columns by a stricter Gram-Schmidt cut,
+  ``ranking._usable_features``, before they fit anything.)
+* One pool factor.  ``_factor`` takes one economic QR of a set of columns,
+  ``[1, X_pool] = Q A``, and a bound says whether the design's condition
+  is certified far inside the SVD rule (``CERTIFIED_RATIO_CAP``).  It
+  answers the three questions of the greedy rankings, search and sampling.
+  Drop (``removal_maes``: every removal from the dual basis ``Q A^-T``) and
+  test (``ranking.coefficient_pvalues``: every t statistic from b, r and
+  ``diag((X^T X)^-1)``) read the fit of a certified factor,
+  ``pool_factor``, and send any other pool to the SVD rule.  Add
+  (``neighbour_costs``) reads the factor certified or not: every candidate
+  is projected onto the complement of Q at once, and each candidate design
+  is decided by the certificate or by the singular values of its small
+  factor ``[[A, c], [0, |z|]]``, which are the design's up to rounding.
+  A full-rank candidate's residual is a rank-one update, a rank-deficient
+  one's cost +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND``
+  goes to the SVD rule.
 
 ``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
 R-squared of every ``fit_least_squares`` fit and every CV test split
@@ -47,8 +50,17 @@ from .errors import ConfigError, RankDeficiencyError, VarselError
 RANK_RCOND = 1e-10
 
 # Lower bound a candidate design's certified sigma_min / sigma_max must
-# exceed for ``neighbour_costs`` to decide it without the SVD (see there).
+# exceed for ``neighbour_costs`` to decide it by the bound alone (see there).
 CERTIFIED_RATIO_CAP = 1e-6
+
+# Factor either side of ``RANK_RCOND`` within which ``neighbour_costs``
+# leaves a small factor's singular-value ratio to the SVD rule (derived
+# there).
+RANK_BAND = 1.01
+
+# Entries of each stack of small factors ``neighbour_costs`` takes singular
+# values of in one call: 512 KiB, 72 candidates a stack at 28 fixed columns.
+FACTOR_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,8 +218,6 @@ class PoolFactor:
 
     q: np.ndarray  # N x (M+1), orthonormal columns
     a_inv: np.ndarray  # A^-1
-    a_inv_norm: float  # ||A^-1||_F = 1 / (a lower bound on sigma_min)
-    design_norm2: float  # ||[1, X_pool]||_F^2 >= sigma_max^2
     coefficients: np.ndarray  # b = A^-1 Q^T y
     residuals: np.ndarray  # r = y - X b
 
@@ -217,11 +227,14 @@ class PoolFactor:
         return np.einsum("ij,ij->i", self.a_inv, self.a_inv)
 
 
-def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None:
-    """The least-squares fit on ``indices`` from one economic QR
-    ``[1, X_pool] = Q A``; None unless ``1 / ||A^-1||_F``, a lower bound on
-    the design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
-    ``||[1, X_pool]||_F``, an upper bound on its sigma_max."""
+def _factor(dataset: Dataset, indices: tuple[int, ...]
+            ) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, float] | None]:
+    """The economic QR ``[1, X_pool] = Q A`` behind ``pool_factor`` and
+    ``neighbour_costs``: ``(Q, A, ||[1, X_pool]||_F^2, inverse)``, where
+    ``inverse`` is ``(A^-1, ||A^-1||_F)`` when ``1 / ||A^-1||_F``, a lower
+    bound on the design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
+    ``||[1, X_pool]||_F``, an upper bound on its sigma_max, and None when
+    it does not."""
     x = build_design_matrix(dataset, FeatureSubset(tuple(indices))).values
     q, a = np.linalg.qr(x)
     design_norm2 = float(np.einsum("ij,ij->", x, x))
@@ -232,36 +245,81 @@ def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None
     # solve: the same cost single-threaded, and far cheaper than a
     # multithreaded BLAS triangular solve on small factors.
     if np.abs(np.diag(a)).min() <= CERTIFIED_RATIO_CAP * design_norm:
-        return None
+        return q, a, design_norm2, None
     a_inv = np.linalg.inv(a)
     a_inv_norm = float(np.linalg.norm(a_inv))
     if a_inv_norm * design_norm * CERTIFIED_RATIO_CAP >= 1.0:
-        return None
-    y = dataset.target
+        return q, a, design_norm2, None
+    return q, a, design_norm2, (a_inv, a_inv_norm)
+
+
+def _project_out(q: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q^T y, y - Q Q^T y)`` by two Gram-Schmidt passes."""
     c = q.T @ y
     r = y - q @ c
     c2 = q.T @ r  # one reorthogonalization pass
     r -= q @ c2
     c += c2
-    return PoolFactor(q, a_inv, a_inv_norm, design_norm2, a_inv @ c, r)
+    return c, r
+
+
+def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None:
+    """The least-squares fit on ``indices`` from one economic QR
+    ``[1, X_pool] = Q A``; None unless ``_factor`` certifies it."""
+    q, _, _, inverse = _factor(dataset, indices)
+    if inverse is None:
+        return None
+    a_inv = inverse[0]
+    c, r = _project_out(q, dataset.target)
+    return PoolFactor(q, a_inv, a_inv @ c, r)
+
+
+def _rank_one_update(z: np.ndarray, zeta: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """``r0 - z (z^T r0) / |z|^2`` for each row z, written over ``z``."""
+    step = (z @ r0) / (zeta * zeta)
+    z *= step[:, None]
+    np.subtract(r0, z, out=z)
+    return z
+
+
+def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """``sigma_min / sigma_max`` of ``T_k = [[A, c_k], [0, zeta_k]]`` for
+    every row k of ``c``, from one ``np.linalg.svd`` of a stack of
+    ``FACTOR_BLOCK_ENTRIES`` entries at a time."""
+    n_candidates, width = c.shape
+    block = max(1, FACTOR_BLOCK_ENTRIES // (width + 1) ** 2)
+    stack = np.zeros((min(block, n_candidates), width + 1, width + 1))
+    stack[:, :width, :width] = a
+    ratios = np.empty(n_candidates)
+    for start in range(0, n_candidates, block):
+        stop = min(start + block, n_candidates)
+        t = stack[:stop - start]
+        t[:, :width, width] = c[start:stop]
+        t[:, width, width] = zeta[start:stop]
+        sv = np.linalg.svd(t, compute_uv=False)
+        ratios[start:stop] = sv[:, -1] / sv[:, 0]
+    return ratios
 
 
 def _neighbour_residuals(
     dataset: Dataset, fixed: tuple[int, ...], candidates: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the fits on ``[1, X_fixed, x_k]`` for the candidates
-    whose design the bound of ``neighbour_costs`` certifies.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decide the fits on ``[1, X_fixed, x_k]`` from one QR of the fixed
+    columns, as ``neighbour_costs`` describes.
 
-    Returns ``(certified, residuals)``: a boolean mask over the candidates
-    and one residual row per certified candidate, in candidate order.
+    Returns ``(certified, updated, singular, residuals)``: boolean masks
+    over the candidates of those the bound certifies, of those that take
+    the rank-one update (the certified ones and those their small factor
+    shows full-rank) and of those whose design is rank-deficient, and one
+    residual row per updated candidate, in candidate order.  The rest are
+    left to the SVD rule.
     """
-    undecided = np.zeros(len(candidates), dtype=bool), np.empty((0, dataset.n_rows))
-    if not candidates:
-        return undecided
-    factor = pool_factor(dataset, fixed)
-    if factor is None:
-        return undecided
-    q = factor.q
+    n_candidates = len(candidates)
+    if not n_candidates:
+        empty = np.zeros(0, dtype=bool)
+        return empty, empty, empty, np.empty((0, dataset.n_rows))
+    q, a, design_norm2, inverse = _factor(dataset, fixed)
+    r0 = _project_out(q, dataset.target)[1]
 
     # One row per candidate, so each residual is summed contiguously.
     z = dataset.features.T[np.asarray(candidates) - 1]
@@ -272,17 +330,23 @@ def _neighbour_residuals(
     z -= c2 @ q.T
     c += c2
     zeta = np.sqrt(np.einsum("ij,ij->i", z, z))
-    c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
-    sigma_min_lb = zeta / (factor.a_inv_norm * (zeta + c_norm) + 1.0)
-    sigma_max_ub = np.sqrt(factor.design_norm2 + col_norm2)
-    certified = sigma_min_lb > CERTIFIED_RATIO_CAP * sigma_max_ub
-    if not certified.all():
-        z, zeta = z[certified], zeta[certified]
+    if inverse is None:
+        certified = np.zeros(n_candidates, dtype=bool)
+    else:
+        c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
+        sigma_min_lb = zeta / (inverse[1] * (zeta + c_norm) + 1.0)
+        sigma_max_ub = np.sqrt(design_norm2 + col_norm2)
+        certified = sigma_min_lb > CERTIFIED_RATIO_CAP * sigma_max_ub
+        if certified.all():
+            return certified, certified, ~certified, _rank_one_update(z, zeta, r0)
 
-    step = (z @ factor.residuals) / (zeta * zeta)
-    z *= step[:, None]
-    np.subtract(factor.residuals, z, out=z)
-    return certified, z
+    rest = np.flatnonzero(~certified)
+    ratios = _small_factor_ratios(a, c[rest], zeta[rest])
+    singular = np.zeros(n_candidates, dtype=bool)
+    singular[rest[ratios <= RANK_RCOND / RANK_BAND]] = True
+    updated = certified.copy()
+    updated[rest[ratios > RANK_RCOND * RANK_BAND]] = True
+    return certified, updated, singular, _rank_one_update(z[updated], zeta[updated], r0)
 
 
 def neighbour_costs(
@@ -293,29 +357,65 @@ def neighbour_costs(
     alpha: float = 1.0,
 ) -> np.ndarray:
     """``subset_cost`` of ``fixed + (k,)`` for every candidate k, +inf where
-    that design is rank-deficient, from the fixed columns' ``pool_factor``.
+    that design is rank-deficient, from one economic QR of the fixed
+    columns, ``[1, X_fixed] = Q A``.
 
-    With ``[1, X_fixed] = Q A``, ``c = Q^T x`` and ``z`` the component of a
-    candidate column ``x`` orthogonal to ``Q`` (two Gram-Schmidt passes),
-    the candidate design is ``[Q, z/|z|]`` times ``[[A, c], [0, |z|]]``,
-    whose inverse bounds
-    ``sigma_min >= 1 / (||A^-1|| (1 + |c|/|z|) + 1/|z|)``, while
-    ``sigma_max <= ||[1, X_fixed, x]||_F``.  Its residual is
-    ``r0 - z (z^T r0) / |z|^2`` with ``r0`` the residual of the fixed
-    columns alone.
+    With ``c = Q^T x`` and ``z`` the component of a candidate column ``x``
+    orthogonal to ``Q`` (two Gram-Schmidt passes), the candidate design is
+    ``[Q, z/|z|]`` times the small factor ``T = [[A, c], [0, |z|]]``.  The
+    left factor is orthonormal, so the design and ``T`` have the same
+    singular values up to rounding (Golub & Van Loan, *Matrix
+    Computations*, 2.4 and 5.3), and the fit's residual is the rank-one
+    update ``r0 - z (z^T r0) / |z|^2`` of the residual ``r0`` of the fixed
+    columns alone (Bjorck, *Numerical Methods for Least Squares Problems*,
+    1996, on updating QR).  Each candidate is decided in one of three ways.
 
-    A candidate whose certified ratio exceeds ``CERTIFIED_RATIO_CAP`` = 1e-6
-    takes that rank-one update.  The cap sits 1e4 above ``RANK_RCOND``, so
-    such a design is full-rank under the SVD rule with ample room for
-    rounding in the bound itself, and at a condition number below 1e6 the
-    update's residual is off by at most about eps * 1e6 = 2e-10 relative
-    (about 1e-15 on typical tables), inside the 1e-9 to which costs are
-    checked.  The choice is not delicate: on the emo-shaped benchmark table
-    every cap from 1e-9 to 1e-3 leaves the same candidates to the SVD (those
-    pairing the two columns of a near-rank-deficient pair), and only from
-    1e-2 do ordinary near-duplicate pairs join them.  Every candidate the
-    bound cannot decide goes through ``_svd_costs``, so the SVD rule alone
-    says what is rank-deficient.
+    * Certified.  When ``_factor`` certifies the fixed columns, the inverse
+      of ``T`` bounds ``sigma_min >= 1 / (||A^-1|| (1 + |c|/|z|) + 1/|z|)``,
+      while ``sigma_max <= ||[1, X_fixed, x]||_F``.  A candidate whose
+      certified ratio exceeds ``CERTIFIED_RATIO_CAP`` = 1e-6 takes the
+      rank-one update with no further factoring.  At a condition number
+      below 1e6 the update's residual is off by at most about eps * 1e6 =
+      2e-10 relative (about 1e-15 on typical tables), inside the 1e-9 to
+      which costs are checked.  The cap is not delicate: on the emo-shaped
+      benchmark table every cap from 1e-9 to 1e-3 leaves the same
+      candidates uncertified (those pairing the two columns of a
+      near-rank-deficient pair), and only from 1e-2 do ordinary
+      near-duplicate pairs join them.
+    * By the small factor.  Every other candidate, and every candidate of
+      fixed columns the bound does not certify, gets the singular values of
+      its ``T``, from one stacked ``np.linalg.svd`` of
+      ``FACTOR_BLOCK_ENTRIES`` entries at a time (``T`` is square:
+      ``Dataset`` holds at least R + 1 rows, so N >= M + 2).  The rank rule
+      is the SVD rule's, rank-deficient iff ``sigma_min <= RANK_RCOND *
+      sigma_max``.  A ratio above ``RANK_RCOND * RANK_BAND`` takes the
+      rank-one update and one at or below ``RANK_RCOND / RANK_BAND`` is
+      +inf.
+    * By the SVD rule.  A ratio in the band between goes to
+      ``_svd_costs``, whose ``gelsd`` decides its rank and prices it.
+
+    Why ``RANK_BAND`` = 1.01 suffices.  The SVD rule reads ``gelsd``'s
+    singular values of the design; the small factor's differ from them by
+    three roundings: of ``Q A`` against ``[1, X_fixed]`` (Householder QR,
+    backward error a small multiple of eps times the column norms), of
+    ``c`` and ``z`` against ``x`` (two passes leave ``z`` orthogonal to
+    ``Q`` to working precision, so ``[Q, z/|z|]`` is orthonormal to a few
+    eps and scales singular values by 1 + O(eps)), and ``gelsd``'s own
+    (backward stable, error a small multiple of eps * sigma_max).  By
+    Weyl's theorem each moves a singular value by at most its error's
+    norm, so the two ratios sigma_min / sigma_max differ additively by a
+    multiple of eps that grows only slowly with the table's size.
+    Measured by ``tests/stress_rank_band.py``, the difference was at most
+    1.2e-15 (5.5 eps) over 25500 candidates of ``near_duplicate_table`` at
+    residual ratios 10^-10.6 to 10^-9.4, and below 2e-17 after the
+    near-rank-deficient pair enters RM1 or RM4 on the emo-shaped benchmark
+    tables (R = 30 and 122); of 10500 designs there holding the pair, the
+    small factors decided 10406, all as ``full_rank_lstsq`` does, and left
+    94 to the SVD.  The band reaches 1e-12 either side of ``RANK_RCOND``,
+    about 800 times that difference, and only candidates in it pay for an
+    SVD of the design.  The benchmark tables'
+    pair sits at a ratio of 6e-10, so once it is in the fixed columns
+    every candidate is decided by its small factor.
 
     Raises:
         InvalidSubsetError: an index is out of range, repeated, or both
@@ -324,11 +424,14 @@ def neighbour_costs(
     fixed = tuple(int(k) for k in fixed)
     candidates = [int(k) for k in candidates]
     FeatureSubset(fixed + tuple(candidates)).validate_against(dataset)
-    certified, residuals = _neighbour_residuals(dataset, fixed, candidates)
-    costs = np.empty(len(candidates))
-    costs[certified] = residual_norm_cost(residuals, p, alpha)
-    undecided = [fixed + (k,) for k, ok in zip(candidates, certified) if not ok]
-    costs[~certified] = _svd_costs(dataset, undecided, p, alpha)
+    _, updated, singular, residuals = _neighbour_residuals(dataset, fixed, candidates)
+    costs = np.full(len(candidates), math.inf)
+    costs[updated] = residual_norm_cost(residuals, p, alpha)
+    undecided = ~(updated | singular)
+    if undecided.any():
+        costs[undecided] = _svd_costs(
+            dataset, [fixed + (k,) for k, u in zip(candidates, undecided) if u],
+            p, alpha)
     return costs
 
 

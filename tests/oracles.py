@@ -379,7 +379,11 @@ def loop_ingest_csv(
 
         rows = []
         targets = []
-        for line_no, row in enumerate(reader, start=2):
+        # number each record by the physical line it starts on: a quoted
+        # cell with a line break spans two lines
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row:
                 continue  # tolerate blank trailing lines
             if len(row) != len(header):

@@ -1,0 +1,139 @@
+"""Near-threshold stress of the small-factor rank rule of
+``linmodel.neighbour_costs`` against the SVD rule.
+
+Run from the root of a checkout (a few seconds at the defaults)::
+
+    PYTHONPATH=src python tests/stress_rank_band.py [--tables 1500]
+
+It draws ``near_duplicate_table`` s whose pair of columns 1 and 2 has a
+residual ratio of 10^u, u uniform in [-10.6, -9.4], so designs holding
+the pair straddle ``RANK_RCOND``.  For the fixed sets (1,), (2,), (1, 2)
+and (4, 1, 5) and every other column as candidate it prints:
+
+* the largest difference between sigma_min / sigma_max of a candidate's
+  small factor ``[[A, c], [0, |z|]]`` and of ``gelsd`` on its design, the
+  error that ``RANK_BAND`` must cover (see ``neighbour_costs``);
+* over the designs holding the pair, how many the kernel decided itself,
+  how many of those disagree with ``full_rank_lstsq`` and how many it left
+  to the SVD.
+
+Then it prints the same largest difference on the benchmark's
+``make_table(1, R)``, R = 30 and 122, for every step of RM1 and RM4 after
+both columns of the near-rank-deficient pair entered (every sixth step at
+R = 122).  It exits 1 if any decision disagrees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import runpy
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from conftest import near_duplicate_table  # noqa: E402
+from varsel import (  # noqa: E402
+    FeatureSubset,
+    RankDeficiencyError,
+    build_design_matrix,
+    make_dataset,
+    rank_add_max_error,
+    rank_forward_selection,
+)
+from varsel.linmodel import (  # noqa: E402
+    _factor,
+    _neighbour_residuals,
+    _small_factor_ratios,
+    full_rank_lstsq,
+)
+
+FIXED_SETS = [(1,), (2,), (1, 2), (4, 1, 5)]
+
+
+def ratio_differences(dataset, fixed, candidates):
+    """|small-factor ratio - gelsd ratio| for every candidate, the small
+    factors projected as ``_neighbour_residuals`` projects them."""
+    q, a, _, _ = _factor(dataset, fixed)
+    z = dataset.features.T[np.asarray(candidates) - 1]
+    c = z @ q
+    z -= c @ q.T
+    c2 = z @ q
+    z -= c2 @ q.T
+    c += c2
+    small = _small_factor_ratios(a, c, np.sqrt(np.einsum("ij,ij->i", z, z)))
+    full = []
+    for k in candidates:
+        design = build_design_matrix(dataset, FeatureSubset(fixed + (k,))).values
+        sv = np.linalg.lstsq(design, dataset.target, rcond=None)[3]
+        full.append(sv[-1] / sv[0])
+    return np.abs(small - np.array(full))
+
+
+def is_full_rank(dataset, subset):
+    design = build_design_matrix(dataset, FeatureSubset(subset))
+    try:
+        full_rank_lstsq(design.values, dataset.target, design.subset)
+    except RankDeficiencyError:
+        return False
+    return True
+
+
+def near_threshold(n_tables):
+    rng = np.random.default_rng(12345)
+    worst, n_ratios = 0.0, 0
+    decided = disagree = to_svd = 0
+    for seed in range(n_tables):
+        dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
+        for fixed in FIXED_SETS:
+            candidates = [k for k in range(1, 7) if k not in fixed]
+            diff = ratio_differences(dataset, fixed, candidates)
+            worst, n_ratios = max(worst, diff.max()), n_ratios + len(candidates)
+            _, updated, singular, _ = _neighbour_residuals(dataset, fixed, candidates)
+            for k, up, sing in zip(candidates, updated, singular):
+                if not {1, 2} <= set(fixed + (k,)):
+                    continue
+                if up or sing:
+                    decided += 1
+                    disagree += bool(up) != is_full_rank(dataset, fixed + (k,))
+                else:
+                    to_svd += 1
+    print(f"near_duplicate_table: {n_ratios} candidates, largest ratio "
+          f"difference {worst:.2e}; designs holding the pair: {decided} decided "
+          f"by the kernel, {disagree} disagreements, {to_svd} to the SVD")
+    return disagree
+
+
+def benchmark_tables():
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    make_table = runpy.run_path(str(path))["make_table"]
+    for n_features, stride in [(30, 1), (122, 6)]:
+        table = make_table(1, n_features)
+        dataset = make_dataset(table.features, table.target)
+        for name, rank in [("RM1", rank_forward_selection), ("RM4", rank_add_max_error)]:
+            ranking = rank(dataset)
+            order = list(ranking.raw_order or ranking.order)
+            entered = 1 + max(order.index(k) for k in table.rank_rule_pair)
+            worst, n_ratios = 0.0, 0
+            for step in range(entered, len(order), stride):
+                diff = ratio_differences(dataset, tuple(order[:step]), order[step:])
+                worst, n_ratios = max(worst, diff.max()), n_ratios + len(diff)
+            print(f"make_table(1, {n_features}) {name}: {n_ratios} candidates "
+                  f"after the pair entered at step {entered}, largest ratio "
+                  f"difference {worst:.2e}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tables", type=int, default=1500)
+    args = parser.parse_args()
+    disagree = near_threshold(args.tables)
+    benchmark_tables()
+    sys.exit(1 if disagree else 0)
+
+
+if __name__ == "__main__":
+    main()

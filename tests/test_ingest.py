@@ -20,10 +20,12 @@ UNSPLITTABLE = pytest.mark.parametrize(
 FLOAT_SPACE = " \t\x0b\x0c\x85\xa0\u2003\u3000"
 STRIP_SPACE = FLOAT_SPACE + "\x1c\x1d\x1e\x1f"
 # cells float() or the walk treat specially, among them a full-width and an
-# Arabic-Indic 1, which float() reads and the one-call C parse declines
+# Arabic-Indic 1, which float() reads and the one-call C parse declines, and
+# quoted cells with a line break inside, which float() strips: the record
+# then spans two physical lines, and a later bad row's line number shows it
 ODD_CELLS = ["1_0", "nan", "-inf", "inf", "1e999", "-1e999", "", "   ", "\x1c",
              "abc", "0x10", "1.5.2", '"2.5"', '" 3 "', '"1,5"', '""', "+.5", "1E5",
-             "\uff11", "\u0661"]
+             "\uff11", "\u0661", '"1\n"', '"\r\n-2.5"']
 
 
 @st.composite

@@ -3,6 +3,9 @@ and the library loops built on it against their former per-candidate
 versions."""
 
 import math
+import runpy
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,13 @@ from varsel import (
     rank_forward_selection,
     subset_cost,
 )
-from varsel.linmodel import CERTIFIED_RATIO_CAP, _neighbour_residuals
+from varsel import linmodel
+from varsel.linmodel import (
+    CERTIFIED_RATIO_CAP,
+    RANK_BAND,
+    RANK_RCOND,
+    _neighbour_residuals,
+)
 from varsel.search import random_subset
 
 from conftest import (
@@ -57,9 +66,12 @@ def svd_costs(dataset, fixed, candidates, p=1.0, alpha=1.0):
 
 def assert_matches_svd(dataset, fixed, p=1.0, alpha=1.0):
     """Kernel costs equal the SVD path's: exactly the same candidates are
-    +inf and finite costs agree to ``cost_tolerance``.  Every certified
-    candidate has a residual orthogonal to its design and an SVD condition
-    above the cap.  Returns the certified mask."""
+    +inf and finite costs agree to ``cost_tolerance``.  Every candidate the
+    kernel updates has a residual orthogonal to its design.  The SVD ratio
+    of every certified candidate is above the cap, that of every other
+    updated candidate clears ``RANK_RCOND`` by half the band, and that of
+    every candidate called rank-deficient falls short of it by half the
+    band.  Returns the certified and the updated masks."""
     fixed = tuple(fixed)
     candidates = [k for k in range(1, dataset.n_features + 1) if k not in fixed]
     got = neighbour_costs(dataset, fixed, candidates, p, alpha)
@@ -70,13 +82,42 @@ def assert_matches_svd(dataset, fixed, p=1.0, alpha=1.0):
             design = build_design_matrix(dataset, FeatureSubset(fixed + (k,))).values
             assert abs(g - w) <= cost_tolerance(dataset, design, p, alpha) * w, (
                 k, g, w)
-    certified, residuals = _neighbour_residuals(dataset, fixed, candidates)
-    for k, res in zip(np.array(candidates)[certified], residuals):
+    certified, updated, singular, residuals = _neighbour_residuals(
+        dataset, fixed, candidates)
+    assert not (updated & singular).any()
+    assert (updated | ~certified).all()
+
+    def design_ratio(k):
         design = build_design_matrix(dataset, FeatureSubset(fixed + (int(k),))).values
-        assert_residuals_orthogonal(design, res, dataset.target)
         sv = np.linalg.svd(design, compute_uv=False)
-        assert sv[-1] / sv[0] > CERTIFIED_RATIO_CAP
-    return certified
+        return design, sv[-1] / sv[0]
+
+    for k, cert, res in zip(np.array(candidates)[updated], certified[updated],
+                            residuals):
+        design, ratio = design_ratio(k)
+        assert_residuals_orthogonal(design, res, dataset.target)
+        assert ratio > (CERTIFIED_RATIO_CAP if cert else RANK_RCOND * math.sqrt(RANK_BAND))
+    for k in np.array(candidates)[singular]:
+        assert design_ratio(k)[1] < RANK_RCOND / math.sqrt(RANK_BAND)
+    return certified, updated
+
+
+def count_calls(name):
+    """Patch ``linmodel.<name>`` with a spy that still calls it."""
+    return mock.patch.object(linmodel, name, wraps=getattr(linmodel, name))
+
+
+def in_band_table(seed):
+    """A ``near_duplicate_table`` whose design ``[1, x1, x2]`` has
+    sigma_min / sigma_max at ``RANK_RCOND`` to within about 1e-6: that
+    ratio is linear in the drawn residual ratio this close to zero."""
+    def design_ratio(ratio):
+        ds = near_duplicate_table(seed, ratio)
+        sv = np.linalg.svd(build_design_matrix(ds, FeatureSubset((1, 2))).values,
+                           compute_uv=False)
+        return sv[-1] / sv[0]
+
+    return near_duplicate_table(seed, 1e-9 * RANK_RCOND / design_ratio(1e-9))
 
 
 class TestKernelAgainstSvd:
@@ -109,18 +150,81 @@ class TestKernelAgainstSvd:
         ds = make_dataset(x, rng.normal(size=25))
         assert_matches_svd(ds, fixed)
 
-    def test_rank_deficient_fixed_set_sends_every_candidate_to_svd(self):
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_ratio=st.floats(-10.5, -9.5),
+           fixed=st.sampled_from([(), (1,), (2,), (1, 3), (4, 2, 5)]),
+           p=P_VALUES, alpha=ALPHA_VALUES)
+    def test_near_threshold_columns(self, seed, log_ratio, fixed, p, alpha):
+        # the pair's design ratio straddles RANK_RCOND: the small factors
+        # must call exactly the SVD rule's candidates rank-deficient
+        ds = near_duplicate_table(seed, 10.0**log_ratio)
+        assert_matches_svd(ds, fixed, p, alpha)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_band_candidate_goes_to_the_svd(self, seed):
+        ds = in_band_table(seed)
+        sv = np.linalg.svd(build_design_matrix(ds, FeatureSubset((1, 2))).values,
+                           compute_uv=False)
+        assert RANK_RCOND / RANK_BAND < sv[-1] / sv[0] <= RANK_RCOND * RANK_BAND
+        with count_calls("_svd_costs") as svd:
+            got = neighbour_costs(ds, (1,), [2, 3, 4])
+        svd.assert_called_once()
+        assert svd.call_args.args[1] == [(1, 2)]
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(svd_costs(ds, (1,), [2, 3, 4])))
+        assert_matches_svd(ds, (1,))
+
+    def test_rank_deficient_fixed_set_makes_every_candidate_inf_without_svd(self):
         x, y, _ = random_instance(12, 30, 5)
         x[:, 1] = 2.0 * x[:, 0]
         ds = make_dataset(x, y)
-        certified = assert_matches_svd(ds, (1, 2))
+        _, updated = assert_matches_svd(ds, (1, 2))
+        assert not updated.any()
+        with count_calls("_svd_costs") as svd:
+            costs = neighbour_costs(ds, (1, 2), [3, 4, 5])
+        assert np.isinf(costs).all()
+        svd.assert_not_called()
+
+    def test_uncertified_fixed_set_is_decided_by_small_factors(self):
+        # (1, 2) fails the certificate at a residual ratio of 1e-9 but is
+        # full-rank: every candidate takes the rank-one update
+        ds = near_duplicate_table(4, 1e-9)
+        assert linmodel.pool_factor(ds, (1, 2)) is None
+        with count_calls("_small_factor_ratios") as small, \
+                count_calls("_svd_costs") as svd:
+            certified, updated = assert_matches_svd(ds, (1, 2))
         assert not certified.any()
-        assert np.isinf(neighbour_costs(ds, (1, 2), [3, 4, 5])).all()
+        assert updated.all()
+        assert small.called
+        svd.assert_not_called()
+
+    @pytest.mark.parametrize("entries", [1, 2 * 16 + 1, 3 * 16])
+    def test_stack_blocks_give_the_same_bits(self, entries):
+        # 3 fixed columns: each small factor has 16 entries, so blocks of
+        # 1, 2 and 3 of the 10 candidates; every ratio equals that of its
+        # own factor, built and factored alone
+        rng = np.random.default_rng(6)
+        a = np.triu(rng.normal(size=(3, 3)))
+        c, zeta = rng.normal(size=(10, 3)), 10.0 ** rng.uniform(-12, 0, size=10)
+        alone = []
+        for ck, zk in zip(c, zeta):
+            sv = np.linalg.svd(np.block([[a, ck[:, None]], [np.zeros((1, 3)), zk]]),
+                               compute_uv=False)
+            alone.append(sv[-1] / sv[0])
+        ds = near_duplicate_table(5, 1e-9, r=12)
+        fixed, candidates = (1, 2), list(range(3, 13))
+        want = neighbour_costs(ds, fixed, candidates, 0.5, 2.0)
+        with mock.patch.object(linmodel, "FACTOR_BLOCK_ENTRIES", entries):
+            ratios = linmodel._small_factor_ratios(a, c, zeta)
+            got = neighbour_costs(ds, fixed, candidates, 0.5, 2.0)
+        assert ratios.tobytes() == np.array(alone).tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_well_conditioned_candidates_are_all_certified(self):
         x, y, _ = random_instance(13, 200, 12)
-        certified = assert_matches_svd(make_dataset(x, y), (4, 9, 1))
+        with count_calls("_small_factor_ratios") as small:
+            certified, _ = assert_matches_svd(make_dataset(x, y), (4, 9, 1))
         assert certified.all()
+        assert not small.called
 
     def test_candidate_order_is_kept(self):
         x, y, _ = random_instance(14, 30, 6)
@@ -276,3 +380,31 @@ class TestEquivalenceWithLoops:
         ds = table()
         assert list(rank_forward_selection(ds).order) == loop_forward_order(ds, False)
         assert list(rank_add_max_error(ds).raw_order) == loop_forward_order(ds, True)
+
+
+def benchmark_table(seed, n_features):
+    """``make_table`` of ``bench/generate.py``, the benchmark's generator,
+    run as it is."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    return runpy.run_path(str(path))["make_table"](seed, n_features)
+
+
+class TestForwardRankingsOnTheBenchmarkTable:
+    """On the benchmark-shaped 1213 x 30 table the forward rankings take
+    both columns of its near-rank-deficient pair; after that no fixed set
+    is certified, and every candidate is decided by its small factor."""
+
+    @pytest.mark.parametrize("largest", [False, True], ids=["rm1", "rm4"])
+    def test_orders_match_the_loop_without_svd_fits(self, largest):
+        table = benchmark_table(1, 30)
+        ds = make_dataset(table.features, table.target)
+        rank = rank_add_max_error if largest else rank_forward_selection
+        with count_calls("_small_factor_ratios") as small, \
+                count_calls("_svd_costs") as svd:
+            added = rank(ds).raw_order if largest else rank(ds).order
+        assert list(added) == loop_forward_order(ds, largest)
+        pair_in = max(added.index(k) for k in table.rank_rule_pair)
+        assert pair_in < len(added) - 1
+        # every step after the pair entered went to the small factors
+        assert small.call_count >= len(added) - 1 - pair_in
+        svd.assert_not_called()
