@@ -6,11 +6,12 @@ columns and conditioning matters.
 
 * The SVD rule.  ``full_rank_lstsq`` is the one rank rule, and the only
   ``lstsq`` call: ``fit_least_squares`` / ``subset_cost``, every CV train
-  split and every fit the pool factor leaves undecided (``_svd_costs``,
-  +inf when rank-deficient) solve through it.  A design is rank-deficient
-  when ``sigma_min <= RANK_RCOND * sigma_max``; it then raises
-  ``RankDeficiencyError`` instead of being silently pseudo-inverted, so
-  search procedures can skip degenerate subsets deterministically.  (The
+  split the pool factor does not certify and every fit it leaves
+  undecided (``_svd_costs``, +inf when rank-deficient) solve through it.
+  A design is rank-deficient when ``sigma_min <= RANK_RCOND *
+  sigma_max``; it then raises ``RankDeficiencyError`` instead of being
+  silently pseudo-inverted, so search procedures can skip degenerate
+  subsets deterministically.  (The
   backward rankings also set aside columns by a stricter Gram-Schmidt cut,
   ``ranking._usable_features``, before they fit anything.)
 * One pool factor.  ``_factor`` takes one economic QR of a set of columns,
@@ -27,7 +28,10 @@ columns and conditioning matters.
   factor ``[[A, c], [0, |z|]]``, which are the design's up to rounding.
   A full-rank candidate's residual is a rank-one update, a rank-deficient
   one's cost +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND``
-  goes to the SVD rule.
+  goes to the SVD rule.  CV (``validation.monte_carlo_cv``) fits each
+  train split from the factor of the whole design by downdating its test
+  rows, and sends every split the factor does not certify to the SVD
+  rule.
 
 ``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
 R-squared of every ``fit_least_squares`` fit and every CV test split

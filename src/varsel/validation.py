@@ -1,10 +1,15 @@
 """Monte Carlo cross-validation and the feature-correlation graph.
 
-CV test splits are scored by ``linmodel.error_metrics``, as every in-sample
-fit is, a block of splits to a call: ``monte_carlo_cv`` writes each kept
-split's test residuals and test targets into one row of two block buffers
-(``CV_BLOCK_ENTRIES`` entries each) and scores the full block, and the
-partial one at the end, with one stacked call."""
+``monte_carlo_cv`` fits every CV train split from one economic QR of the
+subset's whole design, by downdating the split's test rows, a block of
+splits at a time: one gather of the test rows of Q, stacked products, one
+stacked ``eigvalsh`` and one stacked ``solve``.  A bound on each split's
+smallest eigenvalue certifies it full-rank under the SVD rule, and any
+split it does not certify is fitted by that rule, one ``lstsq`` as
+before.  The test splits are scored by ``linmodel.error_metrics``, as
+every in-sample fit is, one stacked call a block; the block buffers (test
+rows of Q, test residuals, test targets) hold ``CV_BLOCK_ENTRIES``
+entries together."""
 
 from __future__ import annotations
 
@@ -16,12 +21,20 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
 from .errors import ConfigError, RankDeficiencyError
-from .linmodel import (FitResult, build_design_matrix, error_metrics, fit_subset,
+from .linmodel import (CERTIFIED_RATIO_CAP, FitResult, _factor, _project_out,
+                       build_design_matrix, error_metrics, fit_subset,
                        full_rank_lstsq)
 
-# Entries of each of CV's two block buffers (test residuals, test targets):
-# 2 x 512 KiB, 269 splits a block at 243 test rows.
-CV_BLOCK_ENTRIES = 1 << 16
+# Entries of CV's three block buffers together (the test rows of Q, test
+# residuals, test targets): 1 MiB, 53 splits a block at 243 test rows and 8
+# design columns.
+CV_BLOCK_ENTRIES = 1 << 17
+
+# Least eigenvalue of a split's ``M = Q_S^T Q_S`` below which
+# ``monte_carlo_cv`` fits the split by the SVD rule rather than downdating
+# it: the downdate solves with M, so its error grows as 1 / lambda_min(M)
+# (see there).
+DOWNDATE_EIGENVALUE_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,38 @@ def check_cv_settings(train_fraction: float, runs: int) -> None:
         raise ConfigError("runs must be >= 1")
 
 
+def _downdated_residuals(q, r, tests, floor, residuals, qt):
+    """Certify and fit the train split of every row of ``tests`` from the
+    QR ``[1, X] = Q A`` of the whole design, as ``monte_carlo_cv``
+    describes: row i of ``residuals`` takes the test residual of split i
+    where the returned mask is True and is left undefined elsewhere.
+    ``qt`` is the buffer ``Q[tests]`` is gathered into."""
+    qt = np.take(q, tests, axis=0, out=qt)
+    qtt = qt.transpose(0, 2, 1)
+    m = np.eye(q.shape[1]) - qtt @ qt
+    certified = np.linalg.eigvalsh(m)[:, 0] > floor
+    m[~certified] = np.eye(q.shape[1])  # rows left undefined, solved harmlessly
+    rt = np.take(r, tests, out=residuals)
+    rt += (qt @ np.linalg.solve(m, qtt @ rt[..., None]))[..., 0]
+    return certified
+
+
+def _split_by_svd(x, y, n_train, subset, seed, run):
+    """One run as the SVD rule fits it: ``(test residual, test target)`` of
+    its first split whose train fit is full-rank, drawn from
+    ``run_rng(seed, run)`` with one resample allowed, or None."""
+    rng = run_rng(seed, run)
+    for _ in range(2):
+        perm = rng.permutation(len(y))
+        xp, yp = x.take(perm, axis=0), y.take(perm)
+        try:
+            coef = full_rank_lstsq(xp[:n_train], yp[:n_train], subset)
+        except RankDeficiencyError:
+            continue
+        return yp[n_train:] - xp[n_train:] @ coef, yp[n_train:]
+    return None
+
+
 def monte_carlo_cv(
     dataset: Dataset,
     subset: FeatureSubset,
@@ -69,13 +114,58 @@ def monte_carlo_cv(
     """Repeated random-split validation of one subset model.
 
     Each run draws a fresh uniform split from a per-run generator keyed by
-    (seed, run index) and gathers the permuted rows once: the first
-    ``floor(train_fraction * N)`` are fitted with ``linmodel.full_rank_lstsq``
-    and the rest are scored with ``linmodel.error_metrics``, a block of
-    splits to a call (see the module docstring), so test R-squared is taken
-    about the test-split mean.  A train fit that is rank-deficient is
-    resampled once, then counted as skipped.  The report aggregates the kept
-    splits in run order.
+    (seed, run index): the first ``floor(train_fraction * N)`` rows of a
+    permutation train, the rest test.  A train fit that is rank-deficient
+    by the SVD rule (``linmodel.full_rank_lstsq``) is resampled once, then
+    counted as skipped.  Test splits are scored by
+    ``linmodel.error_metrics``, a block of splits to a call, so test
+    R-squared is taken about the test-split mean, and the report
+    aggregates the kept splits in run order.
+
+    A split is fitted from one economic QR of the whole design,
+    ``X = [1, X_subset] = Q A`` (``linmodel._factor``), by downdating the
+    test rows T (Bjorck, *Numerical Methods for Least Squares Problems*,
+    1996; Golub & Van Loan, *Matrix Computations*, 6.5).  With
+    ``G = Q_T^T Q_T``, the train rows S have ``Q_S^T Q_S = M = I - G``
+    and ``X_S = Q_S A``.  With ``r = y - Q Q^T y`` the full fit's
+    residual, the train fit in the basis Q is ``Q^T y - M^-1 Q_T^T r_T``,
+    so its test residual is ``r_T + Q_T M^-1 Q_T^T r_T``: no triangular
+    solve and no gather of ``X_T``.  A block of splits takes one gather
+    of ``Q[tests]``, stacked products, one stacked ``eigvalsh`` and one
+    stacked ``solve``.
+
+    The SVD rule stays the only rank rule; the downdate only fits splits
+    it would certainly call full-rank.  ``sigma_min(X_S) >= sigma_min(Q_S)
+    sigma_min(A) >= sqrt(lambda_min(M)) / ||A^-1||_F`` and
+    ``sigma_max(X_S) <= ||X_S||_F <= ||X||_F``, so a split whose
+    ``lambda_min(M)`` exceeds ``(CERTIFIED_RATIO_CAP ||X||_F
+    ||A^-1||_F)^2`` has ``sigma_min / sigma_max > CERTIFIED_RATIO_CAP``
+    = 1e-6, four orders above ``RANK_RCOND``.  The computed
+    ``lambda_min(M)`` is off by the rounding of G (dots of n_test terms
+    of Q's unit columns: at most about ``n_test p eps`` in norm), by Q's
+    departure from orthonormality and by ``eigvalsh``'s own error (small
+    multiples of eps), and ``N p eps`` is subtracted from it to cover all
+    three before the comparison.  The QR's own backward error,
+    ``eps ||X||``, moves the ratio by a multiple of eps, far below the
+    cap.
+
+    A downdated split must also be fitted as accurately as the SVD fit.
+    M is formed as ``I - G``, with an error of about ``n_test eps``, and
+    the solve with it magnifies that by up to ``1 / lambda_min(M)``, so a
+    split is downdated only when ``lambda_min(M)`` also exceeds
+    ``DOWNDATE_EIGENVALUE_FLOOR`` = 0.1.  The mean eigenvalue of M is
+    about ``n_train / N``, so at the default 0.8 every ordinary split
+    clears it, while at a train fraction of 0.1 or less nearly every split
+    goes to the SVD rule.  At that floor the downdated test residuals were as
+    close to a 50-digit solve as the SVD fit's (``tests/test_validation``
+    holds both within ``64 eps cond(X_S) ||y||``).
+
+    Every split the two bounds do not certify, and every split when
+    ``_factor`` does not certify the design, is fitted by the SVD rule as
+    it always was: its run is redrawn from ``run_rng(seed, run)`` with
+    the same resample.  So kept and skipped runs and every error are
+    those of one ``full_rank_lstsq`` fit per split, and the downdated
+    splits' metrics differ from that fit's only in their last digits.
     """
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)
@@ -88,27 +178,33 @@ def monte_carlo_cv(
     if n_train >= n:
         raise ConfigError("test split is empty")
     x, y = build_design_matrix(dataset, subset).values, dataset.target
-    n_test = n - n_train
-    block = min(runs, max(1, CV_BLOCK_ENTRIES // n_test))
+    n_test, width = n - n_train, subset.m + 1
+    q, _, design_norm2, inverse = _factor(dataset, subset.indices)
+    if inverse is not None:
+        r = _project_out(q, y)[1]
+        floor = max((CERTIFIED_RATIO_CAP * inverse[1]) ** 2 * design_norm2
+                    + n * width * np.finfo(float).eps, DOWNDATE_EIGENVALUE_FLOOR)
+    block = min(runs, max(1, CV_BLOCK_ENTRIES // (n_test * (width + 2))))
     residuals, targets = np.empty((block, n_test)), np.empty((block, n_test))
-    scored, filled = [], 0
-    for run in range(runs):
-        rng = run_rng(seed, run)
-        for _ in range(2):  # one resample allowed per run
-            perm = rng.permutation(n)
-            xp, yp = x.take(perm, axis=0), y.take(perm)
-            try:
-                coef = full_rank_lstsq(xp[:n_train], yp[:n_train], subset)
-            except RankDeficiencyError:
-                continue
-            np.subtract(yp[n_train:], xp[n_train:] @ coef, out=residuals[filled])
-            targets[filled] = yp[n_train:]
-            filled += 1
-            break
-        if filled == block or (run == runs - 1 and filled):
-            scored.append(np.column_stack(
-                error_metrics(residuals[:filled], targets[:filled])))
-            filled = 0
+    qt = np.empty((block, n_test, width))
+    scored = []
+    for start in range(0, runs, block):
+        size = min(block, runs - start)
+        fitted = np.zeros(size, dtype=bool)
+        if inverse is not None:
+            tests = np.array([run_rng(seed, run).permutation(n)[n_train:]
+                              for run in range(start, start + size)])
+            fitted = _downdated_residuals(q, r, tests, floor, residuals[:size],
+                                          qt[:size])
+            np.take(y, tests, out=targets[:size])
+        for i in np.flatnonzero(~fitted).tolist():
+            split = _split_by_svd(x, y, n_train, subset, seed, start + i)
+            if split is not None:
+                residuals[i], targets[i] = split
+                fitted[i] = True
+        if fitted.any():
+            scored.append(np.column_stack(error_metrics(
+                residuals[:size][fitted], targets[:size][fitted])))
     if not scored:
         raise RankDeficiencyError(
             f"every CV train fit for subset {subset.indices} was rank-deficient",

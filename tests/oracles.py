@@ -9,8 +9,10 @@ order selection that refitted every ranking prefix, the per-feature and
 per-pair Pearson loops of RM5 and the correlation graph, and the p-values
 that fitted by SVD and took the standard errors from a second (scipy) QR,
 the ingest that parsed and checked each cell on its own, and the CV that
-gathered and scored each split on its own, with the one-vector scorer; the
-library paths must reproduce them.
+fitted each split by SVD and scored it on its own, with the one-vector
+scorer; the library paths must reproduce them (CV: its discrete outcomes
+exactly, its floats within a stated bound).  ``exact_cv_runs`` refits
+that CV's splits in 50 digits, to hold both CVs to that bound.
 """
 
 import csv
@@ -18,6 +20,7 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.stats import t as student_t
@@ -438,15 +441,13 @@ def loop_error_metrics(residuals, target):
     return mae, mse, math.sqrt(mse), r_squared
 
 
-def loop_monte_carlo_cv(
-    dataset: Dataset,
-    subset: FeatureSubset,
-    train_fraction: float = 0.8,
-    runs: int = 20000,
-    seed: int = 0,
-) -> CvReport:
-    """The old ``monte_carlo_cv``: four fancy-index gathers and one
-    ``error_metrics`` call per split."""
+def loop_cv_splits(dataset: Dataset, subset: FeatureSubset,
+                   train_fraction: float, runs: int, seed: int):
+    """The discrete outcome of every CV run, by the SVD rule: the (train
+    rows, test rows, coefficients) of the first split of ``run_rng(seed,
+    run)`` whose ``full_rank_lstsq`` train fit is full-rank, one resample
+    allowed, or None when both are rank-deficient; after the settings
+    checks, in their order."""
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)
     n = dataset.n_rows
@@ -465,13 +466,18 @@ def loop_monte_carlo_cv(
             perm = rng.permutation(n)
             train, test = perm[:n_train], perm[n_train:]
             try:
-                coef = full_rank_lstsq(x[train], y[train], subset)
+                return train, test, full_rank_lstsq(x[train], y[train], subset)
             except RankDeficiencyError:
                 continue
-            return loop_error_metrics(y[test] - x[test] @ coef, y[test])
         return None
 
-    outcomes = [one_run(run) for run in range(runs)]
+    return [one_run(run) for run in range(runs)]
+
+
+def cv_report_of(outcomes, subset, train_fraction, seed) -> CvReport:
+    """The report over per-run (MAE, MSE, RMSE, R-squared) rows, None for a
+    skipped run, aggregated as ``monte_carlo_cv`` does."""
+    runs = len(outcomes)
     kept = np.array([m for m in outcomes if m is not None], dtype=float)
     skipped = runs - len(kept)
     if len(kept) == 0:
@@ -505,3 +511,88 @@ def loop_monte_carlo_cv(
         max_rmse=float(kept[:, 2].max()),
         high_skip_warning=bool(skipped > 0.01 * runs),
     )
+
+
+def loop_monte_carlo_cv(
+    dataset: Dataset,
+    subset: FeatureSubset,
+    train_fraction: float = 0.8,
+    runs: int = 20000,
+    seed: int = 0,
+) -> CvReport:
+    """The CV of one SVD ``full_rank_lstsq`` fit per split, with four
+    fancy-index gathers and one one-vector scorer call per split.
+
+    It is the reference for ``monte_carlo_cv``'s discrete outcomes (the
+    split each run keeps, the runs it skips, every error it raises) and,
+    bit for bit, for the splits it fits by the SVD rule: with the
+    certificate switched off, the whole report equals this one byte for
+    byte.  The splits ``monte_carlo_cv`` downdates from one QR differ
+    from these fits only by rounding, bounded against ``exact_cv_runs``."""
+    splits = loop_cv_splits(dataset, subset, train_fraction, runs, seed)
+    x, y = build_design_matrix(dataset, subset).values, dataset.target
+    outcomes = []
+    for split in splits:
+        if split is None:
+            outcomes.append(None)
+            continue
+        train, test, coef = split
+        outcomes.append(loop_error_metrics(y[test] - x[test] @ coef, y[test]))
+    return cv_report_of(outcomes, subset, train_fraction, seed)
+
+
+def _exact_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(ints, shift)`` with ``values == ints * 2**shift`` exactly: Python
+    integers in an object array, so products and sums of them are exact."""
+    mantissa, exponent = np.frexp(values)
+    digits = (mantissa * 2.0**53).astype(np.int64)  # exact: |m| < 1
+    shift = int(exponent.min()) - 53
+    ints = [int(d) << int(e - 53 - shift) for d, e in
+            zip(digits.ravel().tolist(), exponent.ravel().tolist())]
+    return np.array(ints, dtype=object).reshape(values.shape), shift
+
+
+def exact_cv_runs(dataset: Dataset, subset: FeatureSubset,
+                  train_fraction: float, runs: int, seed: int,
+                  digits: int = 50):
+    """Every run of ``loop_cv_splits`` refitted by a ``digits``-digit
+    ``mpmath`` solve of its train split: per run, None for a skipped run or
+    ``(metrics, cond, ss_tot)``, the (MAE, MSE, RMSE, R-squared) of the
+    exact test residual rounded to floats (R-squared 0 for a constant test
+    target, as ``error_metrics`` rules), the 2-norm condition number of
+    the train design and the test target's SS_tot in floats.
+
+    The normal equations are formed in integers, exactly, and solved in
+    ``digits`` digits, which loses at most 2 log10(cond) < 20 of them: the
+    SVD rule keeps no train design with cond >= 1e10."""
+    splits = loop_cv_splits(dataset, subset, train_fraction, runs, seed)
+    x, y = build_design_matrix(dataset, subset).values, dataset.target
+    xi, x_shift = _exact_integers(x)
+    yi, y_shift = _exact_integers(y)
+    out = []
+    with mpmath.workdps(digits):
+        for split in splits:
+            if split is None:
+                out.append(None)
+                continue
+            train, test, _ = split
+            gram = mpmath.matrix((xi[train].T @ xi[train]).tolist())
+            moment = mpmath.matrix((xi[train].T @ yi[train]).tolist())
+            coef = mpmath.lu_solve(gram, moment)  # in units of 2**(y_shift - x_shift)
+            # coefficients as integers of about 200 bits, so that the test
+            # residual, (yi << scale) - xi @ ints in units of
+            # 2**(y_shift - scale), is again exact
+            scale = 200 - max((mpmath.mag(v) for v in coef if v), default=0)
+            ints = np.array([int(mpmath.nint(mpmath.ldexp(v, scale))) for v in coef],
+                            dtype=object)
+            res = [(int(v) << scale) for v in yi[test]] - xi[test] @ ints
+            unit = mpmath.ldexp(1, y_shift - scale)
+            mse = mpmath.mpf(int((res * res).sum())) * unit * unit / len(test)
+            ss_tot = 0.0
+            if not constant_columns(y[test]):
+                ss_tot = float(((y[test] - y[test].mean()) ** 2).sum())
+            metrics = (float(mpmath.mpf(int(np.abs(res).sum())) * unit / len(test)),
+                       float(mse), float(mpmath.sqrt(mse)),
+                       float(1 - mse * len(test) / ss_tot) if ss_tot > 0.0 else 0.0)
+            out.append((metrics, float(np.linalg.cond(x[train])), ss_tot))
+    return out

@@ -1,5 +1,7 @@
 """Monte Carlo cross-validation, correlation graph, named model fits."""
 
+import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,11 +18,12 @@ from varsel import (
     make_dataset,
     monte_carlo_cv,
 )
-from varsel import validation
+from varsel import linmodel, validation
 from varsel.data import run_rng
 
-from conftest import awkward_tables, random_instance
-from oracles import loop_correlation_graph, loop_monte_carlo_cv
+from conftest import awkward_tables, near_duplicate_table, random_instance
+from oracles import (cv_report_of, exact_cv_runs, loop_correlation_graph,
+                     loop_monte_carlo_cv)
 
 
 def cv_outcome(cv, dataset, subset, train_fraction, runs, seed):
@@ -32,21 +35,87 @@ def cv_outcome(cv, dataset, subset, train_fraction, runs, seed):
         return type(exc), str(exc)
 
 
-def block_runs(dataset, train_fraction, entries):
+def block_runs(dataset, subset, train_fraction, entries):
     """Run counts about the block size ``monte_carlo_cv`` takes for this
-    table when each block buffer holds ``entries`` entries."""
+    table and subset when its block buffers hold ``entries`` entries."""
     n_test = dataset.n_rows - int(np.floor(train_fraction * dataset.n_rows))
-    block = max(1, entries // n_test)
+    block = max(1, entries // (n_test * (subset.m + 3)))
     return sorted({1, max(1, block - 1), block, block + 1, 2 * block + 3})
 
 
 def assert_cv_matches_the_per_split_loop(dataset, subset, train_fraction, seed,
                                          entries):
-    with mock.patch.object(validation, "CV_BLOCK_ENTRIES", entries):
-        for runs in block_runs(dataset, train_fraction, entries):
+    """With the certificate switched off (an infinite cap certifies no
+    design), every split is fitted by the SVD rule: the report equals the
+    loop's byte for byte."""
+    with mock.patch.object(validation, "CV_BLOCK_ENTRIES", entries), \
+            mock.patch.object(linmodel, "CERTIFIED_RATIO_CAP", math.inf):
+        for runs in block_runs(dataset, subset, train_fraction, entries):
             args = (dataset, subset, train_fraction, runs, seed)
             assert cv_outcome(monte_carlo_cv, *args) == cv_outcome(
                 loop_monte_carlo_cv, *args)
+
+
+# Each kept split's test residuals are held within CV_BOUND * eps * cond(X_S)
+# * ||y|| of the exact ones: eps times the train design's condition number
+# and the target's scale, not the residual's (a constant target leaves
+# residuals near 1e-17).  On 3000 hypothesis draws of ``mixed_cases`` both
+# the SVD loop and the downdate stayed within 1.7 of that unit of a 50-digit
+# solve; the largest seen anywhere was the loop's 4.8, at cond 1e5.
+CV_BOUND = 64
+CV_FLOATS = ("mean_mae", "mean_mse", "mean_rmse", "mean_r2", "std_mae",
+             "std_mse", "std_rmse", "std_r2", "min_rmse", "max_rmse")
+
+
+def cv_float_tolerances(dataset, train_fraction, exact):
+    """The bound on each report float, from the per-split bound ``delta`` on
+    the test residuals of the kept splits of ``exact_cv_runs``: MAE and RMSE
+    move by at most delta, MSE by delta (2 RMSE + delta), R-squared by that
+    times n_test / SS_tot (by nothing for a constant test target, scored 0).
+    A mean, a standard deviation (a seminorm), a minimum or a maximum of
+    per-split values moves by at most the largest per-split move; 4 eps of
+    the largest per-split value cover the rounding of the aggregation."""
+    eps = np.finfo(float).eps
+    n_test = dataset.n_rows - int(np.floor(train_fraction * dataset.n_rows))
+    metrics = np.array([m for m, _, _ in exact])
+    delta = np.array([CV_BOUND * eps * cond for _, cond, _ in exact]) * float(
+        np.linalg.norm(dataset.target))
+    ss_tot = np.array([ss for _, _, ss in exact])
+    mse = delta * (2.0 * metrics[:, 2] + delta)
+    r2 = np.divide(mse * n_test, ss_tot, out=np.zeros_like(mse), where=ss_tot > 0)
+    moves = np.column_stack([delta, mse, delta, r2]).max(axis=0)
+    moves += 4 * eps * np.abs(metrics).max(axis=0)
+    by_metric = dict(zip(("mae", "mse", "rmse", "r2"), moves))
+    return {name: by_metric[name.split("_")[1]] for name in CV_FLOATS}
+
+
+def assert_cv_within_the_bound(dataset, subset, train_fraction, seed,
+                               run_counts=(16,)):
+    """As shipped: the split each run keeps, the runs skipped and every
+    error equal the SVD loop's, and each float lies within its bound of the
+    loop's, as the loop's does of a 50-digit solve of the same splits (runs
+    are keyed by their index, so the first ``runs`` of one exact solve
+    serve every run count)."""
+    exact_runs = None
+    for runs in run_counts:
+        args = (dataset, subset, train_fraction, runs, seed)
+        want = cv_outcome(loop_monte_carlo_cv, *args)
+        if isinstance(want, tuple):
+            assert cv_outcome(monte_carlo_cv, *args) == want
+            continue
+        if exact_runs is None:
+            exact_runs = exact_cv_runs(dataset, subset, train_fraction,
+                                       max(run_counts), seed)
+        got, want = monte_carlo_cv(*args), loop_monte_carlo_cv(*args)
+        exact = cv_report_of([e and e[0] for e in exact_runs[:runs]], subset,
+                             train_fraction, seed)
+        tolerances = cv_float_tolerances(
+            dataset, train_fraction, [e for e in exact_runs[:runs] if e])
+        floats = dict.fromkeys(CV_FLOATS, 0.0)
+        assert replace(got, **floats) == replace(want, **floats)
+        for name, tol in tolerances.items():
+            g, w, x = (getattr(r, name) for r in (got, want, exact))
+            assert abs(g - w) <= tol and abs(w - x) <= tol, (name, g, w, x, tol)
 
 
 def degenerate_split_dataset():
@@ -58,6 +127,37 @@ def degenerate_split_dataset():
     x1 = np.zeros(n)
     x1[0] = 1.0
     return make_dataset(np.column_stack([x1, x2]), x2 + 0.1 * rng.normal(size=n))
+
+
+@st.composite
+def mixed_cases(draw):
+    """A table and subset on which, within one block, some CV splits are
+    downdated and others fall back to the SVD rule: Gaussian columns plus a
+    column nonzero in only 1-4 rows, alone or as the difference of a
+    near-duplicate pair, every column in the subset, and a constant or
+    noisy linear target; or an ``awkward_tables`` draw and a drawn subset."""
+    if draw(st.booleans()):
+        dataset = draw(awkward_tables())
+        r = dataset.n_features
+        return dataset, FeatureSubset(draw(st.lists(
+            st.integers(1, r), unique=True, min_size=1, max_size=min(r, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 40))
+    columns = [rng.normal(size=n) for _ in range(draw(st.integers(1, 3)))]
+    rows = rng.choice(n, size=draw(st.integers(1, 4)), replace=False)
+    sparse = np.zeros(n)
+    sparse[rows] = rng.normal(size=len(rows))
+    if draw(st.booleans()):
+        columns.append(sparse)
+    else:
+        exponent = draw(st.floats(-6.0, -2.0))
+        columns += [columns[0].copy(), columns[0] + 10.0**exponent * sparse]
+    x = np.column_stack(columns)
+    if draw(st.booleans()):
+        y = np.full(n, draw(st.sampled_from([0.0, 0.1, 3.7])))
+    else:
+        y = x @ rng.normal(size=x.shape[1]) + 0.5 * rng.normal(size=n)
+    return make_dataset(x, y), FeatureSubset(tuple(range(1, x.shape[1] + 1)))
 
 
 def linear_dataset(seed=15, n=30, r=3, noise=0.3):
@@ -173,11 +273,58 @@ class TestMonteCarloCv:
         assert_cv_matches_the_per_split_loop(ds, FeatureSubset((1, 2, 3)), 0.8, 1, 40)
 
     def test_full_size_blocks_match_the_per_split_loop(self):
-        # the module's own block size: 43 splits a block at 1500 test rows
+        # the module's own block size: 10 splits a block at 1500 test rows
+        # and 6 design columns
         x, y, support = random_instance(8, 3000, 12, sparse=5)
         ds = make_dataset(x, y)
         assert_cv_matches_the_per_split_loop(ds, FeatureSubset(support), 0.5, 7,
                                              validation.CV_BLOCK_ENTRIES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_cases(), train_fraction=st.sampled_from([0.5, 0.7, 0.8]),
+           seed=st.integers(0, 2**16))
+    def test_mixed_blocks_keep_the_loops_splits_within_the_bound(
+            self, case, train_fraction, seed):
+        dataset, subset = case
+        assert_cv_within_the_bound(dataset, subset, train_fraction, seed)
+
+    def test_one_block_mixes_downdated_and_svd_splits(self):
+        fallback = mock.Mock(wraps=validation._split_by_svd)
+        with mock.patch.object(validation, "_split_by_svd", fallback):
+            report = monte_carlo_cv(degenerate_split_dataset(), FeatureSubset((1, 2)),
+                                    train_fraction=0.7, runs=60, seed=4)
+        # all 60 runs in one block: 4 test rows of 3 design columns
+        assert validation.CV_BLOCK_ENTRIES // (4 * (3 + 2)) >= 60
+        assert report.skipped == 10
+        assert 10 < fallback.call_count < 60
+
+    def test_an_uncertified_design_sends_every_split_to_the_svd_rule(self):
+        # the near-rank-deficient pair: _factor does not certify the design
+        ds = near_duplicate_table(3, 1e-9)
+        fallback = mock.Mock(wraps=validation._split_by_svd)
+        with mock.patch.object(validation, "_split_by_svd", fallback):
+            got = monte_carlo_cv(ds, FeatureSubset((1, 2, 3)), runs=30, seed=2)
+        assert fallback.call_count == 30
+        assert got == loop_monte_carlo_cv(ds, FeatureSubset((1, 2, 3)), runs=30, seed=2)
+
+    @pytest.mark.parametrize("train_fraction", [0.5, 0.7, 0.8])
+    def test_resampled_and_skipped_splits_within_the_bound(self, train_fraction):
+        assert_cv_within_the_bound(degenerate_split_dataset(), FeatureSubset((1, 2)),
+                                   train_fraction, 4, (1, 7, 60))
+
+    @pytest.mark.parametrize("value", [0.1, 0.0, 3.7])
+    def test_constant_target_within_the_bound(self, value):
+        x = np.random.default_rng(0).normal(size=(60, 5))
+        ds = make_dataset(x, np.full(60, value))
+        assert_cv_within_the_bound(ds, FeatureSubset((1, 2, 3)), 0.8, 1, (1, 20))
+
+    def test_full_size_blocks_within_the_bound(self):
+        x, y, support = random_instance(8, 3000, 12, sparse=5)
+        ds = make_dataset(x, y)
+        subset = FeatureSubset(tuple(support))
+        assert_cv_within_the_bound(
+            ds, subset, 0.5, 7,
+            block_runs(ds, subset, 0.5, validation.CV_BLOCK_ENTRIES))
 
     def test_invalid_parameters_rejected(self):
         ds = linear_dataset()
