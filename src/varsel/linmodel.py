@@ -6,7 +6,7 @@ columns and conditioning matters.
 
 * The SVD rule.  ``full_rank_lstsq`` is the one rank rule, and the only
   ``lstsq`` call: ``fit_least_squares`` / ``subset_cost``, every CV train
-  split the pool factor does not certify and every fit it leaves
+  split the factor does not certify and every fit it leaves
   undecided (``_svd_costs``, +inf when rank-deficient) solve through it.
   A design is rank-deficient when ``sigma_min <= RANK_RCOND *
   sigma_max``; it then raises ``RankDeficiencyError`` instead of being
@@ -14,14 +14,17 @@ columns and conditioning matters.
   subsets deterministically.  (The
   backward rankings also set aside columns by a stricter Gram-Schmidt cut,
   ``ranking._usable_features``, before they fit anything.)
-* One pool factor.  ``_factor`` takes one economic QR of a set of columns,
-  ``[1, X_pool] = Q A``, and a bound says whether the design's condition
-  is certified far inside the SVD rule (``CERTIFIED_RATIO_CAP``).  It
-  answers the three questions of the greedy rankings, search and sampling.
-  Drop (``removal_maes``: every removal from the dual basis ``Q A^-T``) and
-  test (``ranking.coefficient_pvalues``: every t statistic from b, r and
-  ``diag((X^T X)^-1)``) read the fit of a certified factor,
-  ``pool_factor``, and send any other pool to the SVD rule.  Add
+* One factor.  ``_factor`` takes one economic QR of a set of columns,
+  ``[1, X_pool] = Q A``, and returns it as a ``Factor``: with the target's
+  projection ``Q^T y`` and residual, and with ``A^-1`` when a bound
+  certifies the design's condition far inside the SVD rule
+  (``CERTIFIED_RATIO_CAP``).  ``_project_out``, two Gram-Schmidt passes,
+  projects the target here, the candidates of add and the columns of
+  ``ranking._usable_features``.  The factor answers the three questions
+  of the greedy rankings, search and sampling.  Drop (``removal_maes``: every removal
+  from the dual basis ``Q A^-T``) and test (``ranking.coefficient_pvalues``:
+  every t statistic from b, r and ``diag((X^T X)^-1)``) read the fit of a
+  certified factor and send any other pool to the SVD rule.  Add
   (``neighbour_costs``) reads the factor certified or not: every candidate
   is projected onto the complement of Q at once, and each candidate design
   is decided by the certificate or by the singular values of its small
@@ -29,9 +32,8 @@ columns and conditioning matters.
   A full-rank candidate's residual is a rank-one update, a rank-deficient
   one's cost +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND``
   goes to the SVD rule.  CV (``validation.monte_carlo_cv``) fits each
-  train split from the factor of the whole design by downdating its test
-  rows, and sends every split the factor does not certify to the SVD
-  rule.
+  train split of a certified design from its factor by downdating its
+  test rows, and sends every other split to the SVD rule.
 
 ``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
 R-squared of every ``fit_least_squares`` fit and every CV test split
@@ -73,10 +75,6 @@ class DesignMatrix:
 
     values: np.ndarray
     subset: FeatureSubset
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -216,14 +214,29 @@ def _svd_costs(dataset: Dataset, subsets, p=1.0, alpha=1.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PoolFactor:
-    """One certified economic QR ``[1, X_pool] = Q A`` and the fit it
-    gives, in design-column order (intercept first)."""
+class Factor:
+    """One economic QR ``[1, X_pool] = Q A`` of a set of columns, its
+    certificate and the target's projection, in design-column order
+    (intercept first).
+
+    ``a_inv`` is ``A^-1`` when ``1 / ||A^-1||_F``, a lower bound on the
+    design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
+    ``||[1, X_pool]||_F``, an upper bound on its sigma_max; otherwise it is
+    None and ``a_inv_norm`` is +inf.  ``coefficients`` and
+    ``gram_inv_diag`` need a certified factor."""
 
     q: np.ndarray  # N x (M+1), orthonormal columns
-    a_inv: np.ndarray  # A^-1
-    coefficients: np.ndarray  # b = A^-1 Q^T y
-    residuals: np.ndarray  # r = y - X b
+    a: np.ndarray  # upper triangular
+    design_norm2: float  # ||[1, X_pool]||_F^2
+    a_inv: np.ndarray | None
+    a_inv_norm: float  # ||A^-1||_F
+    qty: np.ndarray  # Q^T y
+    residuals: np.ndarray  # r = y - Q Q^T y
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """``b = A^-1 Q^T y``."""
+        return self.a_inv @ self.qty
 
     @property
     def gram_inv_diag(self) -> np.ndarray:
@@ -231,51 +244,38 @@ class PoolFactor:
         return np.einsum("ij,ij->i", self.a_inv, self.a_inv)
 
 
-def _factor(dataset: Dataset, indices: tuple[int, ...]
-            ) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, float] | None]:
-    """The economic QR ``[1, X_pool] = Q A`` behind ``pool_factor`` and
-    ``neighbour_costs``: ``(Q, A, ||[1, X_pool]||_F^2, inverse)``, where
-    ``inverse`` is ``(A^-1, ||A^-1||_F)`` when ``1 / ||A^-1||_F``, a lower
-    bound on the design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
-    ``||[1, X_pool]||_F``, an upper bound on its sigma_max, and None when
-    it does not."""
+def _project_out(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Project ``r`` (a vector, or one vector a row) onto the complement of
+    Q's columns in place, by two Gram-Schmidt passes; returns ``Q^T r``."""
+    c = r @ q
+    r -= c @ q.T
+    c2 = r @ q  # one reorthogonalization pass
+    r -= c2 @ q.T
+    c += c2
+    return c
+
+
+def _factor(dataset: Dataset, indices: tuple[int, ...]) -> Factor:
+    """The ``Factor`` of the design on ``indices``."""
     x = build_design_matrix(dataset, FeatureSubset(tuple(indices))).values
     q, a = np.linalg.qr(x)
     design_norm2 = float(np.einsum("ij,ij->", x, x))
     design_norm = math.sqrt(design_norm2)
+    residuals = dataset.target.copy()
+    qty = _project_out(q, residuals)
+    residuals.setflags(write=False)
+    a_inv, a_inv_norm = None, math.inf
     # sigma_min(A) <= min |diag(A)| for triangular A, so a tiny diagonal
     # fails the bound for certain; checking it first also keeps the inverse
     # away from an exactly singular factor.  ``inv``, not a triangular
     # solve: the same cost single-threaded, and far cheaper than a
     # multithreaded BLAS triangular solve on small factors.
-    if np.abs(np.diag(a)).min() <= CERTIFIED_RATIO_CAP * design_norm:
-        return q, a, design_norm2, None
-    a_inv = np.linalg.inv(a)
-    a_inv_norm = float(np.linalg.norm(a_inv))
-    if a_inv_norm * design_norm * CERTIFIED_RATIO_CAP >= 1.0:
-        return q, a, design_norm2, None
-    return q, a, design_norm2, (a_inv, a_inv_norm)
-
-
-def _project_out(q: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q^T y, y - Q Q^T y)`` by two Gram-Schmidt passes."""
-    c = q.T @ y
-    r = y - q @ c
-    c2 = q.T @ r  # one reorthogonalization pass
-    r -= q @ c2
-    c += c2
-    return c, r
-
-
-def pool_factor(dataset: Dataset, indices: tuple[int, ...]) -> PoolFactor | None:
-    """The least-squares fit on ``indices`` from one economic QR
-    ``[1, X_pool] = Q A``; None unless ``_factor`` certifies it."""
-    q, _, _, inverse = _factor(dataset, indices)
-    if inverse is None:
-        return None
-    a_inv = inverse[0]
-    c, r = _project_out(q, dataset.target)
-    return PoolFactor(q, a_inv, a_inv @ c, r)
+    if np.abs(np.diag(a)).min() > CERTIFIED_RATIO_CAP * design_norm:
+        inverse = np.linalg.inv(a)
+        norm = float(np.linalg.norm(inverse))
+        if norm * design_norm * CERTIFIED_RATIO_CAP < 1.0:
+            a_inv, a_inv_norm = inverse, norm
+    return Factor(q, a, design_norm2, a_inv, a_inv_norm, qty, residuals)
 
 
 def _rank_one_update(z: np.ndarray, zeta: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -322,30 +322,26 @@ def _neighbour_residuals(
     if not n_candidates:
         empty = np.zeros(0, dtype=bool)
         return empty, empty, empty, np.empty((0, dataset.n_rows))
-    q, a, design_norm2, inverse = _factor(dataset, fixed)
-    r0 = _project_out(q, dataset.target)[1]
+    factor = _factor(dataset, fixed)
+    r0 = factor.residuals
 
     # One row per candidate, so each residual is summed contiguously.
     z = dataset.features.T[np.asarray(candidates) - 1]
     col_norm2 = np.einsum("ij,ij->i", z, z)
-    c = z @ q
-    z -= c @ q.T
-    c2 = z @ q  # one reorthogonalization pass
-    z -= c2 @ q.T
-    c += c2
+    c = _project_out(factor.q, z)
     zeta = np.sqrt(np.einsum("ij,ij->i", z, z))
-    if inverse is None:
+    if factor.a_inv is None:
         certified = np.zeros(n_candidates, dtype=bool)
     else:
         c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
-        sigma_min_lb = zeta / (inverse[1] * (zeta + c_norm) + 1.0)
-        sigma_max_ub = np.sqrt(design_norm2 + col_norm2)
+        sigma_min_lb = zeta / (factor.a_inv_norm * (zeta + c_norm) + 1.0)
+        sigma_max_ub = np.sqrt(factor.design_norm2 + col_norm2)
         certified = sigma_min_lb > CERTIFIED_RATIO_CAP * sigma_max_ub
         if certified.all():
             return certified, certified, ~certified, _rank_one_update(z, zeta, r0)
 
     rest = np.flatnonzero(~certified)
-    ratios = _small_factor_ratios(a, c[rest], zeta[rest])
+    ratios = _small_factor_ratios(factor.a, c[rest], zeta[rest])
     singular = np.zeros(n_candidates, dtype=bool)
     singular[rest[ratios <= RANK_RCOND / RANK_BAND]] = True
     updated = certified.copy()
@@ -451,8 +447,8 @@ def removal_maes(dataset: Dataset, pool) -> np.ndarray:
     one SVD fit per removal.
     """
     pool = tuple(int(k) for k in pool)
-    factor = pool_factor(dataset, pool)
-    if factor is None:
+    factor = _factor(dataset, pool)
+    if factor.a_inv is None:
         rests = [pool[:i] + pool[i + 1:] for i in range(len(pool))]
         return _svd_costs(dataset, rests) / dataset.n_rows
     step = factor.coefficients[1:] / factor.gram_inv_diag[1:]

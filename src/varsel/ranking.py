@@ -28,14 +28,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
-from .linmodel import (
-    build_design_matrix,
-    fit_least_squares,
-    fit_subset,
-    neighbour_costs,
-    pool_factor,
-    removal_maes,
-)
+from .linmodel import _factor, _project_out, fit_subset, neighbour_costs, removal_maes
 
 RHO_TIE = 1e-10
 
@@ -125,10 +118,9 @@ def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
     basis = np.ones((n, 1)) / math.sqrt(n)
     usable, dropped = [], []
     for k in range(1, dataset.n_features + 1):
-        x = dataset.features[:, k - 1]
-        scale = np.linalg.norm(x)
-        resid = x - basis @ (basis.T @ x)
-        resid -= basis @ (basis.T @ resid)  # one reorthogonalization pass
+        resid = dataset.features[:, k - 1].copy()
+        scale = np.linalg.norm(resid)
+        _project_out(basis, resid)
         norm = np.linalg.norm(resid)
         # Cutoff sits well above the solver's singular-value threshold so a
         # kept column can never trip the rank check downstream.
@@ -238,25 +230,24 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
     ``indices`` (intercept excluded).
 
     Standard errors come from sigma^2 * diag((X^T X)^-1) with the unbiased
-    sigma^2 = SS_res / (N - M - 1).  A certified pool reads the fit and the
-    diagonal from its ``pool_factor``; any other pool is fitted by the SVD
-    rule, which decides rank deficiency, and its diagonal comes from a
-    triangular solve on the QR factor.  A zero standard error gives p = 0
-    for a nonzero coefficient and p = 1 for a zero one.
+    sigma^2 = SS_res / (N - M - 1).  Both come from the design's
+    ``linmodel._factor``: a certified factor gives the fit and the diagonal
+    directly; any other pool is fitted by the SVD rule, which decides rank
+    deficiency, and its diagonal comes from a triangular solve on the
+    factor's A.  A zero standard error gives p = 0 for a nonzero
+    coefficient and p = 1 for a zero one.
     """
-    factor = pool_factor(dataset, indices)
-    if factor is not None:
+    factor = _factor(dataset, indices)
+    if factor.a_inv is not None:
         coefs, residuals = factor.coefficients[1:], factor.residuals
         gram_inv_diag = factor.gram_inv_diag
     else:
-        design = build_design_matrix(dataset, FeatureSubset(indices))
-        fit = fit_least_squares(design, dataset.target)
+        fit = fit_subset(dataset, FeatureSubset(indices))
         coefs, residuals = fit.coefficients, fit.residuals
         # LU leaves a triangular factor as it is, so ``solve`` is the
         # triangular back substitution
-        r_inv = np.linalg.solve(np.linalg.qr(design.values, mode="r"),
-                                np.eye(design.n_columns))
-        gram_inv_diag = (r_inv**2).sum(axis=1)
+        a_inv = np.linalg.solve(factor.a, np.eye(len(factor.a)))
+        gram_inv_diag = (a_inv**2).sum(axis=1)
     n, p = dataset.n_rows, len(indices) + 1
     dof = n - p
     if dof < 1:

@@ -3,13 +3,13 @@
 ``monte_carlo_cv`` fits every CV train split from one economic QR of the
 subset's whole design, by downdating the split's test rows, a block of
 splits at a time: one gather of the test rows of Q, stacked products, one
-stacked ``eigvalsh`` and one stacked ``solve``.  A bound on each split's
-smallest eigenvalue certifies it full-rank under the SVD rule, and any
-split it does not certify is fitted by that rule, one ``lstsq`` as
-before.  The test splits are scored by ``linmodel.error_metrics``, as
-every in-sample fit is, one stacked call a block; the block buffers (test
-rows of Q, test residuals, test targets) hold ``CV_BLOCK_ENTRIES``
-entries together."""
+stacked ``eigvalsh`` and one stacked ``solve``.  The design's certificate
+(``linmodel.Factor``) and a floor on each split's smallest eigenvalue
+certify the split full-rank under the SVD rule, and any other split is
+fitted by that rule, one ``lstsq`` as before.  The test splits are scored
+by ``linmodel.error_metrics``, as every in-sample fit is, one stacked call
+a block; the block buffers (test rows of Q, test residuals, test targets)
+hold ``CV_BLOCK_ENTRIES`` entries together."""
 
 from __future__ import annotations
 
@@ -21,9 +21,8 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
 from .errors import ConfigError, RankDeficiencyError
-from .linmodel import (CERTIFIED_RATIO_CAP, FitResult, _factor, _project_out,
-                       build_design_matrix, error_metrics, fit_subset,
-                       full_rank_lstsq)
+from .linmodel import (FitResult, _factor, build_design_matrix, error_metrics,
+                       fit_subset, full_rank_lstsq)
 
 # Entries of CV's three block buffers together (the test rows of Q, test
 # residuals, test targets): 1 MiB, 53 splits a block at 243 test rows and 8
@@ -32,8 +31,8 @@ CV_BLOCK_ENTRIES = 1 << 17
 
 # Least eigenvalue of a split's ``M = Q_S^T Q_S`` below which
 # ``monte_carlo_cv`` fits the split by the SVD rule rather than downdating
-# it: the downdate solves with M, so its error grows as 1 / lambda_min(M)
-# (see there).
+# it: the downdate solves with M, so its error grows as 1 / lambda_min(M),
+# and above it a certified design's split is full-rank (see there).
 DOWNDATE_EIGENVALUE_FLOOR = 0.1
 
 
@@ -72,16 +71,17 @@ def check_cv_settings(train_fraction: float, runs: int) -> None:
         raise ConfigError("runs must be >= 1")
 
 
-def _downdated_residuals(q, r, tests, floor, residuals, qt):
-    """Certify and fit the train split of every row of ``tests`` from the
-    QR ``[1, X] = Q A`` of the whole design, as ``monte_carlo_cv``
-    describes: row i of ``residuals`` takes the test residual of split i
-    where the returned mask is True and is left undefined elsewhere.
+def _downdated_residuals(q, r, tests, residuals, qt):
+    """Fit the train split of every row of ``tests`` from the certified QR
+    ``[1, X] = Q A`` of the whole design and its residual ``r``, as
+    ``monte_carlo_cv`` describes: row i of ``residuals`` takes the test
+    residual of split i where the returned mask (``lambda_min(M)`` above
+    ``DOWNDATE_EIGENVALUE_FLOOR``) is True and is left undefined elsewhere.
     ``qt`` is the buffer ``Q[tests]`` is gathered into."""
     qt = np.take(q, tests, axis=0, out=qt)
     qtt = qt.transpose(0, 2, 1)
     m = np.eye(q.shape[1]) - qtt @ qt
-    certified = np.linalg.eigvalsh(m)[:, 0] > floor
+    certified = np.linalg.eigvalsh(m)[:, 0] > DOWNDATE_EIGENVALUE_FLOOR
     m[~certified] = np.eye(q.shape[1])  # rows left undefined, solved harmlessly
     rt = np.take(r, tests, out=residuals)
     rt += (qt @ np.linalg.solve(m, qtt @ rt[..., None]))[..., 0]
@@ -135,37 +135,35 @@ def monte_carlo_cv(
     stacked ``solve``.
 
     The SVD rule stays the only rank rule; the downdate only fits splits
-    it would certainly call full-rank.  ``sigma_min(X_S) >= sigma_min(Q_S)
-    sigma_min(A) >= sqrt(lambda_min(M)) / ||A^-1||_F`` and
-    ``sigma_max(X_S) <= ||X_S||_F <= ||X||_F``, so a split whose
-    ``lambda_min(M)`` exceeds ``(CERTIFIED_RATIO_CAP ||X||_F
-    ||A^-1||_F)^2`` has ``sigma_min / sigma_max > CERTIFIED_RATIO_CAP``
-    = 1e-6, four orders above ``RANK_RCOND``.  The computed
-    ``lambda_min(M)`` is off by the rounding of G (dots of n_test terms
-    of Q's unit columns: at most about ``n_test p eps`` in norm), by Q's
-    departure from orthonormality and by ``eigvalsh``'s own error (small
-    multiples of eps), and ``N p eps`` is subtracted from it to cover all
-    three before the comparison.  The QR's own backward error,
-    ``eps ||X||``, moves the ratio by a multiple of eps, far below the
-    cap.
+    it would certainly call full-rank.  A split is downdated iff
+    ``_factor`` certifies the design (``||A^-1||_F ||X||_F <
+    1 / CERTIFIED_RATIO_CAP``) and ``lambda_min(M)`` exceeds
+    ``DOWNDATE_EIGENVALUE_FLOOR`` = 0.1.  Since ``X_S = Q_S A``,
+    ``sigma_min(X_S) >= sigma_min(Q_S) sigma_min(A) >= sqrt(lambda_min(M))
+    / ||A^-1||_F``, and ``sigma_max(X_S) <= ||X_S||_F <= ||X||_F``, so
+    such a split has ``sigma_min / sigma_max > sqrt(0.1)
+    CERTIFIED_RATIO_CAP``, about 3.2e-7: 3000 times ``RANK_RCOND``.  The
+    computed ``lambda_min(M)`` is off by the rounding of G (dots of n_test
+    terms of Q's unit columns), by Q's departure from orthonormality and
+    by ``eigvalsh``'s own error, about 1e-12 together, and the QR's own
+    backward error, ``eps ||X||``, moves the ratio by a multiple of eps;
+    both are far inside that margin.
 
-    A downdated split must also be fitted as accurately as the SVD fit.
-    M is formed as ``I - G``, with an error of about ``n_test eps``, and
-    the solve with it magnifies that by up to ``1 / lambda_min(M)``, so a
-    split is downdated only when ``lambda_min(M)`` also exceeds
-    ``DOWNDATE_EIGENVALUE_FLOOR`` = 0.1.  The mean eigenvalue of M is
-    about ``n_train / N``, so at the default 0.8 every ordinary split
-    clears it, while at a train fraction of 0.1 or less nearly every split
-    goes to the SVD rule.  At that floor the downdated test residuals were as
-    close to a 50-digit solve as the SVD fit's (``tests/test_validation``
-    holds both within ``64 eps cond(X_S) ||y||``).
+    The floor also keeps the downdate as accurate as the SVD fit.  M is
+    formed as ``I - G``, with an error of about ``n_test eps``, and the
+    solve with it magnifies that by up to ``1 / lambda_min(M)``.  The mean
+    eigenvalue of M is about ``n_train / N``, so at the default 0.8 every
+    ordinary split clears the floor, while at a train fraction of 0.1 or
+    less nearly every split goes to the SVD rule.  At that floor the
+    downdated test residuals were as close to a 50-digit solve as the SVD
+    fit's (``tests/test_validation`` holds both within ``64 eps cond(X_S)
+    ||y||``).
 
-    Every split the two bounds do not certify, and every split when
-    ``_factor`` does not certify the design, is fitted by the SVD rule as
-    it always was: its run is redrawn from ``run_rng(seed, run)`` with
-    the same resample.  So kept and skipped runs and every error are
-    those of one ``full_rank_lstsq`` fit per split, and the downdated
-    splits' metrics differ from that fit's only in their last digits.
+    Every other split is fitted by the SVD rule as it always was: its run
+    is redrawn from ``run_rng(seed, run)`` with the same resample.  So kept
+    and skipped runs and every error are those of one ``full_rank_lstsq``
+    fit per split, and the downdated splits' metrics differ from that
+    fit's only in their last digits.
     """
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)
@@ -179,11 +177,7 @@ def monte_carlo_cv(
         raise ConfigError("test split is empty")
     x, y = build_design_matrix(dataset, subset).values, dataset.target
     n_test, width = n - n_train, subset.m + 1
-    q, _, design_norm2, inverse = _factor(dataset, subset.indices)
-    if inverse is not None:
-        r = _project_out(q, y)[1]
-        floor = max((CERTIFIED_RATIO_CAP * inverse[1]) ** 2 * design_norm2
-                    + n * width * np.finfo(float).eps, DOWNDATE_EIGENVALUE_FLOOR)
+    factor = _factor(dataset, subset.indices)
     block = min(runs, max(1, CV_BLOCK_ENTRIES // (n_test * (width + 2))))
     residuals, targets = np.empty((block, n_test)), np.empty((block, n_test))
     qt = np.empty((block, n_test, width))
@@ -191,11 +185,11 @@ def monte_carlo_cv(
     for start in range(0, runs, block):
         size = min(block, runs - start)
         fitted = np.zeros(size, dtype=bool)
-        if inverse is not None:
+        if factor.a_inv is not None:
             tests = np.array([run_rng(seed, run).permutation(n)[n_train:]
                               for run in range(start, start + size)])
-            fitted = _downdated_residuals(q, r, tests, floor, residuals[:size],
-                                          qt[:size])
+            fitted = _downdated_residuals(factor.q, factor.residuals, tests,
+                                          residuals[:size], qt[:size])
             np.take(y, tests, out=targets[:size])
         for i in np.flatnonzero(~fitted).tolist():
             split = _split_by_svd(x, y, n_train, subset, seed, start + i)

@@ -5,14 +5,16 @@ the greedy loops directly, so none of them shares code with the library
 paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
 fit, the hand-written backward loops the stepwise driver replaced, the
-order selection that refitted every ranking prefix, the per-feature and
-per-pair Pearson loops of RM5 and the correlation graph, and the p-values
-that fitted by SVD and took the standard errors from a second (scipy) QR,
-the ingest that parsed and checked each cell on its own, and the CV that
-fitted each split by SVD and scored it on its own, with the one-vector
-scorer; the library paths must reproduce them (CV: its discrete outcomes
-exactly, its floats within a stated bound).  ``exact_cv_runs`` refits
-that CV's splits in 50 digits, to hold both CVs to that bound.
+order selection that refitted every ranking prefix, the Gram-Schmidt
+scan that sets aside the columns the backward rankings cannot use, the
+per-feature and per-pair Pearson loops of RM5 and the correlation graph,
+and the p-values that fitted by SVD and took the standard errors from a
+second (scipy) QR, the ingest that parsed and checked each cell on its
+own, and the CV that fitted each split by SVD and scored it on its own,
+with the one-vector scorer; the library paths must reproduce them (CV:
+its discrete outcomes exactly, its floats within a stated bound).
+``exact_cv_runs`` refits that CV's splits in 50 digits, to hold both CVs
+to that bound.
 """
 
 import csv
@@ -41,7 +43,7 @@ from varsel import (
 from varsel.data import Dataset, constant_columns, normalize_columns, run_rng
 from varsel.ingest import _check_delimiter, _utf8_lines
 from varsel.linmodel import full_rank_lstsq
-from varsel.ranking import _finish, _usable_features
+from varsel.ranking import _finish
 from varsel.search import random_subset
 from varsel.validation import check_cv_settings
 
@@ -205,9 +207,31 @@ def _candidate_mae(dataset, indices):
         return None
 
 
+def loop_usable_features(dataset):
+    """The former ``ranking._usable_features``: a Gram-Schmidt scan in
+    ascending index order over a basis widened by ``np.hstack``, its two
+    projection passes written out; a column is kept iff its component
+    orthogonal to the basis exceeds 1e-8 of its norm."""
+    n = dataset.n_rows
+    basis = np.ones((n, 1)) / math.sqrt(n)
+    usable, dropped = [], []
+    for k in range(1, dataset.n_features + 1):
+        x = dataset.features[:, k - 1]
+        scale = np.linalg.norm(x)
+        resid = x - basis @ (basis.T @ x)
+        resid -= basis @ (basis.T @ resid)  # one reorthogonalization pass
+        norm = np.linalg.norm(resid)
+        if scale == 0.0 or norm <= 1e-8 * scale:
+            dropped.append(k)
+        else:
+            basis = np.hstack([basis, (resid / norm)[:, None]])
+            usable.append(k)
+    return usable, dropped
+
+
 def loop_backward_elimination(dataset):
     """The old RM2 loop: one SVD fit per removal candidate."""
-    usable, dropped = _usable_features(dataset)
+    usable, dropped = loop_usable_features(dataset)
     removals = []
     current = list(usable)
     while current:
@@ -228,7 +252,7 @@ def loop_backward_elimination(dataset):
 
 def loop_remove_max_error(dataset):
     """The old RM3 loop: one SVD fit per removal candidate."""
-    usable, dropped = _usable_features(dataset)
+    usable, dropped = loop_usable_features(dataset)
     removals = []
     current = list(usable)
     while current:
@@ -274,7 +298,7 @@ def loop_coefficient_pvalues(dataset, indices):
 
 def loop_pvalues(dataset, alpha_threshold=0.05):
     """The old p-value backward elimination loop."""
-    usable, dropped = _usable_features(dataset)
+    usable, dropped = loop_usable_features(dataset)
     removals = []
     current = list(usable)
     r = dataset.n_features

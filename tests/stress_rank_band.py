@@ -47,6 +47,7 @@ from varsel import (  # noqa: E402
 from varsel.linmodel import (  # noqa: E402
     _factor,
     _neighbour_residuals,
+    _project_out,
     _small_factor_ratios,
     full_rank_lstsq,
 )
@@ -57,14 +58,10 @@ FIXED_SETS = [(1,), (2,), (1, 2), (4, 1, 5)]
 def ratio_differences(dataset, fixed, candidates):
     """|small-factor ratio - gelsd ratio| for every candidate, the small
     factors projected as ``_neighbour_residuals`` projects them."""
-    q, a, _, _ = _factor(dataset, fixed)
+    factor = _factor(dataset, fixed)
     z = dataset.features.T[np.asarray(candidates) - 1]
-    c = z @ q
-    z -= c @ q.T
-    c2 = z @ q
-    z -= c2 @ q.T
-    c += c2
-    small = _small_factor_ratios(a, c, np.sqrt(np.einsum("ij,ij->i", z, z)))
+    c = _project_out(factor.q, z)
+    small = _small_factor_ratios(factor.a, c, np.sqrt(np.einsum("ij,ij->i", z, z)))
     full = []
     for k in candidates:
         design = build_design_matrix(dataset, FeatureSubset(fixed + (k,))).values

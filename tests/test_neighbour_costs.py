@@ -188,7 +188,7 @@ class TestKernelAgainstSvd:
         # (1, 2) fails the certificate at a residual ratio of 1e-9 but is
         # full-rank: every candidate takes the rank-one update
         ds = near_duplicate_table(4, 1e-9)
-        assert linmodel.pool_factor(ds, (1, 2)) is None
+        assert linmodel._factor(ds, (1, 2)).a_inv is None
         with count_calls("_small_factor_ratios") as small, \
                 count_calls("_svd_costs") as svd:
             certified, updated = assert_matches_svd(ds, (1, 2))

@@ -1,8 +1,9 @@
-"""The pool factor against the per-candidate paths it replaces: removal MAEs
-of RM2/RM3 against one SVD fit per removal, coefficient p-values against the
-former two-factor computation, and the unchanged fallback of a pool the
-bound does not certify; and its drop direction (``removal_maes``) against
-its add direction (``neighbour_costs``)."""
+"""The certified factor (``linmodel._factor``) against the per-candidate
+paths it replaces: removal MAEs of RM2/RM3 against one SVD fit per removal,
+coefficient p-values against the former two-factor computation, and the
+unchanged fallback of a pool the bound does not certify; and its drop
+direction (``removal_maes``) against its add direction
+(``neighbour_costs``)."""
 
 import math
 
@@ -26,8 +27,8 @@ from varsel import (
 )
 from varsel.linmodel import (
     CERTIFIED_RATIO_CAP,
+    _factor,
     _neighbour_residuals,
-    pool_factor,
     removal_maes,
 )
 
@@ -88,12 +89,12 @@ def assert_pool_matches(dataset, pool):
     sigma ratio exceeds the cap; an uncertified pool gives exactly the values
     and errors of those paths.  Returns whether the pool was certified."""
     pool = tuple(pool)
-    factor = pool_factor(dataset, pool)
+    factor = _factor(dataset, pool)
     got = removal_maes(dataset, pool)
     want = loop_removal_maes(dataset, pool)
     got_p = outcome(coefficient_pvalues, dataset, pool)
     want_p = outcome(loop_coefficient_pvalues, dataset, pool)
-    if factor is None:
+    if factor.a_inv is None:
         np.testing.assert_array_equal(got, want)
         if isinstance(want_p, type):
             assert got_p is want_p
@@ -113,7 +114,7 @@ def assert_pool_matches(dataset, pool):
     return True
 
 
-class TestPoolFactorAgainstLoops:
+class TestCertifiedFactorAgainstLoops:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), log_ratio=st.floats(-12.0, -4.0),
            pool=POOLS)
@@ -163,14 +164,14 @@ class TestPoolFactorAgainstLoops:
         pool = tuple(range(1, 30))
         diagonal = np.abs(np.diag(np.linalg.qr(design, mode="r")))
         assert diagonal.min() > 2e-3 * np.linalg.norm(design)
-        assert pool_factor(ds, pool) is None
+        assert _factor(ds, pool).a_inv is None
         assert not assert_pool_matches(ds, pool)
         assert np.isfinite(removal_maes(ds, pool)).all()
 
     def test_degrees_of_freedom_and_rank_errors_as_before(self):
         x, y, _ = random_instance(21, 7, 6)
         square = make_dataset(x, y)  # N = M + 1: a full-rank fit, no dof
-        assert pool_factor(square, tuple(range(1, 7))) is not None
+        assert _factor(square, tuple(range(1, 7))).a_inv is not None
         with pytest.raises(ConfigError):
             coefficient_pvalues(square, tuple(range(1, 7)))
         x[:, 5] = x[:, 4]
@@ -185,7 +186,7 @@ def assert_add_and_drop_agree(dataset, pool):
     without i and j plus i, within ``cost_tolerance``.  Returns how many of
     those additions the factor decided itself."""
     pool = tuple(pool)
-    if pool_factor(dataset, pool) is None:
+    if _factor(dataset, pool).a_inv is None:
         return 0
     dropped = dataset.n_rows * removal_maes(dataset, pool)
     decided = 0

@@ -25,14 +25,15 @@ from varsel import (
     rank_remove_max_error,
 )
 from varsel.data import unit_centered_columns
-from varsel.ranking import _stepwise
+from varsel.ranking import _stepwise, _usable_features
 
-from conftest import awkward_tables, random_instance
+from conftest import awkward_tables, near_duplicate_table, random_instance
 from oracles import (
     loop_backward_elimination,
     loop_correlation,
     loop_pvalues,
     loop_remove_max_error,
+    loop_usable_features,
     oracle_mae,
     oracle_rm1,
     oracle_rm2,
@@ -139,6 +140,38 @@ class TestStepwiseDriver:
             return [np.inf if k == 3 and len(pool) > 1 else 1.0 for k in pool]
         assert _stepwise([3, 1, 2], inf_for_3, largest=True) == [1, 2, 3]
         assert _stepwise([3, 1, 2], inf_for_3, largest=False) == [1, 2, 3]
+
+
+@st.composite
+def scan_tables(draw):
+    """Tables for the Gram-Schmidt scan: an ``awkward_tables`` draw, a
+    near-duplicate pair whose difference is within a factor 3 of the scan's
+    1e-8 cut, or Gaussian columns with some scaled by 1e-12."""
+    kind = draw(st.sampled_from(["awkward", "near", "scaled"]))
+    if kind == "awkward":
+        return draw(awkward_tables())
+    seed = draw(st.integers(0, 10_000))
+    if kind == "near":
+        return near_duplicate_table(seed, 10.0 ** draw(st.floats(-8.5, -7.5)))
+    x, y, _ = random_instance(seed, draw(st.integers(8, 30)), 6)
+    x[:, draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))] *= 1e-12
+    return make_dataset(x, y)
+
+
+class TestUsableFeatures:
+    @settings(max_examples=120, deadline=None)
+    @given(dataset=scan_tables())
+    def test_matches_the_former_scan(self, dataset):
+        assert _usable_features(dataset) == loop_usable_features(dataset)
+
+    @pytest.mark.parametrize("ratio,kept", [(0.95e-8, False), (1.05e-8, True),
+                                            (1.5e-8, True)])
+    def test_the_cut_at_1e_8_of_the_column_norm(self, ratio, kept):
+        # column 2's component orthogonal to [1, x1] is ``ratio`` of its norm
+        dataset = near_duplicate_table(1, ratio)
+        usable, dropped = _usable_features(dataset)
+        assert (usable, dropped) == loop_usable_features(dataset)
+        assert dropped == ([] if kept else [2])
 
 
 class TestCorrelation:

@@ -307,6 +307,34 @@ class TestMonteCarloCv:
         assert fallback.call_count == 30
         assert got == loop_monte_carlo_cv(ds, FeatureSubset((1, 2, 3)), runs=30, seed=2)
 
+    @pytest.mark.parametrize("seed,log_ratio,indices", [(0, -5.5, (1, 2)),
+                                                        (1, -5.4, (1, 2, 3))])
+    def test_certified_designs_downdate_every_split_above_the_floor(
+            self, seed, log_ratio, indices):
+        # a certified design with kappa_F = ||A^-1||_F ||X||_F in (3.2e5,
+        # 1e6): the former floor, (CERTIFIED_RATIO_CAP kappa_F)^2 plus
+        # N p eps, sent some splits above DOWNDATE_EIGENVALUE_FLOOR to the
+        # SVD rule; now only the design's certificate and that floor decide
+        ds, subset = near_duplicate_table(seed, 10.0**log_ratio), FeatureSubset(indices)
+        factor = linmodel._factor(ds, indices)
+        kappa = factor.a_inv_norm * math.sqrt(factor.design_norm2)
+        assert factor.a_inv is not None and 3.2e5 < kappa < 1e6
+        n, width = ds.n_rows, len(indices) + 1
+        former_floor = ((linmodel.CERTIFIED_RATIO_CAP * kappa) ** 2
+                        + n * width * np.finfo(float).eps)
+        lambda_min = []
+        for run in range(30):
+            q_test = factor.q[run_rng(2, run).permutation(n)[int(0.8 * n):]]
+            lambda_min.append(np.linalg.eigvalsh(np.eye(width) - q_test.T @ q_test)[0])
+        lambda_min = np.array(lambda_min)
+        fallback = mock.Mock(wraps=validation._split_by_svd)
+        with mock.patch.object(validation, "_split_by_svd", fallback):
+            monte_carlo_cv(ds, subset, 0.8, 30, 2)
+        floor = validation.DOWNDATE_EIGENVALUE_FLOOR
+        assert fallback.call_count == np.sum(lambda_min <= floor)
+        assert np.sum((lambda_min > floor) & (lambda_min <= former_floor)) > 0
+        assert_cv_within_the_bound(ds, subset, 0.8, 2, (30,))
+
     @pytest.mark.parametrize("train_fraction", [0.5, 0.7, 0.8])
     def test_resampled_and_skipped_splits_within_the_bound(self, train_fraction):
         assert_cv_within_the_bound(degenerate_split_dataset(), FeatureSubset((1, 2)),
