@@ -21,7 +21,8 @@ columns and conditioning matters.
   (``CERTIFIED_RATIO_CAP``).  ``_project_out``, two Gram-Schmidt passes,
   projects the target here, the candidates of add and the columns of
   ``ranking._usable_features``.  The factor answers the three questions
-  of the greedy rankings, search and sampling.  Drop (``removal_maes``: every removal
+  of the greedy rankings, search and sampling, and gives every ranking's
+  prefix curves.  Drop (``removal_maes``: every removal
   from the dual basis ``Q A^-T``) and test (``ranking.coefficient_pvalues``:
   every t statistic from b, r and ``diag((X^T X)^-1)``) read the fit of a
   certified factor and send any other pool to the SVD rule.  Add
@@ -33,12 +34,19 @@ columns and conditioning matters.
   one's cost +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND``
   goes to the SVD rule.  CV (``validation.monte_carlo_cv``) fits each
   train split of a certified design from its factor by downdating its
-  test rows, and sends every other split to the SVD rule.
+  test rows, and sends every other split to the SVD rule.  The prefix
+  curves (``ranking.error_curve``) read every prefix of a ranked order
+  from the one factor of the whole ordered design: prefix M's residual
+  is ``y - Q[:, :M+1] (Q^T y)[:M+1]``, and it is decided by the
+  certificate, which covers a leading run of prefixes, or by the singular
+  values of the leading block ``A[:M+1, :M+1]``, the SVD rule taking only
+  a ratio within ``RANK_BAND``.
 
 ``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
-R-squared of every ``fit_least_squares`` fit and every CV test split
-(``validation.monte_carlo_cv``, a stacked block of splits to a call), with
-one rule for a constant target.
+R-squared of every ``fit_least_squares`` fit, every CV test split
+(``validation.monte_carlo_cv``, a stacked block of splits to a call) and
+every prefix of an error curve (all of a ranking's prefixes in one call),
+with one rule for a constant target.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ constant target with every feature.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +29,18 @@ import numpy as np
 
 from .data import Dataset, FeatureSubset, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
-from .linmodel import _factor, _project_out, fit_subset, neighbour_costs, removal_maes
+from .linmodel import (
+    CERTIFIED_RATIO_CAP,
+    Factor,
+    RANK_BAND,
+    RANK_RCOND,
+    _factor,
+    _project_out,
+    error_metrics,
+    fit_subset,
+    neighbour_costs,
+    removal_maes,
+)
 
 RHO_TIE = 1e-10
 
@@ -79,6 +91,37 @@ class Ranking:
         return tuple((np.flatnonzero(np.isinf(self.mse_curve)) + 1).tolist())
 
 
+def _leading_run(flags: np.ndarray) -> int:
+    """The number of leading True entries of ``flags``."""
+    return int(np.argmin(np.append(flags, False)))
+
+
+def _prefix_decisions(factor: Factor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide the prefixes of the factor's design as ``error_curve``
+    describes.
+
+    Returns ``(ratios, full_rank, deficient)``: ``sigma_min / sigma_max`` of
+    each leading block ``A[:M+1, :M+1]``, M = 0..R, +inf on the leading run
+    the certificate covers, and masks of the prefixes that are full-rank
+    and of those that are rank-deficient.  The rest are left to the SVD
+    rule.
+    """
+    a = factor.a
+    n_certified = len(a)
+    if factor.a_inv is None:
+        design_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a, a)))
+        lead = _leading_run(np.abs(np.diag(a)) > CERTIFIED_RATIO_CAP * design_norm)
+        a_inv = np.linalg.inv(a[:lead, :lead])
+        inv_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a_inv, a_inv)))
+        n_certified = _leading_run(
+            inv_norm * design_norm[:lead] * CERTIFIED_RATIO_CAP < 1.0)
+    ratios = np.full(len(a), math.inf)
+    for m in range(n_certified, len(a)):
+        sv = np.linalg.svd(a[:m + 1, :m + 1], compute_uv=False)
+        ratios[m] = sv[-1] / sv[0]
+    return ratios, ratios > RANK_RCOND * RANK_BAND, ratios <= RANK_RCOND / RANK_BAND
+
+
 def error_curve(
     dataset: Dataset, order: tuple[int, ...] | list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,21 +130,55 @@ def error_curve(
     Entry M-1 holds the errors using the first M features.  At a
     rank-deficient prefix the MAE repeats the previous prefix's (the
     intercept-only MAE for M=1) and the MSE is +inf.
+
+    Every prefix is read from one ``linmodel._factor`` of the whole ordered
+    design, ``[1, x_o1, ..., x_oR] = Q A`` (Bjorck, *Numerical Methods for
+    Least Squares Problems*, 1996, 2.4; Golub & Van Loan 5.3).  Prefix M's
+    design is ``Q[:, :M+1] A_M`` with ``A_M = A[:M+1, :M+1]``, so its
+    residual is ``y - Q[:, :M+1] (Q^T y)[:M+1]``; all R + 1 residuals are
+    scored by one ``error_metrics`` call.  Each prefix is decided in one of
+    three ways, as ``linmodel.neighbour_costs`` decides a candidate.
+
+    * Certified.  ``A`` is upper triangular, so ``A_M^-1`` is the leading
+      block of ``A^-1`` (column j of ``A^-1`` is zero below row j), and
+      ``||A_M^-1||_F^2`` is the sum of the first M + 1 squared column norms
+      of ``A^-1``.  As ``sigma_min(X_M) >= 1 / ||A_M^-1||_F`` and
+      ``sigma_max(X_M) <= ||X_M||_F``, prefix M is full-rank under the SVD
+      rule, its ratio above ``CERTIFIED_RATIO_CAP``, when ``||A_M^-1||_F
+      ||X_M||_F CERTIFIED_RATIO_CAP < 1``.  Both norms grow with M, so a
+      certified factor (``factor.a_inv``) certifies every prefix with no
+      extra work, and otherwise the certified prefixes form a leading run.
+      That run lies within the leading block whose diagonal passes
+      ``|A_jj| > CERTIFIED_RATIO_CAP ||X_j||_F`` (as ``sigma_min(A_M) <=
+      min |diag(A_M)|``), the block that is inverted.  ``||X_M||_F`` is
+      read from A's column norms, which are X's up to rounding.
+    * By the leading block.  Every other prefix gets the singular values
+      of ``A_M``, which are the design's up to the Householder backward
+      error (the argument for ``RANK_BAND`` in ``neighbour_costs``).  A
+      ratio above ``RANK_RCOND * RANK_BAND`` is full-rank and one at or
+      below ``RANK_RCOND / RANK_BAND`` rank-deficient.
+    * By the SVD rule.  A ratio in the band between is refitted by
+      ``fit_subset``, which decides its rank and gives its errors.
     """
     order = tuple(int(k) for k in order)
     r = dataset.n_features
     if sorted(order) != list(range(1, r + 1)):
         raise ConfigError("order must be a permutation of 1..R")
+    factor = _factor(dataset, order)
+    residuals = dataset.target - np.cumsum(factor.q * factor.qty, axis=1).T
+    mae, mse, _, _ = error_metrics(residuals, dataset.target)
+    _, full_rank, deficient = _prefix_decisions(factor)
     mae_curve = np.empty(r, dtype=float)
     mse_curve = np.full(r, math.inf)
-    previous = fit_subset(dataset, FeatureSubset(())).mae
+    previous = mae[0]
     for m in range(1, r + 1):
-        try:
-            fit = fit_subset(dataset, FeatureSubset(order[:m]))
-            previous, mse_curve[m - 1] = fit.mae, fit.mse
-        except RankDeficiencyError:
-            pass  # the MAE repeats and the MSE stays +inf
-        mae_curve[m - 1] = previous
+        if full_rank[m]:
+            previous, mse_curve[m - 1] = mae[m], mse[m]
+        elif not deficient[m]:
+            with suppress(RankDeficiencyError):
+                fit = fit_subset(dataset, FeatureSubset(order[:m]))
+                previous, mse_curve[m - 1] = fit.mae, fit.mse
+        mae_curve[m - 1] = previous  # repeated where rank-deficient
     return mae_curve, mse_curve
 
 

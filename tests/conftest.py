@@ -63,6 +63,32 @@ def cost_tolerance(dataset, design, p, alpha):
     return max(1e-9, 10.0 * spread)
 
 
+# A prefix fit's residual is held within PREFIX_BOUND * eps * cond(X_M)
+# * ||y|| of the exact one: the unit and the bound of the CV splits
+# (``test_validation.CV_BOUND``), which the SVD refit of every prefix meets.
+PREFIX_BOUND = 64
+
+
+def assert_prefix_fits_within_the_bound(dataset, exact, prefixes, curves):
+    """Each ``(mae_curve, mse_curve)`` of ``curves`` lies within the bound
+    of ``exact`` (``oracles.exact_prefix_fits`` of ``prefixes``) at every
+    one of those prefixes.  With delta the bound on the residual, the MAE
+    moves by at most delta and the MSE by delta (2 RMSE + delta); 4 eps of
+    the value cover the rounding of the mean.  Returns the MSE bounds, in
+    prefix order."""
+    y_norm = float(np.linalg.norm(dataset.target))
+    mse_tols = []
+    for m, (mae, mse, cond) in zip(prefixes, exact):
+        delta = PREFIX_BOUND * EPS * cond * y_norm
+        mae_tol = delta + 4 * EPS * mae
+        mse_tol = delta * (2.0 * np.sqrt(mse) + delta) + 4 * EPS * mse
+        for mae_curve, mse_curve in curves:
+            assert abs(mae_curve[m - 1] - mae) <= mae_tol, (m, mae_curve[m - 1], mae)
+            assert abs(mse_curve[m - 1] - mse) <= mse_tol, (m, mse_curve[m - 1], mse)
+        mse_tols.append(mse_tol)
+    return mse_tols
+
+
 def unit_orthogonal_to(rng, columns):
     """Unit vector orthogonal to the ones vector and the given columns."""
     n = len(columns[0])

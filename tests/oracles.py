@@ -5,16 +5,18 @@ the greedy loops directly, so none of them shares code with the library
 paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
 fit, the hand-written backward loops the stepwise driver replaced, the
-order selection that refitted every ranking prefix, the Gram-Schmidt
-scan that sets aside the columns the backward rankings cannot use, the
-per-feature and per-pair Pearson loops of RM5 and the correlation graph,
-and the p-values that fitted by SVD and took the standard errors from a
-second (scipy) QR, the ingest that parsed and checked each cell on its
-own, and the CV that fitted each split by SVD and scored it on its own,
-with the one-vector scorer; the library paths must reproduce them (CV:
-its discrete outcomes exactly, its floats within a stated bound).
+error curve and the order selection that refitted every ranking prefix
+by SVD, the Gram-Schmidt scan that sets aside the columns the backward
+rankings cannot use, the per-feature and per-pair Pearson loops of RM5
+and the correlation graph, and the p-values that fitted by SVD and took
+the standard errors from a second (scipy) QR, the ingest that parsed and
+checked each cell on its own, and the CV that fitted each split by SVD
+and scored it on its own, with the one-vector scorer; the library paths
+must reproduce them (CV and the error curve: their discrete outcomes
+exactly, their floats within a stated bound).
 ``exact_cv_runs`` refits that CV's splits in 50 digits, to hold both CVs
-to that bound.
+to that bound, and ``exact_prefix_fits`` the prefixes of an error curve,
+to hold both curves to theirs.
 """
 
 import csv
@@ -314,6 +316,26 @@ def loop_pvalues(dataset, alpha_threshold=0.05):
                    raw_order=removals + dropped, admissible=admissible)
 
 
+def loop_error_curve(dataset, order):
+    """(MAE curve, MSE curve) of the old ``error_curve``, which refitted
+    every prefix of ``order`` by its own SVD fit."""
+    order = tuple(int(k) for k in order)
+    r = dataset.n_features
+    if sorted(order) != list(range(1, r + 1)):
+        raise ConfigError("order must be a permutation of 1..R")
+    mae_curve = np.empty(r, dtype=float)
+    mse_curve = np.full(r, math.inf)
+    previous = fit_subset(dataset, FeatureSubset(())).mae
+    for m in range(1, r + 1):
+        try:
+            fit = fit_subset(dataset, FeatureSubset(order[:m]))
+            previous, mse_curve[m - 1] = fit.mae, fit.mse
+        except RankDeficiencyError:
+            pass  # the MAE repeats and the MSE stays +inf
+        mae_curve[m - 1] = previous
+    return mae_curve, mse_curve
+
+
 def loop_select_order(dataset, ranking, criterion):
     """(curve, m_star) of the old ``select_order``, which refitted every
     prefix of the ranking."""
@@ -576,6 +598,25 @@ def _exact_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(values.shape), shift
 
 
+def _exact_test_errors(xi, yi, y_shift, train, test):
+    """(MAE, MSE) as ``mpf`` of the exact test residual of the least-squares
+    fit on the ``train`` rows of the integer design ``xi`` and target
+    ``yi`` (``_exact_integers``), solved at the working precision."""
+    gram = mpmath.matrix((xi[train].T @ xi[train]).tolist())
+    moment = mpmath.matrix((xi[train].T @ yi[train]).tolist())
+    coef = mpmath.lu_solve(gram, moment)  # in units of 2**y_shift / xi's unit
+    # coefficients as integers of about 200 bits, so that the test
+    # residual, (yi << scale) - xi @ ints in units of
+    # 2**(y_shift - scale), is again exact
+    scale = 200 - max((mpmath.mag(v) for v in coef if v), default=0)
+    ints = np.array([int(mpmath.nint(mpmath.ldexp(v, scale))) for v in coef],
+                    dtype=object)
+    res = [(int(v) << scale) for v in yi[test]] - xi[test] @ ints
+    unit = mpmath.ldexp(1, y_shift - scale)
+    mae = mpmath.mpf(int(np.abs(res).sum())) * unit / len(test)
+    return mae, mpmath.mpf(int((res * res).sum())) * unit * unit / len(test)
+
+
 def exact_cv_runs(dataset: Dataset, subset: FeatureSubset,
                   train_fraction: float, runs: int, seed: int,
                   digits: int = 50):
@@ -591,7 +632,7 @@ def exact_cv_runs(dataset: Dataset, subset: FeatureSubset,
     SVD rule keeps no train design with cond >= 1e10."""
     splits = loop_cv_splits(dataset, subset, train_fraction, runs, seed)
     x, y = build_design_matrix(dataset, subset).values, dataset.target
-    xi, x_shift = _exact_integers(x)
+    xi, _ = _exact_integers(x)
     yi, y_shift = _exact_integers(y)
     out = []
     with mpmath.workdps(digits):
@@ -600,23 +641,31 @@ def exact_cv_runs(dataset: Dataset, subset: FeatureSubset,
                 out.append(None)
                 continue
             train, test, _ = split
-            gram = mpmath.matrix((xi[train].T @ xi[train]).tolist())
-            moment = mpmath.matrix((xi[train].T @ yi[train]).tolist())
-            coef = mpmath.lu_solve(gram, moment)  # in units of 2**(y_shift - x_shift)
-            # coefficients as integers of about 200 bits, so that the test
-            # residual, (yi << scale) - xi @ ints in units of
-            # 2**(y_shift - scale), is again exact
-            scale = 200 - max((mpmath.mag(v) for v in coef if v), default=0)
-            ints = np.array([int(mpmath.nint(mpmath.ldexp(v, scale))) for v in coef],
-                            dtype=object)
-            res = [(int(v) << scale) for v in yi[test]] - xi[test] @ ints
-            unit = mpmath.ldexp(1, y_shift - scale)
-            mse = mpmath.mpf(int((res * res).sum())) * unit * unit / len(test)
+            mae, mse = _exact_test_errors(xi, yi, y_shift, train, test)
             ss_tot = 0.0
             if not constant_columns(y[test]):
                 ss_tot = float(((y[test] - y[test].mean()) ** 2).sum())
-            metrics = (float(mpmath.mpf(int(np.abs(res).sum())) * unit / len(test)),
-                       float(mse), float(mpmath.sqrt(mse)),
+            metrics = (float(mae), float(mse), float(mpmath.sqrt(mse)),
                        float(1 - mse * len(test) / ss_tot) if ss_tot > 0.0 else 0.0)
             out.append((metrics, float(np.linalg.cond(x[train])), ss_tot))
+    return out
+
+
+def exact_prefix_fits(dataset: Dataset, order, prefixes, digits: int = 50):
+    """The fit on each prefix size m in ``prefixes`` of ``order`` by a
+    ``digits``-digit ``mpmath`` solve, as ``exact_cv_runs`` fits a split
+    whose train and test rows are all the rows: per prefix ``(mae, mse,
+    cond)``, the exact in-sample MAE and MSE rounded to floats and the
+    2-norm condition number of the prefix's design in floats.  Prefixes
+    the SVD rule finds rank-deficient have no exact fit to compare with,
+    so leave them out."""
+    x = build_design_matrix(dataset, FeatureSubset(tuple(order))).values
+    xi, _ = _exact_integers(x)
+    yi, y_shift = _exact_integers(dataset.target)
+    rows = np.arange(dataset.n_rows)
+    out = []
+    with mpmath.workdps(digits):
+        for m in prefixes:
+            mae, mse = _exact_test_errors(xi[:, :m + 1], yi, y_shift, rows, rows)
+            out.append((float(mae), float(mse), float(np.linalg.cond(x[:, :m + 1]))))
     return out

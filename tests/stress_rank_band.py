@@ -1,7 +1,8 @@
 """Near-threshold stress of the small-factor rank rule of
-``linmodel.neighbour_costs`` against the SVD rule.
+``linmodel.neighbour_costs`` and the leading-block rule of
+``ranking.error_curve`` against the SVD rule.
 
-Run from the root of a checkout (a few seconds at the defaults)::
+Run from the root of a checkout (about 10 s at the defaults)::
 
     PYTHONPATH=src python tests/stress_rank_band.py [--tables 1500]
 
@@ -17,10 +18,18 @@ and (4, 1, 5) and every other column as candidate it prints:
   how many of those disagree with ``full_rank_lstsq`` and how many it left
   to the SVD.
 
-Then it prints the same largest difference on the benchmark's
+For the orders in ``PREFIX_ORDERS`` it prints the same for the prefixes
+of ``error_curve`` that hold the pair: the largest difference between the
+ratio of a prefix's leading block ``A[:M+1, :M+1]`` of the order's QR and
+``gelsd``'s, and how many prefixes the leading block decided, how many of
+those disagree with ``full_rank_lstsq`` and how many went to the SVD.
+
+Then it prints the largest small-factor difference on the benchmark's
 ``make_table(1, R)``, R = 30 and 122, for every step of RM1 and RM4 after
 both columns of the near-rank-deficient pair entered (every sixth step at
-R = 122).  It exits 1 if any decision disagrees.
+R = 122), and the leading-block difference and decisions for the prefixes
+of their best-to-worst orders that hold the pair (every sixth at R = 122).
+It exits 1 if any decision disagrees.
 """
 
 from __future__ import annotations
@@ -51,8 +60,10 @@ from varsel.linmodel import (  # noqa: E402
     _small_factor_ratios,
     full_rank_lstsq,
 )
+from varsel.ranking import _prefix_decisions  # noqa: E402
 
 FIXED_SETS = [(1,), (2,), (1, 2), (4, 1, 5)]
+PREFIX_ORDERS = [(1, 2, 3, 4, 5, 6), (4, 5, 2, 6, 3, 1)]
 
 
 def ratio_differences(dataset, fixed, candidates):
@@ -62,12 +73,33 @@ def ratio_differences(dataset, fixed, candidates):
     z = dataset.features.T[np.asarray(candidates) - 1]
     c = _project_out(factor.q, z)
     small = _small_factor_ratios(factor.a, c, np.sqrt(np.einsum("ij,ij->i", z, z)))
-    full = []
-    for k in candidates:
-        design = build_design_matrix(dataset, FeatureSubset(fixed + (k,))).values
-        sv = np.linalg.lstsq(design, dataset.target, rcond=None)[3]
-        full.append(sv[-1] / sv[0])
+    full = [gelsd_ratio(dataset, fixed + (k,)) for k in candidates]
     return np.abs(small - np.array(full))
+
+
+def gelsd_ratio(dataset, subset):
+    design = build_design_matrix(dataset, FeatureSubset(subset)).values
+    sv = np.linalg.lstsq(design, dataset.target, rcond=None)[3]
+    return sv[-1] / sv[0]
+
+
+def prefix_decisions(dataset, order, pair, stride=1):
+    """Over every ``stride``-th prefix of ``order`` that holds ``pair``:
+    the largest |leading-block ratio - gelsd ratio| and the counts
+    (decided, disagreements, to the SVD), each prefix decided as
+    ``error_curve`` decides it."""
+    ratios, full_rank, deficient = _prefix_decisions(_factor(dataset, order))
+    entered = 1 + max(order.index(k) for k in pair)
+    worst, decided, disagree, to_svd = 0.0, 0, 0, 0
+    for m in range(entered, len(order) + 1, stride):
+        if full_rank[m] or deficient[m]:
+            decided += 1
+            disagree += bool(full_rank[m]) != is_full_rank(dataset, order[:m])
+        else:
+            to_svd += 1
+        if np.isfinite(ratios[m]):
+            worst = max(worst, abs(ratios[m] - gelsd_ratio(dataset, order[:m])))
+    return worst, decided, disagree, to_svd
 
 
 def is_full_rank(dataset, subset):
@@ -83,6 +115,8 @@ def near_threshold(n_tables):
     rng = np.random.default_rng(12345)
     worst, n_ratios = 0.0, 0
     decided = disagree = to_svd = 0
+    prefix_worst = 0.0
+    prefix_counts = np.zeros(3, dtype=int)  # decided, disagreements, to the SVD
     for seed in range(n_tables):
         dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
         for fixed in FIXED_SETS:
@@ -98,15 +132,24 @@ def near_threshold(n_tables):
                     disagree += bool(up) != is_full_rank(dataset, fixed + (k,))
                 else:
                     to_svd += 1
+        for order in PREFIX_ORDERS:
+            found = prefix_decisions(dataset, order, (1, 2))
+            prefix_worst = max(prefix_worst, found[0])
+            prefix_counts += found[1:]
     print(f"near_duplicate_table: {n_ratios} candidates, largest ratio "
           f"difference {worst:.2e}; designs holding the pair: {decided} decided "
           f"by the kernel, {disagree} disagreements, {to_svd} to the SVD")
-    return disagree
+    print(f"near_duplicate_table prefixes holding the pair: largest ratio "
+          f"difference {prefix_worst:.2e}; {prefix_counts[0]} decided by the "
+          f"leading block, {prefix_counts[1]} disagreements, {prefix_counts[2]} "
+          f"to the SVD")
+    return disagree + int(prefix_counts[1])
 
 
 def benchmark_tables():
     path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
     make_table = runpy.run_path(str(path))["make_table"]
+    disagree = 0
     for n_features, stride in [(30, 1), (122, 6)]:
         table = make_table(1, n_features)
         dataset = make_dataset(table.features, table.target)
@@ -121,6 +164,14 @@ def benchmark_tables():
             print(f"make_table(1, {n_features}) {name}: {n_ratios} candidates "
                   f"after the pair entered at step {entered}, largest ratio "
                   f"difference {worst:.2e}")
+            found = prefix_decisions(dataset, ranking.order, table.rank_rule_pair,
+                                     stride)
+            disagree += found[2]
+            print(f"make_table(1, {n_features}) {name} prefixes holding the pair: "
+                  f"largest ratio difference {found[0]:.2e}; {found[1]} decided "
+                  f"by the leading block, {found[2]} disagreements, {found[3]} to "
+                  f"the SVD")
+    return disagree
 
 
 def main():
@@ -128,7 +179,7 @@ def main():
     parser.add_argument("--tables", type=int, default=1500)
     args = parser.parse_args()
     disagree = near_threshold(args.tables)
-    benchmark_tables()
+    disagree += benchmark_tables()
     sys.exit(1 if disagree else 0)
 
 

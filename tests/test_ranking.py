@@ -1,5 +1,7 @@
 """Ranking methods against independently written brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,13 +26,22 @@ from varsel import (
     rank_pvalues,
     rank_remove_max_error,
 )
+from varsel import ranking as ranking_module
 from varsel.data import unit_centered_columns
+from varsel.linmodel import RANK_BAND, RANK_RCOND, _factor
 from varsel.ranking import _stepwise, _usable_features
 
-from conftest import awkward_tables, near_duplicate_table, random_instance
+from conftest import (
+    assert_prefix_fits_within_the_bound,
+    awkward_tables,
+    near_duplicate_table,
+    random_instance,
+)
 from oracles import (
+    exact_prefix_fits,
     loop_backward_elimination,
     loop_correlation,
+    loop_error_curve,
     loop_pvalues,
     loop_remove_max_error,
     loop_usable_features,
@@ -40,6 +51,7 @@ from oracles import (
     oracle_rm3,
     oracle_rm4,
 )
+from test_neighbour_costs import in_band_table
 
 
 def exact_predictor_dataset():
@@ -296,13 +308,16 @@ class TestErrorCurve:
         assert np.isfinite(mse).all()
 
     def test_identity_permutation_equals_direct_fits(self):
+        # the curve is read from one QR of the order, the loop refits each
+        # prefix directly by SVD: both lie within the bound of a 50-digit
+        # solve
         x, y, _ = random_instance(41, 25, 3)
         ds = make_dataset(x, y)
-        curve, mse = error_curve(ds, (1, 2, 3))
-        for m in range(1, 4):
-            direct = fit_subset(ds, FeatureSubset(tuple(range(1, m + 1))))
-            assert curve[m - 1] == pytest.approx(direct.mae, rel=1e-12)
-            assert mse[m - 1] == direct.mse
+        got = error_curve(ds, (1, 2, 3))
+        want = loop_error_curve(ds, (1, 2, 3))
+        assert np.isfinite(got[1]).all() and np.isfinite(want[1]).all()
+        assert_prefix_fits_within_the_bound(
+            ds, exact_prefix_fits(ds, (1, 2, 3), [1, 2, 3]), [1, 2, 3], [got, want])
 
     def test_curves_are_non_increasing_and_share_the_final_point(self):
         x, y, _ = random_instance(43, 30, 5)
@@ -358,3 +373,82 @@ class TestErrorCurve:
             rm1 = rank_forward_selection(ds).error_curve
             rm4 = rank_add_max_error(ds).error_curve
             assert (rm1 <= rm4 + 1e-12).all()
+
+
+@st.composite
+def prefix_decision_cases(draw):
+    """A table and an order whose prefixes straddle the rank rule: an
+    ``awkward_tables`` draw, a ``near_duplicate_table`` pair at a residual
+    ratio of 10^-10.6 to 10^-9.4, or a column scaled by 1e-12."""
+    kind = draw(st.sampled_from(["awkward", "pair", "scaled"]))
+    if kind == "awkward":
+        dataset = draw(awkward_tables())
+    elif kind == "pair":
+        # the ratio from the seed, uniform in log: hypothesis draws floats
+        # near the ends of a range and few in between
+        seed = draw(st.integers(0, 10_000))
+        ratio = 10.0 ** np.random.default_rng(seed).uniform(-10.6, -9.4)
+        dataset = near_duplicate_table(seed, ratio)
+    else:
+        x, y, _ = random_instance(draw(st.integers(0, 10_000)), 30, 5)
+        x[:, draw(st.integers(0, 4))] *= 1e-12
+        dataset = make_dataset(x, y)
+    order = draw(st.permutations(range(1, dataset.n_features + 1)))
+    return dataset, tuple(order)
+
+
+def spy(module, name):
+    """Patch ``module.<name>`` with a spy that still calls it."""
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+class TestPrefixDecisions:
+    """``error_curve`` decides each prefix by the certificate, the singular
+    values of its leading block or, in the band, the SVD rule, and fills
+    the prefixes the SVD refit loop fills."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=prefix_decision_cases())
+    def test_filled_prefixes_equal_the_refit_loops(self, case):
+        dataset, order = case
+        got = error_curve(dataset, order)
+        want = loop_error_curve(dataset, order)
+        assert np.isinf(got[1]).tolist() == np.isinf(want[1]).tolist()
+        for i in np.flatnonzero(np.isinf(got[1])):
+            assert i == 0 or got[0][i] == got[0][i - 1]  # the MAE repeats
+
+    def test_a_certified_order_makes_no_lstsq_or_svd_call(self):
+        x, y, _ = random_instance(61, 40, 6)
+        ds = make_dataset(x, y)
+        order = (4, 2, 6, 1, 5, 3)
+        assert _factor(ds, order).a_inv is not None
+        with spy(np.linalg, "lstsq") as lstsq, spy(np.linalg, "svd") as svd:
+            error_curve(ds, order)
+        lstsq.assert_not_called()
+        svd.assert_not_called()
+
+    def test_prefixes_before_an_uncertified_pair_stay_certified(self):
+        # (1, 2) fails the certificate at a residual ratio of 1e-9 but is
+        # full-rank: only the last prefix, which completes the pair, takes
+        # the singular values of its leading block
+        ds = near_duplicate_table(4, 1e-9)
+        order = (3, 4, 1, 5, 6, 2)
+        assert _factor(ds, order).a_inv is None
+        with spy(np.linalg, "lstsq") as lstsq, spy(np.linalg, "svd") as svd:
+            got = error_curve(ds, order)
+        lstsq.assert_not_called()
+        assert svd.call_count == 1
+        assert np.isfinite(got[1]).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_in_band_prefix_reaches_fit_subset(self, seed):
+        ds = in_band_table(seed)
+        a = _factor(ds, (1, 2)).a
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert RANK_RCOND / RANK_BAND < sv[-1] / sv[0] <= RANK_RCOND * RANK_BAND
+        with spy(ranking_module, "fit_subset") as fit:
+            got = error_curve(ds, (1, 2, 3, 4, 5, 6))
+        assert FeatureSubset((1, 2)) in [c.args[1] for c in fit.call_args_list]
+        want = loop_error_curve(ds, (1, 2, 3, 4, 5, 6))
+        assert np.isinf(got[1]).tolist() == np.isinf(want[1]).tolist()
+
