@@ -22,19 +22,29 @@ columns and conditioning matters.
   projects the target here, the candidates of add and the columns of
   ``ranking._usable_features``.  The factor answers the three questions
   of the greedy rankings, search and sampling, and gives every ranking's
-  prefix curves.  Drop (``removal_maes``: every removal
-  from the dual basis ``Q A^-T``) and test (``ranking.coefficient_pvalues``:
-  every t statistic from b, r and ``diag((X^T X)^-1)``) read the fit of a
-  certified factor and send any other pool to the SVD rule.  Add
-  (``neighbour_costs``) reads the factor certified or not: every candidate
-  is projected onto the complement of Q at once, and each candidate design
-  is decided by the certificate or by the singular values of its small
-  factor ``[[A, c], [0, |z|]]``, which are the design's up to rounding.
-  A full-rank candidate's residual is a rank-one update, a rank-deficient
-  one's cost +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND``
-  goes to the SVD rule.  CV (``validation.monte_carlo_cv``) fits each
-  train split of a certified design from its factor by downdating its
-  test rows, and sends every other split to the SVD rule.  The prefix
+  prefix curves.  Add (``neighbour_costs``) reads the factor of the fixed
+  columns certified or not: every candidate is projected onto the
+  complement of Q at once, and ``_decide_and_update`` decides each
+  candidate design by the certificate, or by the singular values of its
+  small factor ``[[A, c], [0, |z|]]``, which are the design's up to
+  rounding, read by ``_band_decisions``, the one place the band is
+  applied.  A full-rank candidate's residual is a rank-one update, a
+  rank-deficient one's cost +inf, and only a ratio within ``RANK_BAND`` of
+  ``RANK_RCOND`` goes to the SVD rule.  The forward rankings (RM1, RM4)
+  price every step through the same helper from one ``_AddState``, which
+  keeps the taken columns' Q and A and the complement of every column not
+  taken, and grows them by one Gram-Schmidt direction a step, with no new
+  factor.  Drop (every removal from the dual basis ``Q A^-T``) and test
+  (every t statistic from b, r and ``diag((X^T X)^-1)``) read one
+  ``_DropState`` of a certified pool (``removal_maes``,
+  ``ranking.coefficient_pvalues``); the backward rankings (RM2, RM3,
+  p-values) downdate it by one rank-one Schur step a removal, taking a
+  fresh factor only when a diagonal of ``(X^T X)^-1`` has fallen past
+  ``DOWNDATE_LIMIT``.  A pool the bound does not certify goes to the SVD
+  rule and takes a fresh factor at each removal.  CV
+  (``validation.monte_carlo_cv``) fits each train split of a certified
+  design from its factor by downdating its test rows, and sends every
+  other split to the SVD rule.  The prefix
   curves (``ranking.error_curve``) read every prefix of a ranked order
   from the one factor of the whole ordered design: prefix M's residual
   is ``y - Q[:, :M+1] (Q^T y)[:M+1]``, and it is decided by the
@@ -71,6 +81,10 @@ CERTIFIED_RATIO_CAP = 1e-6
 # leaves a small factor's singular-value ratio to the SVD rule (derived
 # there).
 RANK_BAND = 1.01
+
+# Factor by which a diagonal entry of ``(X^T X)^-1`` may fall over the
+# downdates since ``_DropState`` last took a fresh factor (derived there).
+DOWNDATE_LIMIT = 1e3
 
 # Entries of each stack of small factors ``neighbour_costs`` takes singular
 # values of in one call: 512 KiB, 72 candidates a stack at 28 fixed columns.
@@ -230,8 +244,7 @@ class Factor:
     ``a_inv`` is ``A^-1`` when ``1 / ||A^-1||_F``, a lower bound on the
     design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
     ``||[1, X_pool]||_F``, an upper bound on its sigma_max; otherwise it is
-    None and ``a_inv_norm`` is +inf.  ``coefficients`` and
-    ``gram_inv_diag`` need a certified factor."""
+    None and ``a_inv_norm`` is +inf."""
 
     q: np.ndarray  # N x (M+1), orthonormal columns
     a: np.ndarray  # upper triangular
@@ -240,16 +253,6 @@ class Factor:
     a_inv_norm: float  # ||A^-1||_F
     qty: np.ndarray  # Q^T y
     residuals: np.ndarray  # r = y - Q Q^T y
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """``b = A^-1 Q^T y``."""
-        return self.a_inv @ self.qty
-
-    @property
-    def gram_inv_diag(self) -> np.ndarray:
-        """``d_j = ||row j of A^-1||^2 = (X^T X)^-1_jj``."""
-        return np.einsum("ij,ij->i", self.a_inv, self.a_inv)
 
 
 def _project_out(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -286,12 +289,22 @@ def _factor(dataset: Dataset, indices: tuple[int, ...]) -> Factor:
     return Factor(q, a, design_norm2, a_inv, a_inv_norm, qty, residuals)
 
 
-def _rank_one_update(z: np.ndarray, zeta: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """``r0 - z (z^T r0) / |z|^2`` for each row z, written over ``z``."""
-    step = (z @ r0) / (zeta * zeta)
-    z *= step[:, None]
-    np.subtract(r0, z, out=z)
-    return z
+def _rank_one_update(z: np.ndarray, zeta: np.ndarray, zr: np.ndarray,
+                     r0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``r0 - z (z^T r0) / |z|^2`` for each row z, with ``zr`` its ``z^T
+    r0``, written to ``out`` (which may be ``z``)."""
+    step = zr / (zeta * zeta)
+    np.multiply(z, step[:, None], out=out)
+    return np.subtract(r0, out, out=out)
+
+
+def _band_decisions(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank rule read from ``sigma_min / sigma_max`` ratios that are the
+    design's up to rounding: ``(full_rank, deficient)``, a ratio above
+    ``RANK_RCOND * RANK_BAND`` full-rank and one at or below ``RANK_RCOND /
+    RANK_BAND`` rank-deficient.  A ratio in the band between is neither,
+    and goes to the SVD rule (``neighbour_costs`` derives the band)."""
+    return ratios > RANK_RCOND * RANK_BAND, ratios <= RANK_RCOND / RANK_BAND
 
 
 def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -313,48 +326,79 @@ def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.n
     return ratios
 
 
-def _neighbour_residuals(
-    dataset: Dataset, fixed: tuple[int, ...], candidates: list[int]
+def _decide_and_update(
+    factor: Factor, c: np.ndarray, z: np.ndarray, col_norm2: np.ndarray,
+    zr: np.ndarray, out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decide the fits on ``[1, X_fixed, x_k]`` from one QR of the fixed
-    columns, as ``neighbour_costs`` describes.
+    """Decide the fits on ``[1, X_fixed, x_k]`` for every candidate k, as
+    ``neighbour_costs`` describes, from the factor of the fixed columns and,
+    one row per candidate, ``c = Q^T x``, the complement ``z``, ``|x|^2``
+    and ``z^T r0``: the certificate, then the singular values of the small
+    factor, then ``_band_decisions``.
 
     Returns ``(certified, updated, singular, residuals)``: boolean masks
     over the candidates of those the bound certifies, of those that take
     the rank-one update (the certified ones and those their small factor
     shows full-rank) and of those whose design is rank-deficient, and one
     residual row per updated candidate, in candidate order.  The rest are
-    left to the SVD rule.
+    left to the SVD rule.  When every candidate is certified the residuals
+    are written to ``out``.
     """
-    n_candidates = len(candidates)
-    if not n_candidates:
-        empty = np.zeros(0, dtype=bool)
-        return empty, empty, empty, np.empty((0, dataset.n_rows))
-    factor = _factor(dataset, fixed)
     r0 = factor.residuals
-
-    # One row per candidate, so each residual is summed contiguously.
-    z = dataset.features.T[np.asarray(candidates) - 1]
-    col_norm2 = np.einsum("ij,ij->i", z, z)
-    c = _project_out(factor.q, z)
     zeta = np.sqrt(np.einsum("ij,ij->i", z, z))
     if factor.a_inv is None:
-        certified = np.zeros(n_candidates, dtype=bool)
+        certified = np.zeros(len(z), dtype=bool)
     else:
         c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
         sigma_min_lb = zeta / (factor.a_inv_norm * (zeta + c_norm) + 1.0)
         sigma_max_ub = np.sqrt(factor.design_norm2 + col_norm2)
         certified = sigma_min_lb > CERTIFIED_RATIO_CAP * sigma_max_ub
         if certified.all():
-            return certified, certified, ~certified, _rank_one_update(z, zeta, r0)
+            return (certified, certified, ~certified,
+                    _rank_one_update(z, zeta, zr, r0, out))
 
     rest = np.flatnonzero(~certified)
-    ratios = _small_factor_ratios(factor.a, c[rest], zeta[rest])
-    singular = np.zeros(n_candidates, dtype=bool)
-    singular[rest[ratios <= RANK_RCOND / RANK_BAND]] = True
+    full_rank, deficient = _band_decisions(
+        _small_factor_ratios(factor.a, c[rest], zeta[rest]))
+    singular = np.zeros(len(z), dtype=bool)
+    singular[rest[deficient]] = True
     updated = certified.copy()
-    updated[rest[ratios > RANK_RCOND * RANK_BAND]] = True
-    return certified, updated, singular, _rank_one_update(z[updated], zeta[updated], r0)
+    updated[rest[full_rank]] = True
+    z = z[updated]
+    return (certified, updated, singular,
+            _rank_one_update(z, zeta[updated], zr[updated], r0, z))
+
+
+def _neighbour_residuals(
+    dataset: Dataset, fixed: tuple[int, ...], candidates: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_decide_and_update`` of the candidates, from one ``_factor`` of
+    the fixed columns."""
+    if not candidates:
+        empty = np.zeros(0, dtype=bool)
+        return empty, empty, empty, np.empty((0, dataset.n_rows))
+    factor = _factor(dataset, fixed)
+    # One row per candidate, so each residual is summed contiguously.
+    z = dataset.features.T[np.asarray(candidates) - 1]
+    col_norm2 = np.einsum("ij,ij->i", z, z)
+    c = _project_out(factor.q, z)
+    return _decide_and_update(factor, c, z, col_norm2, z @ factor.residuals, z)
+
+
+def _priced(dataset: Dataset, fixed: tuple[int, ...], candidates: list[int],
+            fits: tuple, p: float, alpha: float) -> np.ndarray:
+    """The costs of ``fixed + (k,)`` from ``_decide_and_update``'s ``fits``:
+    the updated residuals' norms, +inf where rank-deficient, and the SVD
+    rule's cost for every candidate left undecided."""
+    _, updated, singular, residuals = fits
+    costs = np.full(len(candidates), math.inf)
+    costs[updated] = residual_norm_cost(residuals, p, alpha)
+    undecided = ~(updated | singular)
+    if undecided.any():
+        costs[undecided] = _svd_costs(
+            dataset, [fixed + (k,) for k, u in zip(candidates, undecided) if u],
+            p, alpha)
+    return costs
 
 
 def neighbour_costs(
@@ -419,7 +463,11 @@ def neighbour_costs(
     near-rank-deficient pair enters RM1 or RM4 on the emo-shaped benchmark
     tables (R = 30 and 122); of 10500 designs there holding the pair, the
     small factors decided 10406, all as ``full_rank_lstsq`` does, and left
-    94 to the SVD.  The band reaches 1e-12 either side of ``RANK_RCOND``,
+    94 to the SVD.  The forward rankings' ``_AddState``, whose A is built by
+    Gram-Schmidt, was within 1.9e-16 on those tables' RM1 and RM4 passes
+    and within 2.2e-17 on the benchmark's; of 9475 designs holding the pair
+    it decided 9405, all as ``full_rank_lstsq`` does, and left 70 to the
+    SVD.  The band reaches 1e-12 either side of ``RANK_RCOND``,
     about 800 times that difference, and only candidates in it pay for an
     SVD of the design.  The benchmark tables'
     pair sits at a ratio of 6e-10, so once it is in the fixed columns
@@ -432,37 +480,216 @@ def neighbour_costs(
     fixed = tuple(int(k) for k in fixed)
     candidates = [int(k) for k in candidates]
     FeatureSubset(fixed + tuple(candidates)).validate_against(dataset)
-    _, updated, singular, residuals = _neighbour_residuals(dataset, fixed, candidates)
-    costs = np.full(len(candidates), math.inf)
-    costs[updated] = residual_norm_cost(residuals, p, alpha)
-    undecided = ~(updated | singular)
-    if undecided.any():
-        costs[undecided] = _svd_costs(
-            dataset, [fixed + (k,) for k, u in zip(candidates, undecided) if u],
-            p, alpha)
-    return costs
+    return _priced(dataset, fixed, candidates,
+                   _neighbour_residuals(dataset, fixed, candidates), p, alpha)
+
+
+class _AddState:
+    """The fits of a forward pass: the design of the columns taken so far,
+    ``[1, X_taken] = Q A``, grown by one column a step, and the complement
+    of every column not taken, deflated by one direction a step.
+
+    Each remaining column x keeps a row of ``z``, its component orthogonal
+    to Q, of ``c = Q^T x`` and of ``|x|^2``, in ascending index order.
+    ``costs`` prices every candidate design ``[Q, z/|z|] [[A, c], [0,
+    |z|]]`` through ``_decide_and_update`` with no new factor, as
+    ``neighbour_costs`` prices its candidates.
+
+    Taking column k re-projects its z against all of Q in two passes, then
+    appends ``z/|z|`` to Q and ``[c; |z|]`` to A.  (Deflated one direction
+    at a time, z keeps the rounding of its first projections, about eps
+    |x|; relative to a small complement, such as the benchmark's rank-rule
+    pair's 6e-10 |x|, that leaves it 4e-7 off orthogonal.)  ``A^-1`` grows
+    by the block inverse of a triangular factor, and the target and every
+    remaining z are deflated by the new direction in two passes.  Rows are
+    compacted in place.  Every product of a row is an ``einsum`` row by
+    row, not a BLAS product, whose last bits depend on the rows beside it:
+    equal columns keep equal prices wherever their rows sit, and the
+    earliest wins their tie as in ``ranking._stepwise``.
+    """
+
+    def __init__(self, dataset: Dataset):
+        n, r = dataset.n_rows, dataset.n_features
+        self.dataset = dataset
+        self.pool = list(range(1, r + 1))
+        self.taken: list[int] = []
+        self.z = dataset.features.T.copy()
+        self.col_norm2 = np.einsum("ij,ij->i", self.z, self.z)
+        self.c = np.empty((r, r + 1))
+        self.out = np.empty((r, n))  # the residuals of a certified step
+        self.q = np.empty((r + 1, n))  # row j: column j of Q
+        self.a = np.zeros((r + 1, r + 1))
+        self.a_inv = np.zeros((r + 1, r + 1))
+        self.a_inv_norm2 = 0.0
+        self.min_diag = math.inf
+        self.design_norm2 = 0.0
+        self.qty = np.empty(r + 1)
+        self.residuals = dataset.target.copy()
+        self.width = 0
+        self._append(np.ones(n), np.empty(0), float(n))
+
+    def _append(self, v: np.ndarray, c: np.ndarray, norm2: float) -> None:
+        """Append the column with complement ``v`` (written over),
+        ``Q^T x = c`` and ``|x|^2 = norm2`` to the design."""
+        w = self.width
+        c = c + _project_out(self.q[:w].T, v)
+        zeta = math.sqrt(v @ v)
+        direction = np.divide(v, zeta, out=self.q[w])
+        self.a[:w, w] = c
+        self.a[w, w] = zeta
+        u = self.a_inv[:w, :w] @ c / -zeta
+        self.a_inv[:w, w] = u
+        self.a_inv[w, w] = 1.0 / zeta
+        self.a_inv_norm2 += u @ u + 1.0 / (zeta * zeta)
+        self.design_norm2 += norm2
+        self.min_diag = min(self.min_diag, zeta)
+        self.width = w + 1
+        self.qty[w] = _project_out(direction[:, None], self.residuals)[0]
+        z = self.z[:len(self.pool)]
+        dots = self.c[:len(z), w]
+        dots[:] = 0.0
+        for _ in range(2):
+            d = np.einsum("ij,j->i", z, direction)
+            z -= d[:, None] * direction
+            dots += d
+
+    def follow(self, taken) -> "_AddState":
+        """Take the entries of ``taken`` not yet taken, in order."""
+        for k in taken[len(self.taken):]:
+            j = self.pool.index(k)
+            n = len(self.pool)
+            v, c = self.z[j].copy(), self.c[j, :self.width].copy()
+            norm2 = float(self.col_norm2[j])
+            for rows in (self.z, self.c, self.col_norm2):
+                rows[j:n - 1] = rows[j + 1:n]
+            del self.pool[j]
+            self.taken.append(k)
+            self._append(v, c, norm2)
+        return self
+
+    def fits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``_decide_and_update`` of every remaining column, in pool order;
+        the design is certified as ``_factor`` certifies it."""
+        w, n = self.width, len(self.pool)
+        design_norm = math.sqrt(self.design_norm2)
+        a_inv_norm = math.sqrt(self.a_inv_norm2)
+        certified = (self.min_diag > CERTIFIED_RATIO_CAP * design_norm
+                     and a_inv_norm * design_norm * CERTIFIED_RATIO_CAP < 1.0)
+        factor = Factor(self.q[:w].T, self.a[:w, :w], self.design_norm2,
+                        self.a_inv[:w, :w] if certified else None,
+                        a_inv_norm if certified else math.inf,
+                        self.qty[:w], self.residuals)
+        z = self.z[:n]
+        return _decide_and_update(factor, self.c[:n, :w], z, self.col_norm2[:n],
+                                  np.einsum("ij,j->i", z, self.residuals),
+                                  self.out[:n])
+
+    def costs(self) -> np.ndarray:
+        """``subset_cost`` of the taken columns plus each remaining one, in
+        pool order; +inf where that design is rank-deficient."""
+        return _priced(self.dataset, tuple(self.taken), self.pool, self.fits(),
+                       1.0, 1.0)
+
+
+class _DropState:
+    """The fit of a backward pass's pool, downdated at each removal.
+
+    From one certified ``_factor`` of the pool it keeps ``B = (X^T X)^-1 =
+    A^-1 A^-T``, the dual basis ``W = Q A^-T = X B`` (one row per design
+    column, intercept first), the coefficients ``b = A^-1 Q^T y`` and the
+    residual r.  Dropping design column j leaves the residual ``r + (b_j /
+    B_jj) w_j``: it is orthogonal to every other column (``X^T w_j = e_j``)
+    and zeroes coefficient j.  Removing column j is then one rank-one Schur
+    step (Bjorck, *Numerical Methods for Least Squares Problems*, 1996,
+    3.2; Miller, *Subset Selection in Regression*, 2002, 2-3)::
+
+        B' = B - B_j B_j^T / B_jj      W' = W - (B_j / B_jj) w_j^T
+        b' = b - B_j b_j / B_jj        r' = r + (b_j / B_jj) w_j
+
+    with ``B_j`` row j of B, after which row (and column) j is compacted
+    away.  By singular-value interlacing every sub-pool of a certified pool
+    is full-rank under the SVD rule, and its ``B`` has a smaller diagonal.
+
+    Drift.  A step moves ``B_ik`` by a few eps times ``|B_ik| + |B_ij
+    B_jk| / B_jj``, which is at most ``2 sqrt(B_ii B_kk)`` as B is positive
+    definite, and the diagonal only falls.  So s steps after a fresh
+    factor, whose diagonal was D, ``B_ii`` is off by a few ``s eps D_i``,
+    and ``w_i`` (``|w_i|^2 = B_ii``) and ``b_i`` likewise.  When some
+    ``B_ii`` falls below ``D_i / DOWNDATE_LIMIT`` (the second of a
+    near-duplicate pair once the first has gone) the state takes a fresh
+    factor of its pool, which bounds the drift relative to B by a small
+    multiple of ``s eps DOWNDATE_LIMIT``, 2.7e-11 at the 122 steps of the
+    benchmark's widest table.  There the check never trips, and the drift
+    from a fresh factor stayed below 1e-13.
+
+    A pool the bound does not certify is priced by the SVD rule and takes a
+    fresh ``_factor`` at each removal, until one is certified.
+    """
+
+    def __init__(self, dataset: Dataset, pool):
+        self.dataset = dataset
+        self.pool = [int(k) for k in pool]
+        self.removed: list[int] = []
+        self._refactor()
+
+    def _refactor(self) -> None:
+        factor = _factor(self.dataset, tuple(self.pool))
+        self.fallback = None if factor.a_inv is not None else factor
+        if self.fallback is None:
+            a_inv = factor.a_inv
+            self.gram_inv = a_inv @ a_inv.T
+            self.dual = a_inv @ factor.q.T
+            self.coefficients = a_inv @ factor.qty
+            self.residuals = factor.residuals.copy()
+            self.anchor = self.gram_inv.diagonal().copy()
+
+    def follow(self, taken) -> "_DropState":
+        """Remove the entries of ``taken`` not yet removed, in order."""
+        for k in taken[len(self.removed):]:
+            j = self.pool.index(k) + 1  # its design column
+            del self.pool[j - 1]
+            self.removed.append(k)
+            if self.fallback is None:
+                self._downdate(j)
+            elif self.pool:
+                self._refactor()
+        return self
+
+    def _downdate(self, j: int) -> None:
+        gram_inv, dual, b = self.gram_inv, self.dual, self.coefficients
+        row = gram_inv[j].copy()
+        col = row / row[j]
+        self.residuals += (b[j] / row[j]) * dual[j]
+        b -= b[j] * col
+        dual -= np.outer(col, dual[j])
+        gram_inv -= np.outer(col, row)
+        n = len(b)
+        for rows in (gram_inv, gram_inv.T, dual, b, self.anchor):
+            rows[j:n - 1] = rows[j + 1:n]
+        self.gram_inv, self.dual = gram_inv[:n - 1, :n - 1], dual[:n - 1]
+        self.coefficients, self.anchor = b[:n - 1], self.anchor[:n - 1]
+        if not np.all(self.gram_inv.diagonal() * DOWNDATE_LIMIT >= self.anchor):
+            self._refactor()
+
+    def removal_maes(self) -> np.ndarray:
+        """MAE of the fit on the pool without each entry, in pool order;
+        +inf where that fit is rank-deficient."""
+        if self.fallback is not None:
+            pool = tuple(self.pool)
+            rests = [pool[:i] + pool[i + 1:] for i in range(len(pool))]
+            return _svd_costs(self.dataset, rests) / self.dataset.n_rows
+        step = self.coefficients[1:] / self.gram_inv.diagonal()[1:]
+        dropped = self.dual[1:] * step[:, None]
+        dropped += self.residuals  # row j: the residual without column j
+        return np.abs(dropped).mean(axis=1)
 
 
 def removal_maes(dataset: Dataset, pool) -> np.ndarray:
     """MAE of the fit on ``pool`` without each entry, in pool order; +inf
-    where that fit is rank-deficient.
-
-    With the dual basis ``W = Q A^-T = X (X^T X)^-1`` of a certified pool,
-    dropping column j leaves the residual ``r + (b_j / d_j) W[:, j]``: it is
-    orthogonal to every other column (``X^T W[:, j] = e_j``) and zeroes
-    coefficient j.  By singular-value interlacing every sub-pool of a
-    certified pool is full-rank under the SVD rule.  Any other pool takes
-    one SVD fit per removal.
-    """
-    pool = tuple(int(k) for k in pool)
-    factor = _factor(dataset, pool)
-    if factor.a_inv is None:
-        rests = [pool[:i] + pool[i + 1:] for i in range(len(pool))]
-        return _svd_costs(dataset, rests) / dataset.n_rows
-    step = factor.coefficients[1:] / factor.gram_inv_diag[1:]
-    dropped = (factor.q @ factor.a_inv.T)[:, 1:].T * step[:, None]
-    dropped += factor.residuals  # row j: the residual without column j
-    return np.abs(dropped).mean(axis=1)
+    where that fit is rank-deficient: ``_DropState.removal_maes`` of the
+    pool (the dual basis of a certified pool, one SVD fit per removal of
+    any other)."""
+    return _DropState(dataset, pool).removal_maes()
 
 
 class CostCache:

@@ -32,14 +32,13 @@ from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
 from .linmodel import (
     CERTIFIED_RATIO_CAP,
     Factor,
-    RANK_BAND,
-    RANK_RCOND,
+    _AddState,
+    _band_decisions,
+    _DropState,
     _factor,
     _project_out,
     error_metrics,
     fit_subset,
-    neighbour_costs,
-    removal_maes,
 )
 
 RHO_TIE = 1e-10
@@ -119,7 +118,7 @@ def _prefix_decisions(factor: Factor) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for m in range(n_certified, len(a)):
         sv = np.linalg.svd(a[:m + 1, :m + 1], compute_uv=False)
         ratios[m] = sv[-1] / sv[0]
-    return ratios, ratios > RANK_RCOND * RANK_BAND, ratios <= RANK_RCOND / RANK_BAND
+    return (ratios, *_band_decisions(ratios))
 
 
 def error_curve(
@@ -247,13 +246,21 @@ def _stepwise(pool, price, largest: bool) -> list[int]:
 
 
 def _grow(dataset: Dataset, largest: bool) -> list[int]:
-    """Addition order of a forward pass: one ``neighbour_costs`` batch
-    prices every remaining feature at each step."""
-    return _stepwise(
-        range(1, dataset.n_features + 1),
-        lambda taken, pool: neighbour_costs(dataset, tuple(taken), pool),
-        largest,
-    )
+    """Addition order of a forward pass: one ``linmodel._AddState`` prices
+    every remaining feature at each step and takes each pick."""
+    state = _AddState(dataset)
+    return _stepwise(range(1, dataset.n_features + 1),
+                     lambda taken, pool: state.follow(taken).costs(), largest)
+
+
+def _shrink(dataset: Dataset, read, largest: bool) -> tuple[list[int], list[int]]:
+    """Removal order of a backward pass over ``_usable_features``, and the
+    dropped rest: one ``linmodel._DropState`` of the usable pool, priced by
+    ``read(state)`` at each step and downdated at each removal."""
+    usable, dropped = _usable_features(dataset)
+    state = _DropState(dataset, usable)
+    return _stepwise(usable, lambda taken, pool: read(state.follow(taken)),
+                     largest), dropped
 
 
 def rank_forward_selection(dataset: Dataset) -> Ranking:
@@ -265,9 +272,7 @@ def rank_forward_selection(dataset: Dataset) -> Ranking:
 def rank_backward_elimination(dataset: Dataset) -> Ranking:
     """RM2: repeatedly remove the feature whose removal leaves the lowest
     MAE; the reversed removal order is best-to-worst."""
-    usable, dropped = _usable_features(dataset)
-    removals = _stepwise(usable, lambda taken, pool: removal_maes(dataset, pool),
-                         largest=False)
+    removals, dropped = _shrink(dataset, _DropState.removal_maes, largest=False)
     return _finish(RankingMethod.RM2_BACKWARD, dataset,
                    removals[::-1] + dropped, raw_order=removals + dropped)
 
@@ -275,9 +280,8 @@ def rank_backward_elimination(dataset: Dataset) -> Ranking:
 def rank_remove_max_error(dataset: Dataset) -> Ranking:
     """RM3: repeatedly remove the feature whose removal raises the MAE the
     most; the removal order itself is best-to-worst."""
-    usable, dropped = _usable_features(dataset)
-    order = _stepwise(usable, lambda taken, pool: removal_maes(dataset, pool),
-                      largest=True) + dropped
+    removals, dropped = _shrink(dataset, _DropState.removal_maes, largest=True)
+    order = removals + dropped
     return _finish(RankingMethod.RM3_REMOVE_MAX, dataset, order,
                    raw_order=order)
 
@@ -307,25 +311,30 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
     ``indices`` (intercept excluded).
 
     Standard errors come from sigma^2 * diag((X^T X)^-1) with the unbiased
-    sigma^2 = SS_res / (N - M - 1).  Both come from the design's
-    ``linmodel._factor``: a certified factor gives the fit and the diagonal
-    directly; any other pool is fitted by the SVD rule, which decides rank
-    deficiency, and its diagonal comes from a triangular solve on the
+    sigma^2 = SS_res / (N - M - 1).  Both come from the pool's
+    ``linmodel._DropState``: a certified pool's holds b, r and ``(X^T
+    X)^-1``; any other pool is fitted by the SVD rule, which decides rank
+    deficiency, and its diagonal comes from a triangular solve on its
     factor's A.  A zero standard error gives p = 0 for a nonzero
     coefficient and p = 1 for a zero one.
     """
-    factor = _factor(dataset, indices)
-    if factor.a_inv is not None:
-        coefs, residuals = factor.coefficients[1:], factor.residuals
-        gram_inv_diag = factor.gram_inv_diag
+    return _pvalues(_DropState(dataset, indices))
+
+
+def _pvalues(state: _DropState) -> np.ndarray:
+    """``coefficient_pvalues`` of the state's pool."""
+    dataset, factor = state.dataset, state.fallback
+    if factor is None:
+        coefs, residuals = state.coefficients[1:], state.residuals
+        gram_inv_diag = state.gram_inv.diagonal()
     else:
-        fit = fit_subset(dataset, FeatureSubset(indices))
+        fit = fit_subset(dataset, FeatureSubset(tuple(state.pool)))
         coefs, residuals = fit.coefficients, fit.residuals
         # LU leaves a triangular factor as it is, so ``solve`` is the
         # triangular back substitution
         a_inv = np.linalg.solve(factor.a, np.eye(len(factor.a)))
         gram_inv_diag = (a_inv**2).sum(axis=1)
-    n, p = dataset.n_rows, len(indices) + 1
+    n, p = dataset.n_rows, len(state.pool) + 1
     dof = n - p
     if dof < 1:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
@@ -359,13 +368,12 @@ def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     check_pvalue_threshold(alpha_threshold)
     admissible = [False] * dataset.n_features
 
-    def price(taken, pool):
-        pvalues = coefficient_pvalues(dataset, tuple(pool))
-        admissible[len(pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
+    def read(state):
+        pvalues = _pvalues(state)
+        admissible[len(state.pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
         return pvalues
 
-    usable, dropped = _usable_features(dataset)
-    removals = _stepwise(usable, price, largest=True)
+    removals, dropped = _shrink(dataset, read, largest=True)
     return _finish(RankingMethod.PVALUE, dataset, removals[::-1] + dropped,
                    raw_order=removals + dropped, admissible=admissible)
 

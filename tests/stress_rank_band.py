@@ -2,7 +2,7 @@
 ``linmodel.neighbour_costs`` and the leading-block rule of
 ``ranking.error_curve`` against the SVD rule.
 
-Run from the root of a checkout (about 10 s at the defaults)::
+Run from the root of a checkout (about 12 s at the defaults)::
 
     PYTHONPATH=src python tests/stress_rank_band.py [--tables 1500]
 
@@ -24,12 +24,18 @@ ratio of a prefix's leading block ``A[:M+1, :M+1]`` of the order's QR and
 ``gelsd``'s, and how many prefixes the leading block decided, how many of
 those disagree with ``full_rank_lstsq`` and how many went to the SVD.
 
+It prints the same for the forward rankings' own state,
+``linmodel._AddState``, whose A is built by Gram-Schmidt, one column a
+step, not by Householder QR: RM1 and RM4 are run on it, and at every step
+each candidate design holding the pair is decided as the state decides it.
+
 Then it prints the largest small-factor difference on the benchmark's
 ``make_table(1, R)``, R = 30 and 122, for every step of RM1 and RM4 after
 both columns of the near-rank-deficient pair entered (every sixth step at
-R = 122), and the leading-block difference and decisions for the prefixes
-of their best-to-worst orders that hold the pair (every sixth at R = 122).
-It exits 1 if any decision disagrees.
+R = 122), the same for the state's small factors and decisions, and the
+leading-block difference and decisions for the prefixes of their
+best-to-worst orders that hold the pair (every sixth at R = 122).  It exits
+1 if any decision disagrees.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import argparse
 import os
 import runpy
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -46,6 +53,7 @@ import numpy as np  # noqa: E402
 
 from conftest import near_duplicate_table  # noqa: E402
 from varsel import (  # noqa: E402
+    DegenerateStepError,
     FeatureSubset,
     RankDeficiencyError,
     build_design_matrix,
@@ -54,13 +62,14 @@ from varsel import (  # noqa: E402
     rank_forward_selection,
 )
 from varsel.linmodel import (  # noqa: E402
+    _AddState,
     _factor,
     _neighbour_residuals,
     _project_out,
     _small_factor_ratios,
     full_rank_lstsq,
 )
-from varsel.ranking import _prefix_decisions  # noqa: E402
+from varsel.ranking import _prefix_decisions, _stepwise  # noqa: E402
 
 FIXED_SETS = [(1,), (2,), (1, 2), (4, 1, 5)]
 PREFIX_ORDERS = [(1, 2, 3, 4, 5, 6), (4, 5, 2, 6, 3, 1)]
@@ -102,6 +111,48 @@ def prefix_decisions(dataset, order, pair, stride=1):
     return worst, decided, disagree, to_svd
 
 
+def forward_state_decisions(dataset, largest, pair, start=0, stride=1):
+    """RM1 (RM4 with ``largest``) run on one ``_AddState``: over every
+    ``stride``-th step from step ``start`` (the number of columns taken),
+    the largest |state small-factor ratio - gelsd ratio| and the counts
+    (decided, disagreements, to the SVD) of the candidate designs that hold
+    ``pair``, each decided as the state decides it.  A pass whose last
+    candidates are all rank-deficient stops there."""
+    state = _AddState(dataset)
+    found = [0.0, 0, 0, 0]
+
+    def price(taken, pool):
+        state.follow(taken)
+        step = len(taken) - start
+        if step >= 0 and step % stride == 0:
+            inspect_state(state, pair, found)
+        return state.costs()
+
+    with suppress(DegenerateStepError):
+        _stepwise(range(1, dataset.n_features + 1), price, largest)
+    return found
+
+
+def inspect_state(state, pair, found):
+    fixed = tuple(state.taken)
+    rows = [i for i, k in enumerate(state.pool) if set(pair) <= set(fixed + (k,))]
+    if not rows:
+        return
+    _, updated, singular, _ = state.fits()
+    w, n = state.width, len(state.pool)
+    z = state.z[:n][rows]
+    small = _small_factor_ratios(state.a[:w, :w], state.c[:n, :w][rows],
+                                 np.sqrt(np.einsum("ij,ij->i", z, z)))
+    for i, ratio in zip(rows, small):
+        subset = fixed + (state.pool[i],)
+        found[0] = max(found[0], abs(ratio - gelsd_ratio(state.dataset, subset)))
+        if updated[i] or singular[i]:
+            found[1] += 1
+            found[2] += bool(updated[i]) != is_full_rank(state.dataset, subset)
+        else:
+            found[3] += 1
+
+
 def is_full_rank(dataset, subset):
     design = build_design_matrix(dataset, FeatureSubset(subset))
     try:
@@ -115,8 +166,9 @@ def near_threshold(n_tables):
     rng = np.random.default_rng(12345)
     worst, n_ratios = 0.0, 0
     decided = disagree = to_svd = 0
-    prefix_worst = 0.0
+    prefix_worst = state_worst = 0.0
     prefix_counts = np.zeros(3, dtype=int)  # decided, disagreements, to the SVD
+    state_counts = np.zeros(3, dtype=int)
     for seed in range(n_tables):
         dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
         for fixed in FIXED_SETS:
@@ -136,6 +188,10 @@ def near_threshold(n_tables):
             found = prefix_decisions(dataset, order, (1, 2))
             prefix_worst = max(prefix_worst, found[0])
             prefix_counts += found[1:]
+        for largest in (False, True):
+            found = forward_state_decisions(dataset, largest, (1, 2))
+            state_worst = max(state_worst, found[0])
+            state_counts += found[1:]
     print(f"near_duplicate_table: {n_ratios} candidates, largest ratio "
           f"difference {worst:.2e}; designs holding the pair: {decided} decided "
           f"by the kernel, {disagree} disagreements, {to_svd} to the SVD")
@@ -143,7 +199,11 @@ def near_threshold(n_tables):
           f"difference {prefix_worst:.2e}; {prefix_counts[0]} decided by the "
           f"leading block, {prefix_counts[1]} disagreements, {prefix_counts[2]} "
           f"to the SVD")
-    return disagree + int(prefix_counts[1])
+    print(f"near_duplicate_table RM1 and RM4 state designs holding the pair: "
+          f"largest ratio difference {state_worst:.2e}; {state_counts[0]} "
+          f"decided by the state, {state_counts[1]} disagreements, "
+          f"{state_counts[2]} to the SVD")
+    return disagree + int(prefix_counts[1]) + int(state_counts[1])
 
 
 def benchmark_tables():
@@ -164,6 +224,13 @@ def benchmark_tables():
             print(f"make_table(1, {n_features}) {name}: {n_ratios} candidates "
                   f"after the pair entered at step {entered}, largest ratio "
                   f"difference {worst:.2e}")
+            found = forward_state_decisions(dataset, name == "RM4",
+                                            table.rank_rule_pair, entered, stride)
+            disagree += found[2]
+            print(f"make_table(1, {n_features}) {name} state after the pair "
+                  f"entered: largest ratio difference {found[0]:.2e}; "
+                  f"{found[1]} decided by the state, {found[2]} disagreements, "
+                  f"{found[3]} to the SVD")
             found = prefix_decisions(dataset, ranking.order, table.rank_rule_pair,
                                      stride)
             disagree += found[2]
