@@ -13,14 +13,16 @@ columns and conditioning matters.
   silently pseudo-inverted, so search procedures can skip degenerate
   subsets deterministically.  (The
   backward rankings also set aside columns by a stricter Gram-Schmidt cut,
-  ``ranking._usable_features``, before they fit anything.)
+  ``_usable_features``, before they fit anything.)
 * One factor.  ``_factor`` takes one economic QR of a set of columns,
   ``[1, X_pool] = Q A``, and returns it as a ``Factor``: with the target's
-  projection ``Q^T y`` and residual, and with ``A^-1`` when a bound
-  certifies the design's condition far inside the SVD rule
-  (``CERTIFIED_RATIO_CAP``).  ``_project_out``, two Gram-Schmidt passes,
-  projects the target here, the candidates of add and the columns of
-  ``ranking._usable_features``.  The factor answers the three questions
+  projection ``Q^T y`` and residual, the number of its leading prefixes
+  whose condition a bound certifies far inside the SVD rule
+  (``CERTIFIED_RATIO_CAP``), and ``A^-1`` when that run covers the whole
+  design.  ``_certified`` is the one place that bound is applied.
+  ``_project_out``, two Gram-Schmidt passes, projects the target here,
+  the candidates of add and the columns of ``_usable_features``.  The
+  factor answers the three questions
   of the greedy rankings, search and sampling, and gives every ranking's
   prefix curves.  Add (``neighbour_costs``) reads the factor of the fixed
   columns certified or not: every candidate is projected onto the
@@ -37,7 +39,7 @@ columns and conditioning matters.
   factor.  Drop (every removal from the dual basis ``Q A^-T``) and test
   (every t statistic from b, r and ``diag((X^T X)^-1)``) read one
   ``_DropState`` of a certified pool (``removal_maes``,
-  ``ranking.coefficient_pvalues``); the backward rankings (RM2, RM3,
+  ``coefficient_fit``); the backward rankings (RM2, RM3,
   p-values) downdate it by one rank-one Schur step a removal, taking a
   fresh factor only when a diagonal of ``(X^T X)^-1`` has fallen past
   ``DOWNDATE_LIMIT``.  A pool the bound does not certify goes to the SVD
@@ -47,10 +49,10 @@ columns and conditioning matters.
   other split to the SVD rule.  The prefix
   curves (``ranking.error_curve``) read every prefix of a ranked order
   from the one factor of the whole ordered design: prefix M's residual
-  is ``y - Q[:, :M+1] (Q^T y)[:M+1]``, and it is decided by the
-  certificate, which covers a leading run of prefixes, or by the singular
-  values of the leading block ``A[:M+1, :M+1]``, the SVD rule taking only
-  a ratio within ``RANK_BAND``.
+  is ``y - Q[:, :M+1] (Q^T y)[:M+1]``, and ``_prefix_decisions`` decides
+  it by the certificate, which covers a leading run of prefixes, or by
+  the singular values of the leading block ``A[:M+1, :M+1]``, the SVD
+  rule taking only a ratio within ``RANK_BAND``.
 
 ``error_metrics`` is the one scorer: it gives the MAE, MSE, RMSE and
 R-squared of every ``fit_least_squares`` fit, every CV test split
@@ -73,8 +75,8 @@ from .errors import ConfigError, RankDeficiencyError, VarselError
 # Relative singular-value cutoff for declaring a design rank-deficient.
 RANK_RCOND = 1e-10
 
-# Lower bound a candidate design's certified sigma_min / sigma_max must
-# exceed for ``neighbour_costs`` to decide it by the bound alone (see there).
+# Lower bound a design's certified sigma_min / sigma_max must exceed for it
+# to be decided by the bound alone (``_certified``, ``neighbour_costs``).
 CERTIFIED_RATIO_CAP = 1e-6
 
 # Factor either side of ``RANK_RCOND`` within which ``neighbour_costs``
@@ -135,6 +137,35 @@ def full_rank_lstsq(x: np.ndarray, y: np.ndarray,
             subset=subset,
         )
     return coef
+
+
+def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
+    """Split features into a maximal full-rank set and the dropped rest.
+
+    Greedy scan in ascending index order over an incrementally extended
+    orthonormal basis (intercept first, always kept), written column by
+    column into one N x (R+1) array: a column is kept iff its component
+    orthogonal to the current basis is non-negligible.  Backward procedures
+    start from the usable set and record the dropped indices at the tail of
+    their order.
+    """
+    n = dataset.n_rows
+    basis = np.empty((n, dataset.n_features + 1))
+    basis[:, 0] = 1.0 / math.sqrt(n)
+    usable, dropped = [], []
+    for k in range(1, dataset.n_features + 1):
+        resid = dataset.features[:, k - 1].copy()
+        scale = np.linalg.norm(resid)
+        _project_out(basis[:, :len(usable) + 1], resid)
+        norm = np.linalg.norm(resid)
+        # Cutoff sits well above the solver's singular-value threshold so a
+        # kept column can never trip the rank check downstream.
+        if scale == 0.0 or norm <= 1e-8 * scale:
+            dropped.append(k)
+        else:
+            usable.append(k)
+            basis[:, len(usable)] = resid / norm
+    return usable, dropped
 
 
 def error_metrics(residuals: np.ndarray, target: np.ndarray
@@ -241,14 +272,14 @@ class Factor:
     certificate and the target's projection, in design-column order
     (intercept first).
 
-    ``a_inv`` is ``A^-1`` when ``1 / ||A^-1||_F``, a lower bound on the
-    design's sigma_min, exceeds ``CERTIFIED_RATIO_CAP`` times
-    ``||[1, X_pool]||_F``, an upper bound on its sigma_max; otherwise it is
-    None and ``a_inv_norm`` is +inf."""
+    ``n_certified`` counts the leading prefixes of the design that
+    ``_certified`` certifies.  ``a_inv`` is ``A^-1`` when they are all of
+    them; otherwise it is None and ``a_inv_norm`` is +inf."""
 
     q: np.ndarray  # N x (M+1), orthonormal columns
     a: np.ndarray  # upper triangular
     design_norm2: float  # ||[1, X_pool]||_F^2
+    n_certified: int
     a_inv: np.ndarray | None
     a_inv_norm: float  # ||A^-1||_F
     qty: np.ndarray  # Q^T y
@@ -266,27 +297,54 @@ def _project_out(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return c
 
 
+def _leading_run(flags: np.ndarray) -> int:
+    """The number of leading True entries of ``flags``."""
+    return int(np.argmin(np.append(flags, False)))
+
+
+def _certified(q: np.ndarray, a: np.ndarray, column_norm2: np.ndarray,
+               qty: np.ndarray, residuals: np.ndarray,
+               a_inv: np.ndarray | None = None) -> Factor:
+    """The ``Factor`` of the design ``X = Q A`` whose columns have squared
+    norms ``column_norm2``, with its certificate; ``a_inv`` is ``A^-1``
+    when the caller holds it already.
+
+    Prefix M's design is ``X_M = Q[:, :M+1] A_M``, ``A_M = A[:M+1, :M+1]``.
+    As ``sigma_min(X_M) >= 1 / ||A_M^-1||_F`` and ``sigma_max(X_M) <=
+    ||X_M||_F``, the prefix is full-rank under the SVD rule, its ratio
+    above ``CERTIFIED_RATIO_CAP``, when ``||A_M^-1||_F ||X_M||_F
+    CERTIFIED_RATIO_CAP < 1``.  A is upper triangular, so ``A_M^-1`` is the
+    leading block of ``A^-1`` (column j of ``A^-1`` is zero below row j) and
+    ``||A_M^-1||_F^2`` the sum of its first M + 1 squared column norms.
+    Both norms grow with M, so the certified prefixes form a leading run,
+    ``n_certified`` long.  That run lies within the leading block whose
+    diagonal passes ``|A_jj| > CERTIFIED_RATIO_CAP ||X_j||_F`` (as
+    ``sigma_min(A_M) <= min |diag(A_M)|``), the only block inverted, which
+    also keeps the inverse away from an exactly singular factor.  ``inv``,
+    not a triangular solve: the same cost single-threaded, and far cheaper
+    than a multithreaded BLAS triangular solve on small factors.
+    """
+    design_norm2 = np.cumsum(column_norm2)
+    design_norm = np.sqrt(design_norm2)
+    lead = _leading_run(np.abs(np.diag(a)) > CERTIFIED_RATIO_CAP * design_norm)
+    inverse = np.linalg.inv(a[:lead, :lead]) if a_inv is None else a_inv[:lead, :lead]
+    inv_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", inverse, inverse)))
+    n_certified = _leading_run(
+        inv_norm * design_norm[:lead] * CERTIFIED_RATIO_CAP < 1.0)
+    whole = n_certified == len(a)
+    return Factor(q, a, float(design_norm2[-1]), n_certified,
+                  inverse if whole else None,
+                  float(inv_norm[-1]) if whole else math.inf, qty, residuals)
+
+
 def _factor(dataset: Dataset, indices: tuple[int, ...]) -> Factor:
     """The ``Factor`` of the design on ``indices``."""
     x = build_design_matrix(dataset, FeatureSubset(tuple(indices))).values
     q, a = np.linalg.qr(x)
-    design_norm2 = float(np.einsum("ij,ij->", x, x))
-    design_norm = math.sqrt(design_norm2)
     residuals = dataset.target.copy()
     qty = _project_out(q, residuals)
     residuals.setflags(write=False)
-    a_inv, a_inv_norm = None, math.inf
-    # sigma_min(A) <= min |diag(A)| for triangular A, so a tiny diagonal
-    # fails the bound for certain; checking it first also keeps the inverse
-    # away from an exactly singular factor.  ``inv``, not a triangular
-    # solve: the same cost single-threaded, and far cheaper than a
-    # multithreaded BLAS triangular solve on small factors.
-    if np.abs(np.diag(a)).min() > CERTIFIED_RATIO_CAP * design_norm:
-        inverse = np.linalg.inv(a)
-        norm = float(np.linalg.norm(inverse))
-        if norm * design_norm * CERTIFIED_RATIO_CAP < 1.0:
-            a_inv, a_inv_norm = inverse, norm
-    return Factor(q, a, design_norm2, a_inv, a_inv_norm, qty, residuals)
+    return _certified(q, a, np.einsum("ij,ij->j", x, x), qty, residuals)
 
 
 def _rank_one_update(z: np.ndarray, zeta: np.ndarray, zr: np.ndarray,
@@ -305,6 +363,24 @@ def _band_decisions(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     RANK_BAND`` rank-deficient.  A ratio in the band between is neither,
     and goes to the SVD rule (``neighbour_costs`` derives the band)."""
     return ratios > RANK_RCOND * RANK_BAND, ratios <= RANK_RCOND / RANK_BAND
+
+
+def _prefix_decisions(factor: Factor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide the prefixes of the factor's design as
+    ``ranking.error_curve`` describes.
+
+    Returns ``(ratios, full_rank, deficient)``: ``sigma_min / sigma_max`` of
+    each leading block ``A[:M+1, :M+1]``, M = 0..R, +inf on the leading run
+    the certificate covers, and masks of the prefixes that are full-rank
+    and of those that are rank-deficient.  The rest are left to the SVD
+    rule.
+    """
+    a = factor.a
+    ratios = np.full(len(a), math.inf)
+    for m in range(factor.n_certified, len(a)):
+        sv = np.linalg.svd(a[:m + 1, :m + 1], compute_uv=False)
+        ratios[m] = sv[-1] / sv[0]
+    return (ratios, *_band_decisions(ratios))
 
 
 def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -520,9 +596,7 @@ class _AddState:
         self.q = np.empty((r + 1, n))  # row j: column j of Q
         self.a = np.zeros((r + 1, r + 1))
         self.a_inv = np.zeros((r + 1, r + 1))
-        self.a_inv_norm2 = 0.0
-        self.min_diag = math.inf
-        self.design_norm2 = 0.0
+        self.taken_norm2 = np.empty(r + 1)  # |x|^2 of the design's columns
         self.qty = np.empty(r + 1)
         self.residuals = dataset.target.copy()
         self.width = 0
@@ -540,9 +614,7 @@ class _AddState:
         u = self.a_inv[:w, :w] @ c / -zeta
         self.a_inv[:w, w] = u
         self.a_inv[w, w] = 1.0 / zeta
-        self.a_inv_norm2 += u @ u + 1.0 / (zeta * zeta)
-        self.design_norm2 += norm2
-        self.min_diag = min(self.min_diag, zeta)
+        self.taken_norm2[w] = norm2
         self.width = w + 1
         self.qty[w] = _project_out(direction[:, None], self.residuals)[0]
         z = self.z[:len(self.pool)]
@@ -569,16 +641,11 @@ class _AddState:
 
     def fits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``_decide_and_update`` of every remaining column, in pool order;
-        the design is certified as ``_factor`` certifies it."""
+        the design is certified by ``_certified``, as ``_factor``'s is, from
+        the state's own ``A^-1``."""
         w, n = self.width, len(self.pool)
-        design_norm = math.sqrt(self.design_norm2)
-        a_inv_norm = math.sqrt(self.a_inv_norm2)
-        certified = (self.min_diag > CERTIFIED_RATIO_CAP * design_norm
-                     and a_inv_norm * design_norm * CERTIFIED_RATIO_CAP < 1.0)
-        factor = Factor(self.q[:w].T, self.a[:w, :w], self.design_norm2,
-                        self.a_inv[:w, :w] if certified else None,
-                        a_inv_norm if certified else math.inf,
-                        self.qty[:w], self.residuals)
+        factor = _certified(self.q[:w].T, self.a[:w, :w], self.taken_norm2[:w],
+                            self.qty[:w], self.residuals, self.a_inv[:w, :w])
         z = self.z[:n]
         return _decide_and_update(factor, self.c[:n, :w], z, self.col_norm2[:n],
                                   np.einsum("ij,j->i", z, self.residuals),
@@ -683,13 +750,20 @@ class _DropState:
         dropped += self.residuals  # row j: the residual without column j
         return np.abs(dropped).mean(axis=1)
 
-
-def removal_maes(dataset: Dataset, pool) -> np.ndarray:
-    """MAE of the fit on ``pool`` without each entry, in pool order; +inf
-    where that fit is rank-deficient: ``_DropState.removal_maes`` of the
-    pool (the dual basis of a certified pool, one SVD fit per removal of
-    any other)."""
-    return _DropState(dataset, pool).removal_maes()
+    def coefficient_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pool's feature coefficients, its residual and ``diag((X^T
+        X)^-1)`` (intercept first), for its t statistics.  A certified
+        pool's are the state's b, r and B; any other pool is fitted by the
+        SVD rule, which decides rank deficiency (``RankDeficiencyError``),
+        and its diagonal comes from a triangular solve on its factor's A."""
+        if self.fallback is None:
+            return self.coefficients[1:], self.residuals, self.gram_inv.diagonal()
+        fit = fit_subset(self.dataset, FeatureSubset(tuple(self.pool)))
+        # LU leaves a triangular factor as it is, so ``solve`` is the
+        # triangular back substitution
+        a = self.fallback.a
+        a_inv = np.linalg.solve(a, np.eye(len(a)))
+        return fit.coefficients, fit.residuals, (a_inv**2).sum(axis=1)
 
 
 class CostCache:

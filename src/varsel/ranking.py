@@ -30,13 +30,11 @@ import numpy as np
 from .data import Dataset, FeatureSubset, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
 from .linmodel import (
-    CERTIFIED_RATIO_CAP,
-    Factor,
     _AddState,
-    _band_decisions,
     _DropState,
     _factor,
-    _project_out,
+    _prefix_decisions,
+    _usable_features,
     error_metrics,
     fit_subset,
 )
@@ -90,37 +88,6 @@ class Ranking:
         return tuple((np.flatnonzero(np.isinf(self.mse_curve)) + 1).tolist())
 
 
-def _leading_run(flags: np.ndarray) -> int:
-    """The number of leading True entries of ``flags``."""
-    return int(np.argmin(np.append(flags, False)))
-
-
-def _prefix_decisions(factor: Factor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide the prefixes of the factor's design as ``error_curve``
-    describes.
-
-    Returns ``(ratios, full_rank, deficient)``: ``sigma_min / sigma_max`` of
-    each leading block ``A[:M+1, :M+1]``, M = 0..R, +inf on the leading run
-    the certificate covers, and masks of the prefixes that are full-rank
-    and of those that are rank-deficient.  The rest are left to the SVD
-    rule.
-    """
-    a = factor.a
-    n_certified = len(a)
-    if factor.a_inv is None:
-        design_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a, a)))
-        lead = _leading_run(np.abs(np.diag(a)) > CERTIFIED_RATIO_CAP * design_norm)
-        a_inv = np.linalg.inv(a[:lead, :lead])
-        inv_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a_inv, a_inv)))
-        n_certified = _leading_run(
-            inv_norm * design_norm[:lead] * CERTIFIED_RATIO_CAP < 1.0)
-    ratios = np.full(len(a), math.inf)
-    for m in range(n_certified, len(a)):
-        sv = np.linalg.svd(a[:m + 1, :m + 1], compute_uv=False)
-        ratios[m] = sv[-1] / sv[0]
-    return (ratios, *_band_decisions(ratios))
-
-
 def error_curve(
     dataset: Dataset, order: tuple[int, ...] | list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,22 +102,14 @@ def error_curve(
     Least Squares Problems*, 1996, 2.4; Golub & Van Loan 5.3).  Prefix M's
     design is ``Q[:, :M+1] A_M`` with ``A_M = A[:M+1, :M+1]``, so its
     residual is ``y - Q[:, :M+1] (Q^T y)[:M+1]``; all R + 1 residuals are
-    scored by one ``error_metrics`` call.  Each prefix is decided in one of
-    three ways, as ``linmodel.neighbour_costs`` decides a candidate.
+    scored by one ``error_metrics`` call.  ``linmodel._prefix_decisions``
+    decides each prefix in one of three ways, as
+    ``linmodel.neighbour_costs`` decides a candidate.
 
-    * Certified.  ``A`` is upper triangular, so ``A_M^-1`` is the leading
-      block of ``A^-1`` (column j of ``A^-1`` is zero below row j), and
-      ``||A_M^-1||_F^2`` is the sum of the first M + 1 squared column norms
-      of ``A^-1``.  As ``sigma_min(X_M) >= 1 / ||A_M^-1||_F`` and
-      ``sigma_max(X_M) <= ||X_M||_F``, prefix M is full-rank under the SVD
-      rule, its ratio above ``CERTIFIED_RATIO_CAP``, when ``||A_M^-1||_F
-      ||X_M||_F CERTIFIED_RATIO_CAP < 1``.  Both norms grow with M, so a
-      certified factor (``factor.a_inv``) certifies every prefix with no
-      extra work, and otherwise the certified prefixes form a leading run.
-      That run lies within the leading block whose diagonal passes
-      ``|A_jj| > CERTIFIED_RATIO_CAP ||X_j||_F`` (as ``sigma_min(A_M) <=
-      min |diag(A_M)|``), the block that is inverted.  ``||X_M||_F`` is
-      read from A's column norms, which are X's up to rounding.
+    * Certified.  The factor's certificate (``linmodel._certified``) bounds
+      the condition of a leading run of prefixes, ``Factor.n_certified``
+      long, far inside the SVD rule; those are full-rank with no further
+      work.
     * By the leading block.  Every other prefix gets the singular values
       of ``A_M``, which are the design's up to the Householder backward
       error (the argument for ``RANK_BAND`` in ``neighbour_costs``).  A
@@ -179,33 +138,6 @@ def error_curve(
                 previous, mse_curve[m - 1] = fit.mae, fit.mse
         mae_curve[m - 1] = previous  # repeated where rank-deficient
     return mae_curve, mse_curve
-
-
-def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
-    """Split features into a maximal full-rank set and the dropped rest.
-
-    Greedy scan in ascending index order over an incrementally extended
-    orthonormal basis (intercept first, always kept): a column is kept iff
-    its component orthogonal to the current basis is non-negligible.
-    Backward procedures start from the usable set and record the dropped
-    indices at the tail of their order.
-    """
-    n = dataset.n_rows
-    basis = np.ones((n, 1)) / math.sqrt(n)
-    usable, dropped = [], []
-    for k in range(1, dataset.n_features + 1):
-        resid = dataset.features[:, k - 1].copy()
-        scale = np.linalg.norm(resid)
-        _project_out(basis, resid)
-        norm = np.linalg.norm(resid)
-        # Cutoff sits well above the solver's singular-value threshold so a
-        # kept column can never trip the rank check downstream.
-        if scale == 0.0 or norm <= 1e-8 * scale:
-            dropped.append(k)
-        else:
-            basis = np.hstack([basis, (resid / norm)[:, None]])
-            usable.append(k)
-    return usable, dropped
 
 
 def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
@@ -254,9 +186,9 @@ def _grow(dataset: Dataset, largest: bool) -> list[int]:
 
 
 def _shrink(dataset: Dataset, read, largest: bool) -> tuple[list[int], list[int]]:
-    """Removal order of a backward pass over ``_usable_features``, and the
-    dropped rest: one ``linmodel._DropState`` of the usable pool, priced by
-    ``read(state)`` at each step and downdated at each removal."""
+    """Removal order of a backward pass over ``linmodel._usable_features``,
+    and the dropped rest: one ``linmodel._DropState`` of the usable pool,
+    priced by ``read(state)`` at each step and downdated at each removal."""
     usable, dropped = _usable_features(dataset)
     state = _DropState(dataset, usable)
     return _stepwise(usable, lambda taken, pool: read(state.follow(taken)),
@@ -311,30 +243,17 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
     ``indices`` (intercept excluded).
 
     Standard errors come from sigma^2 * diag((X^T X)^-1) with the unbiased
-    sigma^2 = SS_res / (N - M - 1).  Both come from the pool's
-    ``linmodel._DropState``: a certified pool's holds b, r and ``(X^T
-    X)^-1``; any other pool is fitted by the SVD rule, which decides rank
-    deficiency, and its diagonal comes from a triangular solve on its
-    factor's A.  A zero standard error gives p = 0 for a nonzero
-    coefficient and p = 1 for a zero one.
+    sigma^2 = SS_res / (N - M - 1), both read from the pool's
+    ``linmodel._DropState`` (``coefficient_fit``).  A zero standard error
+    gives p = 0 for a nonzero coefficient and p = 1 for a zero one.
     """
     return _pvalues(_DropState(dataset, indices))
 
 
 def _pvalues(state: _DropState) -> np.ndarray:
     """``coefficient_pvalues`` of the state's pool."""
-    dataset, factor = state.dataset, state.fallback
-    if factor is None:
-        coefs, residuals = state.coefficients[1:], state.residuals
-        gram_inv_diag = state.gram_inv.diagonal()
-    else:
-        fit = fit_subset(dataset, FeatureSubset(tuple(state.pool)))
-        coefs, residuals = fit.coefficients, fit.residuals
-        # LU leaves a triangular factor as it is, so ``solve`` is the
-        # triangular back substitution
-        a_inv = np.linalg.solve(factor.a, np.eye(len(factor.a)))
-        gram_inv_diag = (a_inv**2).sum(axis=1)
-    n, p = dataset.n_rows, len(state.pool) + 1
+    coefs, residuals, gram_inv_diag = state.coefficient_fit()
+    n, p = state.dataset.n_rows, len(state.pool) + 1
     dof = n - p
     if dof < 1:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")

@@ -65,11 +65,12 @@ from varsel.linmodel import (  # noqa: E402
     _AddState,
     _factor,
     _neighbour_residuals,
+    _prefix_decisions,
     _project_out,
     _small_factor_ratios,
     full_rank_lstsq,
 )
-from varsel.ranking import _prefix_decisions, _stepwise  # noqa: E402
+from varsel.ranking import _stepwise  # noqa: E402
 
 FIXED_SETS = [(1,), (2,), (1, 2), (4, 1, 5)]
 PREFIX_ORDERS = [(1, 2, 3, 4, 5, 6), (4, 5, 2, 6, 3, 1)]

@@ -2,7 +2,7 @@
 paths it replaces: removal MAEs of RM2/RM3 against one SVD fit per removal,
 coefficient p-values against the former two-factor computation, and the
 unchanged fallback of a pool the bound does not certify; and its drop
-direction (``removal_maes``) against its add direction
+direction (``_DropState.removal_maes``) against its add direction
 (``neighbour_costs``)."""
 
 import math
@@ -27,9 +27,9 @@ from varsel import (
 )
 from varsel.linmodel import (
     CERTIFIED_RATIO_CAP,
+    _DropState,
     _factor,
     _neighbour_residuals,
-    removal_maes,
 )
 
 from conftest import (
@@ -90,7 +90,7 @@ def assert_pool_matches(dataset, pool):
     and errors of those paths.  Returns whether the pool was certified."""
     pool = tuple(pool)
     factor = _factor(dataset, pool)
-    got = removal_maes(dataset, pool)
+    got = _DropState(dataset, pool).removal_maes()
     want = loop_removal_maes(dataset, pool)
     got_p = outcome(coefficient_pvalues, dataset, pool)
     want_p = outcome(loop_coefficient_pvalues, dataset, pool)
@@ -166,7 +166,7 @@ class TestCertifiedFactorAgainstLoops:
         assert diagonal.min() > 2e-3 * np.linalg.norm(design)
         assert _factor(ds, pool).a_inv is None
         assert not assert_pool_matches(ds, pool)
-        assert np.isfinite(removal_maes(ds, pool)).all()
+        assert np.isfinite(_DropState(ds, pool).removal_maes()).all()
 
     def test_degrees_of_freedom_and_rank_errors_as_before(self):
         x, y, _ = random_instance(21, 7, 6)
@@ -181,14 +181,15 @@ class TestCertifiedFactorAgainstLoops:
 
 def assert_add_and_drop_agree(dataset, pool):
     """On a certified pool the drop and add directions price the same fit:
-    for every j and every other entry i, N times ``removal_maes`` entry j
-    (the fit on the pool without j) equals ``neighbour_costs`` of the pool
-    without i and j plus i, within ``cost_tolerance``.  Returns how many of
-    those additions the factor decided itself."""
+    for every j and every other entry i, N times entry j of
+    ``_DropState.removal_maes`` (the fit on the pool without j) equals
+    ``neighbour_costs`` of the pool without i and j plus i, within
+    ``cost_tolerance``.  Returns how many of those additions the factor
+    decided itself."""
     pool = tuple(pool)
     if _factor(dataset, pool).a_inv is None:
         return 0
-    dropped = dataset.n_rows * removal_maes(dataset, pool)
+    dropped = dataset.n_rows * _DropState(dataset, pool).removal_maes()
     decided = 0
     for j in range(len(pool)):
         rest = pool[:j] + pool[j + 1:]

@@ -1,10 +1,11 @@
 """Ranking methods against independently written brute-force oracles."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import t as student_t
 
 from varsel import (
@@ -14,6 +15,7 @@ from varsel import (
     RankDeficiencyError,
     Ranking,
     RankingMethod,
+    build_design_matrix,
     coefficient_pvalues,
     error_curve,
     fit_subset,
@@ -28,8 +30,14 @@ from varsel import (
 )
 from varsel import ranking as ranking_module
 from varsel.data import unit_centered_columns
-from varsel.linmodel import RANK_BAND, RANK_RCOND, _factor
-from varsel.ranking import _stepwise, _usable_features
+from varsel.linmodel import (
+    CERTIFIED_RATIO_CAP,
+    RANK_BAND,
+    RANK_RCOND,
+    _factor,
+    _usable_features,
+)
+from varsel.ranking import _stepwise
 
 from conftest import (
     assert_prefix_fits_within_the_bound,
@@ -452,3 +460,58 @@ class TestPrefixDecisions:
         want = loop_error_curve(ds, (1, 2, 3, 4, 5, 6))
         assert np.isinf(got[1]).tolist() == np.isinf(want[1]).tolist()
 
+
+@st.composite
+def certificate_cases(draw):
+    """A table and an order for the certificate: an ``awkward_tables``
+    draw, or a ``near_duplicate_table`` pair at a residual ratio of 1e-3,
+    of 10^-10.6 to 10^-9.4 or of 10^-6.2 to 10^-4.8 (uniform in log), where
+    the bound's product for the prefixes holding the pair straddles 1."""
+    kind = draw(st.sampled_from(["awkward", 1e-3, (-10.6, -9.4), (-6.2, -4.8)]))
+    if kind == "awkward":
+        dataset = draw(awkward_tables())
+    else:
+        seed = draw(st.integers(0, 10_000))
+        ratio = (kind if isinstance(kind, float)
+                 else 10.0 ** np.random.default_rng(seed).uniform(*kind))
+        dataset = near_duplicate_table(seed, ratio)
+    order = draw(st.permutations(range(1, dataset.n_features + 1)))
+    return dataset, tuple(order)
+
+
+def loop_certified_prefixes(dataset, order, a):
+    """The leading run of prefixes M = 0..R of ``order`` that pass the
+    certificate, one prefix at a time: with ``A_M = a[:M+1, :M+1]`` and
+    ``X_M`` the prefix's design, the guard ``min |diag A_M| >
+    CERTIFIED_RATIO_CAP ||X_M||_F``, then the bound ``||A_M^-1||_F ||X_M||_F
+    CERTIFIED_RATIO_CAP < 1`` on the inverse of the block.  None when a
+    guard or bound product up to the end of the run lies within 1e-9
+    relative of 1, where the last bits decide."""
+    x = build_design_matrix(dataset, FeatureSubset(order)).values
+    for m in range(len(a)):
+        cap_norm = CERTIFIED_RATIO_CAP * np.linalg.norm(x[:, :m + 1])
+        block = a[:m + 1, :m + 1]
+        smallest = np.abs(np.diag(block)).min()
+        products = [cap_norm / smallest if smallest > 0.0 else math.inf]
+        if products[0] < 1.0:
+            products.append(np.linalg.norm(np.linalg.inv(block)) * cap_norm)
+        if any(abs(p - 1.0) <= 1e-9 for p in products):
+            return None
+        if products[-1] >= 1.0:
+            return m
+    return len(a)
+
+
+class TestCertifiedPrefixes:
+    """``Factor.n_certified``, the run of prefixes ``error_curve`` takes as
+    certified, against a loop that inverts each leading block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=certificate_cases())
+    def test_the_count_equals_the_per_prefix_loop(self, case):
+        dataset, order = case
+        factor = _factor(dataset, order)
+        want = loop_certified_prefixes(dataset, order, factor.a)
+        assume(want is not None)
+        assert factor.n_certified == want
+        assert (factor.a_inv is not None) == (want == len(factor.a))

@@ -22,8 +22,14 @@ from varsel import (
     rank_remove_max_error,
 )
 from varsel import ranking as ranking_module
-from varsel.linmodel import DOWNDATE_LIMIT, _AddState, _DropState, _factor
-from varsel.ranking import _pvalues, _stepwise, _usable_features
+from varsel.linmodel import (
+    DOWNDATE_LIMIT,
+    _AddState,
+    _DropState,
+    _factor,
+    _usable_features,
+)
+from varsel.ranking import _pvalues, _stepwise
 
 from conftest import EPS, awkward_tables, near_duplicate_table, random_instance
 from oracles import (
