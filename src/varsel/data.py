@@ -8,6 +8,7 @@ labeling used in reports (feature 113 is the 113th column of the table).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +55,15 @@ class Dataset:
             raise ConfigError("non-finite entries in features or target")
         features.setflags(write=False)
         target.setflags(write=False)
+
+    @cached_property
+    def column_norm2(self) -> np.ndarray:
+        """``|x|^2`` of every feature column, read-only, each summed as
+        ``np.einsum`` sums one contiguous row: taken once per table."""
+        columns = self.features.T.copy()
+        norm2 = np.einsum("ij,ij->i", columns, columns)
+        norm2.setflags(write=False)
+        return norm2
 
     @property
     def n_rows(self) -> int:

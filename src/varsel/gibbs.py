@@ -91,6 +91,15 @@ def _stable_weights(exponents: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _draw(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """An index drawn with probabilities ``weights`` by inverse CDF from one
+    ``rng.random()``: the index, and the generator state after it, of
+    ``rng.choice(len(weights), p=weights)``, without its checks of p."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _conditional(
     cache: CostCache, others: tuple[int, ...], eta: float
 ) -> tuple[list[int], np.ndarray]:
@@ -146,7 +155,7 @@ def gibbs_run(
         for j in range(config.m):
             others = tuple(state[:j] + state[j + 1:])
             candidates, weights = _conditional(cache, others, config.eta)
-            state[j] = candidates[rng.choice(len(candidates), p=weights)]
+            state[j] = candidates[_draw(rng, weights)]
         states.append(FeatureSubset(tuple(state)))
         costs.append(cache.cost(states[-1].indices))
     return GibbsChain(states=tuple(states), costs=tuple(costs), n_features=r)

@@ -20,9 +20,10 @@ columns and conditioning matters.
   whose condition a bound certifies far inside the SVD rule
   (``CERTIFIED_RATIO_CAP``), and ``A^-1`` when that run covers the whole
   design.  ``_certified`` is the one place that bound is applied.
-  ``_project_out``, two Gram-Schmidt passes, projects the target here,
-  the candidates of add and the columns of ``_usable_features``.  The
-  factor answers the three questions
+  ``_project_out`` projects the target here and the columns of
+  ``_usable_features`` by two Gram-Schmidt passes, and the candidates of
+  add by one, with a second only for a candidate the first left with
+  less than half its squared norm.  The factor answers the three questions
   of the greedy rankings, search and sampling, and gives every ranking's
   prefix curves.  Add (``neighbour_costs``) reads the factor of the fixed
   columns certified or not: every candidate is projected onto the
@@ -232,10 +233,17 @@ def residual_norm_cost(residuals: np.ndarray, p: float,
     """``||residuals||_p ** alpha``, taken along the last axis: a float for
     one residual vector, an array of costs for a stack of them."""
     check_cost_parameters(p, alpha)
-    powered = np.abs(np.asarray(residuals, dtype=float))
+    return _magnitude_cost(np.abs(np.asarray(residuals, dtype=float)), p, alpha)
+
+
+def _magnitude_cost(magnitudes: np.ndarray, p: float,
+                    alpha: float) -> float | np.ndarray:
+    """``residual_norm_cost`` of the residuals whose absolute values are
+    ``magnitudes``, raised to p in place: a stack of residuals can be
+    large."""
     if p != 1:
-        powered **= p  # in place: a stack of residuals can be large
-    costs = np.sum(powered, axis=-1) ** (alpha / p)
+        magnitudes **= p
+    costs = np.sum(magnitudes, axis=-1) ** (alpha / p)
     return float(costs) if costs.ndim == 0 else costs
 
 
@@ -286,15 +294,39 @@ class Factor:
     residuals: np.ndarray  # r = y - Q Q^T y
 
 
-def _project_out(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _project_out(q: np.ndarray, r: np.ndarray, norm2: np.ndarray | None = None
+                 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Project ``r`` (a vector, or one vector a row) onto the complement of
-    Q's columns in place, by two Gram-Schmidt passes; returns ``Q^T r``."""
+    Q's columns in place; returns ``Q^T r``.
+
+    With no ``norm2`` it takes two Gram-Schmidt passes.  Given ``norm2``,
+    the rows' squared norms before projection, it takes one pass, and a
+    second only for the rows left with less than half their squared norm;
+    it then returns ``(Q^T r, |r|^2)``, the squared norms after
+    projection.  That is the criterion of Daniel, Gragg, Kaufman & Stewart
+    (1976) at 1/sqrt(2): a pass that keeps that much of a row leaves it
+    orthogonal to Q within a small multiple of eps times its norm, and two
+    passes are enough for any other row (Giraud, Langou & Rozloznik, 2005,
+    "twice is enough").  Which rows share the second pass's products can
+    move their last bits.
+    """
     c = r @ q
     r -= c @ q.T
-    c2 = r @ q  # one reorthogonalization pass
-    r -= c2 @ q.T
-    c += c2
-    return c
+    if norm2 is None:
+        c2 = r @ q
+        r -= c2 @ q.T
+        c += c2
+        return c
+    zeta2 = np.einsum("ij,ij->i", r, r)
+    again = np.flatnonzero(zeta2 < 0.5 * norm2)
+    if again.size:
+        rows = r[again]
+        c2 = rows @ q
+        rows -= c2 @ q.T
+        r[again] = rows
+        c[again] += c2
+        zeta2[again] = np.einsum("ij,ij->i", rows, rows)
+    return c, zeta2
 
 
 def _leading_run(flags: np.ndarray) -> int:
@@ -403,14 +435,14 @@ def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.n
 
 
 def _decide_and_update(
-    factor: Factor, c: np.ndarray, z: np.ndarray, col_norm2: np.ndarray,
-    zr: np.ndarray, out: np.ndarray,
+    factor: Factor, c: np.ndarray, z: np.ndarray, zeta2: np.ndarray,
+    col_norm2: np.ndarray, zr: np.ndarray, out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decide the fits on ``[1, X_fixed, x_k]`` for every candidate k, as
     ``neighbour_costs`` describes, from the factor of the fixed columns and,
-    one row per candidate, ``c = Q^T x``, the complement ``z``, ``|x|^2``
-    and ``z^T r0``: the certificate, then the singular values of the small
-    factor, then ``_band_decisions``.
+    one row per candidate, ``c = Q^T x``, the complement ``z``, ``|z|^2``,
+    ``|x|^2`` and ``z^T r0``: the certificate, then the singular values of
+    the small factor, then ``_band_decisions``.
 
     Returns ``(certified, updated, singular, residuals)``: boolean masks
     over the candidates of those the bound certifies, of those that take
@@ -421,7 +453,7 @@ def _decide_and_update(
     are written to ``out``.
     """
     r0 = factor.residuals
-    zeta = np.sqrt(np.einsum("ij,ij->i", z, z))
+    zeta = np.sqrt(zeta2)
     if factor.a_inv is None:
         certified = np.zeros(len(z), dtype=bool)
     else:
@@ -454,21 +486,25 @@ def _neighbour_residuals(
         empty = np.zeros(0, dtype=bool)
         return empty, empty, empty, np.empty((0, dataset.n_rows))
     factor = _factor(dataset, fixed)
+    rows = np.asarray(candidates) - 1
     # One row per candidate, so each residual is summed contiguously.
-    z = dataset.features.T[np.asarray(candidates) - 1]
-    col_norm2 = np.einsum("ij,ij->i", z, z)
-    c = _project_out(factor.q, z)
-    return _decide_and_update(factor, c, z, col_norm2, z @ factor.residuals, z)
+    z = dataset.features.T[rows]
+    col_norm2 = dataset.column_norm2[rows]
+    c, zeta2 = _project_out(factor.q, z, col_norm2)
+    return _decide_and_update(factor, c, z, zeta2, col_norm2,
+                              z @ factor.residuals, z)
 
 
 def _priced(dataset: Dataset, fixed: tuple[int, ...], candidates: list[int],
             fits: tuple, p: float, alpha: float) -> np.ndarray:
     """The costs of ``fixed + (k,)`` from ``_decide_and_update``'s ``fits``:
     the updated residuals' norms, +inf where rank-deficient, and the SVD
-    rule's cost for every candidate left undecided."""
+    rule's cost for every candidate left undecided.  The residuals are
+    scratch: their absolute values are written over them."""
+    check_cost_parameters(p, alpha)
     _, updated, singular, residuals = fits
     costs = np.full(len(candidates), math.inf)
-    costs[updated] = residual_norm_cost(residuals, p, alpha)
+    costs[updated] = _magnitude_cost(np.abs(residuals, out=residuals), p, alpha)
     undecided = ~(updated | singular)
     if undecided.any():
         costs[undecided] = _svd_costs(
@@ -489,14 +525,23 @@ def neighbour_costs(
     columns, ``[1, X_fixed] = Q A``.
 
     With ``c = Q^T x`` and ``z`` the component of a candidate column ``x``
-    orthogonal to ``Q`` (two Gram-Schmidt passes), the candidate design is
-    ``[Q, z/|z|]`` times the small factor ``T = [[A, c], [0, |z|]]``.  The
-    left factor is orthonormal, so the design and ``T`` have the same
-    singular values up to rounding (Golub & Van Loan, *Matrix
-    Computations*, 2.4 and 5.3), and the fit's residual is the rank-one
-    update ``r0 - z (z^T r0) / |z|^2`` of the residual ``r0`` of the fixed
-    columns alone (Bjorck, *Numerical Methods for Least Squares Problems*,
-    1996, on updating QR).  Each candidate is decided in one of three ways.
+    orthogonal to ``Q``, the candidate design is ``[Q, z/|z|]`` times the
+    small factor ``T = [[A, c], [0, |z|]]``.  The left factor is
+    orthonormal, so the design and ``T`` have the same singular values up
+    to rounding (Golub & Van Loan, *Matrix Computations*, 2.4 and 5.3),
+    and the fit's residual is the rank-one update ``r0 - z (z^T r0) /
+    |z|^2`` of the residual ``r0`` of the fixed columns alone (Bjorck,
+    *Numerical Methods for Least Squares Problems*, 1996, on updating QR).
+
+    z is taken by one Gram-Schmidt pass, and by a second only when the
+    first left ``|z|^2 < |x|^2 / 2`` (``_project_out``).  A pass that
+    cancels less than that leaves z orthogonal to Q within a small
+    multiple of eps ``|x|``, so of eps ``|z|`` (below 7.8 eps ``|x|`` on
+    the benchmark's 1213-row table, and below sqrt(N) eps ``|x|`` in the
+    tests), and a second pass after one that cancels more is enough
+    (Daniel, Gragg, Kaufman & Stewart, 1976).  ``|x|^2`` is the table's,
+    taken once (``Dataset.column_norm2``), and ``|z|^2`` the projection's.
+    Each candidate is decided in one of three ways.
 
     * Certified.  When ``_factor`` certifies the fixed columns, the inverse
       of ``T`` bounds ``sigma_min >= 1 / (||A^-1|| (1 + |c|/|z|) + 1/|z|)``,
@@ -526,16 +571,18 @@ def neighbour_costs(
     singular values of the design; the small factor's differ from them by
     three roundings: of ``Q A`` against ``[1, X_fixed]`` (Householder QR,
     backward error a small multiple of eps times the column norms), of
-    ``c`` and ``z`` against ``x`` (two passes leave ``z`` orthogonal to
-    ``Q`` to working precision, so ``[Q, z/|z|]`` is orthonormal to a few
-    eps and scales singular values by 1 + O(eps)), and ``gelsd``'s own
-    (backward stable, error a small multiple of eps * sigma_max).  By
+    ``c`` and ``z`` against ``x`` (one pass or two, the projection leaves
+    ``z`` orthogonal to ``Q`` within a few eps of ``|z|``, as above, so
+    ``[Q, z/|z|]`` is orthonormal to a few eps and scales singular values
+    by 1 + O(eps)), and ``gelsd``'s own (backward stable, error a small
+    multiple of eps * sigma_max).  By
     Weyl's theorem each moves a singular value by at most its error's
     norm, so the two ratios sigma_min / sigma_max differ additively by a
     multiple of eps that grows only slowly with the table's size.
     Measured by ``tests/stress_rank_band.py``, the difference was at most
     1.2e-15 (5.5 eps) over 25500 candidates of ``near_duplicate_table`` at
-    residual ratios 10^-10.6 to 10^-9.4, and below 2e-17 after the
+    residual ratios 10^-10.6 to 10^-9.4 (4500 of them projected twice),
+    and below 2e-17 after the
     near-rank-deficient pair enters RM1 or RM4 on the emo-shaped benchmark
     tables (R = 30 and 122); of 10500 designs there holding the pair, the
     small factors decided 10406, all as ``full_rank_lstsq`` does, and left
@@ -590,7 +637,7 @@ class _AddState:
         self.pool = list(range(1, r + 1))
         self.taken: list[int] = []
         self.z = dataset.features.T.copy()
-        self.col_norm2 = np.einsum("ij,ij->i", self.z, self.z)
+        self.col_norm2 = dataset.column_norm2.copy()
         self.c = np.empty((r, r + 1))
         self.out = np.empty((r, n))  # the residuals of a certified step
         self.q = np.empty((r + 1, n))  # row j: column j of Q
@@ -647,7 +694,8 @@ class _AddState:
         factor = _certified(self.q[:w].T, self.a[:w, :w], self.taken_norm2[:w],
                             self.qty[:w], self.residuals, self.a_inv[:w, :w])
         z = self.z[:n]
-        return _decide_and_update(factor, self.c[:n, :w], z, self.col_norm2[:n],
+        return _decide_and_update(factor, self.c[:n, :w], z,
+                                  np.einsum("ij,ij->i", z, z), self.col_norm2[:n],
                                   np.einsum("ij,j->i", z, self.residuals),
                                   self.out[:n])
 
@@ -827,7 +875,9 @@ class CostCache:
         missing = [k for k, key in zip(candidates, keys) if key not in store]
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
-        if missing:
-            costs = neighbour_costs(self.dataset, fixed, missing, self.p, self.alpha)
+        if missing:  # checked above: straight to the kernel
+            costs = _priced(self.dataset, fixed, missing,
+                            _neighbour_residuals(self.dataset, fixed, missing),
+                            self.p, self.alpha)
             store.update(zip([base | bits[k] for k in missing], costs.tolist()))
         return np.array([store[key] for key in keys])

@@ -13,7 +13,9 @@ and (4, 1, 5) and every other column as candidate it prints:
 
 * the largest difference between sigma_min / sigma_max of a candidate's
   small factor ``[[A, c], [0, |z|]]`` and of ``gelsd`` on its design, the
-  error that ``RANK_BAND`` must cover (see ``neighbour_costs``);
+  error that ``RANK_BAND`` must cover (see ``neighbour_costs``), and how
+  many candidates the kernel's projection took a second Gram-Schmidt
+  pass for;
 * over the designs holding the pair, how many the kernel decided itself,
   how many of those disagree with ``full_rank_lstsq`` and how many it left
   to the SVD.
@@ -78,13 +80,21 @@ PREFIX_ORDERS = [(1, 2, 3, 4, 5, 6), (4, 5, 2, 6, 3, 1)]
 
 def ratio_differences(dataset, fixed, candidates):
     """|small-factor ratio - gelsd ratio| for every candidate, the small
-    factors projected as ``_neighbour_residuals`` projects them."""
+    factors projected as ``_neighbour_residuals`` projects them, and how
+    many candidates that projection took a second pass for."""
     factor = _factor(dataset, fixed)
-    z = dataset.features.T[np.asarray(candidates) - 1]
-    c = _project_out(factor.q, z)
-    small = _small_factor_ratios(factor.a, c, np.sqrt(np.einsum("ij,ij->i", z, z)))
+    rows = np.asarray(candidates) - 1
+    x = dataset.features.T[rows]
+    norm2 = dataset.column_norm2[rows]
+    z = x.copy()
+    c, zeta2 = _project_out(factor.q, z, norm2)
+    small = _small_factor_ratios(factor.a, c, np.sqrt(zeta2))
     full = [gelsd_ratio(dataset, fixed + (k,)) for k in candidates]
-    return np.abs(small - np.array(full))
+    # ``_project_out``'s rule: a second pass for the rows whose first kept
+    # less than half their squared norm
+    first = x - (x @ factor.q) @ factor.q.T
+    twice = int(np.count_nonzero(np.einsum("ij,ij->i", first, first) < 0.5 * norm2))
+    return np.abs(small - np.array(full)), twice
 
 
 def gelsd_ratio(dataset, subset):
@@ -165,7 +175,7 @@ def is_full_rank(dataset, subset):
 
 def near_threshold(n_tables):
     rng = np.random.default_rng(12345)
-    worst, n_ratios = 0.0, 0
+    worst, n_ratios, n_twice = 0.0, 0, 0
     decided = disagree = to_svd = 0
     prefix_worst = state_worst = 0.0
     prefix_counts = np.zeros(3, dtype=int)  # decided, disagreements, to the SVD
@@ -174,8 +184,9 @@ def near_threshold(n_tables):
         dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
         for fixed in FIXED_SETS:
             candidates = [k for k in range(1, 7) if k not in fixed]
-            diff = ratio_differences(dataset, fixed, candidates)
+            diff, twice = ratio_differences(dataset, fixed, candidates)
             worst, n_ratios = max(worst, diff.max()), n_ratios + len(candidates)
+            n_twice += twice
             _, updated, singular, _ = _neighbour_residuals(dataset, fixed, candidates)
             for k, up, sing in zip(candidates, updated, singular):
                 if not {1, 2} <= set(fixed + (k,)):
@@ -193,7 +204,8 @@ def near_threshold(n_tables):
             found = forward_state_decisions(dataset, largest, (1, 2))
             state_worst = max(state_worst, found[0])
             state_counts += found[1:]
-    print(f"near_duplicate_table: {n_ratios} candidates, largest ratio "
+    print(f"near_duplicate_table: {n_ratios} candidates ({n_twice} projected "
+          f"twice), largest ratio "
           f"difference {worst:.2e}; designs holding the pair: {decided} decided "
           f"by the kernel, {disagree} disagreements, {to_svd} to the SVD")
     print(f"near_duplicate_table prefixes holding the pair: largest ratio "
@@ -218,13 +230,15 @@ def benchmark_tables():
             ranking = rank(dataset)
             order = list(ranking.raw_order or ranking.order)
             entered = 1 + max(order.index(k) for k in table.rank_rule_pair)
-            worst, n_ratios = 0.0, 0
+            worst, n_ratios, n_twice = 0.0, 0, 0
             for step in range(entered, len(order), stride):
-                diff = ratio_differences(dataset, tuple(order[:step]), order[step:])
+                diff, twice = ratio_differences(dataset, tuple(order[:step]),
+                                                order[step:])
                 worst, n_ratios = max(worst, diff.max()), n_ratios + len(diff)
+                n_twice += twice
             print(f"make_table(1, {n_features}) {name}: {n_ratios} candidates "
-                  f"after the pair entered at step {entered}, largest ratio "
-                  f"difference {worst:.2e}")
+                  f"({n_twice} projected twice) after the pair entered at step "
+                  f"{entered}, largest ratio difference {worst:.2e}")
             found = forward_state_decisions(dataset, name == "RM4",
                                             table.rank_rule_pair, entered, stride)
             disagree += found[2]

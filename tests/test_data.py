@@ -37,6 +37,21 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.target[0] = 9.0
 
+    def test_column_norms_are_those_of_gathered_rows(self):
+        # the kernel gathers candidate columns as contiguous rows and reads
+        # their |x|^2 from the table: the bits must be the rows' own einsum
+        rng = np.random.default_rng(7)
+        ds = make_dataset(rng.normal(size=(1213, 30)) * 10.0 ** rng.uniform(-6, 6, 30),
+                          rng.normal(size=1213))
+        norm2 = ds.column_norm2
+        assert norm2 is ds.column_norm2
+        assert not norm2.flags.writeable
+        for _ in range(5):
+            rows = rng.choice(30, size=int(rng.integers(1, 30)), replace=False)
+            gathered = ds.features.T[rows]
+            want = np.einsum("ij,ij->i", gathered, gathered)
+            assert norm2[rows].tobytes() == want.tobytes()
+
     def test_label_lookup_is_one_based(self):
         ds = make_dataset(np.eye(4)[:, :2], [1.0, 2, 3, 4], labels=("a", "b"))
         assert ds.label_of(1) == "a" and ds.label_of(2) == "b"

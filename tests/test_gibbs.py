@@ -21,6 +21,8 @@ from varsel import (
     make_dataset,
 )
 
+from varsel.gibbs import _draw, _stable_weights
+
 from conftest import random_instance
 from oracles import oracle_cost
 
@@ -136,6 +138,41 @@ class TestFullConditional:
             scaled, state, 1, GibbsConfig(m=2, eta=2.0 * scale)
         )
         np.testing.assert_allclose(base, matched, rtol=1e-9, atol=1e-12)
+
+
+def weight_shapes():
+    """Normalized weights as the sampler draws from them: uniform, a point
+    mass, exact zeros first, last and between, and softmaxes of costs at
+    eta 1 and 100 (where most weights underflow to zero)."""
+    rng = np.random.default_rng(11)
+    costs = rng.uniform(0.0, 10.0, size=40)
+    gaps = np.where(rng.random(40) < 0.3, -np.inf, -costs)
+    return {
+        "single": np.array([1.0]),
+        "uniform": _stable_weights(np.zeros(7)),
+        "point-mass": _stable_weights(np.array([-np.inf, 0.0, -np.inf])),
+        "zero-ends": _stable_weights(np.array([-np.inf, -1.0, -0.5, -2.0, -np.inf])),
+        "zeros-between": _stable_weights(gaps),
+        "eta-1": _stable_weights(-costs),
+        "eta-100": _stable_weights(-100.0 * costs),
+    }
+
+
+class TestDraw:
+    """The sampler's inverse-CDF draw is ``rng.choice(n, p=w)``: the same
+    index and the same generator state after it.  A numpy whose ``choice``
+    draws otherwise fails here, before any chain differs."""
+
+    @pytest.mark.parametrize("shape", sorted(weight_shapes()))
+    def test_matches_rng_choice(self, shape):
+        weights = weight_shapes()[shape]
+        for seed in range(100):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                drawn = _draw(ours, weights)
+                assert drawn == theirs.choice(len(weights), p=weights)
+                assert weights[drawn] > 0.0
+            assert ours.random() == theirs.random()
 
 
 class TestConfig:

@@ -32,11 +32,15 @@ from varsel.linmodel import (
     CERTIFIED_RATIO_CAP,
     RANK_BAND,
     RANK_RCOND,
+    _factor,
     _neighbour_residuals,
+    _project_out,
 )
 from varsel.search import random_subset
 
 from conftest import (
+    EPS,
+    PREFIX_BOUND,
     assert_residuals_orthogonal,
     cost_tolerance,
     near_duplicate_table,
@@ -44,6 +48,7 @@ from conftest import (
     random_instance,
 )
 from oracles import (
+    exact_prefix_fits,
     loop_alternating_optimization,
     loop_forward_order,
     loop_gibbs_states,
@@ -245,6 +250,103 @@ class TestKernelAgainstSvd:
             neighbour_costs(make_dataset(x, y), fixed, candidates)
 
 
+PROJECTION_TABLES = [
+    pytest.param(lambda: make_dataset(*random_instance(22, 40, 6)[:2]), False,
+                 id="gaussian-40"),
+    pytest.param(lambda: make_dataset(*random_instance(23, 300, 6)[:2]), False,
+                 id="gaussian-300"),
+    pytest.param(lambda: near_duplicate_table(24, 1e-3), True, id="pair-1e-3"),
+    pytest.param(lambda: near_duplicate_table(25, 1e-3, n=300), True,
+                 id="pair-1e-3-300"),
+] + [
+    pytest.param(lambda u=u: near_duplicate_table(26, 10.0**u), True,
+                 id=f"pair-1e{u}")
+    for u in (-10.6, -10.2, -9.8, -9.4)
+]
+PROJECTION_FIXED = [(), (1,), (2,), (1, 3), (4, 2, 5)]
+
+
+def projected_candidates(dataset, fixed):
+    """The Q of the fixed columns, every other column x as a row and
+    ``|x|^2``, and ``_project_out``'s ``(c, |z|^2)`` and projected rows z,
+    as the kernel projects them."""
+    q = _factor(dataset, fixed).q
+    rows = np.array([k - 1 for k in range(1, dataset.n_features + 1)
+                     if k not in fixed])
+    x = dataset.features.T[rows]
+    norm2 = dataset.column_norm2[rows]
+    z = x.copy()
+    c, zeta2 = _project_out(q, z, norm2)
+    return q, x, norm2, c, zeta2, z
+
+
+class TestOnePassProjection:
+    """``_project_out`` given the rows' squared norms: one Gram-Schmidt
+    pass, and a second only for the rows that kept less than half their
+    squared norm."""
+
+    @pytest.mark.parametrize("table,has_pair", PROJECTION_TABLES)
+    def test_second_pass_only_where_the_first_lost_half(self, table, has_pair):
+        ds = table()
+        both = np.zeros(2, dtype=bool)  # a one-pass row seen, a two-pass row seen
+        for fixed in PROJECTION_FIXED:
+            q, x, norm2, c, zeta2, z = projected_candidates(ds, fixed)
+            c1 = x @ q
+            z1 = x - c1 @ q.T
+            twice = np.einsum("ij,ij->i", z1, z1) < 0.5 * norm2
+            # the pair's second column after its first, or the first after
+            # the second, is all the branch takes
+            candidates = [k for k in range(1, ds.n_features + 1) if k not in fixed]
+            pair = [has_pair and {1, 2} <= set(fixed + (k,)) for k in candidates]
+            np.testing.assert_array_equal(twice, pair)
+            assert z[~twice].tobytes() == z1[~twice].tobytes()
+            assert c[~twice].tobytes() == c1[~twice].tobytes()
+            again = z1[twice]
+            c2 = again @ q
+            again -= c2 @ q.T
+            assert z[twice].tobytes() == again.tobytes()
+            assert c[twice].tobytes() == (c1[twice] + c2).tobytes()
+            assert zeta2.tobytes() == np.einsum("ij,ij->i", z, z).tobytes()
+            both |= [(~twice).any(), twice.any()]
+        assert both.tolist() == [True, has_pair]
+
+    @pytest.mark.parametrize("table,has_pair", PROJECTION_TABLES)
+    def test_rows_are_orthogonal_to_q(self, table, has_pair):
+        # one pass leaves a row within sqrt(N) eps |x| of orthogonal to Q,
+        # two passes within sqrt(N) eps |z|; and x = Q c + z to sqrt(N) eps |x|
+        ds = table()
+        bound = math.sqrt(ds.n_rows) * EPS
+        for fixed in PROJECTION_FIXED:
+            q, x, norm2, c, zeta2, z = projected_candidates(ds, fixed)
+            x_norm = np.sqrt(norm2)
+            loss = np.abs(z @ q).max(axis=1)
+            assert (loss <= bound * x_norm).all(), (fixed, loss / (EPS * x_norm))
+            twice = zeta2 < 0.5 * norm2  # a one-pass row keeps at least half
+            assert (loss[twice] <= bound * np.sqrt(zeta2[twice])).all(), fixed
+            rebuilt = np.abs(x - (c @ q.T + z)).max(axis=1)
+            assert (rebuilt <= bound * x_norm).all(), fixed
+
+    @pytest.mark.parametrize("table,has_pair", PROJECTION_TABLES)
+    def test_costs_within_the_bound_of_an_exact_solve(self, table, has_pair):
+        # p = 1 prices N * MAE and p = alpha = 2 prices N * MSE; each lies
+        # within PREFIX_BOUND eps cond ||y|| of the 50-digit fit's residual
+        ds = table()
+        n, y_norm = ds.n_rows, float(np.linalg.norm(ds.target))
+        for fixed in PROJECTION_FIXED:
+            candidates = [k for k in range(1, ds.n_features + 1) if k not in fixed]
+            l1 = neighbour_costs(ds, fixed, candidates)
+            l2 = neighbour_costs(ds, fixed, candidates, 2.0, 2.0)
+            for k, sum_abs, sum_sq in zip(candidates, l1, l2):
+                if math.isinf(sum_abs):
+                    continue
+                (mae, mse, cond), = exact_prefix_fits(ds, fixed + (k,),
+                                                      [len(fixed) + 1])
+                delta = PREFIX_BOUND * EPS * cond * y_norm
+                assert abs(sum_abs / n - mae) <= delta + 4 * EPS * mae, (fixed, k)
+                mse_tol = delta * (2.0 * math.sqrt(mse) + delta) + 4 * EPS * mse
+                assert abs(sum_sq / n - mse) <= mse_tol, (fixed, k)
+
+
 class TestCacheBatch:
     def test_matches_per_key_lookups(self):
         x, y, _ = random_instance(17, 30, 7)
@@ -408,3 +510,24 @@ class TestForwardRankingsOnTheBenchmarkTable:
         # every step after the pair entered went to the small factors
         assert small.call_count >= len(added) - 1 - pair_in
         svd.assert_not_called()
+
+
+class TestSearchAndGibbsOnTheBenchmarkTable:
+    """The search and Gibbs stages of the benchmark on its own 1213 x 122
+    table, whose correlated columns send some candidates of most kernel
+    calls through a second projection pass: m = 7, three restarts, then
+    a chain at eta = 1 on the same cache."""
+
+    def test_match_the_loops(self):
+        table = benchmark_table(1, 122)
+        ds = make_dataset(table.features, table.target)
+        library, loop = CostCache(ds), CostCache(ds)
+        got = multi_restart_search(ds, 7, runs=3, seed=1, cache=library)
+        subset, cost, iterations = loop_multi_restart_search(ds, 7, 3, 1, loop)
+        assert got.subset.indices == subset
+        assert got.iterations == iterations
+        assert got.cost == pytest.approx(cost, rel=1e-12)
+        config = GibbsConfig(m=7, eta=1.0, sweeps=3, seed=1)
+        chain = gibbs_run(ds, config, cache=library)
+        assert chain.states == loop_gibbs_states(ds, config, loop)
+        assert (library.hits, library.misses) == (loop.hits, loop.misses)
