@@ -24,7 +24,13 @@ from .errors import ConfigError, VarselError
 from .gibbs import GibbsConfig, gibbs_run, inclusion_frequencies
 from .ingest import ingest_csv
 from .linmodel import CostCache, check_cost_parameters
-from .ranking import Ranking, RankingMethod, check_pvalue_threshold, rank_features
+from .ranking import (
+    Ranking,
+    RankingMethod,
+    backward_starts,
+    check_pvalue_threshold,
+    rank_features,
+)
 from .search import check_search_settings, multi_restart_search
 from .selection import Criterion, elbow_annotation, pvalue_stopping, select_order
 from .validation import (
@@ -175,8 +181,10 @@ def _rankings(config: RunConfig, dataset: Dataset, made: dict) -> dict[str, Rank
     """The configured rankings, computed by the first of rank and select to
     run (a failure is charged to that stage) and kept for the other."""
     if "ranked" not in made:
+        starts = backward_starts(dataset, config.methods)
         made["ranked"] = {name: rank_features(dataset, RankingMethod(name),
-                                              config.alpha_threshold)
+                                              config.alpha_threshold,
+                                              start=next(starts))
                           for name in config.methods}
     return made["ranked"]
 

@@ -110,11 +110,17 @@ def error_curve(
       the condition of a leading run of prefixes, ``Factor.n_certified``
       long, far inside the SVD rule; those are full-rank with no further
       work.
-    * By the leading block.  Every other prefix gets the singular values
-      of ``A_M``, which are the design's up to the Householder backward
-      error (the argument for ``RANK_BAND`` in ``neighbour_costs``).  A
-      ratio above ``RANK_RCOND * RANK_BAND`` is full-rank and one at or
-      below ``RANK_RCOND / RANK_BAND`` rank-deficient.
+    * By the leading block.  The singular values of ``A_M`` are the
+      design's up to the Householder backward error (the argument for
+      ``RANK_BAND`` in ``neighbour_costs``).  A ratio above ``RANK_RCOND *
+      RANK_BAND`` is full-rank and one at or below ``RANK_RCOND /
+      RANK_BAND`` rank-deficient.  The ratio of nested prefixes does not
+      rise with M, so past the certified run a bisection finds the first
+      prefix not above the band from about log2 R blocks; the prefixes in
+      the band are taken one by one up to the first below it.  A prefix
+      before the first is full-rank, its ratio at least that of a later
+      block found above the band, and one after the last rank-deficient,
+      its ratio at most that of an earlier block found below it.
     * By the SVD rule.  A ratio in the band between is refitted by
       ``fit_subset``, which decides its rank and gives its errors.
     """
@@ -185,13 +191,19 @@ def _grow(dataset: Dataset, largest: bool) -> list[int]:
                      lambda taken, pool: state.follow(taken).costs(), largest)
 
 
-def _shrink(dataset: Dataset, read, largest: bool) -> tuple[list[int], list[int]]:
-    """Removal order of a backward pass over ``linmodel._usable_features``,
-    and the dropped rest: one ``linmodel._DropState`` of the usable pool,
-    priced by ``read(state)`` at each step and downdated at each removal."""
+def _backward_start(dataset: Dataset) -> tuple[_DropState, list[int]]:
+    """The start of a backward pass: the ``linmodel._DropState`` of the
+    pool ``linmodel._usable_features`` keeps, and the dropped rest."""
     usable, dropped = _usable_features(dataset)
-    state = _DropState(dataset, usable)
-    return _stepwise(usable, lambda taken, pool: read(state.follow(taken)),
+    return _DropState(dataset, usable), dropped
+
+
+def _shrink(start, read, largest: bool) -> tuple[list[int], list[int]]:
+    """Removal order of a backward pass from ``start`` (``_backward_start``),
+    and the dropped rest: the state is priced by ``read(state)`` at each
+    step and downdated at each removal."""
+    state, dropped = start
+    return _stepwise(state.pool, lambda taken, pool: read(state.follow(taken)),
                      largest), dropped
 
 
@@ -204,18 +216,13 @@ def rank_forward_selection(dataset: Dataset) -> Ranking:
 def rank_backward_elimination(dataset: Dataset) -> Ranking:
     """RM2: repeatedly remove the feature whose removal leaves the lowest
     MAE; the reversed removal order is best-to-worst."""
-    removals, dropped = _shrink(dataset, _DropState.removal_maes, largest=False)
-    return _finish(RankingMethod.RM2_BACKWARD, dataset,
-                   removals[::-1] + dropped, raw_order=removals + dropped)
+    return rank_features(dataset, RankingMethod.RM2_BACKWARD)
 
 
 def rank_remove_max_error(dataset: Dataset) -> Ranking:
     """RM3: repeatedly remove the feature whose removal raises the MAE the
     most; the removal order itself is best-to-worst."""
-    removals, dropped = _shrink(dataset, _DropState.removal_maes, largest=True)
-    order = removals + dropped
-    return _finish(RankingMethod.RM3_REMOVE_MAX, dataset, order,
-                   raw_order=order)
+    return rank_features(dataset, RankingMethod.RM3_REMOVE_MAX)
 
 
 def rank_add_max_error(dataset: Dataset) -> Ranking:
@@ -284,31 +291,68 @@ def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     flag records whether all retained coefficients had p < alpha, which is
     where the classical stopping rule would halt.
     """
-    check_pvalue_threshold(alpha_threshold)
-    admissible = [False] * dataset.n_features
-
-    def read(state):
-        pvalues = _pvalues(state)
-        admissible[len(state.pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
-        return pvalues
-
-    removals, dropped = _shrink(dataset, read, largest=True)
-    return _finish(RankingMethod.PVALUE, dataset, removals[::-1] + dropped,
-                   raw_order=removals + dropped, admissible=admissible)
+    return rank_features(dataset, RankingMethod.PVALUE, alpha_threshold)
 
 
-_DISPATCH = {
+def _backward_orders(dataset: Dataset, method: RankingMethod, start,
+                     alpha_threshold: float) -> tuple:
+    """``(order, raw_order, admissible)`` of RM2, RM3 or p-value
+    elimination, run from ``start``."""
+    admissible = None
+    if method == RankingMethod.PVALUE:
+        admissible = [False] * dataset.n_features
+
+        def read(state):
+            pvalues = _pvalues(state)
+            admissible[len(state.pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
+            return pvalues
+
+        removals, dropped = _shrink(start, read, largest=True)
+    else:
+        removals, dropped = _shrink(start, _DropState.removal_maes,
+                                    largest=method == RankingMethod.RM3_REMOVE_MAX)
+    if method == RankingMethod.RM3_REMOVE_MAX:
+        return removals + dropped, removals + dropped, None
+    return removals[::-1] + dropped, removals + dropped, admissible
+
+
+_FORWARD = {
     RankingMethod.RM1_FORWARD: rank_forward_selection,
-    RankingMethod.RM2_BACKWARD: rank_backward_elimination,
-    RankingMethod.RM3_REMOVE_MAX: rank_remove_max_error,
     RankingMethod.RM4_ADD_MAX: rank_add_max_error,
     RankingMethod.RM5_CORRELATION: rank_correlation,
 }
 
 
+def backward_starts(dataset: Dataset, methods):
+    """The start each of ``methods`` is ranked from by ``rank_features``, in
+    order: None for RM1, RM4 and RM5, and for RM2, RM3 and p-values one
+    start, the ``_usable_features`` scan and the ``_DropState`` of the
+    usable pool, built once.  Each backward ranking downdates its own copy;
+    the last takes the start itself, and nothing here keeps it."""
+    backward = [RankingMethod(m) not in _FORWARD for m in methods]
+    left = sum(backward)
+    held = []
+    for is_backward in backward:
+        if not is_backward:
+            yield None
+            continue
+        if not held:
+            held.append(_backward_start(dataset))
+        left -= 1
+        yield held.pop() if not left else (held[0][0].copy(), held[0][1])
+
+
 def rank_features(dataset: Dataset, method: RankingMethod,
-                  alpha_threshold: float = 0.05) -> Ranking:
-    """Run one ranking method by tag."""
+                  alpha_threshold: float = 0.05, start=None) -> Ranking:
+    """Run one ranking method by tag.  A backward one runs from ``start``,
+    its entry of ``backward_starts``, or from a start of its own."""
+    method = RankingMethod(method)
+    if method in _FORWARD:
+        return _FORWARD[method](dataset)
     if method == RankingMethod.PVALUE:
-        return rank_pvalues(dataset, alpha_threshold)
-    return _DISPATCH[method](dataset)
+        check_pvalue_threshold(alpha_threshold)
+    orders = _backward_orders(
+        dataset, method, _backward_start(dataset) if start is None else start,
+        alpha_threshold)
+    del start  # the state goes before the error curve takes its factor
+    return _finish(method, dataset, *orders)

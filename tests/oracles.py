@@ -6,7 +6,8 @@ paths they validate.  The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
 fit, the hand-written backward loops the stepwise driver replaced, the
 error curve and the order selection that refitted every ranking prefix
-by SVD, the Gram-Schmidt scan that sets aside the columns the backward
+by SVD, the prefix decisions that took the singular values of every
+uncertified leading block, the Gram-Schmidt scan that sets aside the columns the backward
 rankings cannot use, the per-feature and per-pair Pearson loops of RM5
 and the correlation graph, and the p-values that fitted by SVD and took
 the standard errors from a second (scipy) QR, the ingest that parsed and
@@ -44,7 +45,7 @@ from varsel import (
 )
 from varsel.data import Dataset, constant_columns, normalize_columns, run_rng
 from varsel.ingest import _check_delimiter, _utf8_lines
-from varsel.linmodel import full_rank_lstsq
+from varsel.linmodel import _band_decisions, full_rank_lstsq
 from varsel.ranking import _finish
 from varsel.search import random_subset
 from varsel.validation import check_cv_settings
@@ -334,6 +335,18 @@ def loop_error_curve(dataset, order):
             pass  # the MAE repeats and the MSE stays +inf
         mae_curve[m - 1] = previous
     return mae_curve, mse_curve
+
+
+def loop_prefix_decisions(factor):
+    """``(ratios, full_rank, deficient)`` of the former
+    ``linmodel._prefix_decisions``, which took the singular values of every
+    leading block ``A[:M+1, :M+1]`` past the certified run."""
+    a = factor.a
+    ratios = np.full(len(a), math.inf)
+    for m in range(factor.n_certified, len(a)):
+        sv = np.linalg.svd(a[:m + 1, :m + 1], compute_uv=False)
+        ratios[m] = sv[-1] / sv[0]
+    return (ratios, *_band_decisions(ratios))
 
 
 def loop_select_order(dataset, ranking, criterion):

@@ -21,23 +21,29 @@ and (4, 1, 5) and every other column as candidate it prints:
   to the SVD.
 
 For the orders in ``PREFIX_ORDERS`` it prints the same for the prefixes
-of ``error_curve`` that hold the pair: the largest difference between the
-ratio of a prefix's leading block ``A[:M+1, :M+1]`` of the order's QR and
-``gelsd``'s, and how many prefixes the leading block decided, how many of
-those disagree with ``full_rank_lstsq`` and how many went to the SVD.
+of ``error_curve``: the largest difference between the ratio of a
+prefix's leading block ``A[:M+1, :M+1]`` of the order's QR and
+``gelsd``'s, over the prefixes that hold the pair and whose block was
+factored, and, over every prefix, how many ``_prefix_decisions`` decided
+(those it inferred from a later or earlier prefix's block among them), how
+many of those disagree with ``full_rank_lstsq`` and how many went to the
+SVD.
 
 It prints the same for the forward rankings' own state,
 ``linmodel._AddState``, whose A is built by Gram-Schmidt, one column a
 step, not by Householder QR: RM1 and RM4 are run on it, and at every step
 each candidate design holding the pair is decided as the state decides it.
+Of the forward candidates the certificate leaves, it prints how many the
+bound decided at the band edge and how many went to their small factors.
 
 Then it prints the largest small-factor difference on the benchmark's
 ``make_table(1, R)``, R = 30 and 122, for every step of RM1 and RM4 after
 both columns of the near-rank-deficient pair entered (every sixth step at
 R = 122), the same for the state's small factors and decisions, and the
 leading-block difference and decisions for the prefixes of their
-best-to-worst orders that hold the pair (every sixth at R = 122).  It exits
-1 if any decision disagrees.
+best-to-worst orders (all of them, each checked against
+``full_rank_lstsq``), and the band-edge counts of their forward passes.
+It exits 1 if any decision disagrees.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ import argparse
 import os
 import runpy
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from pathlib import Path
+from unittest import mock
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -63,6 +70,7 @@ from varsel import (  # noqa: E402
     rank_add_max_error,
     rank_forward_selection,
 )
+from varsel import linmodel  # noqa: E402
 from varsel.linmodel import (  # noqa: E402
     _AddState,
     _factor,
@@ -103,23 +111,47 @@ def gelsd_ratio(dataset, subset):
     return sv[-1] / sv[0]
 
 
-def prefix_decisions(dataset, order, pair, stride=1):
-    """Over every ``stride``-th prefix of ``order`` that holds ``pair``:
-    the largest |leading-block ratio - gelsd ratio| and the counts
-    (decided, disagreements, to the SVD), each prefix decided as
-    ``error_curve`` decides it."""
+def prefix_decisions(dataset, order, pair):
+    """The largest |leading-block ratio - gelsd ratio| over the prefixes of
+    ``order`` that hold ``pair`` and whose block was factored, and, over
+    every prefix, the counts (decided, of those inferred, disagreements, to
+    the SVD), each prefix decided as ``error_curve`` decides it."""
     ratios, full_rank, deficient = _prefix_decisions(_factor(dataset, order))
     entered = 1 + max(order.index(k) for k in pair)
-    worst, decided, disagree, to_svd = 0.0, 0, 0, 0
-    for m in range(entered, len(order) + 1, stride):
+    worst, decided, inferred, disagree, to_svd = 0.0, 0, 0, 0, 0
+    for m in range(1, len(order) + 1):
         if full_rank[m] or deficient[m]:
             decided += 1
+            inferred += bool(np.isnan(ratios[m]))
             disagree += bool(full_rank[m]) != is_full_rank(dataset, order[:m])
         else:
             to_svd += 1
-        if np.isfinite(ratios[m]):
+        if m >= entered and np.isfinite(ratios[m]):
             worst = max(worst, abs(ratios[m] - gelsd_ratio(dataset, order[:m])))
-    return worst, decided, disagree, to_svd
+    return worst, decided, inferred, disagree, to_svd
+
+
+@contextmanager
+def band_edge_counts():
+    """Count, over the ``_decide_and_update`` calls made inside, the
+    candidates the certificate leaves and those of them sent to their small
+    factors: ``[left, to the small factors]``.  The rest of those left were
+    decided by the bound at the band edge, or have no complement."""
+    counts = [0, 0]
+    decide, small = linmodel._decide_and_update, linmodel._small_factor_ratios
+
+    def counted_decide(factor, c, *args):
+        fits = decide(factor, c, *args)
+        counts[0] += int(np.count_nonzero(~fits[0]))
+        return fits
+
+    def counted_small(a, c, zeta):
+        counts[1] += len(c)
+        return small(a, c, zeta)
+
+    with mock.patch.object(linmodel, "_decide_and_update", counted_decide), \
+            mock.patch.object(linmodel, "_small_factor_ratios", counted_small):
+        yield counts
 
 
 def forward_state_decisions(dataset, largest, pair, start=0, stride=1):
@@ -178,8 +210,10 @@ def near_threshold(n_tables):
     worst, n_ratios, n_twice = 0.0, 0, 0
     decided = disagree = to_svd = 0
     prefix_worst = state_worst = 0.0
-    prefix_counts = np.zeros(3, dtype=int)  # decided, disagreements, to the SVD
+    # decided, of those inferred, disagreements, to the SVD
+    prefix_counts = np.zeros(4, dtype=int)
     state_counts = np.zeros(3, dtype=int)
+    edge = [0, 0]
     for seed in range(n_tables):
         dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
         for fixed in FIXED_SETS:
@@ -201,22 +235,27 @@ def near_threshold(n_tables):
             prefix_worst = max(prefix_worst, found[0])
             prefix_counts += found[1:]
         for largest in (False, True):
-            found = forward_state_decisions(dataset, largest, (1, 2))
+            with band_edge_counts() as counts:
+                found = forward_state_decisions(dataset, largest, (1, 2))
+            edge = [e + c for e, c in zip(edge, counts)]
             state_worst = max(state_worst, found[0])
             state_counts += found[1:]
     print(f"near_duplicate_table: {n_ratios} candidates ({n_twice} projected "
           f"twice), largest ratio "
           f"difference {worst:.2e}; designs holding the pair: {decided} decided "
           f"by the kernel, {disagree} disagreements, {to_svd} to the SVD")
-    print(f"near_duplicate_table prefixes holding the pair: largest ratio "
-          f"difference {prefix_worst:.2e}; {prefix_counts[0]} decided by the "
-          f"leading block, {prefix_counts[1]} disagreements, {prefix_counts[2]} "
-          f"to the SVD")
+    print(f"near_duplicate_table prefixes: largest ratio difference "
+          f"{prefix_worst:.2e} holding the pair; {prefix_counts[0]} decided "
+          f"({prefix_counts[1]} inferred), {prefix_counts[2]} disagreements, "
+          f"{prefix_counts[3]} to the SVD")
     print(f"near_duplicate_table RM1 and RM4 state designs holding the pair: "
           f"largest ratio difference {state_worst:.2e}; {state_counts[0]} "
           f"decided by the state, {state_counts[1]} disagreements, "
           f"{state_counts[2]} to the SVD")
-    return disagree + int(prefix_counts[1]) + int(state_counts[1])
+    print(f"near_duplicate_table RM1 and RM4 candidates the certificate left: "
+          f"{edge[0]}, {edge[0] - edge[1]} decided by the bound at the band "
+          f"edge, {edge[1]} to their small factors")
+    return disagree + int(prefix_counts[2]) + int(state_counts[1])
 
 
 def benchmark_tables():
@@ -227,7 +266,8 @@ def benchmark_tables():
         table = make_table(1, n_features)
         dataset = make_dataset(table.features, table.target)
         for name, rank in [("RM1", rank_forward_selection), ("RM4", rank_add_max_error)]:
-            ranking = rank(dataset)
+            with band_edge_counts() as edge:
+                ranking = rank(dataset)
             order = list(ranking.raw_order or ranking.order)
             entered = 1 + max(order.index(k) for k in table.rank_rule_pair)
             worst, n_ratios, n_twice = 0.0, 0, 0
@@ -246,13 +286,15 @@ def benchmark_tables():
                   f"entered: largest ratio difference {found[0]:.2e}; "
                   f"{found[1]} decided by the state, {found[2]} disagreements, "
                   f"{found[3]} to the SVD")
-            found = prefix_decisions(dataset, ranking.order, table.rank_rule_pair,
-                                     stride)
-            disagree += found[2]
-            print(f"make_table(1, {n_features}) {name} prefixes holding the pair: "
-                  f"largest ratio difference {found[0]:.2e}; {found[1]} decided "
-                  f"by the leading block, {found[2]} disagreements, {found[3]} to "
-                  f"the SVD")
+            print(f"make_table(1, {n_features}) {name} candidates the "
+                  f"certificate left: {edge[0]}, {edge[0] - edge[1]} decided by "
+                  f"the bound at the band edge, {edge[1]} to their small factors")
+            found = prefix_decisions(dataset, ranking.order, table.rank_rule_pair)
+            disagree += found[3]
+            print(f"make_table(1, {n_features}) {name} prefixes: largest ratio "
+                  f"difference {found[0]:.2e} holding the pair; {found[1]} "
+                  f"decided ({found[2]} inferred), {found[3]} disagreements, "
+                  f"{found[4]} to the SVD")
     return disagree
 
 

@@ -32,6 +32,7 @@ from varsel.linmodel import (
     CERTIFIED_RATIO_CAP,
     RANK_BAND,
     RANK_RCOND,
+    _AddState,
     _factor,
     _neighbour_residuals,
     _project_out,
@@ -191,16 +192,44 @@ class TestKernelAgainstSvd:
 
     def test_uncertified_fixed_set_is_decided_by_small_factors(self):
         # (1, 2) fails the certificate at a residual ratio of 1e-9 but is
-        # full-rank: every candidate takes the rank-one update
+        # full-rank: every candidate takes the rank-one update.  Its A fails
+        # the diagonal guard, so no inverse is taken and no bound is read at
+        # the band edge: every candidate goes to its small factor
         ds = near_duplicate_table(4, 1e-9)
-        assert linmodel._factor(ds, (1, 2)).a_inv is None
+        factor = linmodel._factor(ds, (1, 2))
+        assert factor.a_inv is None and math.isinf(factor.a_inv_norm)
         with count_calls("_small_factor_ratios") as small, \
                 count_calls("_svd_costs") as svd:
             certified, updated = assert_matches_svd(ds, (1, 2))
         assert not certified.any()
         assert updated.all()
-        assert small.called
+        assert [len(call.args[1]) for call in small.call_args_list] == [4, 4]
         svd.assert_not_called()
+
+    def test_the_band_edge_bound_leaves_a_candidate_to_its_small_factor(self):
+        # a forward state past the pair (1, 2) at a residual ratio of 1e-9:
+        # its design is not certified, but the state's ||A^-1||_F bounds
+        # every candidate's sigma_min.  Columns 4 to 6 clear the band's edge
+        # by that bound; column 3, mostly along x1 (|c| >> |z|), does not,
+        # and its small factor shows it full-rank
+        ds = near_duplicate_table(0, 1e-9)
+        x = ds.features.copy()
+        x[:, 2] = x[:, 0] + 0.1 * x[:, 2]
+        ds = make_dataset(x, ds.target)
+        state = _AddState(ds).follow([1, 2])
+        with count_calls("_small_factor_ratios") as small, \
+                count_calls("_svd_costs") as svd:
+            certified, updated, singular, _ = state.fits()
+            costs = state.costs()
+        assert not certified.any() and updated.all() and not singular.any()
+        open_rows = [call.args[1] for call in small.call_args_list]
+        assert [len(c) for c in open_rows] == [1, 1]
+        assert open_rows[0].tobytes() == state.c[0, :state.width].tobytes()
+        svd.assert_not_called()
+        want = svd_costs(ds, (1, 2), [3, 4, 5, 6])
+        for k, got, w in zip([3, 4, 5, 6], costs, want):
+            design = build_design_matrix(ds, FeatureSubset((1, 2, k))).values
+            assert abs(got - w) <= cost_tolerance(ds, design, 1.0, 1.0) * w, k
 
     @pytest.mark.parametrize("entries", [1, 2 * 16 + 1, 3 * 16])
     def test_stack_blocks_give_the_same_bits(self, entries):
@@ -494,21 +523,32 @@ def benchmark_table(seed, n_features):
 class TestForwardRankingsOnTheBenchmarkTable:
     """On the benchmark-shaped 1213 x 30 table the forward rankings take
     both columns of its near-rank-deficient pair; after that no fixed set
-    is certified, and every candidate is decided by its small factor."""
+    is certified, the bound read at the band edge decides all but a few
+    candidates and their small factors decide those, with no SVD fit."""
 
-    @pytest.mark.parametrize("largest", [False, True], ids=["rm1", "rm4"])
-    def test_orders_match_the_loop_without_svd_fits(self, largest):
+    @pytest.mark.parametrize("largest, uncertified, opened", [
+        (False, 3, [1]), (True, 120, [1, 1]),
+    ], ids=["rm1", "rm4"])
+    def test_orders_match_the_loop_without_svd_fits(self, largest, uncertified,
+                                                     opened):
         table = benchmark_table(1, 30)
         ds = make_dataset(table.features, table.target)
         rank = rank_add_max_error if largest else rank_forward_selection
-        with count_calls("_small_factor_ratios") as small, \
+        with count_calls("_decide_and_update") as decide, \
+                count_calls("_small_factor_ratios") as small, \
                 count_calls("_svd_costs") as svd:
             added = rank(ds).raw_order if largest else rank(ds).order
         assert list(added) == loop_forward_order(ds, largest)
         pair_in = max(added.index(k) for k in table.rank_rule_pair)
         assert pair_in < len(added) - 1
-        # every step after the pair entered went to the small factors
-        assert small.call_count >= len(added) - 1 - pair_in
+        # one step a column taken; every step after the pair entered prices
+        # a fixed set the bound does not certify, whose ||A^-1||_F the state
+        # still gives
+        late = [call.args for call in decide.call_args_list[pair_in + 1:]]
+        assert len(late) == len(added) - 1 - pair_in
+        assert all(f.a_inv is None and math.isfinite(f.a_inv_norm) for f, *_ in late)
+        assert sum(len(c) for _, c, *_ in late) == uncertified
+        assert [len(call.args[1]) for call in small.call_args_list] == opened
         svd.assert_not_called()
 
 

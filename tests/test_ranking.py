@@ -1,5 +1,6 @@
 """Ranking methods against independently written brute-force oracles."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -28,6 +29,7 @@ from varsel import (
     rank_pvalues,
     rank_remove_max_error,
 )
+from varsel import linmodel, pipeline
 from varsel import ranking as ranking_module
 from varsel.data import unit_centered_columns
 from varsel.linmodel import (
@@ -35,9 +37,11 @@ from varsel.linmodel import (
     RANK_BAND,
     RANK_RCOND,
     _factor,
+    _prefix_decisions,
     _usable_features,
 )
-from varsel.ranking import _stepwise
+from varsel.pipeline import RunConfig
+from varsel.ranking import _stepwise, backward_starts
 
 from conftest import (
     assert_prefix_fits_within_the_bound,
@@ -50,6 +54,7 @@ from oracles import (
     loop_backward_elimination,
     loop_correlation,
     loop_error_curve,
+    loop_prefix_decisions,
     loop_pvalues,
     loop_remove_max_error,
     loop_usable_features,
@@ -59,7 +64,7 @@ from oracles import (
     oracle_rm3,
     oracle_rm4,
 )
-from test_neighbour_costs import in_band_table
+from test_neighbour_costs import benchmark_table, in_band_table
 
 
 def exact_predictor_dataset():
@@ -448,6 +453,40 @@ class TestPrefixDecisions:
         assert svd.call_count == 1
         assert np.isfinite(got[1]).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=prefix_decision_cases())
+    def test_bisection_equals_the_per_prefix_loop(self, case):
+        """The masks equal those of the loop that takes the singular values
+        of every uncertified leading block, from SVDs at the bisection's
+        points, at the prefixes in the band and at the first one below it:
+        at most 2 ceil(log2 R) plus the band's prefixes.  Every ratio taken
+        is the loop's, bit for bit."""
+        dataset, order = case
+        factor = _factor(dataset, order)
+        want_ratios, want_full, want_deficient = loop_prefix_decisions(factor)
+        with spy(np.linalg, "svd") as svd:
+            ratios, full_rank, deficient = _prefix_decisions(factor)
+        assert full_rank.tolist() == want_full.tolist()
+        assert deficient.tolist() == want_deficient.tolist()
+        taken = ~np.isnan(ratios)
+        assert ratios[taken].tobytes() == want_ratios[taken].tobytes()
+        band = int(np.count_nonzero(~(want_full | want_deficient)))
+        r = dataset.n_features
+        assert svd.call_count == np.count_nonzero(np.isfinite(ratios))
+        assert svd.call_count <= 2 * math.ceil(math.log2(r)) + band
+
+    def test_a_long_uncertified_run_takes_a_few_svds(self):
+        # a pair at residual ratio 1e-9 leads a 30-feature order: every
+        # prefix after the first two is full-rank and uncertified, and the
+        # bisection finds that from 4 of their 29 leading blocks
+        ds = near_duplicate_table(4, 1e-9, r=30)
+        factor = _factor(ds, tuple(range(1, 31)))
+        assert factor.n_certified == 2
+        with spy(np.linalg, "svd") as svd:
+            _, full_rank, deficient = _prefix_decisions(factor)
+        assert full_rank.all() and not deficient.any()
+        assert svd.call_count == 4
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_an_in_band_prefix_reaches_fit_subset(self, seed):
         ds = in_band_table(seed)
@@ -515,3 +554,67 @@ class TestCertifiedPrefixes:
         assume(want is not None)
         assert factor.n_certified == want
         assert (factor.a_inv is not None) == (want == len(factor.a))
+
+
+def rank_stage(dataset, methods):
+    """The rankings of one rank stage, each method from its entry of
+    ``backward_starts``, as ``pipeline._rankings`` runs them."""
+    return [rank_features(dataset, method, start=start)
+            for method, start in zip(methods, backward_starts(dataset, methods))]
+
+
+def assert_same_rankings(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.method == w.method
+        assert g.order == w.order, g.method
+        assert g.raw_order == w.raw_order, g.method
+        assert g.admissible == w.admissible, g.method
+        assert g.error_curve.tobytes() == w.error_curve.tobytes(), g.method
+        assert g.mse_curve.tobytes() == w.mse_curve.tobytes(), g.method
+
+
+class TestRankStage:
+    """The rankings of one stage share one backward start: each equals the
+    method ranked alone, in any order of the methods, and the stage scans
+    the usable columns once and factors their pool once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dataset=awkward_tables(), methods=st.permutations(list(RankingMethod)))
+    def test_ranked_together_equal_ranked_alone(self, dataset, methods):
+        alone = {}
+        for method in methods:
+            with contextlib.suppress(DegenerateStepError):
+                alone[method] = rank_features(dataset, method)
+        # RM1 and RM4 may reach a step with no full-rank candidate
+        methods = [m for m in methods if m in alone]
+        assert_same_rankings(rank_stage(dataset, methods),
+                             [alone[m] for m in methods])
+
+    def test_the_benchmark_table_in_both_orders(self):
+        table = benchmark_table(1, 30)
+        ds = make_dataset(table.features, table.target)
+        methods = list(RankingMethod)
+        alone = [rank_features(ds, method) for method in methods]
+        assert_same_rankings(rank_stage(ds, methods), alone)
+        assert_same_rankings(rank_stage(ds, methods[::-1]), alone[::-1])
+
+    def test_one_scan_and_one_pool_factor_a_stage(self):
+        table = benchmark_table(1, 30)
+        ds = make_dataset(table.features, table.target)
+        usable, _ = _usable_features(ds)
+        config = RunConfig(dataset_path="table.csv", target_column="y",
+                           stages=("rank",))
+        copy, copies = linmodel._DropState.copy, []
+
+        def counted_copy(state):
+            copies.append(state)
+            return copy(state)
+
+        with spy(ranking_module, "_usable_features") as scan, \
+                spy(linmodel, "_factor") as factor, \
+                mock.patch.object(linmodel._DropState, "copy", counted_copy):
+            ranked = pipeline._rankings(config, ds, {})
+        assert list(ranked) == list(config.methods)
+        scan.assert_called_once()
+        assert [c.args[1] for c in factor.call_args_list].count(tuple(usable)) == 1
+        assert len(copies) == 2  # RM2 and RM3; p-values take the start
