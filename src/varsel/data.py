@@ -7,6 +7,7 @@ labeling used in reports (feature 113 is the 113th column of the table).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -81,6 +82,17 @@ class Dataset:
         return self.labels[index - 1]
 
 
+def feature_indices(values) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints: Python and numpy integers are
+    taken as they are, and anything else (a float, a string) raises
+    ``InvalidSubsetError`` rather than being truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidSubsetError(
+            f"feature indices must be integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class FeatureSubset:
     """Ordered list of M distinct 1-based feature indices."""
@@ -88,7 +100,7 @@ class FeatureSubset:
     indices: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        indices = tuple(int(k) for k in self.indices)
+        indices = feature_indices(self.indices)
         object.__setattr__(self, "indices", indices)
         if len(set(indices)) != len(indices):
             raise InvalidSubsetError(f"duplicate indices in subset {indices}")

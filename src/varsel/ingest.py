@@ -153,25 +153,35 @@ def ingest_csv(
     delimiter: str = ",",
     drop_columns: Sequence[str] = (),
 ) -> Dataset:
-    """Read a numeric table and split it into features and target."""
+    """Read a numeric table and split it into features and target.
+
+    Raises:
+        IngestError: the file is missing, cannot be opened or read, or is
+            not a well-formed numeric table.
+        ConfigError: the delimiter, the target or a drop column is invalid.
+    """
     _check_delimiter(delimiter)
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        lines = _utf8_lines(handle, path)
-        header = _read_header(csv.reader(lines, delimiter=delimiter), path)
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise IngestError(f"{path}: duplicate header column(s) {dupes}")
-        if target_column not in header:
-            raise ConfigError(f"target column {target_column!r} not in header")
-        missing = [c for c in drop_columns if c not in header]
-        if missing:
-            raise ConfigError(f"drop column(s) {missing} not in header")
-        table = _load_body(lines, delimiter, len(header))
-    if table is None:
-        table = _walk_rows(path, delimiter, header)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            lines = _utf8_lines(handle, path)
+            header = _read_header(csv.reader(lines, delimiter=delimiter), path)
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise IngestError(f"{path}: duplicate header column(s) {dupes}")
+            if target_column not in header:
+                raise ConfigError(f"target column {target_column!r} not in header")
+            missing = [c for c in drop_columns if c not in header]
+            if missing:
+                raise ConfigError(f"drop column(s) {missing} not in header")
+            table = _load_body(lines, delimiter, len(header))
+        if table is None:
+            table = _walk_rows(path, delimiter, header)
+    except OSError as exc:
+        # an input that cannot be opened or read is bad input, not a failed write
+        raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
     excluded = set(drop_columns) | {target_column}
     feature_names = [h for h in header if h not in excluded]

@@ -29,12 +29,13 @@ columns and conditioning matters.
   prefix curves.  Add (``neighbour_costs``) reads the factor of the fixed
   columns certified or not: every candidate is projected onto the
   complement of Q at once, and ``_decide_and_update`` decides each
-  candidate design by the certificate, by the same bound read at the
-  band's upper edge, or by the singular values of its small factor
+  candidate design by the certificate's bound read at the band's upper
+  edge, or by the singular values of its small factor
   ``[[A, c], [0, |z|]]``, which are the design's up to rounding, read by
-  ``_band_decisions``, the one place the band is applied.  A full-rank candidate's residual is a rank-one update, a
-  rank-deficient one's cost +inf, and only a ratio within ``RANK_BAND`` of
-  ``RANK_RCOND`` goes to the SVD rule.  The forward rankings (RM1, RM4)
+  ``_band_decisions``, the one place the band is applied.  A full-rank
+  candidate's residual is a rank-one update, a rank-deficient one's cost
+  +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND`` goes to
+  the SVD rule.  The forward rankings (RM1, RM4)
   price every step through the same helper from one ``_AddState``, which
   keeps the taken columns' Q and A and the complement of every column not
   taken, and grows them by one Gram-Schmidt direction a step, with no new
@@ -77,14 +78,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, constant_columns
+from .data import Dataset, FeatureSubset, constant_columns, feature_indices
 from .errors import ConfigError, RankDeficiencyError, VarselError
 
 # Relative singular-value cutoff for declaring a design rank-deficient.
 RANK_RCOND = 1e-10
 
-# Lower bound a design's certified sigma_min / sigma_max must exceed for it
-# to be decided by the bound alone (``_certified``, ``neighbour_costs``).
+# Lower bound a design's certified sigma_min / sigma_max must exceed for
+# ``_certified`` to certify it, and with it the inverse that ``_DropState``,
+# CV and the leading run of an error curve read.
 CERTIFIED_RATIO_CAP = 1e-6
 
 # Factor either side of ``RANK_RCOND`` within which ``neighbour_costs``
@@ -481,61 +483,51 @@ def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.n
 def _decide_and_update(
     factor: Factor, c: np.ndarray, z: np.ndarray, zeta2: np.ndarray,
     col_norm2: np.ndarray, zr: np.ndarray, out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide the fits on ``[1, X_fixed, x_k]`` for every candidate k, as
     ``neighbour_costs`` describes, from the factor of the fixed columns and,
     one row per candidate, ``c = Q^T x``, the complement ``z``, ``|z|^2``,
-    ``|x|^2`` and ``z^T r0``: the certificate, then the same bound against
-    the band's upper edge, then ``_band_decisions`` of the singular values
-    of the small factor.
+    ``|x|^2`` and ``z^T r0``: the bound against the band's upper edge when
+    the factor gives ``||A^-1||_F``, then ``_band_decisions`` of the
+    singular values of the small factor.
 
-    Returns ``(certified, updated, singular, residuals)``: boolean masks
-    over the candidates of those the bound certifies, of those that take
-    the rank-one update (the certified ones, those the bound puts above the
-    band and those their small factor shows full-rank) and of those whose
-    design is rank-deficient, and one residual row per updated candidate,
-    in candidate order.  The rest are left to the SVD rule.  When the bound
-    decides every candidate the residuals are written to ``out``.
+    Returns ``(updated, singular, residuals)``: boolean masks over the
+    candidates of those that take the rank-one update (those the bound puts
+    above the band and those their small factor shows full-rank) and of
+    those whose design is rank-deficient, and one residual row per updated
+    candidate, in candidate order.  The rest are left to the SVD rule.  When
+    the bound decides every candidate the residuals are written to ``out``.
     """
     r0 = factor.residuals
     zeta = np.sqrt(zeta2)
-    certified = np.zeros(len(z), dtype=bool)
-    full_rank = certified
+    updated = np.zeros(len(z), dtype=bool)
     if math.isfinite(factor.a_inv_norm):
         c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
         sigma_min_lb = zeta / (factor.a_inv_norm * (zeta + c_norm) + 1.0)
         sigma_max_ub = np.sqrt(factor.design_norm2 + col_norm2)
-        if factor.a_inv is not None:
-            certified = sigma_min_lb > CERTIFIED_RATIO_CAP * sigma_max_ub
-        full_rank = certified | (sigma_min_lb > RANK_RCOND * RANK_BAND * sigma_max_ub)
-        if full_rank.all():
-            return (certified, full_rank, ~full_rank,
-                    _rank_one_update(z, zeta, zr, r0, out))
+        updated = sigma_min_lb > RANK_RCOND * RANK_BAND * sigma_max_ub
+        if updated.all():
+            return updated, ~updated, _rank_one_update(z, zeta, zr, r0, out)
 
     # sigma_min(T) <= |z|: a candidate with no complement is rank-deficient
     singular = zeta == 0.0
-    updated = full_rank.copy()
-    rest = np.flatnonzero(~(full_rank | singular))
+    rest = np.flatnonzero(~(updated | singular))
     if rest.size:
         by_factor, deficient = _band_decisions(
             _small_factor_ratios(factor.a, c[rest], zeta[rest]))
         singular[rest[deficient]] = True
         updated[rest[by_factor]] = True
     z = z[updated]
-    return (certified, updated, singular,
-            _rank_one_update(z, zeta[updated], zr[updated], r0, z))
+    return updated, singular, _rank_one_update(z, zeta[updated], zr[updated], r0, z)
 
 
 def _neighbour_residuals(
     dataset: Dataset, fixed: tuple[int, ...], candidates: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_decide_and_update`` of the candidates, from one ``_factor`` of
     the fixed columns."""
-    if not candidates:
-        empty = np.zeros(0, dtype=bool)
-        return empty, empty, empty, np.empty((0, dataset.n_rows))
     factor = _factor(dataset, fixed)
-    rows = np.asarray(candidates) - 1
+    rows = np.asarray(candidates, dtype=np.intp) - 1
     # One row per candidate, so each residual is summed contiguously.
     z = dataset.features.T[rows]
     col_norm2 = dataset.column_norm2[rows]
@@ -551,7 +543,7 @@ def _priced(dataset: Dataset, fixed: tuple[int, ...], candidates: list[int],
     rule's cost for every candidate left undecided.  The residuals are
     scratch: their absolute values are written over them."""
     check_cost_parameters(p, alpha)
-    _, updated, singular, residuals = fits
+    updated, singular, residuals = fits
     costs = np.full(len(candidates), math.inf)
     costs[updated] = _magnitude_cost(np.abs(residuals, out=residuals), p, alpha)
     undecided = ~(updated | singular)
@@ -590,35 +582,29 @@ def neighbour_costs(
     tests), and a second pass after one that cancels more is enough
     (Daniel, Gragg, Kaufman & Stewart, 1976).  ``|x|^2`` is the table's,
     taken once (``Dataset.column_norm2``), and ``|z|^2`` the projection's.
-    Each candidate is decided in one of four ways.
+    Each candidate is decided in one of three ways.
 
-    * Certified.  When the factor holds all of ``A^-1`` (``_factor``'s,
+    * By the bound.  When the factor holds ``||A^-1||_F`` (``_factor``'s,
       when every diagonal of A passes ``_certified``'s guard, or the
       forward state's own), the inverse of ``T`` bounds ``sigma_min >= 1 /
       (||A^-1|| (1 + |c|/|z|) + 1/|z|)``, while ``sigma_max <= ||[1,
-      X_fixed, x]||_F``.  When ``_factor`` certifies the fixed columns, a
-      candidate whose
-      certified ratio exceeds ``CERTIFIED_RATIO_CAP`` = 1e-6 takes the
-      rank-one update with no further factoring.  At a condition number
-      below 1e6 the update's residual is off by at most about eps * 1e6 =
-      2e-10 relative (about 1e-15 on typical tables), inside the 1e-9 to
-      which costs are checked.  The cap is not delicate: on the emo-shaped
-      benchmark table every cap from 1e-9 to 1e-3 leaves the same
-      candidates uncertified (those pairing the two columns of a
-      near-rank-deficient pair), and only from 1e-2 do ordinary
-      near-duplicate pairs join them.
-    * By the bound at the band's edge.  A candidate whose bounded ratio
-      exceeds ``RANK_RCOND * RANK_BAND``, certified columns or not, is
-      full-rank under the SVD rule with the band's margin, and takes the
-      rank-one update its small factor would have given it.  The computed
-      ``||A^-1||_F`` is within a small multiple of n eps cond(A), relative,
-      of the exact one (Higham, *Accuracy and Stability of Numerical
-      Algorithms*, 2002, 14.2): below 3e-4 for full-rank fixed columns and
-      n <= 123, far inside the 1% margin.  Once the benchmark tables'
-      near-rank-deficient pair is in the fixed columns nothing is
-      certified, and of the candidates the forward rankings left
-      uncertified the bound decided 122 of 125 at R = 30 and 810 of 895 at
-      R = 122.
+      X_fixed, x]||_F``.  A candidate whose bounded ratio exceeds
+      ``RANK_RCOND * RANK_BAND``, whether the fixed columns are certified or
+      not, is full-rank under the SVD rule with the band's margin, and takes
+      the rank-one update its small factor would have given it, with no
+      further factoring.  The computed ``||A^-1||_F`` is within a small
+      multiple of n eps cond(A), relative, of the exact one (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2002, 14.2): below
+      3e-4 for full-rank fixed columns and n <= 123, far inside the 1%
+      margin.  The update's residual is off by about eps times the
+      design's condition number, relative to ``|y|``, the resolution of the
+      SVD fit itself (Golub & Van Loan, Thm 5.3.1): below about eps * 1e6 =
+      2e-10 relative where the condition number is below 1e6 (about 1e-15
+      on typical tables), inside the 1e-9 to which costs are checked.  Of
+      the candidates the forward rankings price on the emo-shaped benchmark
+      tables, the bound decided 927 of 930 at R = 30 and 14921 of 15006 at
+      R = 122 (``tests/stress_rank_band.py``), and their small factors the
+      rest.
     * By the small factor.  Every other candidate gets the singular values
       of its ``T``, from one stacked ``np.linalg.svd`` of
       ``FACTOR_BLOCK_ENTRIES`` entries at a time (``T`` is square:
@@ -664,9 +650,9 @@ def neighbour_costs(
         InvalidSubsetError: an index is out of range, repeated, or both
             fixed and a candidate.
     """
-    fixed = tuple(int(k) for k in fixed)
-    candidates = [int(k) for k in candidates]
-    FeatureSubset(fixed + tuple(candidates)).validate_against(dataset)
+    fixed = feature_indices(fixed)
+    candidates = feature_indices(candidates)
+    FeatureSubset(fixed + candidates).validate_against(dataset)
     return _priced(dataset, fixed, candidates,
                    _neighbour_residuals(dataset, fixed, candidates), p, alpha)
 
@@ -750,10 +736,10 @@ class _AddState:
             self._append(v, c, norm2)
         return self
 
-    def fits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``_decide_and_update`` of every remaining column, in pool order;
-        the design is certified by ``_certified``, as ``_factor``'s is, from
-        the state's own ``A^-1``."""
+    def fits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_decide_and_update`` of every remaining column, in pool order,
+        from the ``Factor`` that ``_certified`` makes of the state's design
+        and its own ``A^-1``."""
         w, n = self.width, len(self.pool)
         factor = _certified(self.q[:w].T, self.a[:w, :w], self.taken_norm2[:w],
                             self.qty[:w], self.residuals, self.a_inv[:w, :w])
@@ -807,7 +793,7 @@ class _DropState:
 
     def __init__(self, dataset: Dataset, pool):
         self.dataset = dataset
-        self.pool = [int(k) for k in pool]
+        self.pool = list(feature_indices(pool))
         self.removed: list[int] = []
         self._refactor()
 
@@ -910,13 +896,16 @@ class CostCache:
 
     def _bitmask(self, indices: tuple[int, ...]) -> int:
         """The key of ``indices``; ``FeatureSubset``'s ``InvalidSubsetError``
-        unless they are distinct and in [1, R]."""
+        unless they are distinct integers in [1, R]."""
         bits = self._bits
         key = 0
-        if not indices or 0 < min(indices) and max(indices) < len(bits):
-            for k in indices:
-                key |= bits[k]
-        if key.bit_count() != len(indices):
+        try:
+            if not indices or 0 < min(indices) and max(indices) < len(bits):
+                for k in indices:
+                    key |= bits[k]
+        except TypeError:  # an index that is no integer
+            key = -1
+        if key < 0 or key.bit_count() != len(indices):
             FeatureSubset(indices).validate_against(self.dataset)
         return key
 

@@ -3,7 +3,11 @@
 Four of the methods are greedy procedures over prediction error (forward
 add-min, backward remove-min, remove-max, add-max), one sorts by absolute
 Pearson correlation with the target, and one is classical backward
-elimination on per-coefficient t-test p-values; all but RM5 run one loop.
+elimination on per-coefficient t-test p-values.  All but RM5 run one loop,
+``_stepwise``, and one row each of ``_GREEDY`` says how: whether the method
+adds columns or removes them, whether a step takes the largest score, and
+whether the sequence taken runs worst to best.  ``rank_features`` runs
+every method; each public ``rank_*`` function calls it.
 
 Every method returns the same shape: a best-to-worst permutation of all
 features plus the per-prefix MAE and MSE curves.  Methods whose native
@@ -24,10 +28,11 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, unit_centered_columns
+from .data import Dataset, FeatureSubset, feature_indices, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
 from .linmodel import (
     _AddState,
@@ -124,7 +129,7 @@ def error_curve(
     * By the SVD rule.  A ratio in the band between is refitted by
       ``fit_subset``, which decides its rank and gives its errors.
     """
-    order = tuple(int(k) for k in order)
+    order = feature_indices(order)
     r = dataset.n_features
     if sorted(order) != list(range(1, r + 1)):
         raise ConfigError("order must be a permutation of 1..R")
@@ -183,14 +188,6 @@ def _stepwise(pool, price, largest: bool) -> list[int]:
     return taken
 
 
-def _grow(dataset: Dataset, largest: bool) -> list[int]:
-    """Addition order of a forward pass: one ``linmodel._AddState`` prices
-    every remaining feature at each step and takes each pick."""
-    state = _AddState(dataset)
-    return _stepwise(range(1, dataset.n_features + 1),
-                     lambda taken, pool: state.follow(taken).costs(), largest)
-
-
 def _backward_start(dataset: Dataset) -> tuple[_DropState, list[int]]:
     """The start of a backward pass: the ``linmodel._DropState`` of the
     pool ``linmodel._usable_features`` keeps, and the dropped rest."""
@@ -198,19 +195,9 @@ def _backward_start(dataset: Dataset) -> tuple[_DropState, list[int]]:
     return _DropState(dataset, usable), dropped
 
 
-def _shrink(start, read, largest: bool) -> tuple[list[int], list[int]]:
-    """Removal order of a backward pass from ``start`` (``_backward_start``),
-    and the dropped rest: the state is priced by ``read(state)`` at each
-    step and downdated at each removal."""
-    state, dropped = start
-    return _stepwise(state.pool, lambda taken, pool: read(state.follow(taken)),
-                     largest), dropped
-
-
 def rank_forward_selection(dataset: Dataset) -> Ranking:
     """RM1: grow the model by the feature minimizing the prefix MAE."""
-    return _finish(RankingMethod.RM1_FORWARD, dataset,
-                   _grow(dataset, largest=False))
+    return rank_features(dataset, RankingMethod.RM1_FORWARD)
 
 
 def rank_backward_elimination(dataset: Dataset) -> Ranking:
@@ -228,21 +215,23 @@ def rank_remove_max_error(dataset: Dataset) -> Ranking:
 def rank_add_max_error(dataset: Dataset) -> Ranking:
     """RM4: grow the model by the feature maximizing the prefix MAE, worst
     to best; the reversed addition order is best-to-worst."""
-    added = _grow(dataset, largest=True)
-    return _finish(RankingMethod.RM4_ADD_MAX, dataset, added[::-1],
-                   raw_order=added)
+    return rank_features(dataset, RankingMethod.RM4_ADD_MAX)
 
 
 def rank_correlation(dataset: Dataset) -> Ranking:
     """RM5: sort by decreasing |Pearson correlation| with the target, one
     product of ``unit_centered_columns``; ties as in the module docstring."""
+    return rank_features(dataset, RankingMethod.RM5_CORRELATION)
+
+
+def _correlation_order(dataset: Dataset) -> list[int]:
+    """The order ``rank_correlation`` ranks by."""
     unit = unit_centered_columns(dataset.features)
     rho = unit.T @ unit_centered_columns(dataset.target[:, None])[:, 0]
     score = np.abs(rho)
     desc = np.argsort(-score, kind="stable")
     tie_group = np.cumsum(np.r_[0, -np.diff(score[desc]) > RHO_TIE])
-    order = desc[np.lexsort((desc, tie_group))] + 1
-    return _finish(RankingMethod.RM5_CORRELATION, dataset, order.tolist())
+    return (desc[np.lexsort((desc, tie_group))] + 1).tolist()
 
 
 def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarray:
@@ -294,46 +283,39 @@ def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     return rank_features(dataset, RankingMethod.PVALUE, alpha_threshold)
 
 
-def _backward_orders(dataset: Dataset, method: RankingMethod, start,
-                     alpha_threshold: float) -> tuple:
-    """``(order, raw_order, admissible)`` of RM2, RM3 or p-value
-    elimination, run from ``start``."""
-    admissible = None
-    if method == RankingMethod.PVALUE:
-        admissible = [False] * dataset.n_features
+class _Greedy(NamedTuple):
+    """How a greedy ranking runs ``_stepwise``."""
 
-        def read(state):
-            pvalues = _pvalues(state)
-            admissible[len(state.pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
-            return pvalues
-
-        removals, dropped = _shrink(start, read, largest=True)
-    else:
-        removals, dropped = _shrink(start, _DropState.removal_maes,
-                                    largest=method == RankingMethod.RM3_REMOVE_MAX)
-    if method == RankingMethod.RM3_REMOVE_MAX:
-        return removals + dropped, removals + dropped, None
-    return removals[::-1] + dropped, removals + dropped, admissible
+    removes: bool  # empties its ``backward_starts`` start, or adds every column
+    largest: bool  # a step takes the largest score, or the smallest
+    worst_first: bool  # the sequence taken runs worst to best
 
 
-_FORWARD = {
-    RankingMethod.RM1_FORWARD: rank_forward_selection,
-    RankingMethod.RM4_ADD_MAX: rank_add_max_error,
-    RankingMethod.RM5_CORRELATION: rank_correlation,
+# One row per method but RM5.  The adding methods score by
+# ``_AddState.costs``, the removing ones by ``_DropState.removal_maes``, or
+# by p-values for ``PVALUE``.
+_GREEDY = {
+    RankingMethod.RM1_FORWARD: _Greedy(removes=False, largest=False, worst_first=False),
+    RankingMethod.RM2_BACKWARD: _Greedy(removes=True, largest=False, worst_first=True),
+    RankingMethod.RM3_REMOVE_MAX: _Greedy(removes=True, largest=True, worst_first=False),
+    RankingMethod.RM4_ADD_MAX: _Greedy(removes=False, largest=True, worst_first=True),
+    RankingMethod.PVALUE: _Greedy(removes=True, largest=True, worst_first=True),
 }
 
 
 def backward_starts(dataset: Dataset, methods):
     """The start each of ``methods`` is ranked from by ``rank_features``, in
-    order: None for RM1, RM4 and RM5, and for RM2, RM3 and p-values one
-    start, the ``_usable_features`` scan and the ``_DropState`` of the
-    usable pool, built once.  Each backward ranking downdates its own copy;
-    the last takes the start itself, and nothing here keeps it."""
-    backward = [RankingMethod(m) not in _FORWARD for m in methods]
-    left = sum(backward)
+    order: None for a method that does not remove columns, and for the
+    others (RM2, RM3 and p-values) one start, the ``_usable_features`` scan
+    and the ``_DropState`` of the usable pool, built once.  Each removing
+    ranking downdates its own copy; the last takes the start itself, and
+    nothing here keeps it."""
+    removes = [RankingMethod(m) in _GREEDY and _GREEDY[RankingMethod(m)].removes
+               for m in methods]
+    left = sum(removes)
     held = []
-    for is_backward in backward:
-        if not is_backward:
+    for removing in removes:
+        if not removing:
             yield None
             continue
         if not held:
@@ -344,15 +326,33 @@ def backward_starts(dataset: Dataset, methods):
 
 def rank_features(dataset: Dataset, method: RankingMethod,
                   alpha_threshold: float = 0.05, start=None) -> Ranking:
-    """Run one ranking method by tag.  A backward one runs from ``start``,
-    its entry of ``backward_starts``, or from a start of its own."""
+    """Run one ranking method by tag, as its ``_GREEDY`` row says.  A
+    removing one runs from ``start``, its entry of ``backward_starts``, or
+    from a start of its own, and puts the columns the scan dropped at the
+    tail of its orders."""
     method = RankingMethod(method)
-    if method in _FORWARD:
-        return _FORWARD[method](dataset)
+    if method not in _GREEDY:
+        return _finish(method, dataset, _correlation_order(dataset))
+    greedy = _GREEDY[method]
+    if greedy.removes:
+        state, tail = _backward_start(dataset) if start is None else start
+        read = _DropState.removal_maes
+    else:
+        state, tail, read = _AddState(dataset), [], _AddState.costs
+    admissible = None
     if method == RankingMethod.PVALUE:
         check_pvalue_threshold(alpha_threshold)
-    orders = _backward_orders(
-        dataset, method, _backward_start(dataset) if start is None else start,
-        alpha_threshold)
-    del start  # the state goes before the error curve takes its factor
-    return _finish(method, dataset, *orders)
+        admissible = [False] * dataset.n_features
+
+        def read(state):
+            pvalues = _pvalues(state)
+            admissible[len(state.pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
+            return pvalues
+
+    taken = _stepwise(state.pool, lambda done, pool: read(state.follow(done)),
+                      greedy.largest)
+    del start, state  # the state goes before the error curve takes its factor
+    order = (taken[::-1] if greedy.worst_first else taken) + tail
+    # kept for every removal, and for the addition run worst to best (RM4)
+    raw_order = taken + tail if greedy.removes or greedy.worst_first else None
+    return _finish(method, dataset, order, raw_order, admissible)

@@ -33,8 +33,9 @@ It prints the same for the forward rankings' own state,
 ``linmodel._AddState``, whose A is built by Gram-Schmidt, one column a
 step, not by Householder QR: RM1 and RM4 are run on it, and at every step
 each candidate design holding the pair is decided as the state decides it.
-Of the forward candidates the certificate leaves, it prints how many the
-bound decided at the band edge and how many went to their small factors.
+Of the forward candidates, it prints how many the bound decided at the
+band edge, how many went to their small factors and how many of those
+the small factors left to the SVD.
 
 Then it prints the largest small-factor difference on the benchmark's
 ``make_table(1, R)``, R = 30 and 122, for every step of RM1 and RM4 after
@@ -42,7 +43,7 @@ both columns of the near-rank-deficient pair entered (every sixth step at
 R = 122), the same for the state's small factors and decisions, and the
 leading-block difference and decisions for the prefixes of their
 best-to-worst orders (all of them, each checked against
-``full_rank_lstsq``), and the band-edge counts of their forward passes.
+``full_rank_lstsq``), and the route counts of their forward passes.
 It exits 1 if any decision disagrees.
 """
 
@@ -132,18 +133,20 @@ def prefix_decisions(dataset, order, pair):
 
 
 @contextmanager
-def band_edge_counts():
+def route_counts():
     """Count, over the ``_decide_and_update`` calls made inside, the
-    candidates the certificate leaves and those of them sent to their small
-    factors: ``[left, to the small factors]``.  The rest of those left were
-    decided by the bound at the band edge, or have no complement."""
-    counts = [0, 0]
+    candidates decided by the bound at the band edge, those sent to their
+    small factors, and those of them left to the SVD: ``[bound, small
+    factor, SVD]``.  The rest have no complement."""
+    counts = [0, 0, 0]
     decide, small = linmodel._decide_and_update, linmodel._small_factor_ratios
 
-    def counted_decide(factor, c, *args):
-        fits = decide(factor, c, *args)
-        counts[0] += int(np.count_nonzero(~fits[0]))
-        return fits
+    def counted_decide(factor, c, z, zeta2, *args):
+        sent = counts[1]
+        updated, singular, residuals = decide(factor, c, z, zeta2, *args)
+        counts[0] += len(c) - (counts[1] - sent) - int(np.count_nonzero(zeta2 == 0.0))
+        counts[2] += int(np.count_nonzero(~(updated | singular)))
+        return updated, singular, residuals
 
     def counted_small(a, c, zeta):
         counts[1] += len(c)
@@ -152,6 +155,12 @@ def band_edge_counts():
     with mock.patch.object(linmodel, "_decide_and_update", counted_decide), \
             mock.patch.object(linmodel, "_small_factor_ratios", counted_small):
         yield counts
+
+
+def print_routes(name, counts):
+    print(f"{name} candidates: {counts[0]} decided by the bound at the band "
+          f"edge, {counts[1]} to their small factors, {counts[2]} of those to "
+          f"the SVD")
 
 
 def forward_state_decisions(dataset, largest, pair, start=0, stride=1):
@@ -181,7 +190,7 @@ def inspect_state(state, pair, found):
     rows = [i for i, k in enumerate(state.pool) if set(pair) <= set(fixed + (k,))]
     if not rows:
         return
-    _, updated, singular, _ = state.fits()
+    updated, singular, _ = state.fits()
     w, n = state.width, len(state.pool)
     z = state.z[:n][rows]
     small = _small_factor_ratios(state.a[:w, :w], state.c[:n, :w][rows],
@@ -213,7 +222,7 @@ def near_threshold(n_tables):
     # decided, of those inferred, disagreements, to the SVD
     prefix_counts = np.zeros(4, dtype=int)
     state_counts = np.zeros(3, dtype=int)
-    edge = [0, 0]
+    edge = [0, 0, 0]
     for seed in range(n_tables):
         dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
         for fixed in FIXED_SETS:
@@ -221,7 +230,7 @@ def near_threshold(n_tables):
             diff, twice = ratio_differences(dataset, fixed, candidates)
             worst, n_ratios = max(worst, diff.max()), n_ratios + len(candidates)
             n_twice += twice
-            _, updated, singular, _ = _neighbour_residuals(dataset, fixed, candidates)
+            updated, singular, _ = _neighbour_residuals(dataset, fixed, candidates)
             for k, up, sing in zip(candidates, updated, singular):
                 if not {1, 2} <= set(fixed + (k,)):
                     continue
@@ -235,7 +244,7 @@ def near_threshold(n_tables):
             prefix_worst = max(prefix_worst, found[0])
             prefix_counts += found[1:]
         for largest in (False, True):
-            with band_edge_counts() as counts:
+            with route_counts() as counts:
                 found = forward_state_decisions(dataset, largest, (1, 2))
             edge = [e + c for e, c in zip(edge, counts)]
             state_worst = max(state_worst, found[0])
@@ -252,9 +261,7 @@ def near_threshold(n_tables):
           f"largest ratio difference {state_worst:.2e}; {state_counts[0]} "
           f"decided by the state, {state_counts[1]} disagreements, "
           f"{state_counts[2]} to the SVD")
-    print(f"near_duplicate_table RM1 and RM4 candidates the certificate left: "
-          f"{edge[0]}, {edge[0] - edge[1]} decided by the bound at the band "
-          f"edge, {edge[1]} to their small factors")
+    print_routes("near_duplicate_table RM1 and RM4", edge)
     return disagree + int(prefix_counts[2]) + int(state_counts[1])
 
 
@@ -266,7 +273,7 @@ def benchmark_tables():
         table = make_table(1, n_features)
         dataset = make_dataset(table.features, table.target)
         for name, rank in [("RM1", rank_forward_selection), ("RM4", rank_add_max_error)]:
-            with band_edge_counts() as edge:
+            with route_counts() as edge:
                 ranking = rank(dataset)
             order = list(ranking.raw_order or ranking.order)
             entered = 1 + max(order.index(k) for k in table.rank_rule_pair)
@@ -286,9 +293,7 @@ def benchmark_tables():
                   f"entered: largest ratio difference {found[0]:.2e}; "
                   f"{found[1]} decided by the state, {found[2]} disagreements, "
                   f"{found[3]} to the SVD")
-            print(f"make_table(1, {n_features}) {name} candidates the "
-                  f"certificate left: {edge[0]}, {edge[0] - edge[1]} decided by "
-                  f"the bound at the band edge, {edge[1]} to their small factors")
+            print_routes(f"make_table(1, {n_features}) {name}", edge)
             found = prefix_decisions(dataset, ranking.order, table.rank_rule_pair)
             disagree += found[3]
             print(f"make_table(1, {n_features}) {name} prefixes: largest ratio "

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from varsel import ConfigError, FeatureSubset, InvalidSubsetError, make_dataset
+from varsel import (
+    ConfigError,
+    CostCache,
+    FeatureSubset,
+    InvalidSubsetError,
+    RunConfig,
+    coefficient_pvalues,
+    error_curve,
+    make_dataset,
+    neighbour_costs,
+)
 from varsel.data import Dataset, normalize_columns, run_rng
 
 
@@ -72,6 +82,39 @@ class TestFeatureSubset:
         assert subset.m == 3
         assert subset.indices == (9, 1, 4)
         assert FeatureSubset(()).m == 0
+
+    @pytest.mark.parametrize("indices", [(1.5, 2), (1.0, 2.0), ("2", "3"), (2, None)])
+    def test_rejects_indices_that_are_not_integers(self, indices):
+        with pytest.raises(InvalidSubsetError, match="must be integers"):
+            FeatureSubset(indices)
+
+    def test_takes_numpy_integers_as_python_ints(self):
+        subset = FeatureSubset((np.int64(2), np.int32(3), 1))
+        assert subset.indices == (2, 3, 1)
+        assert all(type(k) is int for k in subset.indices)
+
+
+def table_for_indices():
+    rng = np.random.default_rng(3)
+    return make_dataset(rng.normal(size=(20, 4)), rng.normal(size=20))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda ds: CostCache(ds).cost((1.0, 2.0)), id="cache-cost"),
+    pytest.param(lambda ds: CostCache(ds).cost(("2", "3")), id="cache-cost-strings"),
+    pytest.param(lambda ds: CostCache(ds).neighbour_costs((1,), [2.0]),
+                 id="cache-neighbours"),
+    pytest.param(lambda ds: neighbour_costs(ds, (1,), [2.5]), id="kernel-candidate"),
+    pytest.param(lambda ds: neighbour_costs(ds, (1.0,), [2]), id="kernel-fixed"),
+    pytest.param(lambda ds: error_curve(ds, (1.0, 2, 3, 4)), id="error-curve"),
+    pytest.param(lambda ds: coefficient_pvalues(ds, (1.5,)), id="pvalues"),
+    pytest.param(lambda ds: RunConfig(dataset_path="t.csv", target_column="y",
+                                      stages=("cv",), cv_subset=(1.5,)),
+                 id="run-config"),
+])
+def test_entry_points_reject_indices_that_are_not_integers(call):
+    with pytest.raises(InvalidSubsetError, match="must be integers"):
+        call(table_for_indices())
 
 
 class TestNormalization:

@@ -1,6 +1,7 @@
 """CSV ingestion: validation errors, normalization, round-trips."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,26 @@ class TestIngest:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(IngestError, match="latin1.csv: not UTF-8"):
             ingest_csv(path, "y")
+
+    @pytest.mark.parametrize("opens", [0, 1], ids=["first-open", "row-walk-open"])
+    def test_unreadable_file_raises_ingest_error_naming_file(self, tmp_path,
+                                                             monkeypatch, opens):
+        # file modes do not stop every user (root reads any file), so the
+        # refusal is patched in; the quoted cell sends the body to the row
+        # walk, which opens the file a second time
+        path = write(tmp_path, 'a,b,y\n1,"2",3\n4,5,6\n7,8,10\n', name="t.csv")
+        real_open, seen = Path.open, []
+
+        def refuse(self, *args, **kwargs):
+            seen.append(self)
+            if len(seen) > opens:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(IngestError, match=r"t\.csv: cannot read \(Permission denied\)"):
+            ingest_csv(path, "y")
+        assert len(seen) == opens + 1
 
     def test_too_few_rows_rejected(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")

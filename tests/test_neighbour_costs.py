@@ -29,7 +29,6 @@ from varsel import (
 )
 from varsel import linmodel
 from varsel.linmodel import (
-    CERTIFIED_RATIO_CAP,
     RANK_BAND,
     RANK_RCOND,
     _AddState,
@@ -74,10 +73,9 @@ def assert_matches_svd(dataset, fixed, p=1.0, alpha=1.0):
     """Kernel costs equal the SVD path's: exactly the same candidates are
     +inf and finite costs agree to ``cost_tolerance``.  Every candidate the
     kernel updates has a residual orthogonal to its design.  The SVD ratio
-    of every certified candidate is above the cap, that of every other
-    updated candidate clears ``RANK_RCOND`` by half the band, and that of
-    every candidate called rank-deficient falls short of it by half the
-    band.  Returns the certified and the updated masks."""
+    of every updated candidate clears ``RANK_RCOND`` by half the band, and
+    that of every candidate called rank-deficient falls short of it by half
+    the band.  Returns the updated mask."""
     fixed = tuple(fixed)
     candidates = [k for k in range(1, dataset.n_features + 1) if k not in fixed]
     got = neighbour_costs(dataset, fixed, candidates, p, alpha)
@@ -88,24 +86,21 @@ def assert_matches_svd(dataset, fixed, p=1.0, alpha=1.0):
             design = build_design_matrix(dataset, FeatureSubset(fixed + (k,))).values
             assert abs(g - w) <= cost_tolerance(dataset, design, p, alpha) * w, (
                 k, g, w)
-    certified, updated, singular, residuals = _neighbour_residuals(
-        dataset, fixed, candidates)
+    updated, singular, residuals = _neighbour_residuals(dataset, fixed, candidates)
     assert not (updated & singular).any()
-    assert (updated | ~certified).all()
 
     def design_ratio(k):
         design = build_design_matrix(dataset, FeatureSubset(fixed + (int(k),))).values
         sv = np.linalg.svd(design, compute_uv=False)
         return design, sv[-1] / sv[0]
 
-    for k, cert, res in zip(np.array(candidates)[updated], certified[updated],
-                            residuals):
+    for k, res in zip(np.array(candidates)[updated], residuals):
         design, ratio = design_ratio(k)
         assert_residuals_orthogonal(design, res, dataset.target)
-        assert ratio > (CERTIFIED_RATIO_CAP if cert else RANK_RCOND * math.sqrt(RANK_BAND))
+        assert ratio > RANK_RCOND * math.sqrt(RANK_BAND)
     for k in np.array(candidates)[singular]:
         assert design_ratio(k)[1] < RANK_RCOND / math.sqrt(RANK_BAND)
-    return certified, updated
+    return updated
 
 
 def count_calls(name):
@@ -183,7 +178,7 @@ class TestKernelAgainstSvd:
         x, y, _ = random_instance(12, 30, 5)
         x[:, 1] = 2.0 * x[:, 0]
         ds = make_dataset(x, y)
-        _, updated = assert_matches_svd(ds, (1, 2))
+        updated = assert_matches_svd(ds, (1, 2))
         assert not updated.any()
         with count_calls("_svd_costs") as svd:
             costs = neighbour_costs(ds, (1, 2), [3, 4, 5])
@@ -200,8 +195,7 @@ class TestKernelAgainstSvd:
         assert factor.a_inv is None and math.isinf(factor.a_inv_norm)
         with count_calls("_small_factor_ratios") as small, \
                 count_calls("_svd_costs") as svd:
-            certified, updated = assert_matches_svd(ds, (1, 2))
-        assert not certified.any()
+            updated = assert_matches_svd(ds, (1, 2))
         assert updated.all()
         assert [len(call.args[1]) for call in small.call_args_list] == [4, 4]
         svd.assert_not_called()
@@ -217,11 +211,13 @@ class TestKernelAgainstSvd:
         x[:, 2] = x[:, 0] + 0.1 * x[:, 2]
         ds = make_dataset(x, ds.target)
         state = _AddState(ds).follow([1, 2])
-        with count_calls("_small_factor_ratios") as small, \
+        with count_calls("_decide_and_update") as decide, \
+                count_calls("_small_factor_ratios") as small, \
                 count_calls("_svd_costs") as svd:
-            certified, updated, singular, _ = state.fits()
+            updated, singular, _ = state.fits()
             costs = state.costs()
-        assert not certified.any() and updated.all() and not singular.any()
+        assert decide.call_args.args[0].a_inv is None
+        assert updated.all() and not singular.any()
         open_rows = [call.args[1] for call in small.call_args_list]
         assert [len(c) for c in open_rows] == [1, 1]
         assert open_rows[0].tobytes() == state.c[0, :state.width].tobytes()
@@ -253,12 +249,13 @@ class TestKernelAgainstSvd:
         assert ratios.tobytes() == np.array(alone).tobytes()
         assert got.tobytes() == want.tobytes()
 
-    def test_well_conditioned_candidates_are_all_certified(self):
+    def test_well_conditioned_candidates_are_all_decided_by_the_bound(self):
         x, y, _ = random_instance(13, 200, 12)
-        with count_calls("_small_factor_ratios") as small:
-            certified, _ = assert_matches_svd(make_dataset(x, y), (4, 9, 1))
-        assert certified.all()
-        assert not small.called
+        with count_calls("_small_factor_ratios") as small, \
+                count_calls("_svd_costs") as svd:
+            updated = assert_matches_svd(make_dataset(x, y), (4, 9, 1))
+        assert updated.all()
+        assert not small.called and not svd.called
 
     def test_candidate_order_is_kept(self):
         x, y, _ = random_instance(14, 30, 6)

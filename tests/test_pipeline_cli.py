@@ -365,6 +365,21 @@ class TestCli:
         assert "latin1.csv: not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_table_exit_code(self, tmp_path, capsys, monkeypatch):
+        data = write_fixture(tmp_path, name="t.csv")
+        out = tmp_path / "o"
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "parse error" in err and "t.csv: cannot read (Permission denied)" in err
+        assert "cannot write outputs" not in err
+        assert not out.exists()
+
     def test_seed_is_checked_only_for_the_stages_that_draw(self, tmp_path):
         data = str(write_fixture(tmp_path))
         RunConfig(dataset_path=data, target_column="y",

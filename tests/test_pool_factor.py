@@ -6,6 +6,7 @@ direction (``_DropState.removal_maes``) against its add direction
 (``neighbour_costs``)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from varsel import (
     rank_pvalues,
     rank_remove_max_error,
 )
+from varsel import linmodel
 from varsel.linmodel import (
     CERTIFIED_RATIO_CAP,
     _DropState,
     _factor,
-    _neighbour_residuals,
 )
 
 from conftest import (
@@ -185,21 +186,25 @@ def assert_add_and_drop_agree(dataset, pool):
     ``_DropState.removal_maes`` (the fit on the pool without j) equals
     ``neighbour_costs`` of the pool without i and j plus i, within
     ``cost_tolerance``.  Returns how many of those additions the factor
-    decided itself."""
+    decided itself, with no small factor and no SVD fit."""
     pool = tuple(pool)
     if _factor(dataset, pool).a_inv is None:
         return 0
     dropped = dataset.n_rows * _DropState(dataset, pool).removal_maes()
     decided = 0
-    for j in range(len(pool)):
-        rest = pool[:j] + pool[j + 1:]
-        design = build_design_matrix(dataset, FeatureSubset(rest)).values
-        tol = cost_tolerance(dataset, design, 1.0, 1.0)
-        for i, k in enumerate(rest):
-            others = rest[:i] + rest[i + 1:]
-            added = neighbour_costs(dataset, others, [k])[0]
-            assert abs(dropped[j] - added) <= tol * added, (pool, j, k)
-            decided += bool(_neighbour_residuals(dataset, others, [k])[0][0])
+    with mock.patch.object(linmodel, "_small_factor_ratios",
+                           wraps=linmodel._small_factor_ratios) as small, \
+            mock.patch.object(linmodel, "_svd_costs", wraps=linmodel._svd_costs) as svd:
+        for j in range(len(pool)):
+            rest = pool[:j] + pool[j + 1:]
+            design = build_design_matrix(dataset, FeatureSubset(rest)).values
+            tol = cost_tolerance(dataset, design, 1.0, 1.0)
+            for i, k in enumerate(rest):
+                others = rest[:i] + rest[i + 1:]
+                opened = small.call_count + svd.call_count
+                added = neighbour_costs(dataset, others, [k])[0]
+                assert abs(dropped[j] - added) <= tol * added, (pool, j, k)
+                decided += small.call_count + svd.call_count == opened
     return decided
 
 

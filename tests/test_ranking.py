@@ -618,3 +618,47 @@ class TestRankStage:
         scan.assert_called_once()
         assert [c.args[1] for c in factor.call_args_list].count(tuple(usable)) == 1
         assert len(copies) == 2  # RM2 and RM3; p-values take the start
+
+
+PUBLIC = {
+    RankingMethod.RM1_FORWARD: rank_forward_selection,
+    RankingMethod.RM2_BACKWARD: rank_backward_elimination,
+    RankingMethod.RM3_REMOVE_MAX: rank_remove_max_error,
+    RankingMethod.RM4_ADD_MAX: rank_add_max_error,
+    RankingMethod.RM5_CORRELATION: rank_correlation,
+    RankingMethod.PVALUE: rank_pvalues,
+}
+
+
+class TestMethodTable:
+    """Every greedy method is one row of ``ranking._GREEDY``, and every
+    public ``rank_*`` function returns what ``rank_features`` returns for
+    its method."""
+
+    def test_every_method_is_rm5_or_a_row(self):
+        rows = set(ranking_module._GREEDY)
+        assert RankingMethod.RM5_CORRELATION not in rows
+        assert rows | {RankingMethod.RM5_CORRELATION} == set(RankingMethod)
+        assert set(PUBLIC) == set(RankingMethod)
+
+    @staticmethod
+    def assert_public_functions_are_rank_features(dataset):
+        for method, public in PUBLIC.items():
+            try:
+                want = rank_features(dataset, method)
+            except DegenerateStepError:
+                # RM1 and RM4 may reach a step with no full-rank candidate
+                with pytest.raises(DegenerateStepError):
+                    public(dataset)
+                continue
+            assert_same_rankings([public(dataset)], [want])
+
+    @settings(max_examples=20, deadline=None)
+    @given(dataset=awkward_tables())
+    def test_on_awkward_tables(self, dataset):
+        self.assert_public_functions_are_rank_features(dataset)
+
+    def test_on_the_benchmark_table(self):
+        table = benchmark_table(1, 30)
+        self.assert_public_functions_are_rank_features(
+            make_dataset(table.features, table.target))
