@@ -66,6 +66,16 @@ class Dataset:
         norm2.setflags(write=False)
         return norm2
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``features.T`` as a read-only C-contiguous copy, one row per
+        feature, so a gather of candidate columns reads whole rows rather
+        than every R-th entry of the table: taken once per table.  The rank
+        stage keeps its own transient copies and never builds it."""
+        columns = self.features.T.copy()
+        columns.setflags(write=False)
+        return columns
+
     @property
     def n_rows(self) -> int:
         return self.features.shape[0]

@@ -10,6 +10,15 @@ density toward uniform; large eta concentrates it near the minimum-cost
 subset (verified against exact enumeration in the tests).  Costs come from
 a ``CostCache``, and the generator from ``data.run_rng``, as in ``search``.
 
+A chain keeps a memo of its full conditionals, keyed by the ``CostCache``
+bitmask of the other positions' indices.  The memo is exact: the candidates
+are every index outside that set in ascending order, and the cache never
+re-prices a key, so a repeated set gets the same costs and the same weights.
+A memo hit adds one cache hit per candidate, the hits a lookup of every
+candidate would count.  The memo is cleared when it holds
+``CONDITIONAL_MEMO_ENTRIES`` conditionals; a chain frozen on one state needs
+only M of them.
+
 Costs at eta around 100 differ by hundreds of units, so every softmax here
 subtracts the largest exponent before exponentiating.
 """
@@ -27,6 +36,12 @@ from .linmodel import CostCache
 from .search import all_subset_costs, random_subset
 
 ENUMERATION_BUDGET = 100_000
+
+# Full conditionals ``gibbs_run`` keeps before it clears its memo: each holds
+# a candidate list and its weights, about 2 KiB at R = 122, so the memo stays
+# near 256 KiB however hot the chain, and a chain frozen at M <= 128 never
+# clears it.
+CONDITIONAL_MEMO_ENTRIES = 128
 
 
 @dataclass(frozen=True)
@@ -110,6 +125,28 @@ def _conditional(
     return candidates, _stable_weights(-eta * cache.neighbour_costs(others, candidates))
 
 
+class _ConditionalMemo:
+    """``_conditional`` of one chain, memoized by the ``CostCache`` bitmask
+    of ``others`` and cleared when it holds ``CONDITIONAL_MEMO_ENTRIES``
+    conditionals; a hit counts one cache hit per candidate."""
+
+    def __init__(self, cache: CostCache, eta: float):
+        self.cache = cache
+        self.eta = eta
+        self.entries: dict[int, tuple[list[int], np.ndarray]] = {}
+
+    def __call__(self, others: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+        key = self.cache._bitmask(others)
+        found = self.entries.get(key)
+        if found is None:
+            if len(self.entries) >= CONDITIONAL_MEMO_ENTRIES:
+                self.entries.clear()
+            found = self.entries[key] = _conditional(self.cache, others, self.eta)
+        else:
+            self.cache.hits += len(found[0])
+        return found
+
+
 def full_conditional_weights(
     dataset: Dataset,
     state: FeatureSubset,
@@ -143,6 +180,8 @@ def gibbs_run(
     The initial state is uniform over distinct-index subsets; each sweep
     redraws positions 1..M in order from their full conditionals, on a
     plain index list checked once here, and records the state after it.
+    A conditional whose other positions hold a set seen before is read
+    from the run's memo (see the module docstring).
     """
     r = dataset.n_features
     if config.m > r:
@@ -151,10 +190,10 @@ def gibbs_run(
     rng = run_rng(config.seed)
     state = list(random_subset(rng, r, config.m).indices)
     states, costs = [], []
+    conditional = _ConditionalMemo(cache, config.eta)
     for _ in range(config.sweeps):
         for j in range(config.m):
-            others = tuple(state[:j] + state[j + 1:])
-            candidates, weights = _conditional(cache, others, config.eta)
+            candidates, weights = conditional(tuple(state[:j] + state[j + 1:]))
             state[j] = candidates[_draw(rng, weights)]
         states.append(FeatureSubset(tuple(state)))
         costs.append(cache.cost(states[-1].indices))

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSubset, constant_columns, feature_indices
-from .errors import ConfigError, RankDeficiencyError, VarselError
+from .errors import ConfigError, InvalidSubsetError, RankDeficiencyError, VarselError
 
 # Relative singular-value cutoff for declaring a design rank-deficient.
 RANK_RCOND = 1e-10
@@ -528,8 +528,9 @@ def _neighbour_residuals(
     the fixed columns."""
     factor = _factor(dataset, fixed)
     rows = np.asarray(candidates, dtype=np.intp) - 1
-    # One row per candidate, so each residual is summed contiguously.
-    z = dataset.features.T[rows]
+    # One row per candidate, gathered whole from the column store, so each
+    # residual is summed contiguously.
+    z = dataset.columns[rows]
     col_norm2 = dataset.column_norm2[rows]
     c, zeta2 = _project_out(factor.q, z, col_norm2)
     return _decide_and_update(factor, c, z, zeta2, col_norm2,
@@ -910,13 +911,22 @@ class CostCache:
         return key
 
     def cost(self, indices: tuple[int, ...]) -> float:
-        """Cost of the subset; +inf when the design is rank-deficient."""
-        indices = tuple(sorted(indices))
-        key = self._bitmask(indices)
+        """Cost of the subset; +inf when the design is rank-deficient.  The
+        indices are checked before anything compares them, and a miss is
+        priced on their ascending order, which an invalid subset's error
+        names once its indices are known to be integers."""
+        indices = tuple(indices)
+        try:
+            key = self._bitmask(indices)
+        except InvalidSubsetError:
+            FeatureSubset(tuple(sorted(feature_indices(indices)))).validate_against(
+                self.dataset)
+            raise
         found = self._store.get(key)
         if found is None:
             self.misses += 1
-            found = float(_svd_costs(self.dataset, [indices], self.p, self.alpha)[0])
+            found = float(_svd_costs(self.dataset, [tuple(sorted(indices))],
+                                     self.p, self.alpha)[0])
             self._store[key] = found
         else:
             self.hits += 1

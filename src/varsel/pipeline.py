@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, FeatureSubset, check_seed
-from .errors import ConfigError, VarselError
+from .errors import ConfigError, IngestError, VarselError
 from .gibbs import GibbsConfig, gibbs_run, inclusion_frequencies
 from .ingest import ingest_csv
 from .linmodel import CostCache, check_cost_parameters
@@ -154,10 +154,16 @@ def canonical_json(document: dict) -> str:
 
 
 def dataset_sha256(path: str | Path) -> str:
+    """The sha256 of the input's bytes; ``IngestError``, as ``ingest_csv``
+    raises it, when they cannot be read."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+    try:
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+    except OSError as exc:
+        # an input that cannot be read is bad input, not a failed write
+        raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     return digest.hexdigest()
 
 

@@ -2,8 +2,9 @@
 
 ``monte_carlo_cv`` fits every CV train split from one economic QR of the
 subset's whole design, by downdating the split's test rows, a block of
-splits at a time: one gather of the test rows of Q, stacked products, one
-stacked ``eigvalsh`` and one stacked ``solve``.  The design's certificate
+splits at a time: one gather of the test rows of Q, stacked products, a
+Gershgorin bound (with a stacked ``eigvalsh`` of only the splits it leaves)
+and one stacked ``solve``.  The design's certificate
 (``linmodel.Factor``) and a floor on each split's smallest eigenvalue
 certify the split full-rank under the SVD rule, and any other split is
 fitted by that rule, one ``lstsq`` as before.  The test splits are scored
@@ -71,17 +72,35 @@ def check_cv_settings(train_fraction: float, runs: int) -> None:
         raise ConfigError("runs must be >= 1")
 
 
+def _above_floor(m: np.ndarray) -> np.ndarray:
+    """Mask of the symmetric matrices of the stack ``m`` whose least
+    eigenvalue exceeds ``DOWNDATE_EIGENVALUE_FLOOR``.  The Gershgorin bound
+    ``min_i (2 M_ii - sum_j |M_ij|) <= lambda_min`` (Gershgorin 1931)
+    settles every matrix it puts above the floor, and one stacked
+    ``eigvalsh`` decides the rest.  The mask is that of ``eigvalsh`` alone
+    unless ``lambda_min`` lies within its rounding, about ``eps ||M||``, of
+    the floor."""
+    diagonal = np.diagonal(m, axis1=1, axis2=2)
+    bound = (2.0 * diagonal - np.abs(m).sum(axis=2)).min(axis=1)
+    above = bound > DOWNDATE_EIGENVALUE_FLOOR
+    rest = np.flatnonzero(~above)
+    if rest.size:
+        above[rest] = np.linalg.eigvalsh(m[rest])[:, 0] > DOWNDATE_EIGENVALUE_FLOOR
+    return above
+
+
 def _downdated_residuals(q, r, tests, residuals, qt):
     """Fit the train split of every row of ``tests`` from the certified QR
     ``[1, X] = Q A`` of the whole design and its residual ``r``, as
     ``monte_carlo_cv`` describes: row i of ``residuals`` takes the test
     residual of split i where the returned mask (``lambda_min(M)`` above
-    ``DOWNDATE_EIGENVALUE_FLOOR``) is True and is left undefined elsewhere.
-    ``qt`` is the buffer ``Q[tests]`` is gathered into."""
+    ``DOWNDATE_EIGENVALUE_FLOOR``, ``_above_floor``) is True and is left
+    undefined elsewhere.  ``qt`` is the buffer ``Q[tests]`` is gathered
+    into."""
     qt = np.take(q, tests, axis=0, out=qt)
     qtt = qt.transpose(0, 2, 1)
     m = np.eye(q.shape[1]) - qtt @ qt
-    certified = np.linalg.eigvalsh(m)[:, 0] > DOWNDATE_EIGENVALUE_FLOOR
+    certified = _above_floor(m)
     m[~certified] = np.eye(q.shape[1])  # rows left undefined, solved harmlessly
     rt = np.take(r, tests, out=residuals)
     rt += (qt @ np.linalg.solve(m, qtt @ rt[..., None]))[..., 0]
@@ -131,21 +150,26 @@ def monte_carlo_cv(
     residual, the train fit in the basis Q is ``Q^T y - M^-1 Q_T^T r_T``,
     so its test residual is ``r_T + Q_T M^-1 Q_T^T r_T``: no triangular
     solve and no gather of ``X_T``.  A block of splits takes one gather
-    of ``Q[tests]``, stacked products, one stacked ``eigvalsh`` and one
-    stacked ``solve``.
+    of ``Q[tests]``, stacked products, the floor test of ``_above_floor``
+    and one stacked ``solve``.  Each split's test rows are the tail of
+    one buffer of row indices that its generator shuffles afresh: the
+    rows, and the generator calls, of ``run_rng(seed, run).permutation(N)``.
 
     The SVD rule stays the only rank rule; the downdate only fits splits
     it would certainly call full-rank.  A split is downdated iff
     ``_factor`` certifies the design (``||A^-1||_F ||X||_F <
     1 / CERTIFIED_RATIO_CAP``) and ``lambda_min(M)`` exceeds
-    ``DOWNDATE_EIGENVALUE_FLOOR`` = 0.1.  Since ``X_S = Q_S A``,
+    ``DOWNDATE_EIGENVALUE_FLOOR`` = 0.1, as a stacked ``eigvalsh``
+    computes it; the Gershgorin bound settles every split it puts above
+    the floor, and ``eigvalsh`` runs on the rest.  Since ``X_S = Q_S A``,
     ``sigma_min(X_S) >= sigma_min(Q_S) sigma_min(A) >= sqrt(lambda_min(M))
     / ||A^-1||_F``, and ``sigma_max(X_S) <= ||X_S||_F <= ||X||_F``, so
     such a split has ``sigma_min / sigma_max > sqrt(0.1)
     CERTIFIED_RATIO_CAP``, about 3.2e-7: 3000 times ``RANK_RCOND``.  The
-    computed ``lambda_min(M)`` is off by the rounding of G (dots of n_test
-    terms of Q's unit columns), by Q's departure from orthonormality and
-    by ``eigvalsh``'s own error, about 1e-12 together, and the QR's own
+    computed ``lambda_min(M)``, or its bound, is off by the rounding of G
+    (dots of n_test terms of Q's unit columns), by Q's departure from
+    orthonormality and by ``eigvalsh``'s own error or the rounding of the
+    bound's sums, about 1e-12 together, and the QR's own
     backward error, ``eps ||X||``, moves the ratio by a multiple of eps;
     both are far inside that margin.
 
@@ -181,13 +205,20 @@ def monte_carlo_cv(
     block = min(runs, max(1, CV_BLOCK_ENTRIES // (n_test * (width + 2))))
     residuals, targets = np.empty((block, n_test)), np.empty((block, n_test))
     qt = np.empty((block, n_test, width))
+    # each split shuffles a fresh copy of 0..n-1 in ``order``: the generator
+    # calls, and the permutation, of ``permutation(n)``
+    rows, order = np.arange(n), np.empty(n, dtype=np.intp)
+    test_rows = np.empty((block, n_test), dtype=np.intp)
     scored = []
     for start in range(0, runs, block):
         size = min(block, runs - start)
         fitted = np.zeros(size, dtype=bool)
         if factor.a_inv is not None:
-            tests = np.array([run_rng(seed, run).permutation(n)[n_train:]
-                              for run in range(start, start + size)])
+            tests = test_rows[:size]
+            for i in range(size):
+                order[:] = rows
+                run_rng(seed, start + i).shuffle(order)
+                tests[i] = order[n_train:]
             fitted = _downdated_residuals(factor.q, factor.residuals, tests,
                                           residuals[:size], qt[:size])
             np.take(y, tests, out=targets[:size])

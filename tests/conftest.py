@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -16,6 +19,13 @@ def random_instance(seed: int, n: int, r: int, sparse: int | None = None,
     beta = rng.normal(size=k) * 2.0
     y = x[:, support] @ beta + rng.normal() + noise * rng.normal(size=n)
     return x, y, np.sort(support + 1)
+
+
+def benchmark_table(seed, n_features):
+    """``make_table`` of ``bench/generate.py``, the benchmark's generator,
+    run as it is."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    return runpy.run_path(str(path))["make_table"](seed, n_features)
 
 
 def assert_residuals_orthogonal(design: np.ndarray, residuals: np.ndarray,

@@ -8,11 +8,13 @@ from varsel import (
     CostCache,
     FeatureSubset,
     InvalidSubsetError,
+    RankingMethod,
     RunConfig,
     coefficient_pvalues,
     error_curve,
     make_dataset,
     neighbour_costs,
+    rank_features,
 )
 from varsel.data import Dataset, normalize_columns, run_rng
 
@@ -61,6 +63,30 @@ class TestDataset:
             gathered = ds.features.T[rows]
             want = np.einsum("ij,ij->i", gathered, gathered)
             assert norm2[rows].tobytes() == want.tobytes()
+
+    def test_columns_are_a_read_only_copy_of_the_transpose(self):
+        rng = np.random.default_rng(8)
+        ds = make_dataset(rng.normal(size=(50, 7)), rng.normal(size=50))
+        columns = ds.columns
+        assert columns is ds.columns
+        assert not columns.flags.writeable and columns.flags.c_contiguous
+        assert not np.shares_memory(columns, ds.features)
+        assert columns.shape == (7, 50)
+        assert columns.tobytes() == np.ascontiguousarray(ds.features.T).tobytes()
+        with pytest.raises(ValueError):
+            columns[0, 0] = 1.0
+
+    def test_only_the_candidate_kernel_builds_the_column_store(self):
+        # the rank stage keeps its own transient copies of the columns, so
+        # it never holds the store; a kernel call takes it
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng.normal(size=(40, 6)), rng.normal(size=40))
+        for method in RankingMethod:
+            order = rank_features(ds, method).order
+        error_curve(ds, order)
+        assert "columns" not in vars(ds)
+        neighbour_costs(ds, (1,), [2, 3])
+        assert "columns" in vars(ds)
 
     def test_label_lookup_is_one_based(self):
         ds = make_dataset(np.eye(4)[:, :2], [1.0, 2, 3, 4], labels=("a", "b"))

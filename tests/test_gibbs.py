@@ -2,13 +2,15 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from varsel import (
     ConfigError,
+    CostCache,
     DegenerateStepError,
     FeatureSubset,
     GibbsChain,
@@ -21,10 +23,11 @@ from varsel import (
     make_dataset,
 )
 
+from varsel import gibbs, linmodel
 from varsel.gibbs import _draw, _stable_weights
 
-from conftest import random_instance
-from oracles import oracle_cost
+from conftest import awkward_tables, benchmark_table, random_instance
+from oracles import loop_gibbs_states, oracle_cost
 
 
 def log3_dataset():
@@ -327,3 +330,104 @@ class TestExactEnumeration:
         with pytest.raises(Exception) as err:
             exact_target_enumeration(ds, 4, eta=1.0, budget=10)
         assert "budget" in str(err.value)
+
+
+def loop_on_the_same_prices(dataset, config, priced):
+    """``loop_gibbs_states`` on a fresh cache whose every miss takes the cost
+    the cache ``priced`` stored, rather than an SVD fit of its own: the loop
+    then draws from the weights the library drew from, bit for bit, and a
+    subset the library never priced raises ``KeyError``.  Returns the
+    states and the loop's cache."""
+    loop = CostCache(dataset)
+
+    def stored(ds, subsets, p, alpha):
+        return np.array([priced._store[priced._bitmask(s)] for s in subsets])
+
+    with mock.patch.object(linmodel, "_svd_costs", stored):
+        states = loop_gibbs_states(dataset, config, loop)
+    return states, loop
+
+
+def memo_sizes():
+    """Patch ``gibbs._ConditionalMemo`` to record its number of entries
+    after every lookup, into the list returned beside the patch."""
+    sizes = []
+
+    class Recorded(gibbs._ConditionalMemo):
+        def __call__(self, others):
+            found = super().__call__(others)
+            sizes.append(len(self.entries))
+            return found
+
+    return mock.patch.object(gibbs, "_ConditionalMemo", Recorded), sizes
+
+
+class TestConditionalMemo:
+    """``gibbs_run`` reads a conditional whose other positions hold a set it
+    has seen from its memo: the chain, its costs and the cache's counters
+    are those of the loop that looks up every candidate every time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dataset=awkward_tables(), data=st.data(),
+           eta=st.sampled_from([0.1, 1.0, 100.0]), seed=st.integers(0, 2**16))
+    def test_matches_the_loop_on_awkward_tables(self, dataset, data, eta, seed):
+        # near-duplicate, duplicate and zero columns: +inf candidates, and
+        # at eta = 100 chains that freeze and read every position from the
+        # memo; m = 1 has one key, the empty set
+        m = data.draw(st.integers(1, min(3, dataset.n_features)))
+        config = GibbsConfig(m=m, eta=eta, sweeps=12, seed=seed)
+        library = CostCache(dataset)
+        try:
+            chain = gibbs_run(dataset, config, cache=library)
+        except DegenerateStepError:
+            assume(False)
+        states, loop = loop_on_the_same_prices(dataset, config, library)
+        assert chain.states == states
+        assert chain.costs == tuple(loop._store[loop._bitmask(s.indices)]
+                                    for s in states)
+        assert (library.hits, library.misses) == (loop.hits, loop.misses)
+
+    @pytest.mark.parametrize("eta", [0.1, 1.0, 100.0])
+    def test_matches_the_loop_on_the_benchmark_table(self, eta):
+        # the loop prices every subset by its own SVD fit; at eta = 1 and
+        # 100 the chain settles within the first sweep and reads the rest
+        # from the memo, at eta = 0.1 it keeps moving
+        table = benchmark_table(1, 122)
+        ds = make_dataset(table.features, table.target)
+        config = GibbsConfig(m=7, eta=eta, sweeps=3, seed=1)
+        library, loop = CostCache(ds), CostCache(ds)
+        conditional = mock.Mock(wraps=gibbs._conditional)
+        with mock.patch.object(gibbs, "_conditional", conditional):
+            chain = gibbs_run(ds, config, cache=library)
+        assert chain.states == loop_gibbs_states(ds, config, loop)
+        assert (library.hits, library.misses) == (loop.hits, loop.misses)
+        for state, cost in zip(chain.states, chain.costs):
+            assert cost == pytest.approx(loop.cost(state.indices), rel=1e-12)
+        assert (conditional.call_count < 21) == (eta > 0.1)
+
+    @pytest.mark.parametrize("m, eta", [(1, 1.0), (3, 0.1), (3, 100.0)])
+    def test_a_one_entry_memo_changes_nothing(self, m, eta):
+        x, y, _ = random_instance(612, 30, 8)
+        ds = make_dataset(x, y)
+        config = GibbsConfig(m=m, eta=eta, sweeps=60, seed=5)
+        default, capped = CostCache(ds), CostCache(ds)
+        want = gibbs_run(ds, config, cache=default)
+        recorded, sizes = memo_sizes()
+        with recorded, mock.patch.object(gibbs, "CONDITIONAL_MEMO_ENTRIES", 1):
+            got = gibbs_run(ds, config, cache=capped)
+        assert (got.states, got.costs) == (want.states, want.costs)
+        assert (capped.hits, capped.misses) == (default.hits, default.misses)
+        assert len(sizes) == m * config.sweeps and max(sizes) == 1
+
+    def test_a_full_memo_is_cleared(self):
+        # a hot chain meets more sets than the cap: the memo never holds
+        # more than the cap, and clears rather than stops storing
+        x, y, _ = random_instance(613, 30, 12)
+        ds = make_dataset(x, y)
+        config = GibbsConfig(m=3, eta=0.1, sweeps=100, seed=2)
+        want = gibbs_run(ds, config)
+        recorded, sizes = memo_sizes()
+        with recorded, mock.patch.object(gibbs, "CONDITIONAL_MEMO_ENTRIES", 8):
+            got = gibbs_run(ds, config)
+        assert (got.states, got.costs) == (want.states, want.costs)
+        assert max(sizes) == 8 and sizes.count(1) > 1

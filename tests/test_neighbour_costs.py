@@ -3,8 +3,6 @@ and the library loops built on it against their former per-candidate
 versions."""
 
 import math
-import runpy
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,6 +40,7 @@ from conftest import (
     EPS,
     PREFIX_BOUND,
     assert_residuals_orthogonal,
+    benchmark_table,
     cost_tolerance,
     near_duplicate_table,
     orthogonal_direction,
@@ -438,6 +437,27 @@ class TestCacheRejectsInvalidIndices:
         assert str(raised.value) == message
         assert cache._store == stored
 
+    @pytest.mark.parametrize("indices", [("2", 3), (3, "2"), (None, 1)])
+    def test_indices_that_do_not_compare_raise_before_any_sort(self, indices):
+        # a string beside an int cannot be sorted: the key is taken, and
+        # the indices checked, before anything orders them
+        x, y, _ = random_instance(21, 30, 5)
+        cache = CostCache(make_dataset(x, y))
+        with pytest.raises(InvalidSubsetError, match="must be integers"):
+            cache.cost(indices)
+        assert (cache.hits, cache.misses, cache._store) == (0, 0, {})
+
+    def test_a_miss_is_priced_on_ascending_columns(self):
+        # every ordering shares one key, and the miss that stores it is
+        # priced as the SVD path prices the sorted subset
+        x, y, _ = random_instance(22, 30, 5)
+        ds = make_dataset(x, y)
+        for order in [(4, 1, 3), (3, 4, 1)]:
+            cache = CostCache(ds)
+            assert cache.cost(order) == subset_cost(ds, FeatureSubset((1, 3, 4)))
+            assert cache.cost((1, 3, 4)) == cache.cost(order)
+            assert (cache.hits, cache.misses) == (2, 1)
+
 
 def awkward_table(seed, n=50, r=10):
     """Gaussian table with an ordinary near-duplicate pair (x2 ~ x1) and a
@@ -508,13 +528,6 @@ class TestEquivalenceWithLoops:
         ds = table()
         assert list(rank_forward_selection(ds).order) == loop_forward_order(ds, False)
         assert list(rank_add_max_error(ds).raw_order) == loop_forward_order(ds, True)
-
-
-def benchmark_table(seed, n_features):
-    """``make_table`` of ``bench/generate.py``, the benchmark's generator,
-    run as it is."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    return runpy.run_path(str(path))["make_table"](seed, n_features)
 
 
 class TestForwardRankingsOnTheBenchmarkTable:

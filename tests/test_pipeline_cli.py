@@ -380,6 +380,26 @@ class TestCli:
         assert "cannot write outputs" not in err
         assert not out.exists()
 
+    def test_undigestible_table_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the table parses, but reading it again for its digest fails: that
+        # is bad input too, not a failed write
+        data = write_fixture(tmp_path, name="t.csv")
+        out = tmp_path / "o"
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(varsel.pipeline, "open", refuse, raising=False)
+        with pytest.raises(varsel.IngestError,
+                           match=r"t\.csv: cannot read \(Permission denied\)"):
+            dataset_sha256(data)
+        code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "parse error" in err and "t.csv: cannot read (Permission denied)" in err
+        assert "cannot write outputs" not in err
+        assert not out.exists()
+
     def test_seed_is_checked_only_for_the_stages_that_draw(self, tmp_path):
         data = str(write_fixture(tmp_path))
         RunConfig(dataset_path=data, target_column="y",

@@ -469,3 +469,126 @@ class TestNamedModel:
             assert model.fit.intercept == pytest.approx(value, rel=1e-12)
             assert model.fit.r_squared == 0.0
             assert model.coefficients == ()
+
+
+def eigvalsh_mask(m):
+    """The floor test as one stacked ``eigvalsh`` takes it."""
+    return np.linalg.eigvalsh(m)[:, 0] > validation.DOWNDATE_EIGENVALUE_FLOOR
+
+
+def gershgorin_bound(m):
+    return (2.0 * np.diagonal(m, axis1=1, axis2=2) - np.abs(m).sum(axis=2)).min(axis=1)
+
+
+def with_spectrum(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues in a random basis."""
+    v, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2))
+    return (v * eigenvalues) @ v.T
+
+
+@st.composite
+def floor_stacks(draw):
+    """Stacks of symmetric matrices for the floor test: ``I - Q_T^T Q_T``
+    of random test rows of an orthonormal Q, as CV forms them, and
+    matrices whose least eigenvalue lies 1e-12..0.5 (relative) either side
+    of the floor, in a random basis or (rotated by at most 1e-8) nearly
+    diagonal, so that the Gershgorin bound nearly meets it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 8))
+    floor = validation.DOWNDATE_EIGENVALUE_FLOOR
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(["cv", "straddle", "near-diagonal"]),
+                              min_size=1, max_size=12)):
+        if kind == "cv":
+            n = draw(st.integers(width + 1, 60))
+            q, _ = np.linalg.qr(rng.normal(size=(n, width)))
+            test = rng.choice(n, size=draw(st.integers(1, n - 1)), replace=False)
+            stack.append(np.eye(width) - q[test].T @ q[test])
+            continue
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        least = floor * (1.0 + side * 10.0 ** draw(st.floats(-12.0, np.log10(0.5))))
+        spectrum = np.concatenate([[least], least + rng.uniform(0.0, 3.0, width - 1)])
+        if kind == "straddle":
+            stack.append(with_spectrum(rng, spectrum))
+        else:
+            tilt = 10.0 ** draw(st.floats(-16.0, -8.0))
+            v = np.linalg.qr(np.eye(width) + tilt * rng.normal(size=(width, width)))[0]
+            stack.append((v * spectrum) @ v.T)
+    return np.array(stack)
+
+
+class TestGershgorinThenEigvalsh:
+    """CV certifies a split when the Gershgorin bound puts lambda_min(M)
+    above the floor and asks ``eigvalsh`` only of the rest: the same mask,
+    so the same splits downdated and the same report bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=floor_stacks())
+    def test_mask_equals_the_stacked_eigvalsh(self, stack):
+        original = stack.copy()
+        assert validation._above_floor(stack).tolist() == eigvalsh_mask(stack).tolist()
+        assert stack.tobytes() == original.tobytes()
+
+    def test_eigvalsh_decides_what_the_bound_leaves(self):
+        # lambda_min 0.15 and 0.05 behind a negative bound; the same
+        # lambda_min 0.15 on a diagonal, which the bound alone settles
+        rng = np.random.default_rng(3)
+        stack = np.array([with_spectrum(rng, [0.15, 2.0, 4.0, 6.0]),
+                          with_spectrum(rng, [0.05, 2.0, 4.0, 6.0]),
+                          np.diag([0.15, 2.0, 4.0, 6.0])])
+        assert (gershgorin_bound(stack[:2]) < 0.0).all()
+        spy = mock.Mock(wraps=np.linalg.eigvalsh)
+        with mock.patch.object(validation.np.linalg, "eigvalsh", spy):
+            mask = validation._above_floor(stack)
+        assert mask.tolist() == [True, False, True]
+        assert len(spy.call_args.args[0]) == 2
+
+    def test_cv_with_splits_the_bound_leaves(self):
+        # 40 rows, three Gaussian columns and one nonzero in three rows: at
+        # a train fraction of 0.7 the bound settles most splits; of the
+        # rest eigvalsh puts some above the floor (downdated) and some
+        # below (the SVD rule), in every block of 16
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(40, 4))
+        x[:, 3] = 0.0
+        x[rng.choice(40, 3, replace=False), 3] = rng.normal(size=3)
+        ds = make_dataset(x, x @ rng.normal(size=4) + rng.normal(size=40))
+        subset, args = FeatureSubset((1, 2, 3, 4)), (0.7, 100, 3)
+        factor = linmodel._factor(ds, subset.indices)
+        tests = np.array([run_rng(3, run).permutation(40)[28:] for run in range(100)])
+        m = np.eye(5) - factor.q[tests].transpose(0, 2, 1) @ factor.q[tests]
+        bound, mask = gershgorin_bound(m), eigvalsh_mask(m)
+        left = bound <= validation.DOWNDATE_EIGENVALUE_FLOOR
+        assert factor.a_inv is not None
+        assert (left & mask).sum() >= 10 and (~mask).sum() >= 5
+        entries = 16 * 12 * 7  # 16 splits a block: 12 test rows, 5 columns
+
+        def report(above_floor):
+            fallback = mock.Mock(wraps=validation._split_by_svd)
+            with mock.patch.object(validation, "_above_floor", above_floor), \
+                    mock.patch.object(validation, "_split_by_svd", fallback), \
+                    mock.patch.object(validation, "CV_BLOCK_ENTRIES", entries):
+                return monte_carlo_cv(ds, subset, *args).to_json(), fallback.call_count
+
+        got, fallbacks = report(validation._above_floor)
+        assert (got, fallbacks) == report(eigvalsh_mask)
+        assert fallbacks == (~mask).sum()
+        # a bound-only rule sends the splits it leaves to the SVD rule too
+        gershgorin_only = report(
+            lambda m: gershgorin_bound(m) > validation.DOWNDATE_EIGENVALUE_FLOOR)
+        assert gershgorin_only[1] == left.sum() and gershgorin_only[0] != got
+        with mock.patch.object(validation, "CV_BLOCK_ENTRIES", entries):
+            assert_cv_within_the_bound(ds, subset, 0.7, 3, (7, 16, 100))
+
+
+def test_split_draws_are_those_of_permutation():
+    # one shuffled buffer per split: the test rows, and the generator state
+    # after them, of run_rng(seed, run).permutation(n)[n_train:]
+    n, n_train = 1213, 970
+    rows, order = np.arange(n), np.empty(n, dtype=np.intp)
+    for seed, run in [(0, 0), (1, 5), (7, 999)]:
+        ours, theirs = run_rng(seed, run), run_rng(seed, run)
+        order[:] = rows
+        ours.shuffle(order)
+        assert order[n_train:].tobytes() == theirs.permutation(n)[n_train:].tobytes()
+        assert ours.random() == theirs.random()
