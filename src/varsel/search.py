@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, run_rng
+from .data import Dataset, FeatureSubset, run_rngs
 from .errors import BudgetExceededError, ConfigError, DegenerateStepError
 from .linmodel import CostCache
 
@@ -172,9 +172,11 @@ def multi_restart_search(
 ) -> SearchResult:
     """Best-of-N alternating optimization from seeded random starts.
 
-    Restart i starts from its own generator ``run_rng(seed, i)`` and ties
-    between runs resolve to the lexicographically smallest ascending
-    subset, so the result is deterministic for a given (seed, runs, m).
+    Restart i starts from its own generator, that of ``run_rng(seed, i)``,
+    drawn through ``run_rngs``, which derives the seed sequences of the
+    restart indices in vectorized passes; ties between runs resolve to the
+    lexicographically smallest ascending subset, so the result is
+    deterministic for a given (seed, runs, m).
     Restarts stuck on a rank-deficient subset are counted in
     ``degenerate_restarts``.
 
@@ -188,8 +190,8 @@ def multi_restart_search(
     cache = cache or CostCache(dataset)
     best: SearchResult | None = None
     iterations = degenerate = 0
-    for run in range(runs):
-        init = random_subset(run_rng(seed, run), r, m)
+    for rng in run_rngs(seed, range(runs)):
+        init = random_subset(rng, r, m)
         try:
             result = alternating_optimization(
                 dataset, m, init, max_iters=max_iters, cache=cache

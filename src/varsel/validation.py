@@ -2,7 +2,9 @@
 
 ``monte_carlo_cv`` fits every CV train split from one economic QR of the
 subset's whole design, by downdating the split's test rows, a block of
-splits at a time: one gather of the test rows of Q, stacked products, a
+splits at a time: each split's generator, from vectorized derivations of
+the runs' seed sequences (``data.run_rngs``), shuffles the row indices
+once, then one gather of the test rows of Q, stacked products, a
 Gershgorin bound (with a stacked ``eigvalsh`` of only the splits it leaves)
 and one stacked ``solve``.  The design's certificate
 (``linmodel.Factor``) and a floor on each split's smallest eigenvalue
@@ -17,10 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, run_rng, unit_centered_columns
+from .data import (Dataset, FeatureSubset, check_seed, run_rng, run_rngs,
+                   unit_centered_columns)
 from .errors import ConfigError, RankDeficiencyError
 from .linmodel import (FitResult, _factor, build_design_matrix, error_metrics,
                        fit_subset, full_rank_lstsq)
@@ -154,6 +158,10 @@ def monte_carlo_cv(
     and one stacked ``solve``.  Each split's test rows are the tail of
     one buffer of row indices that its generator shuffles afresh: the
     rows, and the generator calls, of ``run_rng(seed, run).permutation(N)``.
+    The generators come from one ``run_rngs(seed, range(runs))``, which
+    derives the seed sequences of ``RUN_RNGS_PASS`` run indices together,
+    so that at most that many keys, not all ``runs``, are held at once: a
+    few hundred kilobytes, less than the block buffers.
 
     The SVD rule stays the only rank rule; the downdate only fits splits
     it would certainly call full-rank.  A split is downdated iff
@@ -191,6 +199,7 @@ def monte_carlo_cv(
     """
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)
+    check_seed(seed)
     n = dataset.n_rows
     n_train = int(math.floor(train_fraction * n))
     if n_train < subset.m + 2:
@@ -209,15 +218,17 @@ def monte_carlo_cv(
     # calls, and the permutation, of ``permutation(n)``
     rows, order = np.arange(n), np.empty(n, dtype=np.intp)
     test_rows = np.empty((block, n_test), dtype=np.intp)
+    # the generators of runs 0, 1, ..., a block's worth at a time
+    rngs = run_rngs(seed, range(runs)) if factor.a_inv is not None else None
     scored = []
     for start in range(0, runs, block):
         size = min(block, runs - start)
         fitted = np.zeros(size, dtype=bool)
-        if factor.a_inv is not None:
+        if rngs is not None:
             tests = test_rows[:size]
-            for i in range(size):
+            for i, rng in enumerate(islice(rngs, size)):
                 order[:] = rows
-                run_rng(seed, start + i).shuffle(order)
+                rng.shuffle(order)
                 tests[i] = order[n_train:]
             fitted = _downdated_residuals(factor.q, factor.residuals, tests,
                                           residuals[:size], qt[:size])

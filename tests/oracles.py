@@ -12,7 +12,8 @@ rankings cannot use, the per-feature and per-pair Pearson loops of RM5
 and the correlation graph, and the p-values that fitted by SVD and took
 the standard errors from a second (scipy) QR, the ingest that parsed and
 checked each cell on its own, and the CV that fitted each split by SVD
-and scored it on its own, with the one-vector scorer; the library paths
+and scored it on its own, with the one-vector scorer, and the per-key
+``run_rng`` calls that ``data.run_rngs`` derives in bulk; the library paths
 must reproduce them (CV and the error curve: their discrete outcomes
 exactly, their floats within a stated bound).
 ``exact_cv_runs`` refits that CV's splits in 50 digits, to hold both CVs
@@ -43,7 +44,8 @@ from varsel import (
     fit_subset,
     information_criterion_value,
 )
-from varsel.data import Dataset, constant_columns, normalize_columns, run_rng
+from varsel.data import (Dataset, check_seed, constant_columns, normalize_columns,
+                         run_rng)
 from varsel.ingest import _check_delimiter, _utf8_lines
 from varsel.linmodel import _band_decisions, full_rank_lstsq
 from varsel.ranking import _finish
@@ -102,6 +104,13 @@ def oracle_rm4(x, y):
         added.append(-neg_best)
         remaining.remove(-neg_best)
     return list(reversed(added))
+
+
+def loop_run_rngs(seed, keys):
+    """``data.run_rngs`` as one ``run_rng(seed, key)`` per key: the seed is
+    checked at the call, and each key gets a generator of its own."""
+    check_seed(seed)
+    return (run_rng(seed, key) for key in keys)
 
 
 def loop_alternating_optimization(dataset, m, init, cache, max_iters=100):

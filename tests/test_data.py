@@ -1,7 +1,11 @@
-"""Dataset and FeatureSubset construction invariants."""
+"""Dataset and FeatureSubset construction invariants, and the seeded
+generators of every stochastic stage."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varsel import (
     ConfigError,
@@ -16,7 +20,8 @@ from varsel import (
     neighbour_costs,
     rank_features,
 )
-from varsel.data import Dataset, normalize_columns, run_rng
+from varsel import data
+from varsel.data import Dataset, normalize_columns, run_rng, run_rngs
 
 
 class TestDataset:
@@ -221,3 +226,60 @@ class TestRunRng:
             9441442522235856127, 17532960557476522086]
         assert [int(v) for v in run_rng(1, 2).bit_generator.random_raw(2)] == [
             4301196022613586579, 867395562149415902]
+
+    def test_the_bit_generator_is_named_pcg64(self):
+        # run_rngs repeats PCG64's seeding, so the rule must not follow a
+        # change of numpy's default bit generator
+        for key in ((), (3,)):
+            assert type(run_rng(1, *key).bit_generator) is np.random.PCG64
+
+
+# the seeds and keys where the seed sequence's word split changes: one word
+# up to 2^32 - 1, two from 2^32, three from 2^64
+WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64)
+
+
+def streams(rngs):
+    """The state and first two raw words of each generator, read before the
+    next is drawn (``run_rngs`` yields one object, reseeded per key)."""
+    return [(rng.bit_generator.state, rng.bit_generator.random_raw(2).tolist())
+            for rng in rngs]
+
+
+class TestRunRngs:
+    # seeds of up to five words (four pad the pool, a fifth mixes in after
+    # it), keys of up to three, in any mix within one pass, and passes of
+    # one to four keys so that a call spans several
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**140 - 1), st.sampled_from(WORD_EDGES)),
+           keys=st.lists(st.one_of(st.integers(0, 2**70 - 1),
+                                   st.sampled_from(WORD_EDGES)), max_size=9),
+           per_pass=st.integers(1, 4))
+    def test_each_stream_is_that_of_run_rng(self, seed, keys, per_pass):
+        with mock.patch.object(data, "RUN_RNGS_PASS", per_pass):
+            got = streams(run_rngs(seed, keys))
+        assert got == streams(run_rng(seed, key) for key in keys)
+
+    def test_a_block_of_run_indices_at_an_offset(self):
+        keys = range(1000, 1100)
+        assert streams(run_rngs(7, keys)) == streams(run_rng(7, k) for k in keys)
+
+    def test_no_keys_no_streams(self):
+        assert list(run_rngs(1, [])) == []
+
+    def test_one_generator_reseeded_per_key(self):
+        rngs = run_rngs(1, range(3))
+        first = next(rngs)
+        draw = first.random()
+        assert next(rngs) is first
+        assert draw == run_rng(1, 0).random()
+
+    def test_negative_seed_rejected_at_the_call(self):
+        # before any key is reached: the seed's word split would not end
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            run_rngs(-1, range(3))
+
+    def test_negative_key_rejected(self):
+        rngs = run_rngs(1, [0, -1])
+        with pytest.raises(ValueError, match="spawn keys must be >= 0"):
+            next(rngs)

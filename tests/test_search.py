@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from varsel import (
     multi_restart_search,
     subset_cost,
 )
+from varsel import data, search
 from varsel.data import run_rng
 from varsel.search import random_subset
 
 from conftest import random_instance
-from oracles import oracle_cost
+from oracles import loop_run_rngs, oracle_cost
 
 
 def two_basin_instance():
@@ -163,6 +165,19 @@ class TestMultiRestart:
         ds = make_dataset(x, y)
         result = multi_restart_search(ds, 3, runs=10, seed=3)
         assert list(result.subset.indices) == sorted(result.subset.indices)
+
+    @pytest.mark.parametrize("zero_columns", [0, 2])
+    def test_bulk_restart_streams_equal_the_per_key_loop(self, zero_columns):
+        # restarts drawn in passes of 4 keys; with zero columns some
+        # restarts are degenerate
+        x, y, _ = random_instance(12, 25, 5)
+        x[:, :zero_columns] = 0.0
+        ds = make_dataset(x, y)
+        with mock.patch.object(data, "RUN_RNGS_PASS", 4):
+            bulk = multi_restart_search(ds, 2, runs=30, seed=6)
+        with mock.patch.object(search, "run_rngs", loop_run_rngs):
+            assert bulk == multi_restart_search(ds, 2, runs=30, seed=6)
+        assert (bulk.degenerate_restarts > 0) == (zero_columns > 0)
 
     def test_degenerate_restarts_are_counted(self):
         # x1 and x2 are zero columns: a restart that starts on {1, 2} has no

@@ -18,12 +18,12 @@ from varsel import (
     make_dataset,
     monte_carlo_cv,
 )
-from varsel import linmodel, validation
+from varsel import data, linmodel, validation
 from varsel.data import run_rng
 
 from conftest import awkward_tables, near_duplicate_table, random_instance
 from oracles import (cv_report_of, exact_cv_runs, loop_correlation_graph,
-                     loop_monte_carlo_cv)
+                     loop_monte_carlo_cv, loop_run_rngs)
 
 
 def cv_outcome(cv, dataset, subset, train_fraction, runs, seed):
@@ -353,6 +353,40 @@ class TestMonteCarloCv:
         assert_cv_within_the_bound(
             ds, subset, 0.5, 7,
             block_runs(ds, subset, 0.5, validation.CV_BLOCK_ENTRIES))
+
+    @pytest.mark.parametrize("dataset,subset,train_fraction,seed,svd_splits", [
+        # a certified design whose every split is downdated
+        (linear_dataset(n=60), FeatureSubset((1, 2, 3)), 0.8, 5, "none"),
+        # a certified design with degenerate splits, resampled or skipped
+        # by the SVD rule
+        (degenerate_split_dataset(), FeatureSubset((1, 2)), 0.7, 4, "some"),
+        # an uncertified design: no split is drawn in bulk
+        (near_duplicate_table(3, 1e-9), FeatureSubset((1, 2, 3)), 0.8, 2, "all"),
+    ])
+    def test_bulk_split_streams_equal_the_per_key_loop(
+            self, dataset, subset, train_fraction, seed, svd_splits):
+        # blocks of 7 splits, so that every block after the first starts at
+        # a nonzero run index, and passes of 3 keys, which straddle blocks
+        runs = 40
+        n_test = dataset.n_rows - int(np.floor(train_fraction * dataset.n_rows))
+        fallback = mock.Mock(wraps=validation._split_by_svd)
+        with mock.patch.object(validation, "CV_BLOCK_ENTRIES", 7 * n_test * (subset.m + 3)), \
+                mock.patch.object(data, "RUN_RNGS_PASS", 3), \
+                mock.patch.object(validation, "_split_by_svd", fallback):
+            args = (dataset, subset, train_fraction, runs, seed)
+            bulk = cv_outcome(monte_carlo_cv, *args)
+            calls = fallback.call_count
+            with mock.patch.object(validation, "run_rngs", loop_run_rngs):
+                assert bulk == cv_outcome(monte_carlo_cv, *args)
+        assert {"none": calls == 0, "some": 0 < calls < runs,
+                "all": calls == runs}[svd_splits], calls
+
+    def test_negative_seed_rejected_before_the_design_is_factored(self):
+        factor = mock.Mock(wraps=linmodel._factor)
+        with mock.patch.object(validation, "_factor", factor), \
+                pytest.raises(ConfigError, match="seed must be >= 0"):
+            monte_carlo_cv(linear_dataset(), FeatureSubset((1,)), runs=5, seed=-1)
+        factor.assert_not_called()
 
     def test_invalid_parameters_rejected(self):
         ds = linear_dataset()
