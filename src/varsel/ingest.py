@@ -25,13 +25,22 @@ always take the walk) fast; only a row that fails is walked cell by cell,
 to name its first bad cell.  On the benchmark's 1213 x 123 table the C
 parse takes traced ingest from about 0.11 to 0.06 s, 1.4 to 2.5 million
 cells per second.
+
+``_ingest`` is ``ingest_csv`` with each read of the input passed through
+the caller's wrapper, so the caller can hash the bytes parsed in the pass
+that parses them (``pipeline.run_pipeline`` does).  A read that parsed to
+the end must then find nothing more, or the file changed while it was
+read; the first read of a declined table is read to its end, so that the
+two reads cover the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -39,6 +48,38 @@ import numpy as np
 
 from .data import Dataset, normalize_columns
 from .errors import ConfigError, IngestError
+
+
+@contextmanager
+def _opened(path: Path, wrap):
+    """``path`` open as UTF-8 text with ``csv``'s ``newline=""``, read
+    through ``wrap(raw)`` when ``wrap`` is given: the text handle and the
+    unbuffered binary file under it."""
+    raw = path.open("rb", buffering=0)
+    if wrap is not None:
+        raw = wrap(raw)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                          newline="") as handle:
+        yield handle, raw
+
+
+def _drain(raw) -> bool:
+    """Read ``raw`` to its end; whether anything was left.  It reads in
+    1 MiB blocks: freeing a block that large lifts glibc's mmap threshold,
+    so the later stages' large temporaries reuse heap pages (in a loop of
+    1213 x 30 rank-and-select runs, 64 KiB blocks took 1674 minor page
+    faults a run, these 1)."""
+    left = False
+    while raw.read(1 << 20):
+        left = True
+    return left
+
+
+def _check_unchanged(raw, path: Path) -> None:
+    """After a parse that read to the end: bytes found now were appended
+    while the file was read, and no parse saw them."""
+    if _drain(raw):
+        raise IngestError(f"{path}: the file changed while it was read")
 
 
 def _utf8_lines(handle, path: Path):
@@ -101,7 +142,7 @@ def _read_header(reader, path: Path) -> list[str]:
 def _load_body(lines, delimiter: str, width: int) -> np.ndarray | None:
     """The body in one C parse: an (n, width) table of finite floats with
     n >= 1, or None where the parse declines and the row walk decides.
-    ``np.loadtxt`` closes ``lines``, and with them the file."""
+    ``np.loadtxt`` leaves the file open, so the caller can read on."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
@@ -115,10 +156,11 @@ def _load_body(lines, delimiter: str, width: int) -> np.ndarray | None:
     return table
 
 
-def _walk_rows(path: Path, delimiter: str, header: list[str]) -> np.ndarray:
+def _walk_rows(path: Path, delimiter: str, header: list[str],
+               wrap) -> np.ndarray:
     """The body read row by row through ``csv``; the first bad row or cell
     in file order raises IngestError naming the line its record starts on."""
-    with path.open(newline="", encoding="utf-8") as handle:
+    with _opened(path, wrap) as (handle, raw):
         reader = csv.reader(_utf8_lines(handle, path), delimiter=delimiter)
         _read_header(reader, path)
         rows = []
@@ -141,6 +183,7 @@ def _walk_rows(path: Path, delimiter: str, header: list[str]) -> np.ndarray:
                 # cells that only ``str.strip`` cleans, such as '\x1c1'
                 parsed = _parse_cells(row, header, path, line_no)
             rows.append(parsed)
+        _check_unchanged(raw, path)
     if not rows:
         raise IngestError(f"{path}: no data rows after the header")
     return np.array(rows, dtype=float)
@@ -156,16 +199,27 @@ def ingest_csv(
     """Read a numeric table and split it into features and target.
 
     Raises:
-        IngestError: the file is missing, cannot be opened or read, or is
-            not a well-formed numeric table.
+        IngestError: the file is missing, cannot be opened or read, changed
+            while it was read, or is not a well-formed numeric table.
         ConfigError: the delimiter, the target or a drop column is invalid.
     """
+    return _ingest(path, target_column, normalize, delimiter, drop_columns)
+
+
+def _ingest(path: str | Path, target_column: str, normalize: str = "none",
+            delimiter: str = ",", drop_columns: Sequence[str] = (),
+            wrap=None) -> Dataset:
+    """``ingest_csv``, reading the input through ``wrap(raw)``, an
+    ``io.RawIOBase`` over the file opened unbuffered, when ``wrap`` is
+    given: once for a table the C parse reads, and again for one the row
+    walk reads again.  The first read of a declined table is read to its
+    end."""
     _check_delimiter(delimiter)
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with _opened(path, wrap) as (handle, raw):
             lines = _utf8_lines(handle, path)
             header = _read_header(csv.reader(lines, delimiter=delimiter), path)
             if len(set(header)) != len(header):
@@ -177,8 +231,12 @@ def ingest_csv(
             if missing:
                 raise ConfigError(f"drop column(s) {missing} not in header")
             table = _load_body(lines, delimiter, len(header))
+            if table is None:
+                _drain(raw)
+            else:
+                _check_unchanged(raw, path)
         if table is None:
-            table = _walk_rows(path, delimiter, header)
+            table = _walk_rows(path, delimiter, header, wrap)
     except OSError as exc:
         # an input that cannot be opened or read is bad input, not a failed write
         raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from exc

@@ -20,7 +20,10 @@ columns and conditioning matters.
   whose condition a bound certifies far inside the SVD rule
   (``CERTIFIED_RATIO_CAP``), ``A^-1`` when that run covers the whole
   design, and ``||A^-1||_F`` whenever all of ``A^-1`` was taken.
-  ``_certified`` is the one place that bound is applied.
+  The bound and its guard are written once (``_bounded``, ``_guarded``):
+  ``_certified`` applies them to every prefix of a factor at once, and
+  ``_AddState`` to each prefix it appends, from running sums whose
+  ``Factor`` a test pins equal to ``_certified``'s.
   ``_project_out`` projects the target here and the columns of
   ``_usable_features`` by two Gram-Schmidt passes, and the candidates of
   add by one, with a second only for a candidate the first left with
@@ -37,9 +40,10 @@ columns and conditioning matters.
   +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND`` goes to
   the SVD rule.  The forward rankings (RM1, RM4)
   price every step through the same helper from one ``_AddState``, which
-  keeps the taken columns' Q and A and the complement of every column not
-  taken, and grows them by one Gram-Schmidt direction a step, with no new
-  factor.  Drop (every removal from the dual basis ``Q A^-T``) and test
+  keeps the taken columns' Q and A, their certificate, and the complement
+  of every column not taken, and grows them by one Gram-Schmidt direction
+  a step, with no new factor.  Drop (every removal from the dual basis
+  ``Q A^-T``) and test
   (every t statistic from b, r and ``diag((X^T X)^-1)``) read one
   ``_DropState`` of a certified pool (``removal_maes``,
   ``coefficient_fit``); the backward rankings (RM2, RM3,
@@ -345,6 +349,18 @@ def _leading_run(flags: np.ndarray) -> int:
     return int(np.argmin(np.append(flags, False)))
 
 
+def _guarded(diagonal, design_norm):
+    """``_certified``'s guard, ``|A_jj| > CERTIFIED_RATIO_CAP ||X_j||_F``,
+    of one prefix (floats) or of each (arrays)."""
+    return abs(diagonal) > CERTIFIED_RATIO_CAP * design_norm
+
+
+def _bounded(inv_norm, design_norm):
+    """``_certified``'s bound, ``||A_M^-1||_F ||X_M||_F CERTIFIED_RATIO_CAP
+    < 1``, of one prefix (floats) or of each (arrays)."""
+    return inv_norm * design_norm * CERTIFIED_RATIO_CAP < 1.0
+
+
 def _certified(q: np.ndarray, a: np.ndarray, column_norm2: np.ndarray,
                qty: np.ndarray, residuals: np.ndarray,
                a_inv: np.ndarray | None = None) -> Factor:
@@ -372,12 +388,11 @@ def _certified(q: np.ndarray, a: np.ndarray, column_norm2: np.ndarray,
     """
     design_norm2 = np.cumsum(column_norm2)
     design_norm = np.sqrt(design_norm2)
-    lead = _leading_run(np.abs(np.diag(a)) > CERTIFIED_RATIO_CAP * design_norm)
+    lead = _leading_run(_guarded(np.diag(a), design_norm))
     if a_inv is None:
         a_inv = np.linalg.inv(a[:lead, :lead])
     inv_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a_inv, a_inv)))
-    n_certified = _leading_run(
-        inv_norm[:lead] * design_norm[:lead] * CERTIFIED_RATIO_CAP < 1.0)
+    n_certified = _leading_run(_bounded(inv_norm[:lead], design_norm[:lead]))
     whole = len(a_inv) == len(a)
     return Factor(q, a, float(design_norm2[-1]), n_certified,
                   a_inv if n_certified == len(a) else None,
@@ -545,8 +560,11 @@ def _priced(dataset: Dataset, fixed: tuple[int, ...], candidates: list[int],
     scratch: their absolute values are written over them."""
     check_cost_parameters(p, alpha)
     updated, singular, residuals = fits
+    priced = _magnitude_cost(np.abs(residuals, out=residuals), p, alpha)
+    if updated.all():  # every candidate took the rank-one update
+        return priced
     costs = np.full(len(candidates), math.inf)
-    costs[updated] = _magnitude_cost(np.abs(residuals, out=residuals), p, alpha)
+    costs[updated] = priced
     undecided = ~(updated | singular)
     if undecided.any():
         costs[undecided] = _svd_costs(
@@ -680,6 +698,16 @@ class _AddState:
     row, not a BLAS product, whose last bits depend on the rows beside it:
     equal columns keep equal prices wherever their rows sit, and the
     earliest wins their tie as in ``ranking._stepwise``.
+
+    The state carries its design's certificate with the values
+    ``_certified`` would take, one column at a time: ``||[1, X_taken]||_F^2``
+    and ``||A^-1||_F^2`` as sums in column order, as ``np.cumsum`` adds
+    them (each new column of ``A^-1`` squared by ``_certified``'s
+    ``einsum``), and the leading run of prefixes that pass ``_guarded`` and
+    ``_bounded``, each of which reads only its own prefix.  So ``factor``
+    calls no ``_certified``; ``tests/test_ranking_states.py`` pins every
+    field of it, bit for bit, to ``_certified``'s of the same blocks at
+    every step of RM1 and RM4.
     """
 
     def __init__(self, dataset: Dataset):
@@ -694,7 +722,9 @@ class _AddState:
         self.q = np.empty((r + 1, n))  # row j: column j of Q
         self.a = np.zeros((r + 1, r + 1))
         self.a_inv = np.zeros((r + 1, r + 1))
-        self.taken_norm2 = np.empty(r + 1)  # |x|^2 of the design's columns
+        self.design_norm2 = 0.0  # ||[1, X_taken]||_F^2
+        self.inv_norm2 = 0.0  # ||A^-1||_F^2
+        self.n_certified = 0  # the leading prefixes ``_certified`` certifies
         self.qty = np.empty(r + 1)
         self.residuals = dataset.target.copy()
         self.width = 0
@@ -712,7 +742,15 @@ class _AddState:
         u = self.a_inv[:w, :w] @ c / -zeta
         self.a_inv[:w, w] = u
         self.a_inv[w, w] = 1.0 / zeta
-        self.taken_norm2[w] = norm2
+        # summed in column order, each column's squared norm taken as
+        # ``_certified`` takes it: its values, bit for bit
+        column = self.a_inv[:w + 1, w:w + 1]
+        self.design_norm2 += norm2
+        self.inv_norm2 += float(np.einsum("ij,ij->j", column, column)[0])
+        design_norm = math.sqrt(self.design_norm2)
+        if (self.n_certified == w and _guarded(zeta, design_norm)
+                and _bounded(math.sqrt(self.inv_norm2), design_norm)):
+            self.n_certified = w + 1
         self.width = w + 1
         self.qty[w] = _project_out(direction[:, None], self.residuals)[0]
         z = self.z[:len(self.pool)]
@@ -737,15 +775,22 @@ class _AddState:
             self._append(v, c, norm2)
         return self
 
+    def factor(self) -> Factor:
+        """The ``Factor`` of the state's design, from its running sums with
+        no new factor: every field equal, bit for bit, to ``_certified``'s
+        of the same blocks given the state's ``A^-1``."""
+        w = self.width
+        return Factor(self.q[:w].T, self.a[:w, :w], self.design_norm2,
+                      self.n_certified,
+                      self.a_inv[:w, :w] if self.n_certified == w else None,
+                      math.sqrt(self.inv_norm2), self.qty[:w], self.residuals)
+
     def fits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_decide_and_update`` of every remaining column, in pool order,
-        from the ``Factor`` that ``_certified`` makes of the state's design
-        and its own ``A^-1``."""
+        from the state's ``factor``."""
         w, n = self.width, len(self.pool)
-        factor = _certified(self.q[:w].T, self.a[:w, :w], self.taken_norm2[:w],
-                            self.qty[:w], self.residuals, self.a_inv[:w, :w])
         z = self.z[:n]
-        return _decide_and_update(factor, self.c[:n, :w], z,
+        return _decide_and_update(self.factor(), self.c[:n, :w], z,
                                   np.einsum("ij,ij->i", z, z), self.col_norm2[:n],
                                   np.einsum("ij,j->i", z, self.residuals),
                                   self.out[:n])

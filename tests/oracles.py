@@ -2,20 +2,21 @@
 
 The ``oracle_*`` functions fit through the pseudo-inverse and re-implement
 the greedy loops directly, so none of them shares code with the library
-paths they validate.  The ``loop_*`` functions keep the library's former
+paths they validate. The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
 fit, the hand-written backward loops the stepwise driver replaced, the
-error curve and the order selection that refitted every ranking prefix
-by SVD, the prefix decisions that took the singular values of every
-uncertified leading block, the Gram-Schmidt scan that sets aside the columns the backward
-rankings cannot use, the per-feature and per-pair Pearson loops of RM5
-and the correlation graph, and the p-values that fitted by SVD and took
-the standard errors from a second (scipy) QR, the ingest that parsed and
-checked each cell on its own, and the CV that fitted each split by SVD
-and scored it on its own, with the one-vector scorer, and the per-key
-``run_rng`` calls that ``data.run_rngs`` derives in bulk; the library paths
-must reproduce them (CV and the error curve: their discrete outcomes
-exactly, their floats within a stated bound).
+error curve and the order selection that refitted every ranking prefix by
+SVD, the prefix decisions that took the singular values of every
+uncertified leading block, the forward state's factor re-derived by
+``_certified`` at every step, the Gram-Schmidt scan that sets aside the
+columns the backward rankings cannot use, the per-feature and per-pair
+Pearson loops of RM5 and the correlation graph, and the p-values that
+fitted by SVD and took the standard errors from a second (scipy) QR, the
+ingest that parsed and checked each cell on its own, and the CV that
+fitted each split by SVD and scored it on its own, with the one-vector
+scorer, and the per-key ``run_rng`` calls that ``data.run_rngs`` derives
+in bulk; the library paths must reproduce them (CV and the error curve:
+their discrete outcomes exactly, their floats within a stated bound).
 ``exact_cv_runs`` refits that CV's splits in 50 digits, to hold both CVs
 to that bound, and ``exact_prefix_fits`` the prefixes of an error curve,
 to hold both curves to theirs.
@@ -47,7 +48,7 @@ from varsel import (
 from varsel.data import (Dataset, check_seed, constant_columns, normalize_columns,
                          run_rng)
 from varsel.ingest import _check_delimiter, _utf8_lines
-from varsel.linmodel import _band_decisions, full_rank_lstsq
+from varsel.linmodel import _band_decisions, _certified, full_rank_lstsq
 from varsel.ranking import _finish
 from varsel.search import random_subset
 from varsel.validation import check_cv_settings
@@ -356,6 +357,26 @@ def loop_prefix_decisions(factor):
         sv = np.linalg.svd(a[:m + 1, :m + 1], compute_uv=False)
         ratios[m] = sv[-1] / sv[0]
     return (ratios, *_band_decisions(ratios))
+
+
+def loop_state_factor(state):
+    """The ``Factor`` the forward state (``linmodel._AddState``) took at
+    each step before it carried its certificate: ``_certified`` of its
+    blocks, given its ``A^-1``, with the design's squared column norms read
+    from the table."""
+    w, dataset = state.width, state.dataset
+    taken = np.asarray(state.taken, dtype=np.intp) - 1
+    column_norm2 = np.r_[float(dataset.n_rows), dataset.column_norm2[taken]]
+    return _certified(state.q[:w].T, state.a[:w, :w], column_norm2,
+                      state.qty[:w], state.residuals, state.a_inv[:w, :w])
+
+
+def factor_bits(factor):
+    """Each field of a ``Factor`` as its shape and bytes (None as None):
+    two factors are equal bit for bit when these are."""
+    return {name: None if value is None
+            else (np.shape(value), np.asarray(value).tobytes())
+            for name, value in vars(factor).items()}
 
 
 def loop_select_order(dataset, ranking, criterion):

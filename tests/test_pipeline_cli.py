@@ -1,5 +1,7 @@
 """Pipeline orchestration, report emission, and the CLI surface."""
 
+import builtins
+import csv
 import json
 import os
 import re
@@ -14,6 +16,7 @@ import pytest
 
 import varsel
 from varsel import GibbsConfig, RunConfig, run_pipeline
+from varsel import ingest as ingest_module
 from varsel.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from varsel.pipeline import ALL_STAGES, config_hash, dataset_sha256
 
@@ -256,6 +259,103 @@ class TestPipeline:
             assert sorted(entry["order"]) == [1, 2, 3]
 
 
+def quote_cells(path):
+    """Rewrite a table with every cell quoted: the C parse declines it and
+    the row walk reads it again."""
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, quoting=csv.QUOTE_ALL).writerows(rows)
+
+
+class TestInputDigest:
+    """A run's ``dataset.sha256`` is the digest of the bytes it parsed,
+    taken in the pass that parses them."""
+
+    @staticmethod
+    def count_opens(monkeypatch, path):
+        """Count the opens of ``path`` by ``Path.open`` and ``open``."""
+        opened = []
+        path_open, builtin_open = Path.open, builtins.open
+
+        def counted_path_open(self, *args, **kwargs):
+            opened.append(Path(self))
+            return path_open(self, *args, **kwargs)
+
+        def counted_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(Path(file))
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted_path_open)
+        monkeypatch.setattr(builtins, "open", counted_open)
+        return lambda: sum(p == path for p in opened)
+
+    @pytest.mark.parametrize("quoted, opens", [(False, 1), (True, 2)])
+    def test_each_parse_opens_the_input_once(self, tmp_path, monkeypatch,
+                                             quoted, opens):
+        # 400 rows take several reads: the C parse declines a quoted table
+        # at its first row, and its read must run to the end all the same
+        data = write_fixture(tmp_path, n=400)
+        if quoted:
+            quote_cells(data)
+        count = self.count_opens(monkeypatch, data)
+        report, _ = run_pipeline(RunConfig(
+            dataset_path=str(data), target_column="y",
+            output_dir=str(tmp_path / "out"), stages=("rank",)))
+        assert count() == opens
+        monkeypatch.undo()
+        assert report["dataset"]["sha256"] == dataset_sha256(data)
+
+    def test_a_table_rewritten_before_the_walk_is_refused(self, tmp_path,
+                                                          monkeypatch):
+        data = write_fixture(tmp_path)
+        quote_cells(data)
+        load_body = ingest_module._load_body
+
+        def parse_then_rewrite(*args):
+            table = load_body(*args)
+            assert table is None  # declined: the row walk reads the file again
+            write_fixture(tmp_path, seed=1)
+            quote_cells(data)
+            return table
+
+        monkeypatch.setattr(ingest_module, "_load_body", parse_then_rewrite)
+        out = tmp_path / "out"
+        with pytest.raises(varsel.IngestError,
+                           match=r"data\.csv: the file changed while it was read"):
+            run_pipeline(RunConfig(dataset_path=str(data), target_column="y",
+                                   output_dir=str(out), stages=("rank",)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_bytes_appended_after_the_parse_are_refused(self, tmp_path,
+                                                        monkeypatch, quoted):
+        # the parse that decides the table read to the end, then a row was
+        # appended: no parse saw it, so the table is refused
+        data = write_fixture(tmp_path)
+        if quoted:
+            quote_cells(data)  # the C parse declines it at its first row
+        utf8_lines, appended = ingest_module._utf8_lines, []
+
+        def lines_then_append(handle, path):
+            yield from utf8_lines(handle, path)
+            if not appended:
+                with data.open("a", encoding="utf-8") as handle:
+                    handle.write("1.0,2.0,3.0,4.0\n")
+                appended.append(data.stat().st_size)
+
+        monkeypatch.setattr(ingest_module, "_utf8_lines", lines_then_append)
+        out = tmp_path / "out"
+        with pytest.raises(varsel.IngestError,
+                           match=r"data\.csv: the file changed while it was read"):
+            run_pipeline(RunConfig(dataset_path=str(data), target_column="y",
+                                   output_dir=str(out), stages=("rank",)))
+        assert appended and not out.exists()
+        appended.clear()
+        with pytest.raises(varsel.IngestError, match="changed while it was read"):
+            varsel.ingest_csv(data, "y")
+
+
 class TestCli:
     def test_rank_subcommand_succeeds(self, tmp_path, capsys):
         data = write_fixture(tmp_path)
@@ -381,9 +481,9 @@ class TestCli:
         assert not out.exists()
 
     def test_undigestible_table_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the table parses, but reading it again for its digest fails: that
-        # is bad input too, not a failed write
-        data = write_fixture(tmp_path, name="t.csv")
+        # reading the table fails part way, in the pass that parses and
+        # hashes it: that is bad input too, not a failed write
+        data = write_fixture(tmp_path, n=400, name="t.csv")
         out = tmp_path / "o"
 
         def refuse(file, *args, **kwargs):
@@ -393,10 +493,22 @@ class TestCli:
         with pytest.raises(varsel.IngestError,
                            match=r"t\.csv: cannot read \(Permission denied\)"):
             dataset_sha256(data)
+        monkeypatch.undo()
+        readinto, blocks = varsel.pipeline._HashedFile.readinto, []
+
+        def fail_after_one_block(self, buffer):
+            if blocks:
+                raise OSError(5, "Input/output error")
+            blocks.append(readinto(self, buffer))
+            return blocks[-1]
+
+        monkeypatch.setattr(varsel.pipeline._HashedFile, "readinto",
+                            fail_after_one_block)
         code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out)])
         assert code == EXIT_PARSE
+        assert 0 < blocks[0] < data.stat().st_size
         err = capsys.readouterr().err
-        assert "parse error" in err and "t.csv: cannot read (Permission denied)" in err
+        assert "parse error" in err and "t.csv: cannot read (Input/output error)" in err
         assert "cannot write outputs" not in err
         assert not out.exists()
 

@@ -1,10 +1,12 @@
 """The states the greedy rankings update at each step (``linmodel._AddState``
 for RM1 and RM4, ``linmodel._DropState`` for RM2, RM3 and p-values): how many
-factors a ranking takes, the downdates' drift from a fresh factor and the
-check that bounds it, ties between equal columns, and the orders of the
+factors a ranking takes, the forward state's certificate against
+``_certified``'s, the downdates' drift from a fresh factor and the check that
+bounds it, ties between equal columns, and the orders of the
 one-SVD-fit-per-candidate loops."""
 
 import math
+from contextlib import suppress
 from unittest import mock
 
 import numpy as np
@@ -31,12 +33,20 @@ from varsel.linmodel import (
 )
 from varsel.ranking import _pvalues, _stepwise
 
-from conftest import EPS, awkward_tables, near_duplicate_table, random_instance
+from conftest import (
+    EPS,
+    awkward_tables,
+    near_duplicate_table,
+    random_instance,
+    unit_orthogonal_to,
+)
 from oracles import (
+    factor_bits,
     loop_backward_elimination,
     loop_forward_order,
     loop_pvalues,
     loop_remove_max_error,
+    loop_state_factor,
 )
 
 BACKWARD = (
@@ -55,6 +65,54 @@ def state_tables(draw):
     seed = draw(st.integers(0, 10_000))
     ratio = 10.0 ** np.random.default_rng(seed).uniform(-10.6, -9.4)
     return near_duplicate_table(seed, ratio)
+
+
+@st.composite
+def wide_tables(draw):
+    """Nine to sixteen columns, wider than the eight below which ``np.sum``
+    adds in order: Gaussian columns and one to four of a near duplicate of
+    column 1 (10^-10 to 10^-3 of its norm off it), a tiny column (10^-12 to
+    10^-4 of the others' scale) and a constant column, in a drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plain = draw(st.integers(8, 12))
+    n = draw(st.integers(plain + 10, 40))
+    columns = [rng.normal(size=n) for _ in range(plain)]
+    extra = []
+    for kind in draw(st.lists(st.sampled_from(["near", "tiny", "constant"]),
+                              min_size=1, max_size=4)):
+        if kind == "near":
+            off = 10.0 ** draw(st.floats(-10.0, -3.0)) * np.linalg.norm(columns[0])
+            extra.append(columns[0] + off * unit_orthogonal_to(rng, columns))
+        elif kind == "tiny":
+            extra.append(10.0 ** draw(st.floats(-12.0, -4.0)) * rng.normal(size=n))
+        else:
+            extra.append(np.full(n, draw(st.sampled_from([0.1, 0.3, 2.0]))))
+    x = np.column_stack(columns + extra)
+    x = x[:, draw(st.permutations(range(x.shape[1])))]
+    y = np.column_stack(columns) @ rng.normal(size=plain) + 0.5 * rng.normal(size=n)
+    return make_dataset(x, y)
+
+
+class TestForwardCertificate:
+    """The forward state carries its certificate: at every step of RM1 and
+    RM4 its ``Factor`` is ``_certified``'s of the same blocks, field by
+    field and bit for bit, also once a near-duplicate or tiny column has
+    ended the certified run."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dataset=st.one_of(state_tables(), awkward_tables(), wide_tables()))
+    def test_every_step_equals_certified(self, dataset):
+        for largest in (False, True):
+            state = _AddState(dataset)
+
+            def price(taken, pool):
+                state.follow(taken)
+                assert factor_bits(state.factor()) == factor_bits(
+                    loop_state_factor(state)), (largest, state.taken)
+                return state.costs()
+
+            with suppress(DegenerateStepError):
+                _stepwise(state.pool, price, largest)
 
 
 class TestOneFactorPerRanking:
