@@ -905,7 +905,8 @@ class _DropState:
 
     def coefficient_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pool's feature coefficients, its residual and ``diag((X^T
-        X)^-1)`` (intercept first), for its t statistics.  A certified
+        X)^-1)`` (intercept first), for its t statistics
+        (``ranking._t_statistics``).  A certified
         pool's are the state's b, r and B; any other pool is fitted by the
         SVD rule, which decides rank deficiency (``RankDeficiencyError``),
         and its diagonal comes from a triangular solve on its factor's A."""

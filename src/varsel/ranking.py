@@ -3,7 +3,9 @@
 Four of the methods are greedy procedures over prediction error (forward
 add-min, backward remove-min, remove-max, add-max), one sorts by absolute
 Pearson correlation with the target, and one is classical backward
-elimination on per-coefficient t-test p-values.  All but RM5 run one loop,
+elimination on per-coefficient t-test p-values, which drops the smallest
+|t| at each step and takes the Student t tail (``student_t``) only for the
+``admissible`` flags and ``coefficient_pvalues``.  All but RM5 run one loop,
 ``_stepwise``, and one row each of ``_GREEDY`` says how: whether the method
 adds columns or removes them, whether a step takes the largest score, and
 whether the sequence taken runs worst to best.  ``rank_features`` runs
@@ -25,6 +27,7 @@ constant target with every feature.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -43,8 +46,10 @@ from .linmodel import (
     error_metrics,
     fit_subset,
 )
+from .student_t import two_sided_tail
 
 RHO_TIE = 1e-10
+UNBOUNDED_T = sys.float_info.max  # the score of |t| = +inf
 
 
 class RankingMethod(str, Enum):
@@ -240,14 +245,17 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
 
     Standard errors come from sigma^2 * diag((X^T X)^-1) with the unbiased
     sigma^2 = SS_res / (N - M - 1), both read from the pool's
-    ``linmodel._DropState`` (``coefficient_fit``).  A zero standard error
-    gives p = 0 for a nonzero coefficient and p = 1 for a zero one.
+    ``linmodel._DropState`` (``coefficient_fit``), and each p is
+    ``student_t.two_sided_tail`` of its |t|.  A zero standard error gives
+    p = 0 for a nonzero coefficient and p = 1 for a zero one.
     """
     return _pvalues(_DropState(dataset, indices))
 
 
-def _pvalues(state: _DropState) -> np.ndarray:
-    """``coefficient_pvalues`` of the state's pool."""
+def _t_statistics(state: _DropState) -> tuple[np.ndarray, int]:
+    """The |t| of each feature coefficient of the state's pool, and the
+    fit's degrees of freedom.  A zero standard error gives |t| = 0 for a
+    zero coefficient and +inf for a nonzero one."""
     coefs, residuals, gram_inv_diag = state.coefficient_fit()
     n, p = state.dataset.n_rows, len(state.pool) + 1
     dof = n - p
@@ -255,15 +263,15 @@ def _pvalues(state: _DropState) -> np.ndarray:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
     sigma2 = float(residuals @ residuals) / dof
     se = np.sqrt(sigma2 * gram_inv_diag[1:])
-    positive = se > 0.0
-    t = np.divide(np.abs(coefs), se, out=np.zeros(len(se)), where=positive)
-    # stdtr(dof, -t) is the t survival function, the very call that
-    # ``scipy.stats.t.sf`` makes, without importing ``scipy.stats``; it is
-    # imported here so that only a p-value ranking loads ``scipy.special``
-    from scipy.special import stdtr
+    t = np.where(coefs != 0.0, math.inf, 0.0)
+    with np.errstate(over="ignore"):
+        return np.divide(np.abs(coefs), se, out=t, where=se > 0.0), dof
 
-    return np.where(positive, 2.0 * stdtr(dof, -t),
-                    np.where(coefs != 0.0, 0.0, 1.0))
+
+def _pvalues(state: _DropState) -> np.ndarray:
+    """``coefficient_pvalues`` of the state's pool."""
+    t, dof = _t_statistics(state)
+    return two_sided_tail(t, dof)
 
 
 def check_pvalue_threshold(alpha_threshold: float) -> None:
@@ -275,10 +283,13 @@ def check_pvalue_threshold(alpha_threshold: float) -> None:
 def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
     """Backward stepwise elimination on t-test p-values.
 
-    Repeatedly drops the coefficient with the largest p-value; the reversed
-    removal order is best-to-worst.  For each model size M the ``admissible``
-    flag records whether all retained coefficients had p < alpha, which is
-    where the classical stopping rule would halt.
+    Repeatedly drops the coefficient with the smallest |t|, which is the
+    largest p-value, as every coefficient of one fit shares its degrees of
+    freedom; ties in |t| go to the earliest.  The reversed removal order is
+    best-to-worst.  For each model size M the ``admissible`` flag records
+    whether all retained coefficients had p < alpha, which is where the
+    classical stopping rule would halt: the tail at the step's smallest |t|,
+    taken for every step at once after the pass.
     """
     return rank_features(dataset, RankingMethod.PVALUE, alpha_threshold)
 
@@ -293,13 +304,13 @@ class _Greedy(NamedTuple):
 
 # One row per method but RM5.  The adding methods score by
 # ``_AddState.costs``, the removing ones by ``_DropState.removal_maes``, or
-# by p-values for ``PVALUE``.
+# by |t| for ``PVALUE``.
 _GREEDY = {
     RankingMethod.RM1_FORWARD: _Greedy(removes=False, largest=False, worst_first=False),
     RankingMethod.RM2_BACKWARD: _Greedy(removes=True, largest=False, worst_first=True),
     RankingMethod.RM3_REMOVE_MAX: _Greedy(removes=True, largest=True, worst_first=False),
     RankingMethod.RM4_ADD_MAX: _Greedy(removes=False, largest=True, worst_first=True),
-    RankingMethod.PVALUE: _Greedy(removes=True, largest=True, worst_first=True),
+    RankingMethod.PVALUE: _Greedy(removes=True, largest=False, worst_first=True),
 }
 
 
@@ -342,16 +353,22 @@ def rank_features(dataset: Dataset, method: RankingMethod,
     admissible = None
     if method == RankingMethod.PVALUE:
         check_pvalue_threshold(alpha_threshold)
-        admissible = [False] * dataset.n_features
+        smallest = []  # each step's smallest |t| and its degrees of freedom
 
         def read(state):
-            pvalues = _pvalues(state)
-            admissible[len(state.pool) - 1] = bool(np.max(pvalues) < alpha_threshold)
-            return pvalues
+            t, dof = _t_statistics(state)
+            smallest.append((t.min(), dof))
+            # a finite stand-in for +inf, which ``_stepwise`` would not take
+            return np.minimum(t, UNBOUNDED_T)
 
     taken = _stepwise(state.pool, lambda done, pool: read(state.follow(done)),
                       greedy.largest)
     del start, state  # the state goes before the error curve takes its factor
+    if method == RankingMethod.PVALUE:
+        # step i of k prices a pool of k - i columns: entry k - 1 - i
+        t, dof = np.array(smallest, dtype=float).reshape(-1, 2).T
+        admissible = [False] * dataset.n_features
+        admissible[:len(t)] = (two_sided_tail(t, dof) < alpha_threshold)[::-1].tolist()
     order = (taken[::-1] if greedy.worst_first else taken) + tail
     # kept for every removal, and for the addition run worst to best (RM4)
     raw_order = taken + tail if greedy.removes or greedy.worst_first else None

@@ -11,7 +11,8 @@ uncertified leading block, the forward state's factor re-derived by
 ``_certified`` at every step, the Gram-Schmidt scan that sets aside the
 columns the backward rankings cannot use, the per-feature and per-pair
 Pearson loops of RM5 and the correlation graph, and the p-values that
-fitted by SVD and took the standard errors from a second (scipy) QR, the
+fitted by SVD and took the standard errors from a second (scipy) QR (their
+tail is varsel's own, held to mpmath by ``test_student_t``), the
 ingest that parsed and checked each cell on its own, and the CV that
 fitted each split by SVD and scored it on its own, with the one-vector
 scorer, and the per-key ``run_rng`` calls that ``data.run_rngs`` derives
@@ -30,7 +31,6 @@ from typing import Sequence
 import mpmath
 import numpy as np
 import scipy.linalg
-from scipy.stats import t as student_t
 
 from varsel import (
     ConfigError,
@@ -51,6 +51,7 @@ from varsel.ingest import _check_delimiter, _utf8_lines
 from varsel.linmodel import _band_decisions, _certified, full_rank_lstsq
 from varsel.ranking import _finish
 from varsel.search import random_subset
+from varsel.student_t import two_sided_tail
 from varsel.validation import check_cv_settings
 
 
@@ -284,9 +285,10 @@ def loop_remove_max_error(dataset):
                    raw_order=removals + dropped)
 
 
-def loop_coefficient_pvalues(dataset, indices):
-    """The old ``coefficient_pvalues``: an SVD fit for the residuals, a scipy
-    QR for the standard errors, one ``student_t.sf`` call per coefficient."""
+def loop_coefficient_tstats(dataset, indices):
+    """The old ``coefficient_pvalues`` up to its tail: an SVD fit for the
+    residuals, a scipy QR for the standard errors, one |t| per coefficient
+    (+inf for a nonzero one with se = 0, 0 for a zero one), and the dof."""
     design = build_design_matrix(dataset, FeatureSubset(indices))
     fit = fit_least_squares(design, dataset.target)
     x = design.values
@@ -299,28 +301,34 @@ def loop_coefficient_pvalues(dataset, indices):
     gram_inv_diag = (r_inv**2).sum(axis=1)
     sigma2 = float(fit.residuals @ fit.residuals) / dof
     se = np.sqrt(sigma2 * gram_inv_diag[1:])
-    coefs = fit.coefficients
-    pvalues = np.empty(len(indices), dtype=float)
-    for i, (b, s) in enumerate(zip(coefs, se)):
+    tstats = np.empty(len(indices), dtype=float)
+    for i, (b, s) in enumerate(zip(fit.coefficients, se)):
         if s == 0.0:
-            pvalues[i] = 0.0 if b != 0.0 else 1.0
+            tstats[i] = math.inf if b != 0.0 else 0.0
         else:
-            pvalues[i] = 2.0 * float(student_t.sf(abs(b) / s, dof))
-    return pvalues
+            tstats[i] = abs(b) / s
+    return tstats, dof
+
+
+def loop_coefficient_pvalues(dataset, indices):
+    """``loop_coefficient_tstats`` through varsel's Student t tail, which
+    ``test_student_t`` holds to mpmath and scipy on its own."""
+    return two_sided_tail(*loop_coefficient_tstats(dataset, indices))
 
 
 def loop_pvalues(dataset, alpha_threshold=0.05):
-    """The old p-value backward elimination loop."""
+    """The old p-value backward elimination loop, dropping the smallest |t|
+    (the largest p)."""
     usable, dropped = loop_usable_features(dataset)
     removals = []
     current = list(usable)
     r = dataset.n_features
     admissible = [False] * r
     while current:
-        pvalues = loop_coefficient_pvalues(dataset, tuple(current))
+        tstats, dof = loop_coefficient_tstats(dataset, tuple(current))
         m = len(current)
-        admissible[m - 1] = bool(np.max(pvalues) < alpha_threshold)
-        worst_pos = int(np.argmax(pvalues))  # argmax: first (lowest index) wins ties
+        admissible[m - 1] = bool(np.max(two_sided_tail(tstats, dof)) < alpha_threshold)
+        worst_pos = int(np.argmin(tstats))  # argmin: first (lowest index) wins ties
         removals.append(current.pop(worst_pos))
     order = list(reversed(removals)) + dropped
     return _finish(RankingMethod.PVALUE, dataset, order,

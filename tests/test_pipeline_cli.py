@@ -663,7 +663,7 @@ def test_module_entry_point_prints_version():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes about 0.3 s to import; the p-values need only stdtr
+    # scipy.stats takes about 0.3 s to import; varsel's runtime is numpy only
     src = Path(varsel.__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-c",
@@ -687,13 +687,15 @@ def run_fresh_python(code):
 
 
 def test_import_does_not_load_scipy_special():
-    # scipy.special takes about 0.3 s and 24 MiB to import; only the
-    # p-value ranking needs it
+    # scipy.special takes about 0.3 s and 24 MiB to import; the p-values
+    # take their Student t tail from varsel.student_t instead
     assert run_fresh_python(
         "import sys, varsel; print('scipy.special' in sys.modules)") == "False\n"
 
 
-def test_only_the_pvalue_ranking_loads_scipy_special(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
+    # neither the p-value ranking alone nor a run of every stage and every
+    # ranking method imports any part of scipy
     data = write_fixture(tmp_path, n=40, r=4)
     out = run_fresh_python(f"""
 import sys
@@ -701,12 +703,11 @@ from varsel import RunConfig, run_pipeline
 def loaded(**settings):
     run_pipeline(RunConfig(dataset_path={str(data)!r}, target_column="y",
                            output_dir={str(tmp_path / "out")!r}, **settings))
-    return 'scipy.special' in sys.modules
-print(loaded(stages=("search", "gibbs", "cv", "corr"), m_values=(2,),
-             search_runs=4, sweeps=20, cv_runs=20))
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(loaded(stages=("rank",), methods=("pvalue",)))
+print(loaded(m_values=(2,), search_runs=4, sweeps=20, cv_runs=20))
 """)
-    assert out == "False\nTrue\n"
+    assert out == "[]\n[]\n"
 
 
 # Each row: flag, its argument, the RunConfig field it sets, the parsed value.

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import stdtr
 from scipy.stats import t as student_t
 
 from varsel import (
@@ -38,10 +39,11 @@ from varsel.linmodel import (
     RANK_RCOND,
     _factor,
     _prefix_decisions,
+    _DropState,
     _usable_features,
 )
 from varsel.pipeline import RunConfig
-from varsel.ranking import _stepwise, backward_starts
+from varsel.ranking import _stepwise, _t_statistics, backward_starts
 
 from conftest import (
     assert_prefix_fits_within_the_bound,
@@ -292,6 +294,40 @@ class TestPValues:
     def test_noiseless_predictor_dominates(self):
         ds = exact_predictor_dataset()
         assert rank_pvalues(ds).order == (1, 2)
+
+    def test_underflowed_pvalues_still_drop_the_smaller_t_first(self):
+        # a near-noiseless fit: both p-values underflow to 0.0 under scipy's
+        # stdtr, where the largest p would tie and take x1, the earliest;
+        # the smaller |t| is x2's, and it goes first
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(200, 2))
+        y = 3.0 * x[:, 0] + x[:, 1] + 1e-9 * rng.normal(size=200)
+        ds = make_dataset(x, y)
+        t, dof = _t_statistics(_DropState(ds, (1, 2)))
+        assert (stdtr(dof, -t) == 0.0).all() and t[1] < t[0]
+        assert rank_pvalues(ds).raw_order == loop_pvalues(ds).raw_order == (2, 1)
+        assert rank_pvalues(ds).admissible == (True, True)
+
+    def test_zero_standard_errors_rank_without_error(self):
+        # a zero residual makes every se 0: a nonzero coefficient's |t| is
+        # +inf (p = 0) and a zero one's 0 (p = 1); the ranking's read scores
+        # +inf by a finite stand-in, so a step over them has one to take
+        x = np.random.default_rng(43).normal(size=(6, 3))
+        ds = make_dataset(x, x[:, 0])
+        coefficients = {1: 2.0, 2: 0.0, 3: -1.0}
+
+        def exact_fit(state):
+            b = np.array([coefficients[k] for k in state.pool])
+            return b, np.zeros(6), np.ones(len(b) + 1)
+
+        with mock.patch.object(_DropState, "coefficient_fit", autospec=True,
+                               side_effect=exact_fit):
+            t, dof = _t_statistics(_DropState(ds, (1, 2, 3)))
+            assert t.tolist() == [math.inf, 0.0, math.inf] and dof == 2
+            assert coefficient_pvalues(ds, (1, 2, 3)).tolist() == [0.0, 1.0, 0.0]
+            ranking = rank_pvalues(ds)
+        assert ranking.raw_order == (2, 1, 3)
+        assert ranking.admissible == (True, True, False)
 
     def test_admissibility_flags_recorded(self):
         rng = np.random.default_rng(31)
