@@ -26,6 +26,10 @@ class Dataset:
 
     Invariants enforced at construction: N >= R + 1 (one more row than
     features plus the intercept), all entries finite, unique labels.
+
+    ``column_norm2``, ``columns`` and ``table_qr`` (the QR of the whole
+    design that every error curve reads) are derived lazily, once per
+    table, and kept.
     """
 
     features: np.ndarray
@@ -78,6 +82,23 @@ class Dataset:
         columns = self.features.T.copy()
         columns.setflags(write=False)
         return columns
+
+    @cached_property
+    def table_qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(Q_T, A_T, Q_T^T y)``, read-only: the economic QR of the whole
+        design in index order, ``[1, X] = Q_T A_T``, and the target's
+        projection, taken once per table.  Every ranked order is a column
+        permutation of this design, so ``ranking.error_curve`` derives each
+        order's factor from it; no other stage builds it."""
+        n = self.n_rows
+        design = np.empty((n, self.n_features + 1))
+        design[:, 0] = 1.0
+        design[:, 1:] = self.features
+        q, a = np.linalg.qr(design)
+        qty = self.target @ q
+        for array in (q, a, qty):
+            array.setflags(write=False)
+        return q, a, qty
 
     @property
     def n_rows(self) -> int:

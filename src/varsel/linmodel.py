@@ -58,9 +58,11 @@ columns and conditioning matters.
   design from its factor by downdating its test rows, and sends every
   other split to the SVD rule.  The prefix
   curves (``ranking.error_curve``) read every prefix of a ranked order
-  from the one factor of the whole ordered design: prefix M's residual
-  is ``y - Q[:, :M+1] (Q^T y)[:M+1]``, and ``_prefix_decisions`` decides
-  it by the certificate, which covers a leading run of prefixes, or by
+  from the table's one QR (``Dataset.table_qr``), ``[1, X] = Q_T A_T``,
+  and the small QR of the order's columns of ``A_T``, ``Q_B A``: prefix
+  M's residual is ``y - Q_T Q_B[:, :M+1] (Q_B^T Q_T^T y)[:M+1]``, and
+  ``_prefix_decisions`` decides it by the certificate, which covers a
+  leading run of prefixes, or by
   the singular values of leading blocks ``A[:M+1, :M+1]``, taken at the
   points of a bisection and in the band (the ratio of nested prefixes does
   not rise with M), the SVD rule taking only a ratio within

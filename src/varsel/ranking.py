@@ -38,9 +38,10 @@ import numpy as np
 from .data import Dataset, FeatureSubset, feature_indices, unit_centered_columns
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
 from .linmodel import (
+    Factor,
     _AddState,
     _DropState,
-    _factor,
+    _certified,
     _prefix_decisions,
     _usable_features,
     error_metrics,
@@ -107,30 +108,36 @@ def error_curve(
     rank-deficient prefix the MAE repeats the previous prefix's (the
     intercept-only MAE for M=1) and the MSE is +inf.
 
-    Every prefix is read from one ``linmodel._factor`` of the whole ordered
-    design, ``[1, x_o1, ..., x_oR] = Q A`` (Bjorck, *Numerical Methods for
-    Least Squares Problems*, 1996, 2.4; Golub & Van Loan 5.3).  Prefix M's
-    design is ``Q[:, :M+1] A_M`` with ``A_M = A[:M+1, :M+1]``, so its
-    residual is ``y - Q[:, :M+1] (Q^T y)[:M+1]``; all R + 1 residuals are
-    scored by one ``error_metrics`` call.  ``linmodel._prefix_decisions``
-    decides each prefix in one of three ways, as
-    ``linmodel.neighbour_costs`` decides a candidate.
+    Every prefix is read from the table's one QR, ``Dataset.table_qr``:
+    ``[1, X] = Q_T A_T`` in index order, with ``Q_T^T y`` (Bjorck,
+    *Numerical Methods for Least Squares Problems*, 1996, 2.4; Golub & Van
+    Loan 5.3).  The order's design ``[1, x_o1, ..., x_oR]`` is ``Q_T`` times
+    the columns ``cols = [0, o1, ..., oR]`` of ``A_T``, whose small QR
+    ``A_T[:, cols] = Q_B A_B`` gives the order's factor ``(Q_T Q_B) A_B``
+    with ``t = Q_B^T (Q_T^T y)``.  Prefix M's design is ``Q_T Q_B[:, :M+1]
+    A_M`` with ``A_M = A_B[:M+1, :M+1]``, so its fit is ``Q_T`` times the
+    sum of the first M + 1 columns of ``Q_B`` scaled by t: all R + 1
+    residuals are ``y - Q_T cumsum(Q_B * t, axis=1)``, one product, scored
+    by one ``error_metrics`` call, and the order's N x (R+1) Q is never
+    formed.  ``linmodel._prefix_decisions`` decides each prefix in one of
+    three ways, as ``linmodel.neighbour_costs`` decides a candidate.
 
-    * Certified.  The factor's certificate (``linmodel._certified``) bounds
-      the condition of a leading run of prefixes, ``Factor.n_certified``
-      long, far inside the SVD rule; those are full-rank with no further
-      work.
+    * Certified.  The certificate (``linmodel._certified``) of ``A_B`` and
+      the table's column norms bounds the condition of a leading run of
+      prefixes, ``Factor.n_certified`` long, far inside the SVD rule; those
+      are full-rank with no further work.
     * By the leading block.  The singular values of ``A_M`` are the
-      design's up to the Householder backward error (the argument for
-      ``RANK_BAND`` in ``neighbour_costs``).  A ratio above ``RANK_RCOND *
-      RANK_BAND`` is full-rank and one at or below ``RANK_RCOND /
-      RANK_BAND`` rank-deficient.  The ratio of nested prefixes does not
-      rise with M, so past the certified run a bisection finds the first
-      prefix not above the band from about log2 R blocks; the prefixes in
-      the band are taken one by one up to the first below it.  A prefix
-      before the first is full-rank, its ratio at least that of a later
-      block found above the band, and one after the last rank-deficient,
-      its ratio at most that of an earlier block found below it.
+      design's up to the Householder backward error of both QRs (the
+      argument for ``RANK_BAND`` in ``neighbour_costs``).  A ratio above
+      ``RANK_RCOND * RANK_BAND`` is full-rank and one at or below
+      ``RANK_RCOND / RANK_BAND`` rank-deficient.  The ratio of nested
+      prefixes does not rise with M, so past the certified run a bisection
+      finds the first prefix not above the band from about log2 R blocks;
+      the prefixes in the band are taken one by one up to the first below
+      it.  A prefix before the first is full-rank, its ratio at least that
+      of a later block found above the band, and one after the last
+      rank-deficient, its ratio at most that of an earlier block found
+      below it.
     * By the SVD rule.  A ratio in the band between is refitted by
       ``fit_subset``, which decides its rank and gives its errors.
     """
@@ -138,8 +145,7 @@ def error_curve(
     r = dataset.n_features
     if sorted(order) != list(range(1, r + 1)):
         raise ConfigError("order must be a permutation of 1..R")
-    factor = _factor(dataset, order)
-    residuals = dataset.target - np.cumsum(factor.q * factor.qty, axis=1).T
+    factor, residuals = _order_factor(dataset, order)
     mae, mse, _, _ = error_metrics(residuals, dataset.target)
     _, full_rank, deficient = _prefix_decisions(factor)
     mae_curve = np.empty(r, dtype=float)
@@ -154,6 +160,24 @@ def error_curve(
                 previous, mse_curve[m - 1] = fit.mae, fit.mse
         mae_curve[m - 1] = previous  # repeated where rank-deficient
     return mae_curve, mse_curve
+
+
+def _order_factor(dataset: Dataset, order: tuple[int, ...]
+                  ) -> tuple[Factor, np.ndarray]:
+    """The ``Factor`` of the design of ``order``, a permutation of 1..R,
+    read from the table's QR as ``error_curve`` describes, and the
+    residual of every prefix, one row each, M = 0..R.  The factor's ``q``
+    is ``Q_B``, the order's Q in the basis of ``Q_T``."""
+    q_t, a_t, qty = dataset.table_qr
+    cols = np.array([0, *order])
+    q_b, a_b = np.linalg.qr(a_t[:, cols])
+    t = qty @ q_b
+    # column M: prefix M's fit in the basis of Q_T
+    fits = np.cumsum(q_b * t, axis=1)
+    residuals = fits.T @ q_t.T  # row M: prefix M's fit, then its residual
+    np.subtract(dataset.target, residuals, out=residuals)
+    norm2 = np.r_[float(dataset.n_rows), dataset.column_norm2][cols]
+    return _certified(q_b, a_b, norm2, t, residuals[-1]), residuals
 
 
 def _finish(method, dataset, order, raw_order=None, admissible=None) -> Ranking:
@@ -363,7 +387,7 @@ def rank_features(dataset: Dataset, method: RankingMethod,
 
     taken = _stepwise(state.pool, lambda done, pool: read(state.follow(done)),
                       greedy.largest)
-    del start, state  # the state goes before the error curve takes its factor
+    del start, state  # the state goes before the error curve takes its residuals
     if method == RankingMethod.PVALUE:
         # step i of k prices a pool of k - i columns: entry k - 1 - i
         t, dof = np.array(smallest, dtype=float).reshape(-1, 2).T

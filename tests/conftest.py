@@ -21,11 +21,23 @@ def random_instance(seed: int, n: int, r: int, sparse: int | None = None,
     return x, y, np.sort(support + 1)
 
 
+GENERATE = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+
+
 def benchmark_table(seed, n_features):
     """``make_table`` of ``bench/generate.py``, the benchmark's generator,
     run as it is."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    return runpy.run_path(str(path))["make_table"](seed, n_features)
+    return runpy.run_path(str(GENERATE))["make_table"](seed, n_features)
+
+
+def benchmark_csv(directory, seed, n_features):
+    """``make_table(seed, n_features)`` written to ``directory`` by
+    ``bench/generate.py``'s ``write_csv``; returns the file's path and its
+    target column."""
+    generate = runpy.run_path(str(GENERATE))
+    path = directory / f"table{n_features}-{seed}.csv"
+    generate["write_csv"](generate["make_table"](seed, n_features), path)
+    return path, generate["TARGET"]
 
 
 def assert_residuals_orthogonal(design: np.ndarray, residuals: np.ndarray,

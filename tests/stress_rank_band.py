@@ -22,12 +22,14 @@ and (4, 1, 5) and every other column as candidate it prints:
 
 For the orders in ``PREFIX_ORDERS`` it prints the same for the prefixes
 of ``error_curve``: the largest difference between the ratio of a
-prefix's leading block ``A[:M+1, :M+1]`` of the order's QR and
-``gelsd``'s, over the prefixes that hold the pair and whose block was
-factored, and, over every prefix, how many ``_prefix_decisions`` decided
-(those it inferred from a later or earlier prefix's block among them), how
-many of those disagree with ``full_rank_lstsq`` and how many went to the
-SVD.
+prefix's leading block ``A[:M+1, :M+1]`` and ``gelsd``'s, A being the
+order's factor that ``error_curve`` reads from the table's one QR (the
+small QR of the order's columns of the table's R factor,
+``ranking._order_factor``), over the prefixes that hold the pair and
+whose block was factored, and, over every prefix, how many
+``_prefix_decisions`` decided (those it inferred from a later or earlier
+prefix's block among them), how many of those disagree with
+``full_rank_lstsq`` and how many went to the SVD.
 
 It prints the same for the forward rankings' own state,
 ``linmodel._AddState``, whose A is built by Gram-Schmidt, one column a
@@ -81,7 +83,7 @@ from varsel.linmodel import (  # noqa: E402
     _small_factor_ratios,
     full_rank_lstsq,
 )
-from varsel.ranking import _stepwise  # noqa: E402
+from varsel.ranking import _order_factor, _stepwise  # noqa: E402
 
 FIXED_SETS = [(1,), (2,), (1, 2), (4, 1, 5)]
 PREFIX_ORDERS = [(1, 2, 3, 4, 5, 6), (4, 5, 2, 6, 3, 1)]
@@ -117,7 +119,7 @@ def prefix_decisions(dataset, order, pair):
     ``order`` that hold ``pair`` and whose block was factored, and, over
     every prefix, the counts (decided, of those inferred, disagreements, to
     the SVD), each prefix decided as ``error_curve`` decides it."""
-    ratios, full_rank, deficient = _prefix_decisions(_factor(dataset, order))
+    ratios, full_rank, deficient = _prefix_decisions(_order_factor(dataset, order)[0])
     entered = 1 + max(order.index(k) for k in pair)
     worst, decided, inferred, disagree, to_svd = 0.0, 0, 0, 0, 0
     for m in range(1, len(order) + 1):

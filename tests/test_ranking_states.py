@@ -23,7 +23,6 @@ from varsel import (
     rank_pvalues,
     rank_remove_max_error,
 )
-from varsel import ranking as ranking_module
 from varsel.linmodel import (
     DOWNDATE_LIMIT,
     _AddState,
@@ -116,9 +115,9 @@ class TestForwardCertificate:
 
 
 class TestOneFactorPerRanking:
-    """On a certified table no step of a greedy ranking takes a factor: the
-    forward rankings take none before their ``error_curve``, the backward
-    ones one for the pool."""
+    """On a certified table no step of a greedy ranking takes a factor, nor
+    does its ``error_curve``, which reads the table's QR: the forward
+    rankings take none, the backward ones one for the pool."""
 
     @pytest.mark.parametrize("method, pool_factors", [
         (rank_forward_selection, 0), (rank_add_max_error, 0),
@@ -129,12 +128,10 @@ class TestOneFactorPerRanking:
         x, y, _ = random_instance(61, 40, 8)
         ds = make_dataset(x, y)
         assert _factor(ds, tuple(range(1, 9))).a_inv is not None
-        # linmodel's calls are the states', ranking's the error curve's
-        with mock.patch.object(linmodel, "_factor", wraps=_factor) as steps, \
-                mock.patch.object(ranking_module, "_factor", wraps=_factor) as curve:
+        with mock.patch.object(linmodel, "_factor", wraps=_factor) as factors:
             method(ds)
-        assert steps.call_count == pool_factors
-        assert curve.call_count == 1  # the ranking's error_curve
+        assert factors.call_count == pool_factors
+        assert "table_qr" in vars(ds)  # the ranking's error_curve
 
 
 def walk_backward(dataset, read, largest, visit):
