@@ -84,9 +84,10 @@ def select_order(
 ) -> OrderSelection:
     """Evaluate the criterion along ranking prefixes and return the argmin.
 
-    Each prefix's MSE comes from ``ranking.mse_curve``, read from one QR
-    of the ranked order when the ranking was built on ``dataset``
-    (``ranking.error_curve``); nothing is refitted here.
+    Each prefix's MSE comes from ``ranking.mse_curve``, read from the
+    table's QR (``Dataset.table_qr``) and a small QR of its R factor when
+    the ranking was built on ``dataset`` (``ranking.error_curve``);
+    nothing is refitted here.
     Rank-deficient prefixes (+inf MSE) and prefixes with n < m + 2 score
     +inf and are never selected; ties go to the smallest model.
     """

@@ -9,6 +9,13 @@ from varsel import make_dataset
 EPS = np.finfo(float).eps
 
 
+def pytest_report_header(config):
+    # bit-exact tests (the p-value fallback's among them) were checked on
+    # one pair of versions; a run on others says which it used
+    import scipy
+    return f"numpy {np.__version__}, scipy {scipy.__version__}"
+
+
 def random_instance(seed: int, n: int, r: int, sparse: int | None = None,
                     noise: float = 0.5):
     """Gaussian feature table with a linear target over a random subset."""

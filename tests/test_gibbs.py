@@ -387,14 +387,20 @@ class TestConditionalMemo:
                                     for s in states)
         assert (library.hits, library.misses) == (loop.hits, loop.misses)
 
-    @pytest.mark.parametrize("eta", [0.1, 1.0, 100.0])
-    def test_matches_the_loop_on_the_benchmark_table(self, eta):
-        # the loop prices every subset by its own SVD fit; at eta = 1 and
-        # 100 the chain settles within the first sweep and reads the rest
-        # from the memo, at eta = 0.1 it keeps moving
-        table = benchmark_table(1, 122)
+    @pytest.mark.parametrize("features, m, sweeps, eta, memo_read", [
+        # at eta = 1 and 100 the chain settles within the first sweep and
+        # reads the rest from the memo, at eta = 0.1 it keeps moving
+        (122, 7, 3, 0.1, False), (122, 7, 3, 1.0, True), (122, 7, 3, 100.0, True),
+        # over 200 sweeps of 16 features a frozen chain reads nearly every
+        # conditional from the memo, a hot one (eta = 0.1) a few
+        (16, 3, 200, 0.1, True), (16, 3, 200, 100.0, True),
+    ], ids=["0.1", "1.0", "100.0", "16-features-0.1", "16-features-100.0"])
+    def test_matches_the_loop_on_the_benchmark_table(self, features, m, sweeps,
+                                                     eta, memo_read):
+        # the loop prices every subset by its own SVD fit
+        table = benchmark_table(1, features)
         ds = make_dataset(table.features, table.target)
-        config = GibbsConfig(m=7, eta=eta, sweeps=3, seed=1)
+        config = GibbsConfig(m=m, eta=eta, sweeps=sweeps, seed=1)
         library, loop = CostCache(ds), CostCache(ds)
         conditional = mock.Mock(wraps=gibbs._conditional)
         with mock.patch.object(gibbs, "_conditional", conditional):
@@ -403,7 +409,7 @@ class TestConditionalMemo:
         assert (library.hits, library.misses) == (loop.hits, loop.misses)
         for state, cost in zip(chain.states, chain.costs):
             assert cost == pytest.approx(loop.cost(state.indices), rel=1e-12)
-        assert (conditional.call_count < 21) == (eta > 0.1)
+        assert (conditional.call_count < m * sweeps) == memo_read
 
     @pytest.mark.parametrize("m, eta", [(1, 1.0), (3, 0.1), (3, 100.0)])
     def test_a_one_entry_memo_changes_nothing(self, m, eta):

@@ -20,6 +20,8 @@ from varsel import ingest as ingest_module
 from varsel.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from varsel.pipeline import ALL_STAGES, config_hash, dataset_sha256
 
+from conftest import benchmark_csv
+
 SCHEMA_PATH = Path(varsel.__file__).parent / "schema" / "report.schema.json"
 
 
@@ -139,26 +141,49 @@ class TestPipeline:
             profile = varsel.inclusion_frequencies(chain, gc.burn_in)
             assert entry["probabilities"] == profile.probabilities.tolist()
 
-    def test_reports_are_byte_identical_across_output_dirs(self, tmp_path):
-        data = write_fixture(tmp_path, seed=6)
+    # (table, argv): None is the fixture table, a number the benchmark's
+    # table of that many features at seed 1 (conftest.benchmark_csv)
+    @pytest.mark.parametrize("features, argv", [
+        pytest.param(None, ["report", "--m", "2", "--runs", "10", "--sweeps", "100",
+                            "--cv-runs", "20", "--seed", "5"], id="fixture-report"),
+        # 200 CV splits of 1213 rows, on the 3-feature subset the search
+        # picks, score two full blocks of 89 splits and a partial one
+        pytest.param(16, ["report", "--m", "2,3", "--seed", "1", "--runs", "4",
+                          "--max-iters", "20", "--sweeps", "40", "--cv-runs", "200"],
+                     id="report-16"),
+        # the gibbs subcommand alone samples from a cold cache, with no
+        # search before it
+        pytest.param(16, ["gibbs", "--m", "2,3", "--seed", "1", "--sweeps", "40"],
+                     id="cold-gibbs-16"),
+        # a hot chain (eta=0.1) is not a point mass: it keeps pricing new
+        # subsets, every one of which the cost cache keeps
+        pytest.param(16, ["gibbs", "--m", "3", "--seed", "1", "--eta", "0.1",
+                          "--sweeps", "200"], id="hot-gibbs-16"),
+        # correlated columns send some candidates of most kernel calls
+        # through a second projection pass
+        pytest.param(122, ["search", "--m", "7", "--runs", "3", "--seed", "1"],
+                     id="search-122"),
+        # RM1 and RM4 take both columns of the near-rank-deficient pair
+        pytest.param(30, ["rank", "--methods", "rm1,rm4"], id="forward-30"),
+        # RM2, RM3 and the p-values read the one QR of each pool
+        pytest.param(30, ["rank", "--methods", "rm2,rm3,pvalue"], id="backward-30"),
+        # all six rankings read every prefix from the one QR of the table
+        pytest.param(30, ["rank", "--methods", "rm1,rm2,rm3,rm4,rm5,pvalue"],
+                     id="rank-30"),
+    ])
+    def test_reports_are_byte_identical_across_output_dirs(self, tmp_path, features,
+                                                           argv):
+        if features is None:
+            data, target = write_fixture(tmp_path, seed=6), "y"
+        else:
+            data, target = benchmark_csv(tmp_path, 1, features)
         trees = []
         for sub in ("a", "b"):
-            config = RunConfig(
-                dataset_path=str(data),
-                target_column="y",
-                output_dir=str(tmp_path / sub),
-                m_values=(2,),
-                search_runs=10,
-                sweeps=100,
-                cv_runs=20,
-                seed=5,
-            )
-            run_pipeline(config)
-            tree = {
-                p.name: p.read_bytes()
-                for p in sorted((tmp_path / sub).iterdir())
-            }
-            trees.append(tree)
+            root = tmp_path / sub
+            assert main([*argv, "-i", str(data), "--target", target,
+                         "-o", str(root)]) == EXIT_OK
+            trees.append({p.relative_to(root): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
         assert trees[0].keys() == trees[1].keys()
         for name in trees[0]:
             assert trees[0][name] == trees[1][name], name
@@ -695,19 +720,24 @@ def test_import_does_not_load_scipy_special():
 
 def test_no_run_loads_scipy(tmp_path):
     # neither the p-value ranking alone nor a run of every stage and every
-    # ranking method imports any part of scipy
+    # ranking method imports any part of scipy; nor does such a run on the
+    # 30-feature benchmark table, whose rank-rule pair sends candidates of
+    # the forward rankings to their small factors
     data = write_fixture(tmp_path, n=40, r=4)
+    table, target = benchmark_csv(tmp_path, 1, 30)
     out = run_fresh_python(f"""
 import sys
 from varsel import RunConfig, run_pipeline
-def loaded(**settings):
-    run_pipeline(RunConfig(dataset_path={str(data)!r}, target_column="y",
+def loaded(data, target, **settings):
+    run_pipeline(RunConfig(dataset_path=data, target_column=target,
                            output_dir={str(tmp_path / "out")!r}, **settings))
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(loaded(stages=("rank",), methods=("pvalue",)))
-print(loaded(m_values=(2,), search_runs=4, sweeps=20, cv_runs=20))
+print(loaded({str(data)!r}, "y", stages=("rank",), methods=("pvalue",)))
+print(loaded({str(data)!r}, "y", m_values=(2,), search_runs=4, sweeps=20, cv_runs=20))
+print(loaded({str(table)!r}, {target!r}, m_values=(2,), search_runs=4, max_iters=20,
+             sweeps=40, cv_runs=200, seed=1))
 """)
-    assert out == "[]\n[]\n"
+    assert out == "[]\n[]\n[]\n"
 
 
 # Each row: flag, its argument, the RunConfig field it sets, the parsed value.

@@ -35,6 +35,7 @@ from varsel.ranking import _pvalues, _stepwise
 from conftest import (
     EPS,
     awkward_tables,
+    benchmark_table,
     near_duplicate_table,
     random_instance,
     unit_orthogonal_to,
@@ -92,6 +93,24 @@ def wide_tables(draw):
     return make_dataset(x, y)
 
 
+def certified_runs(dataset, largest):
+    """Walk RM1 (RM4 if ``largest``) on the forward state, asserting at
+    every step that its ``Factor`` equals ``loop_state_factor``'s bit for
+    bit; returns each step's ``n_certified``."""
+    state, runs = _AddState(dataset), []
+
+    def price(taken, pool):
+        state.follow(taken)
+        factor = state.factor()
+        assert factor_bits(factor) == factor_bits(
+            loop_state_factor(state)), (largest, state.taken)
+        runs.append(factor.n_certified)
+        return state.costs()
+
+    _stepwise(state.pool, price, largest)
+    return runs
+
+
 class TestForwardCertificate:
     """The forward state carries its certificate: at every step of RM1 and
     RM4 its ``Factor`` is ``_certified``'s of the same blocks, field by
@@ -102,16 +121,16 @@ class TestForwardCertificate:
     @given(dataset=st.one_of(state_tables(), awkward_tables(), wide_tables()))
     def test_every_step_equals_certified(self, dataset):
         for largest in (False, True):
-            state = _AddState(dataset)
-
-            def price(taken, pool):
-                state.follow(taken)
-                assert factor_bits(state.factor()) == factor_bits(
-                    loop_state_factor(state)), (largest, state.taken)
-                return state.costs()
-
             with suppress(DegenerateStepError):
-                _stepwise(state.pool, price, largest)
+                certified_runs(dataset, largest)
+
+    @pytest.mark.parametrize("largest", [False, True], ids=["rm1", "rm4"])
+    def test_every_step_on_the_benchmark_table(self, largest):
+        # 122 features: past step 84, where the rank-rule pair enters RM1,
+        # the certified run stops
+        table = benchmark_table(1, 122)
+        runs = certified_runs(make_dataset(table.features, table.target), largest)
+        assert len(runs) == 122 and runs[-1] < 122, runs[-1]
 
 
 class TestOneFactorPerRanking:

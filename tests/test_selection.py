@@ -172,10 +172,11 @@ class TestPValueStopping:
 
 
 class TestSelectOrderReadsTheRanking:
-    """``select_order`` scores the MSEs the ranking already read from one QR
-    of its order and reproduces the loop that refitted every prefix by SVD:
-    every +inf entry and every m_star exactly, and every MSE, like the
-    loop's, within the bound of a 50-digit solve."""
+    """``select_order`` scores the MSEs the ranking already read from the
+    table's QR and a small QR of its R factor, and reproduces the loop that
+    refitted every prefix by SVD: every +inf entry and every m_star
+    exactly, and every MSE, like the loop's, within the bound of a 50-digit
+    solve."""
 
     @settings(max_examples=40, deadline=None)
     @given(dataset=awkward_tables())

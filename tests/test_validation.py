@@ -21,9 +21,18 @@ from varsel import (
 from varsel import data, linmodel, validation
 from varsel.data import run_rng
 
-from conftest import awkward_tables, near_duplicate_table, random_instance
+from conftest import (awkward_tables, benchmark_table, near_duplicate_table,
+                      random_instance)
 from oracles import (cv_report_of, exact_cv_runs, loop_correlation_graph,
                      loop_monte_carlo_cv, loop_run_rngs)
+
+
+def benchmark_pair_case():
+    """The 30-feature benchmark table and the subset of its planted columns
+    and both columns of its near-rank-deficient pair."""
+    table = benchmark_table(1, 30)
+    subset = FeatureSubset(tuple(sorted(set(table.rank_rule_pair) | set(table.planted))))
+    return make_dataset(table.features, table.target), subset
 
 
 def cv_outcome(cv, dataset, subset, train_fraction, runs, seed):
@@ -298,14 +307,19 @@ class TestMonteCarloCv:
         assert report.skipped == 10
         assert 10 < fallback.call_count < 60
 
-    def test_an_uncertified_design_sends_every_split_to_the_svd_rule(self):
+    @pytest.mark.parametrize("case, runs, seed", [
+        (lambda: (near_duplicate_table(3, 1e-9), FeatureSubset((1, 2, 3))), 30, 2),
+        (benchmark_pair_case, 300, 1),
+    ], ids=["near-duplicate", "benchmark-30-pair"])
+    def test_an_uncertified_design_sends_every_split_to_the_svd_rule(
+            self, case, runs, seed):
         # the near-rank-deficient pair: _factor does not certify the design
-        ds = near_duplicate_table(3, 1e-9)
+        ds, subset = case()
         fallback = mock.Mock(wraps=validation._split_by_svd)
         with mock.patch.object(validation, "_split_by_svd", fallback):
-            got = monte_carlo_cv(ds, FeatureSubset((1, 2, 3)), runs=30, seed=2)
-        assert fallback.call_count == 30
-        assert got == loop_monte_carlo_cv(ds, FeatureSubset((1, 2, 3)), runs=30, seed=2)
+            got = monte_carlo_cv(ds, subset, runs=runs, seed=seed)
+        assert fallback.call_count == runs
+        assert got == loop_monte_carlo_cv(ds, subset, runs=runs, seed=seed)
 
     @pytest.mark.parametrize("seed,log_ratio,indices", [(0, -5.5, (1, 2)),
                                                         (1, -5.4, (1, 2, 3))])
