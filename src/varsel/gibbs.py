@@ -33,7 +33,7 @@ import numpy as np
 from .data import Dataset, FeatureSubset, check_seed, run_rng
 from .errors import ConfigError, DegenerateStepError
 from .linmodel import CostCache
-from .search import all_subset_costs, random_subset
+from .search import all_subset_costs, cost_cache, random_subset
 
 ENUMERATION_BUDGET = 100_000
 
@@ -168,7 +168,8 @@ def full_conditional_weights(
     if not 1 <= j <= state.m:
         raise ConfigError(f"position {j} outside [1, {state.m}]")
     others = state.indices[:j - 1] + state.indices[j:]
-    candidates, weights = _conditional(cache or CostCache(dataset), others, config.eta)
+    cache = cost_cache(dataset, cache)
+    candidates, weights = _conditional(cache, others, config.eta)
     return np.array(candidates, dtype=int), weights
 
 
@@ -186,7 +187,7 @@ def gibbs_run(
     r = dataset.n_features
     if config.m > r:
         raise ConfigError(f"m={config.m} exceeds R={r}")
-    cache = cache or CostCache(dataset)
+    cache = cost_cache(dataset, cache)
     rng = run_rng(config.seed)
     state = list(random_subset(rng, r, config.m).indices)
     states, costs = [], []
@@ -235,7 +236,7 @@ def exact_target_enumeration(
     r = dataset.n_features
     if not 1 <= m <= r:
         raise ConfigError(f"m={m} outside [1, {r}]")
-    cache = cache or CostCache(dataset)
+    cache = cost_cache(dataset, cache)
     keys, costs = zip(*all_subset_costs(cache, m, budget))
     probs = _stable_weights(-eta * np.array(costs))
     # bincount adds in input order: key by key, index by index

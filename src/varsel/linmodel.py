@@ -5,9 +5,11 @@ raw normal equations: feature tables in this domain contain near-duplicate
 columns and conditioning matters.
 
 * The SVD rule.  ``full_rank_lstsq`` is the one rank rule, and the only
-  ``lstsq`` call: ``fit_least_squares`` / ``subset_cost``, every CV train
-  split the factor does not certify and every fit it leaves
-  undecided (``_svd_costs``, +inf when rank-deficient) solve through it.
+  ``lstsq`` call: ``fit_least_squares`` / ``subset_cost`` (the reference
+  the factor's fits are held to), every CV train split the factor does not
+  certify, and ``_svd_costs`` (+inf when rank-deficient), which prices only
+  the candidates the factor leaves in the band and the removals from a
+  pool it does not certify, solve through it.
   A design is rank-deficient when ``sigma_min <= RANK_RCOND *
   sigma_max``; it then raises ``RankDeficiencyError`` instead of being
   silently pseudo-inverted, so search procedures can skip degenerate
@@ -38,7 +40,8 @@ columns and conditioning matters.
   ``_band_decisions``, the one place the band is applied.  A full-rank
   candidate's residual is a rank-one update, a rank-deficient one's cost
   +inf, and only a ratio within ``RANK_BAND`` of ``RANK_RCOND`` goes to
-  the SVD rule.  The forward rankings (RM1, RM4)
+  the SVD rule.  ``CostCache`` prices every miss through the same kernel.
+  The forward rankings (RM1, RM4)
   price every step through the same helper from one ``_AddState``, which
   keeps the taken columns' Q and A, their certificate, and the complement
   of every column not taken, and grows them by one Gram-Schmidt direction
@@ -280,8 +283,9 @@ def subset_cost(
 
 def _svd_costs(dataset: Dataset, subsets, p=1.0, alpha=1.0) -> np.ndarray:
     """``subset_cost`` of each index tuple by the SVD rule, +inf where its
-    design is rank-deficient: the fallback of every fit the certified
-    factor does not decide."""
+    design is rank-deficient: the price of a candidate ``neighbour_costs``
+    leaves in the band (``_priced``) and of a removal from a pool the bound
+    does not certify (``_DropState.removal_maes``)."""
     costs = np.full(len(subsets), math.inf)
     for i, indices in enumerate(subsets):
         with suppress(RankDeficiencyError):
@@ -927,9 +931,13 @@ class CostCache:
     ``1 << k`` over its indices, so one entry serves every ordering.
 
     Degenerate subsets are recorded as +inf, which search treats as
-    never-improving and sampling as weight zero.  Every priced subset is
-    kept for the life of the cache, so its cost is the first value stored,
-    whichever kernel computed it.  Indices are checked on every call.
+    never-improving and sampling as weight zero.  Every miss is priced by
+    the ``neighbour_costs`` kernel: a ``cost`` miss on the subset's
+    ascending indices, its largest index the one candidate, and the misses
+    of a ``neighbour_costs`` batch by one call.  The empty subset has no
+    candidate, and takes the residual of the intercept's factor.  Every
+    priced subset is kept for the life of the cache, so its cost is the
+    first value stored.  Indices are checked on every call.
     """
 
     def __init__(self, dataset: Dataset, p: float = 1.0, alpha: float = 1.0):
@@ -961,8 +969,9 @@ class CostCache:
     def cost(self, indices: tuple[int, ...]) -> float:
         """Cost of the subset; +inf when the design is rank-deficient.  The
         indices are checked before anything compares them, and a miss is
-        priced on their ascending order, which an invalid subset's error
-        names once its indices are known to be integers."""
+        priced on their ascending order (see the class docstring), which an
+        invalid subset's error names once its indices are known to be
+        integers."""
         indices = tuple(indices)
         try:
             key = self._bitmask(indices)
@@ -973,9 +982,14 @@ class CostCache:
         found = self._store.get(key)
         if found is None:
             self.misses += 1
-            found = float(_svd_costs(self.dataset, [tuple(sorted(indices))],
-                                     self.p, self.alpha)[0])
-            self._store[key] = found
+            ascending = sorted(indices)
+            if ascending:
+                largest = ascending.pop()
+                found = self._price(key ^ self._bits[largest], tuple(ascending),
+                                    [largest])[0]
+            else:  # no candidate to price: the intercept's own residual
+                found = self._store[key] = residual_norm_cost(
+                    _factor(self.dataset, ()).residuals, self.p, self.alpha)
         else:
             self.hits += 1
         return found
@@ -996,8 +1010,17 @@ class CostCache:
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         if missing:  # checked above: straight to the kernel
-            costs = _priced(self.dataset, fixed, missing,
-                            _neighbour_residuals(self.dataset, fixed, missing),
-                            self.p, self.alpha)
-            store.update(zip([base | bits[k] for k in missing], costs.tolist()))
+            self._price(base, fixed, missing)
         return np.array([store[key] for key in keys])
+
+    def _price(self, base: int, fixed: tuple[int, ...],
+               missing: list[int]) -> list[float]:
+        """Store and return the costs of ``fixed + (k,)`` for every missing
+        candidate k, checked indices whose key is ``base | 1 << k``, from
+        one ``neighbour_costs`` kernel call on ``fixed``."""
+        costs = _priced(self.dataset, fixed, missing,
+                        _neighbour_residuals(self.dataset, fixed, missing),
+                        self.p, self.alpha).tolist()
+        bits = self._bits
+        self._store.update(zip([base | bits[k] for k in missing], costs))
+        return costs

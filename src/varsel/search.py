@@ -5,8 +5,8 @@ alternating optimization: cycle through the M subset positions, solving each
 one-position subproblem exhaustively over the unused feature indices, until
 a full sweep makes no change.  Restarting from many random initializations
 and keeping the best run recovers the global minimum with high probability.
-Costs come from a ``CostCache``, the one holder of the cost settings; an
-omitted cache means the L1 cost.
+Costs come from a ``CostCache`` of the table searched, the one holder of
+the cost settings; an omitted cache means the L1 cost.
 """
 
 from __future__ import annotations
@@ -48,10 +48,30 @@ def random_subset(rng: np.random.Generator, r: int, m: int) -> FeatureSubset:
     return FeatureSubset(tuple(int(k) + 1 for k in rng.permutation(r)[:m]))
 
 
+def cost_cache(dataset: Dataset, cache: CostCache | None) -> CostCache:
+    """``cache``, or the L1 ``CostCache`` of ``dataset`` when it is None:
+    the cache of every search and sampling entry point.
+
+    Raises:
+        ConfigError: the cache was built on another table.
+    """
+    if cache is None:
+        return CostCache(dataset)
+    if cache.dataset is not dataset:
+        raise ConfigError("the cost cache was built on another table")
+    return cache
+
+
 def all_subset_costs(cache: CostCache, m: int, budget: int):
     """Lazy ``(key, cost)`` over all size-m ascending index tuples in
-    lexicographic order; raises ``BudgetExceededError`` at the call when
-    C(R, m) exceeds the budget."""
+    lexicographic order, one cache hit or miss each; raises
+    ``BudgetExceededError`` at the call when C(R, m) exceeds the budget.
+
+    The tuples that share their first m - 1 indices, the head, are
+    consecutive, and one ``CostCache.neighbour_costs`` call prices them
+    all: the head fixed and every larger index a candidate, so a group's
+    misses take one QR of the head's design.
+    """
     r = cache.dataset.n_features
     count = math.comb(r, m)
     if count > budget:
@@ -61,7 +81,18 @@ def all_subset_costs(cache: CostCache, m: int, budget: int):
             count=count,
             budget=budget,
         )
-    return ((key, cache.cost(key)) for key in combinations(range(1, r + 1), m))
+    return _grouped_costs(cache, r, m)
+
+
+def _grouped_costs(cache: CostCache, r: int, m: int):
+    if m == 0:
+        yield (), cache.cost(())
+        return
+    # every head with a larger index left, ascending
+    for head in combinations(range(1, r), m - 1):
+        tail = range(head[-1] + 1 if head else 1, r + 1)
+        costs = cache.neighbour_costs(head, list(tail)).tolist()
+        yield from ((head + (k,), cost) for k, cost in zip(tail, costs))
 
 
 def exhaustive_best_subset(
@@ -70,16 +101,20 @@ def exhaustive_best_subset(
     budget: int = EXHAUSTIVE_BUDGET,
     cache: CostCache | None = None,
 ) -> SearchResult:
-    """Global minimum over all size-m subsets by full enumeration.
+    """Global minimum over all size-m subsets by full enumeration
+    (``all_subset_costs``); the first of equal costs in lexicographic order
+    wins.
 
     Raises:
+        ConfigError: m is outside [0, R], or the cache was built on another
+            table.
         BudgetExceededError: C(R, m) exceeds the subset budget.
         DegenerateStepError: every size-m subset is rank-deficient.
     """
     r = dataset.n_features
     if not 0 <= m <= r:
         raise ConfigError(f"m={m} outside [0, {r}]")
-    cache = cache or CostCache(dataset)
+    cache = cost_cache(dataset, cache)
     best_key, best_cost = None, math.inf
     for key, cost in all_subset_costs(cache, m, budget):
         if cost < best_cost:
@@ -125,7 +160,7 @@ def alternating_optimization(
     init.validate_against(dataset)
     if init.m != m:
         raise ConfigError(f"init has {init.m} indices, expected m={m}")
-    cache = cache or CostCache(dataset)
+    cache = cost_cache(dataset, cache)
     r = dataset.n_features
     state = list(init.indices)
     current_cost = cache.cost(tuple(state))
@@ -187,7 +222,7 @@ def multi_restart_search(
     r = dataset.n_features
     if m > r:
         raise ConfigError(f"m={m} outside [1, {r}]")
-    cache = cache or CostCache(dataset)
+    cache = cost_cache(dataset, cache)
     best: SearchResult | None = None
     iterations = degenerate = 0
     for rng in run_rngs(seed, range(runs)):

@@ -4,8 +4,9 @@ The ``oracle_*`` functions fit through the pseudo-inverse and re-implement
 the greedy loops directly, so none of them shares code with the library
 paths they validate. The ``loop_*`` functions keep the library's former
 per-candidate loops, which priced each candidate subset with its own SVD
-fit, the hand-written backward loops the stepwise driver replaced, the
-error curve and the order selection that refitted every ranking prefix by
+fit (through ``LoopCostCache``), the hand-written backward loops the
+stepwise driver replaced, the error curve and the order selection that
+refitted every ranking prefix by
 SVD, the prefix decisions that took the singular values of every
 uncertified leading block, the forward state's factor re-derived by
 ``_certified`` at every step, the Gram-Schmidt scan that sets aside the
@@ -44,6 +45,7 @@ from varsel import (
     fit_least_squares,
     fit_subset,
     information_criterion_value,
+    subset_cost,
 )
 from varsel.data import (Dataset, check_seed, constant_columns, normalize_columns,
                          run_rng)
@@ -115,9 +117,40 @@ def loop_run_rngs(seed, keys):
     return (run_rng(seed, key) for key in keys)
 
 
+class LoopCostCache:
+    """The memo the ``loop_*`` searches and samplers price through: a miss
+    is ``price`` of the subset's ascending indices, by default its own SVD
+    ``subset_cost`` (+inf when rank-deficient), so the loops hold the
+    library's kernel costs to SVD fits, not to themselves.  A cost is
+    stored under the set of its indices and never priced again, and every
+    lookup counts one hit or one miss, as ``CostCache`` counts them."""
+
+    def __init__(self, dataset, price=None):
+        self.dataset = dataset
+        self.price = price or self.svd_cost
+        self.store = {}
+        self.hits = self.misses = 0
+
+    def svd_cost(self, indices):
+        try:
+            return subset_cost(self.dataset, FeatureSubset(indices))
+        except RankDeficiencyError:
+            return math.inf
+
+    def cost(self, indices):
+        key = frozenset(indices)
+        if key in self.store:
+            self.hits += 1
+        else:
+            self.misses += 1
+            self.store[key] = self.price(tuple(sorted(indices)))
+        return self.store[key]
+
+
 def loop_alternating_optimization(dataset, m, init, cache, max_iters=100):
     """(ascending subset, cost, sweeps, update-cost trace) of the old
-    coordinate loop, one ``cache.cost`` call per candidate."""
+    coordinate loop, one ``cache.cost`` call per candidate of a
+    ``LoopCostCache``."""
     r = dataset.n_features
     state = list(init.indices)
     current_cost = cache.cost(tuple(state))
@@ -163,7 +196,8 @@ def loop_multi_restart_search(dataset, m, runs, seed, cache):
 
 
 def loop_full_conditional(dataset, state, j, eta, cache):
-    """(candidates, probabilities) of position j, one cache lookup each."""
+    """(candidates, probabilities) of position j, one lookup each in the
+    ``LoopCostCache``."""
     others = set(state.indices) - {state.indices[j - 1]}
     candidates = np.array(
         [k for k in range(1, dataset.n_features + 1) if k not in others],
@@ -178,7 +212,8 @@ def loop_full_conditional(dataset, state, j, eta, cache):
 
 
 def loop_gibbs_states(dataset, config, cache):
-    """Chain states of the old systematic-scan sampler."""
+    """Chain states of the old systematic-scan sampler, priced through a
+    ``LoopCostCache``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     state = random_subset(rng, dataset.n_features, config.m)
     states = []

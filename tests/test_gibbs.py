@@ -23,11 +23,11 @@ from varsel import (
     make_dataset,
 )
 
-from varsel import gibbs, linmodel
+from varsel import gibbs
 from varsel.gibbs import _draw, _stable_weights
 
 from conftest import awkward_tables, benchmark_table, random_instance
-from oracles import loop_gibbs_states, oracle_cost
+from oracles import LoopCostCache, loop_gibbs_states, oracle_cost
 
 
 def log3_dataset():
@@ -333,19 +333,14 @@ class TestExactEnumeration:
 
 
 def loop_on_the_same_prices(dataset, config, priced):
-    """``loop_gibbs_states`` on a fresh cache whose every miss takes the cost
-    the cache ``priced`` stored, rather than an SVD fit of its own: the loop
-    then draws from the weights the library drew from, bit for bit, and a
-    subset the library never priced raises ``KeyError``.  Returns the
-    states and the loop's cache."""
-    loop = CostCache(dataset)
-
-    def stored(ds, subsets, p, alpha):
-        return np.array([priced._store[priced._bitmask(s)] for s in subsets])
-
-    with mock.patch.object(linmodel, "_svd_costs", stored):
-        states = loop_gibbs_states(dataset, config, loop)
-    return states, loop
+    """``loop_gibbs_states`` on a ``LoopCostCache`` whose every miss reads
+    the cost the ``CostCache`` ``priced`` stored, rather than an SVD fit of
+    its own: the loop then draws from the weights the library drew from,
+    bit for bit, and a subset the library never priced raises
+    ``KeyError``.  Returns the states and the loop's cache."""
+    loop = LoopCostCache(
+        dataset, price=lambda indices: priced._store[priced._bitmask(indices)])
+    return loop_gibbs_states(dataset, config, loop), loop
 
 
 def memo_sizes():
@@ -383,7 +378,7 @@ class TestConditionalMemo:
             assume(False)
         states, loop = loop_on_the_same_prices(dataset, config, library)
         assert chain.states == states
-        assert chain.costs == tuple(loop._store[loop._bitmask(s.indices)]
+        assert chain.costs == tuple(loop.store[frozenset(s.indices)]
                                     for s in states)
         assert (library.hits, library.misses) == (loop.hits, loop.misses)
 
@@ -401,7 +396,7 @@ class TestConditionalMemo:
         table = benchmark_table(1, features)
         ds = make_dataset(table.features, table.target)
         config = GibbsConfig(m=m, eta=eta, sweeps=sweeps, seed=1)
-        library, loop = CostCache(ds), CostCache(ds)
+        library, loop = CostCache(ds), LoopCostCache(ds)
         conditional = mock.Mock(wraps=gibbs._conditional)
         with mock.patch.object(gibbs, "_conditional", conditional):
             chain = gibbs_run(ds, config, cache=library)

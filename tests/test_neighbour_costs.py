@@ -3,11 +3,12 @@ and the library loops built on it against their former per-candidate
 versions."""
 
 import math
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from varsel import (
     CostCache,
@@ -17,6 +18,7 @@ from varsel import (
     RankDeficiencyError,
     alternating_optimization,
     build_design_matrix,
+    exhaustive_best_subset,
     gibbs_run,
     make_dataset,
     multi_restart_search,
@@ -34,12 +36,13 @@ from varsel.linmodel import (
     _neighbour_residuals,
     _project_out,
 )
-from varsel.search import random_subset
+from varsel.search import EXHAUSTIVE_BUDGET, all_subset_costs, random_subset
 
 from conftest import (
     EPS,
     PREFIX_BOUND,
     assert_residuals_orthogonal,
+    awkward_tables,
     benchmark_table,
     cost_tolerance,
     near_duplicate_table,
@@ -47,6 +50,7 @@ from conftest import (
     random_instance,
 )
 from oracles import (
+    LoopCostCache,
     exact_prefix_fits,
     loop_alternating_optimization,
     loop_forward_order,
@@ -389,8 +393,10 @@ class TestCacheBatch:
             assert list(batched._store) == list(per_key._store)
 
     def test_keeps_the_first_stored_value(self):
-        # (1, 2) priced by the SVD, then read back by a batch whose kernel
-        # prices only its miss (1, 3): the stored value is never replaced
+        # (1, 2) priced by a miss of its own, one kernel call with fixed
+        # (1,) and the one candidate 2, then read back by a batch whose
+        # kernel call prices only its miss (1, 3): the stored value is never
+        # replaced
         x, y, _ = random_instance(18, 30, 5)
         ds = make_dataset(x, y)
         cache = CostCache(ds)
@@ -448,15 +454,102 @@ class TestCacheRejectsInvalidIndices:
         assert (cache.hits, cache.misses, cache._store) == (0, 0, {})
 
     def test_a_miss_is_priced_on_ascending_columns(self):
-        # every ordering shares one key, and the miss that stores it is
-        # priced as the SVD path prices the sorted subset
+        # every ordering shares one key, and the miss that stores it is the
+        # kernel's price of the sorted subset, bit for bit: its largest
+        # index the one candidate, with no SVD fit on a full-rank table
         x, y, _ = random_instance(22, 30, 5)
         ds = make_dataset(x, y)
+        want = neighbour_costs(ds, (1, 3), [4])[0]
+        design = build_design_matrix(ds, FeatureSubset((1, 3, 4))).values
+        svd = subset_cost(ds, FeatureSubset((1, 3, 4)))
+        assert abs(want - svd) <= cost_tolerance(ds, design, 1.0, 1.0) * svd
         for order in [(4, 1, 3), (3, 4, 1)]:
             cache = CostCache(ds)
-            assert cache.cost(order) == subset_cost(ds, FeatureSubset((1, 3, 4)))
-            assert cache.cost((1, 3, 4)) == cache.cost(order)
+            with count_calls("_neighbour_residuals") as kernel, \
+                    count_calls("_svd_costs") as svd_fits:
+                assert cache.cost(order) == want
+                assert cache.cost((1, 3, 4)) == cache.cost(order)
+            assert [call.args[1:] for call in kernel.call_args_list] == [((1, 3), [4])]
+            svd_fits.assert_not_called()
             assert (cache.hits, cache.misses) == (2, 1)
+
+
+def loop_subset_costs(dataset, m):
+    """``(key, cost)`` of every size-m ascending index tuple in
+    ``combinations`` order, each priced by its own SVD fit (+inf when
+    rank-deficient): the enumeration before it was grouped."""
+    svd = LoopCostCache(dataset).svd_cost
+    return [(key, svd(key))
+            for key in combinations(range(1, dataset.n_features + 1), m)]
+
+
+class TestGroupedEnumeration:
+    """``search.all_subset_costs`` prices each group of subsets that share
+    their first m - 1 indices by one kernel call, against the loop that
+    fits every subset by SVD."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dataset=awkward_tables(), m=st.integers(0, 3))
+    def test_matches_the_per_subset_loop(self, dataset, m):
+        # near-duplicate, duplicate and zero columns: +inf subsets, and
+        # subsets whose designs are one another's columns in another order
+        assume(m <= dataset.n_features)
+        count = math.comb(dataset.n_features, m)
+        want = loop_subset_costs(dataset, m)
+        cache = CostCache(dataset)
+        got = list(all_subset_costs(cache, m, EXHAUSTIVE_BUDGET))
+        assert [key for key, _ in got] == [key for key, _ in want]
+        assert (cache.hits, cache.misses) == (0, count)
+        costs = np.array([cost for _, cost in got])
+        loop = np.array([cost for _, cost in want])
+        np.testing.assert_array_equal(np.isinf(costs), np.isinf(loop))
+        tolerance = np.full(count, math.inf)
+        for i, (key, _) in enumerate(want):
+            if math.isfinite(loop[i]):
+                design = build_design_matrix(dataset, FeatureSubset(key)).values
+                tolerance[i] = cost_tolerance(dataset, design, 1.0, 1.0) * loop[i]
+                assert abs(costs[i] - loop[i]) <= tolerance[i], (key, costs[i], loop[i])
+        assert list(all_subset_costs(cache, m, EXHAUSTIVE_BUDGET)) == got
+        assert (cache.hits, cache.misses) == (count, count)
+        if not np.isfinite(loop).any():
+            return
+        # The first minimum in lexicographic order wins, of costs as each
+        # route computes them.  A subset whose design holds the same
+        # columns as another's in another order (an exact copy in place of
+        # its original) has that subset's cost only up to rounding, on
+        # either route, so either may be the minimum: the loop's first
+        # minimum is the library's wherever it leads every other subset by
+        # more than the tolerance, and the library's is within the
+        # tolerance of it everywhere.
+        best = exhaustive_best_subset(dataset, m, cache=cache)
+        chosen = [key for key, _ in want].index(best.subset.indices)
+        first = int(np.argmin(loop))
+        assert best.cost == costs[chosen] == costs.min()
+        runner_up = np.delete(loop, first).min(initial=math.inf)
+        if runner_up - loop[first] > tolerance[first]:
+            assert chosen == first
+        else:
+            assert loop[chosen] - loop[first] <= max(tolerance[chosen],
+                                                     tolerance[first])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_one_kernel_call_per_group(self, m):
+        # a full-rank table: no SVD fit, one kernel call on each head with
+        # every larger index its candidates, and none on a second pass
+        x, y, _ = random_instance(23, 30, 7)
+        ds = make_dataset(x, y)
+        cache = CostCache(ds)
+        with count_calls("_neighbour_residuals") as kernel, \
+                count_calls("_svd_costs") as svd:
+            keys = [key for key, _ in all_subset_costs(cache, m, EXHAUSTIVE_BUDGET)]
+            heads = dict.fromkeys(key[:-1] for key in keys) if m else {}
+            assert [call.args[1:] for call in kernel.call_args_list] == [
+                (head, list(range(max(head, default=0) + 1, 8))) for head in heads]
+            kernel.reset_mock()
+            list(all_subset_costs(cache, m, EXHAUSTIVE_BUDGET))
+            kernel.assert_not_called()
+        svd.assert_not_called()
+        assert len(keys) == math.comb(7, m)
 
 
 def awkward_table(seed, n=50, r=10):
@@ -487,7 +580,7 @@ class TestEquivalenceWithLoops:
             init = random_subset(np.random.default_rng(seed), ds.n_features, m)
             got = alternating_optimization(ds, m, init, cache=CostCache(ds))
             subset, cost, sweeps, trace = loop_alternating_optimization(
-                ds, m, init, CostCache(ds))
+                ds, m, init, LoopCostCache(ds))
             assert got.subset.indices == subset
             assert got.iterations == sweeps
             np.testing.assert_allclose(got.update_costs, trace, rtol=1e-12)
@@ -497,7 +590,7 @@ class TestEquivalenceWithLoops:
         ds = table()
         got = multi_restart_search(ds, 3, runs=8, seed=5, cache=CostCache(ds))
         subset, cost, iterations = loop_multi_restart_search(
-            ds, 3, 8, 5, CostCache(ds))
+            ds, 3, 8, 5, LoopCostCache(ds))
         assert got.subset.indices == subset
         assert got.iterations == iterations
         assert got.cost == pytest.approx(cost, rel=1e-12)
@@ -508,13 +601,13 @@ class TestEquivalenceWithLoops:
         ds = table()
         config = GibbsConfig(m=3, eta=eta, sweeps=40, seed=9)
         chain = gibbs_run(ds, config, cache=CostCache(ds))
-        assert chain.states == loop_gibbs_states(ds, config, CostCache(ds))
+        assert chain.states == loop_gibbs_states(ds, config, LoopCostCache(ds))
 
     @pytest.mark.parametrize("table", TABLES)
     def test_cache_counters_after_search_then_gibbs(self, table):
         ds = table()
         config = GibbsConfig(m=3, eta=1.0, sweeps=20, seed=2)
-        library, loop = CostCache(ds), CostCache(ds)
+        library, loop = CostCache(ds), LoopCostCache(ds)
         multi_restart_search(ds, 3, runs=5, seed=1, cache=library)
         gibbs_run(ds, config, cache=library)
         loop_multi_restart_search(ds, 3, 5, 1, loop)
@@ -571,7 +664,7 @@ class TestSearchAndGibbsOnTheBenchmarkTable:
     def test_match_the_loops(self):
         table = benchmark_table(1, 122)
         ds = make_dataset(table.features, table.target)
-        library, loop = CostCache(ds), CostCache(ds)
+        library, loop = CostCache(ds), LoopCostCache(ds)
         got = multi_restart_search(ds, 7, runs=3, seed=1, cache=library)
         subset, cost, iterations = loop_multi_restart_search(ds, 7, 3, 1, loop)
         assert got.subset.indices == subset

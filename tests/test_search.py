@@ -10,9 +10,14 @@ import pytest
 from varsel import (
     BudgetExceededError,
     ConfigError,
+    CostCache,
     FeatureSubset,
+    GibbsConfig,
     alternating_optimization,
+    exact_target_enumeration,
     exhaustive_best_subset,
+    full_conditional_weights,
+    gibbs_run,
     make_dataset,
     multi_restart_search,
     subset_cost,
@@ -196,3 +201,40 @@ class TestMultiRestart:
         clean = multi_restart_search(make_dataset(*random_instance(12, 25, 5)[:2]),
                                      2, runs=runs, seed=seed)
         assert clean.degenerate_restarts == 0
+
+
+class TestCacheOfAnotherTable:
+    """A cache keys subsets by their indices alone, so a cache built on
+    another table would price that table's subsets: exhaustive search
+    enumerated its C(8, 2) subsets while reporting C(5, 2) iterations, and
+    exact enumeration gave an 8-entry profile for a 5-feature table.  Every
+    entry point that takes a cache refuses one built on another table,
+    before it prices anything."""
+
+    CALLS = [
+        pytest.param(lambda ds, cache: exhaustive_best_subset(ds, 2, cache=cache),
+                     id="exhaustive"),
+        pytest.param(lambda ds, cache: alternating_optimization(
+            ds, 2, FeatureSubset((1, 2)), cache=cache), id="alternating"),
+        pytest.param(lambda ds, cache: multi_restart_search(ds, 2, runs=2, cache=cache),
+                     id="multi-restart"),
+        pytest.param(lambda ds, cache: full_conditional_weights(
+            ds, FeatureSubset((1, 2)), 1, GibbsConfig(m=2), cache=cache),
+            id="full-conditional"),
+        pytest.param(lambda ds, cache: gibbs_run(ds, GibbsConfig(m=2, sweeps=2),
+                                                 cache=cache), id="gibbs"),
+        pytest.param(lambda ds, cache: exact_target_enumeration(ds, 2, eta=1.0,
+                                                                cache=cache),
+                     id="exact-enumeration"),
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_is_refused(self, call):
+        ds = make_dataset(*random_instance(24, 25, 5)[:2])
+        other = CostCache(make_dataset(*random_instance(25, 25, 8)[:2]))
+        with pytest.raises(ConfigError, match="cost cache was built on another table"):
+            call(ds, other)
+        assert (other.hits, other.misses, other._store) == (0, 0, {})
+        own = CostCache(ds)
+        call(ds, own)
+        assert own.misses > 0
