@@ -27,9 +27,11 @@ columns and conditioning matters.
   ``_AddState`` to each prefix it appends, from running sums whose
   ``Factor`` a test pins equal to ``_certified``'s.
   ``_project_out`` projects the target here and the columns of
-  ``_usable_features`` by two Gram-Schmidt passes, and the candidates of
-  add by one, with a second only for a candidate the first left with
-  less than half its squared norm.  The factor answers the three questions
+  ``_usable_features`` by two Gram-Schmidt passes.  The candidates of add
+  and the rows the forward state deflates take one, and a second only
+  where the first left a row less than half the squared norm it held
+  before: the one reorthogonalisation rule, ``_project_rows``, for both.
+  The factor answers the three questions
   of the greedy rankings, search and sampling, and gives every ranking's
   prefix curves.  Add (``neighbour_costs``) reads the factor of the fixed
   columns certified or not: every candidate is projected onto the
@@ -322,30 +324,44 @@ def _project_out(q: np.ndarray, r: np.ndarray, norm2: np.ndarray | None = None
 
     With no ``norm2`` it takes two Gram-Schmidt passes.  Given ``norm2``,
     the rows' squared norms before projection, it takes one pass, and a
-    second only for the rows left with less than half their squared norm;
-    it then returns ``(Q^T r, |r|^2)``, the squared norms after
-    projection.  That is the criterion of Daniel, Gragg, Kaufman & Stewart
-    (1976) at 1/sqrt(2): a pass that keeps that much of a row leaves it
-    orthogonal to Q within a small multiple of eps times its norm, and two
-    passes are enough for any other row (Giraud, Langou & Rozloznik, 2005,
-    "twice is enough").  Which rows share the second pass's products can
-    move their last bits.
+    second only where ``_project_rows`` takes it; it then returns ``(Q^T r,
+    |r|^2)``, the squared norms after projection.  Which rows share the
+    second pass's products can move their last bits.
     """
-    c = r @ q
-    r -= c @ q.T
-    if norm2 is None:
-        c2 = r @ q
-        r -= c2 @ q.T
-        c += c2
+    def project(rows):
+        c = rows @ q
+        rows -= c @ q.T
         return c
+
+    if norm2 is None:
+        c = project(r)
+        c += project(r)
+        return c
+    return _project_rows(project, r, norm2)
+
+
+def _project_rows(project, r: np.ndarray, norm2: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One Gram-Schmidt pass ``project`` (which projects the rows it is
+    given in place and returns their coefficients) over every row of ``r``,
+    and a second over the rows it left with less than half ``norm2``, their
+    squared norms before the pass; returns the rows' summed coefficients and
+    their squared norms after projection, each taken by one ``einsum`` row
+    by row.
+
+    That is the criterion of Daniel, Gragg, Kaufman & Stewart (1976) at
+    1/sqrt(2): a pass that keeps that much of a row leaves it orthogonal to
+    the directions projected out within a small multiple of eps times its
+    norm, and two passes are enough for any other row (Giraud, Langou &
+    Rozloznik, 2005, "twice is enough").
+    """
+    c = project(r)
     zeta2 = np.einsum("ij,ij->i", r, r)
     again = np.flatnonzero(zeta2 < 0.5 * norm2)
     if again.size:
         rows = r[again]
-        c2 = rows @ q
-        rows -= c2 @ q.T
+        c[again] += project(rows)
         r[again] = rows
-        c[again] += c2
         zeta2[again] = np.einsum("ij,ij->i", rows, rows)
     return c, zeta2
 
@@ -662,8 +678,8 @@ def neighbour_costs(
     tables (R = 30 and 122); of 10500 designs there holding the pair, the
     small factors decided 10406, all as ``full_rank_lstsq`` does, and left
     94 to the SVD.  The forward rankings' ``_AddState``, whose A is built by
-    Gram-Schmidt, was within 1.9e-16 on those tables' RM1 and RM4 passes
-    and within 2.2e-17 on the benchmark's; of 9475 designs holding the pair
+    Gram-Schmidt, was within 2.2e-16 on those tables' RM1 and RM4 passes
+    and within 3.2e-17 on the benchmark's; of 9475 designs holding the pair
     it decided 9405, all as ``full_rank_lstsq`` does, and left 70 to the
     SVD.  The band reaches 1e-12 either side of ``RANK_RCOND``,
     about 800 times that difference, and only candidates in it pay for an
@@ -688,7 +704,8 @@ class _AddState:
     of every column not taken, deflated by one direction a step.
 
     Each remaining column x keeps a row of ``z``, its component orthogonal
-    to Q, of ``c = Q^T x`` and of ``|x|^2``, in ascending index order.
+    to Q, of ``c = Q^T x``, of ``|x|^2`` and of ``|z|^2``, in ascending
+    index order.
     ``costs`` prices every candidate design ``[Q, z/|z|] [[A, c], [0,
     |z|]]`` through ``_decide_and_update`` with no new factor, as
     ``neighbour_costs`` prices its candidates.
@@ -698,8 +715,11 @@ class _AddState:
     at a time, z keeps the rounding of its first projections, about eps
     |x|; relative to a small complement, such as the benchmark's rank-rule
     pair's 6e-10 |x|, that leaves it 4e-7 off orthogonal.)  ``A^-1`` grows
-    by the block inverse of a triangular factor, and the target and every
-    remaining z are deflated by the new direction in two passes.  Rows are
+    by the block inverse of a triangular factor.  The target is deflated
+    by the new direction in two passes, and every remaining z in one, then
+    again only where that pass left the row less than half the squared norm
+    it held before the step (``_project_rows``, the rule of the candidates
+    of ``neighbour_costs``), which also takes the rows' |z|^2.  Rows are
     compacted in place.  Every product of a row is an ``einsum`` row by
     row, not a BLAS product, whose last bits depend on the rows beside it:
     equal columns keep equal prices wherever their rows sit, and the
@@ -723,6 +743,7 @@ class _AddState:
         self.taken: list[int] = []
         self.z = dataset.features.T.copy()
         self.col_norm2 = dataset.column_norm2.copy()
+        self.zeta2 = dataset.column_norm2.copy()  # |z|^2
         self.c = np.empty((r, r + 1))
         self.out = np.empty((r, n))  # the residuals of a certified step
         self.q = np.empty((r + 1, n))  # row j: column j of Q
@@ -759,13 +780,15 @@ class _AddState:
             self.n_certified = w + 1
         self.width = w + 1
         self.qty[w] = _project_out(direction[:, None], self.residuals)[0]
-        z = self.z[:len(self.pool)]
-        dots = self.c[:len(z), w]
-        dots[:] = 0.0
-        for _ in range(2):
-            d = np.einsum("ij,j->i", z, direction)
-            z -= d[:, None] * direction
-            dots += d
+
+        def project(rows):
+            d = np.einsum("ij,j->i", rows, direction)
+            rows -= d[:, None] * direction
+            return d
+
+        n = len(self.pool)
+        self.c[:n, w], self.zeta2[:n] = _project_rows(project, self.z[:n],
+                                                      self.zeta2[:n])
 
     def follow(self, taken) -> "_AddState":
         """Take the entries of ``taken`` not yet taken, in order."""
@@ -774,7 +797,7 @@ class _AddState:
             n = len(self.pool)
             v, c = self.z[j].copy(), self.c[j, :self.width].copy()
             norm2 = float(self.col_norm2[j])
-            for rows in (self.z, self.c, self.col_norm2):
+            for rows in (self.z, self.c, self.col_norm2, self.zeta2):
                 rows[j:n - 1] = rows[j + 1:n]
             del self.pool[j]
             self.taken.append(k)
@@ -797,7 +820,7 @@ class _AddState:
         w, n = self.width, len(self.pool)
         z = self.z[:n]
         return _decide_and_update(self.factor(), self.c[:n, :w], z,
-                                  np.einsum("ij,ij->i", z, z), self.col_norm2[:n],
+                                  self.zeta2[:n], self.col_norm2[:n],
                                   np.einsum("ij,j->i", z, self.residuals),
                                   self.out[:n])
 

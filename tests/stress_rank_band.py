@@ -37,7 +37,8 @@ step, not by Householder QR: RM1 and RM4 are run on it, and at every step
 each candidate design holding the pair is decided as the state decides it.
 Of the forward candidates, it prints how many the bound decided at the
 band edge, how many went to their small factors and how many of those
-the small factors left to the SVD.
+the small factors left to the SVD, and of the rows the state deflated by
+a new direction, how many took the second pass.
 
 Then it prints the largest small-factor difference on the benchmark's
 ``make_table(1, R)``, R = 30 and 122, for every step of RM1 and RM4 after
@@ -45,7 +46,8 @@ both columns of the near-rank-deficient pair entered (every sixth step at
 R = 122), the same for the state's small factors and decisions, and the
 leading-block difference and decisions for the prefixes of their
 best-to-worst orders (all of them, each checked against
-``full_rank_lstsq``), and the route counts of their forward passes.
+``full_rank_lstsq``), and the route and deflation counts of their forward
+passes.
 It exits 1 if any decision disagrees.
 """
 
@@ -159,10 +161,35 @@ def route_counts():
         yield counts
 
 
-def print_routes(name, counts):
+@contextmanager
+def deflation_counts():
+    """Count, over the forward state's deflations made inside, the
+    remaining rows deflated by a new direction and those of them that took
+    the second pass, having kept less than half their squared norm
+    (``linmodel._project_rows``): ``[row-steps, second passes]``."""
+    counts = [0, 0]
+    project_rows = linmodel._project_rows
+
+    def counted_rows(project, r, norm2):
+        passes = []
+
+        def counted(rows):
+            passes.append(len(rows))
+            return project(rows)
+
+        projected = project_rows(counted, r, norm2)
+        counts[0] += passes[0]
+        counts[1] += sum(passes[1:])
+        return projected
+
+    with mock.patch.object(linmodel, "_project_rows", counted_rows):
+        yield counts
+
+
+def print_routes(name, counts, deflated):
     print(f"{name} candidates: {counts[0]} decided by the bound at the band "
           f"edge, {counts[1]} to their small factors, {counts[2]} of those to "
-          f"the SVD")
+          f"the SVD; {deflated[1]} of {deflated[0]} row-steps deflated twice")
 
 
 def forward_state_decisions(dataset, largest, pair, start=0, stride=1):
@@ -224,7 +251,7 @@ def near_threshold(n_tables):
     # decided, of those inferred, disagreements, to the SVD
     prefix_counts = np.zeros(4, dtype=int)
     state_counts = np.zeros(3, dtype=int)
-    edge = [0, 0, 0]
+    edge, deflated = [0, 0, 0], [0, 0]
     for seed in range(n_tables):
         dataset = near_duplicate_table(seed, 10.0 ** rng.uniform(-10.6, -9.4))
         for fixed in FIXED_SETS:
@@ -246,9 +273,10 @@ def near_threshold(n_tables):
             prefix_worst = max(prefix_worst, found[0])
             prefix_counts += found[1:]
         for largest in (False, True):
-            with route_counts() as counts:
+            with route_counts() as counts, deflation_counts() as rows:
                 found = forward_state_decisions(dataset, largest, (1, 2))
             edge = [e + c for e, c in zip(edge, counts)]
+            deflated = [d + c for d, c in zip(deflated, rows)]
             state_worst = max(state_worst, found[0])
             state_counts += found[1:]
     print(f"near_duplicate_table: {n_ratios} candidates ({n_twice} projected "
@@ -263,7 +291,7 @@ def near_threshold(n_tables):
           f"largest ratio difference {state_worst:.2e}; {state_counts[0]} "
           f"decided by the state, {state_counts[1]} disagreements, "
           f"{state_counts[2]} to the SVD")
-    print_routes("near_duplicate_table RM1 and RM4", edge)
+    print_routes("near_duplicate_table RM1 and RM4", edge, deflated)
     return disagree + int(prefix_counts[2]) + int(state_counts[1])
 
 
@@ -275,7 +303,7 @@ def benchmark_tables():
         table = make_table(1, n_features)
         dataset = make_dataset(table.features, table.target)
         for name, rank in [("RM1", rank_forward_selection), ("RM4", rank_add_max_error)]:
-            with route_counts() as edge:
+            with route_counts() as edge, deflation_counts() as deflated:
                 ranking = rank(dataset)
             order = list(ranking.raw_order or ranking.order)
             entered = 1 + max(order.index(k) for k in table.rank_rule_pair)
@@ -295,7 +323,7 @@ def benchmark_tables():
                   f"entered: largest ratio difference {found[0]:.2e}; "
                   f"{found[1]} decided by the state, {found[2]} disagreements, "
                   f"{found[3]} to the SVD")
-            print_routes(f"make_table(1, {n_features}) {name}", edge)
+            print_routes(f"make_table(1, {n_features}) {name}", edge, deflated)
             found = prefix_decisions(dataset, ranking.order, table.rank_rule_pair)
             disagree += found[3]
             print(f"make_table(1, {n_features}) {name} prefixes: largest ratio "
