@@ -24,8 +24,8 @@ from .errors import ConfigError, InvalidSubsetError
 class Dataset:
     """An N x R feature table with one numeric target vector.
 
-    Invariants enforced at construction: N >= R + 1 (one more row than
-    features plus the intercept), all entries finite, unique labels.
+    Invariants enforced at construction: R >= 1, N >= R + 1 (one more row
+    than features plus the intercept), all entries finite, unique labels.
 
     ``column_norm2``, ``columns`` and ``table_qr`` (the QR of the whole
     design that every error curve reads) are derived lazily, once per
@@ -55,6 +55,8 @@ class Dataset:
             raise ConfigError(f"{len(self.labels)} labels for {r} feature columns")
         if len(set(self.labels)) != r:
             raise ConfigError("feature labels must be unique")
+        if r == 0:
+            raise ConfigError("need at least one feature column, got R=0")
         if n < r + 1:
             raise ConfigError(
                 f"need at least R+1 rows: got N={n} rows for R={r} features"

@@ -11,7 +11,6 @@ content and every computational knob, but not the output location.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -21,11 +20,12 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, FeatureSubset, check_seed
-from .errors import ConfigError, IngestError, VarselError
+from .errors import ConfigError, VarselError
 from .gibbs import GibbsConfig, gibbs_run, inclusion_frequencies
-# ``ingest_csv`` with its private ``wrap`` keyword, under the public name
-# (the name ``bench/tracing.py`` times)
-from .ingest import _ingest as ingest_csv
+# ``ingest_csv`` that also returns the sha256 of the bytes it parsed, from
+# its one read of the input, under the public name (the name
+# ``bench/tracing.py`` times)
+from .ingest import _ingest as ingest_csv, _read_bytes
 from .linmodel import CostCache, check_cost_parameters
 from .ranking import (
     Ranking,
@@ -156,38 +156,10 @@ def canonical_json(document: dict) -> str:
     return json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
 
 
-class _HashedFile(io.RawIOBase):
-    """An unbuffered binary file that feeds every byte read from it to a
-    sha256, ``digest``."""
-
-    def __init__(self, raw):
-        self._raw, self.digest = raw, hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        self.digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
-
-
 def dataset_sha256(path: str | Path) -> str:
-    """The sha256 of the input's bytes; ``IngestError``, as ``ingest_csv``
-    raises it, when they cannot be read."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            for block in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(block)
-    except OSError as exc:
-        # an input that cannot be read is bad input, not a failed write
-        raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
-    return digest.hexdigest()
+    """The sha256 of the input's bytes, read as ``ingest_csv`` reads them;
+    ``IngestError`` when they cannot be read."""
+    return hashlib.sha256(_read_bytes(Path(path))).hexdigest()
 
 
 def config_hash(config: RunConfig, dataset_digest: str) -> str:
@@ -319,25 +291,13 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
     ``incomplete`` marker naming the stage, then propagates the error with
     the stage attached as ``exc.stage``.
     """
-    reads: list[_HashedFile] = []
-
-    def hashed(raw):
-        reads.append(_HashedFile(raw))
-        return reads[-1]
-
-    # the digest of the bytes parsed, taken as they are read
-    dataset = ingest_csv(
+    dataset, digest = ingest_csv(
         config.dataset_path,
         config.target_column,
         normalize=config.normalize,
         delimiter=config.delimiter,
         drop_columns=config.drop_columns,
-        wrap=hashed,
     )
-    digests = {read.digest.hexdigest() for read in reads}
-    if len(digests) != 1:  # the row walk read other bytes than the C parse
-        raise IngestError(f"{config.dataset_path}: the file changed while it was read")
-    digest = digests.pop()
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,

@@ -480,6 +480,15 @@ def loop_correlation_graph(dataset, threshold=0.95):
     return tuple(edges)
 
 
+def loop_records(reader, path):
+    """The records of a ``csv`` reader; a cell longer than its field limit
+    raises IngestError naming the physical line being read."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def loop_ingest_csv(
     path: str | Path,
     target_column: str,
@@ -487,15 +496,17 @@ def loop_ingest_csv(
     delimiter: str = ",",
     drop_columns: Sequence[str] = (),
 ) -> Dataset:
-    """The old ``ingest_csv``: strip, parse and check every cell on its own."""
+    """The old ``ingest_csv``: strip, parse and check every cell on its own.
+    A leading byte-order mark is not part of the header."""
     _check_delimiter(delimiter)
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(_utf8_lines(handle, path), delimiter=delimiter)
+        records = loop_records(reader, path)
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise IngestError(f"{path}: empty file, expected a header row") from None
         header = [name.strip() for name in header]
@@ -517,7 +528,7 @@ def loop_ingest_csv(
         # number each record by the physical line it starts on: a quoted
         # cell with a line break spans two lines
         next_line = reader.line_num + 1
-        for row in reader:
+        for row in records:
             line_no, next_line = next_line, reader.line_num + 1
             if not row:
                 continue  # tolerate blank trailing lines

@@ -128,13 +128,17 @@ def test_greedy_orders_equal_the_loops(tmp_path, seed, methods):
             == (want.order, want.raw_order, want.admissible))
 
 
-def test_quoted_table_ranks_as_the_plain_one(tmp_path):
-    """The 16-feature table with every cell quoted and '\\r' line ends is
-    read by the row walk, not the one-call C parse; it is ranked exactly as
-    the plain table is."""
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["utf-8", "utf-8-bom"])
+def test_quoted_table_ranks_as_the_plain_one(tmp_path, bom):
+    """The 16-feature table with every cell quoted and '\\r' line ends, and
+    in one case a leading byte-order mark, as spreadsheets write it, is read
+    by the row walk, not the one-call C parse; it is ranked exactly as the
+    plain table is, under the same feature labels."""
     path, target = benchmark_csv(tmp_path, 1, 16)
     quoted = tmp_path / "quoted.csv"
-    with path.open(newline="") as src, quoted.open("w", newline="") as dst:
+    with (path.open(newline="") as src,
+          quoted.open("w", newline="", encoding="utf-8") as dst):
+        dst.write(bom)
         csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r").writerows(
             csv.reader(src))
     plain = rank(path, target, tmp_path / "rank-plain")
@@ -142,6 +146,7 @@ def test_quoted_table_ranks_as_the_plain_one(tmp_path):
     with mock.patch.object(ingest, "_walk_rows", walk):
         assert plain and plain == rank(quoted, target, tmp_path / "rank-quoted")
     walk.assert_called_once()
+    assert ingest_csv(quoted, target).labels == ingest_csv(path, target).labels
 
 
 def test_bulk_split_streams_of_the_benchmark_table():

@@ -1,5 +1,8 @@
 """CSV ingestion: validation errors, normalization, round-trips."""
 
+import codecs
+import csv
+import hashlib
 import re
 from pathlib import Path
 
@@ -45,8 +48,8 @@ def tables(draw):
     """(file text, target, drop columns, normalize mode, delimiter): the
     target and the dropped columns anywhere, names and cells padded with
     whitespace that float() strips or with some that only str.strip does,
-    blank lines, now and then a ragged row, and the delimiter and the line
-    end drawn from several."""
+    blank lines, now and then a ragged row, the delimiter and the line end
+    drawn from several, and now and then a leading byte-order mark."""
     width = draw(st.integers(1, 5))
     header = [f"c{k}" for k in range(width)]
     target = draw(st.sampled_from(header))
@@ -66,7 +69,8 @@ def tables(draw):
             lines.append(draw(rows(n_cells, max_odd, pad, delimiter)))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     mode = draw(st.sampled_from(["none", "zscore", "minmax"]))
-    return end.join(lines) + end, target, drop, mode, delimiter
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    return bom + end.join(lines) + end, target, drop, mode, delimiter
 
 
 def outcome(ingest, path, target, drop, mode, delimiter=","):
@@ -147,6 +151,54 @@ def test_first_error_in_file_order_wins(tmp_path, walks):
     assert got == outcome(loop_ingest_csv, path, "y", [], "none")
     assert got == (IngestError, f"{path}: line 3, column 'b': non-numeric cell 'oops'")
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("header", ["y,a,b", "a,y,b"],
+                         ids=["target-first", "feature-first"])
+@pytest.mark.parametrize("cell", ["3", '"3"'], ids=["c-parse", "row-walk"])
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path, header, cell):
+    # spreadsheets' "CSV UTF-8" exports start with one; the digest is still
+    # that of the bytes read, the mark included
+    text = f"{header}\n{cell},1,2\n6,4,5\n10,7,8\n".encode("utf-8")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    got = outcome(ingest_csv, marked, "y", [], "none")
+    assert got == outcome(ingest_csv, plain, "y", [], "none")
+    assert got == outcome(loop_ingest_csv, marked, "y", [], "none")
+    assert got[5] == ("a", "b")
+    digest = ingest_module._ingest(marked, "y")[1]
+    assert digest == hashlib.sha256(codecs.BOM_UTF8 + text).hexdigest()
+
+
+LONG = "0" * csv.field_size_limit()  # with one more character, one too long
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"a,{LONG}b,y\n1,2,3\n4,5,6\n7,8,9\n", 1),
+    (f"a,b,y\n1,2,3\n4,{LONG}x,6\n7,8,9\n1,1,2\n", 3),
+    # a finite number, which the C parse would read: it declines the line
+    (f"a,b,y\n1,2,3\n4,{LONG}1,6\n7,8,9\n1,1,2\n", 3),
+    (f'a,b,y\n1,2,3\n4,"\n{LONG}1",6\n7,8,9\n1,1,2\n', 4),
+], ids=["header", "text-cell", "numeric-cell", "quoted-cell-second-line"])
+def test_a_cell_longer_than_the_field_limit_names_its_line(tmp_path, text, line):
+    path = tmp_path / "long.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = outcome(ingest_csv, path, "y", [], "none")
+    assert got == outcome(loop_ingest_csv, path, "y", [], "none")
+    assert got == (IngestError, f"{path}: line {line}: field larger than field limit "
+                                f"({csv.field_size_limit()})")
+
+
+@pytest.mark.parametrize("text, drop", [("y\n1\n2\n3\n", []),
+                                        ("a,y\n1,2\n3,4\n5,7\n", ["a"])],
+                         ids=["target-only", "all-dropped"])
+def test_a_table_with_no_feature_column_is_a_config_error(tmp_path, text, drop):
+    path = tmp_path / "narrow.csv"
+    path.write_text(text, encoding="utf-8")
+    got = outcome(ingest_csv, path, "y", drop, "zscore")
+    assert got == outcome(loop_ingest_csv, path, "y", drop, "zscore")
+    assert got == (ConfigError, "need at least one feature column, got R=0")
 
 
 @pytest.fixture(scope="module")
@@ -291,25 +343,26 @@ class TestIngest:
         with pytest.raises(IngestError, match="latin1.csv: not UTF-8"):
             ingest_csv(path, "y")
 
-    @pytest.mark.parametrize("opens", [0, 1], ids=["first-open", "row-walk-open"])
+    @pytest.mark.parametrize("cell", ["2", '"2"'], ids=["c-parse", "row-walk"])
     def test_unreadable_file_raises_ingest_error_naming_file(self, tmp_path,
-                                                             monkeypatch, opens):
+                                                             monkeypatch, cell):
         # file modes do not stop every user (root reads any file), so the
-        # refusal is patched in; the quoted cell sends the body to the row
-        # walk, which opens the file a second time
-        path = write(tmp_path, 'a,b,y\n1,"2",3\n4,5,6\n7,8,10\n', name="t.csv")
+        # refusal is patched in; a quoted cell sends the body to the row
+        # walk, which parses the bytes of the one read and opens nothing
+        path = write(tmp_path, f"a,b,y\n1,{cell},3\n4,5,6\n7,8,10\n", name="t.csv")
         real_open, seen = Path.open, []
 
-        def refuse(self, *args, **kwargs):
+        def refuse_first(self, *args, **kwargs):
             seen.append(self)
-            if len(seen) > opens:
+            if len(seen) == 1:
                 raise PermissionError(13, "Permission denied", str(self))
             return real_open(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "open", refuse)
+        monkeypatch.setattr(Path, "open", refuse_first)
         with pytest.raises(IngestError, match=r"t\.csv: cannot read \(Permission denied\)"):
             ingest_csv(path, "y")
-        assert len(seen) == opens + 1
+        assert ingest_csv(path, "y").n_rows == 3
+        assert seen == [path, path]  # one open an ingest, whichever tier parses
 
     def test_too_few_rows_rejected(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")

@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import hashlib
 import json
 import os
 import re
@@ -286,15 +287,15 @@ class TestPipeline:
 
 def quote_cells(path):
     """Rewrite a table with every cell quoted: the C parse declines it and
-    the row walk reads it again."""
+    the row walk reads it."""
     rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     with path.open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, quoting=csv.QUOTE_ALL).writerows(rows)
 
 
 class TestInputDigest:
-    """A run's ``dataset.sha256`` is the digest of the bytes it parsed,
-    taken in the pass that parses them."""
+    """A run's ``dataset.sha256`` is the digest of the bytes it parsed: the
+    input is read once, and both parse tiers read those bytes."""
 
     @staticmethod
     def count_opens(monkeypatch, path):
@@ -315,51 +316,61 @@ class TestInputDigest:
         monkeypatch.setattr(builtins, "open", counted_open)
         return lambda: sum(p == path for p in opened)
 
-    @pytest.mark.parametrize("quoted, opens", [(False, 1), (True, 2)])
-    def test_each_parse_opens_the_input_once(self, tmp_path, monkeypatch,
-                                             quoted, opens):
-        # 400 rows take several reads: the C parse declines a quoted table
-        # at its first row, and its read must run to the end all the same
+    @staticmethod
+    def rank(data, out):
+        report, _ = run_pipeline(RunConfig(dataset_path=str(data), target_column="y",
+                                           output_dir=str(out), stages=("rank",)))
+        return report
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_each_parse_opens_the_input_once(self, tmp_path, monkeypatch, quoted):
+        # the C parse declines a quoted table at its first row, and the row
+        # walk parses the bytes already read, not the file
         data = write_fixture(tmp_path, n=400)
         if quoted:
             quote_cells(data)
         count = self.count_opens(monkeypatch, data)
-        report, _ = run_pipeline(RunConfig(
-            dataset_path=str(data), target_column="y",
-            output_dir=str(tmp_path / "out"), stages=("rank",)))
-        assert count() == opens
+        report = self.rank(data, tmp_path / "out")
+        assert count() == 1
         monkeypatch.undo()
-        assert report["dataset"]["sha256"] == dataset_sha256(data)
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert report["dataset"]["sha256"] == digest
 
-    def test_a_table_rewritten_before_the_walk_is_refused(self, tmp_path,
-                                                          monkeypatch):
+    def test_a_table_rewritten_before_the_walk_is_ranked_as_read(self, tmp_path,
+                                                                 monkeypatch):
+        # the file is rewritten, with more rows, after the C parse declined
+        # it: the walk parses the bytes the C parse was given, and the
+        # report names and ranks those
         data = write_fixture(tmp_path)
         quote_cells(data)
+        original = data.read_bytes()
+        want = self.rank(data, tmp_path / "want")
         load_body = ingest_module._load_body
 
         def parse_then_rewrite(*args):
             table = load_body(*args)
-            assert table is None  # declined: the row walk reads the file again
-            write_fixture(tmp_path, seed=1)
+            assert table is None  # declined: the row walk decides
+            write_fixture(tmp_path, seed=1, n=50)
             quote_cells(data)
             return table
 
         monkeypatch.setattr(ingest_module, "_load_body", parse_then_rewrite)
-        out = tmp_path / "out"
-        with pytest.raises(varsel.IngestError,
-                           match=r"data\.csv: the file changed while it was read"):
-            run_pipeline(RunConfig(dataset_path=str(data), target_column="y",
-                                   output_dir=str(out), stages=("rank",)))
-        assert not out.exists()
+        got = self.rank(data, tmp_path / "out")
+        assert data.read_bytes() != original
+        assert got["dataset"]["sha256"] == hashlib.sha256(original).hexdigest()
+        assert got["dataset"]["n_rows"] == want["dataset"]["n_rows"] == 40
+        assert got["rankings"] == want["rankings"]
 
     @pytest.mark.parametrize("quoted", [False, True])
-    def test_bytes_appended_after_the_parse_are_refused(self, tmp_path,
-                                                        monkeypatch, quoted):
-        # the parse that decides the table read to the end, then a row was
-        # appended: no parse saw it, so the table is refused
+    def test_bytes_appended_after_the_parse_are_not_ranked(self, tmp_path,
+                                                           monkeypatch, quoted):
+        # a row is appended once a parse has read to the end: it is not in
+        # the one read, so no parse and no digest sees it
         data = write_fixture(tmp_path)
         if quoted:
             quote_cells(data)  # the C parse declines it at its first row
+        original = data.read_bytes()
+        want = self.rank(data, tmp_path / "want")
         utf8_lines, appended = ingest_module._utf8_lines, []
 
         def lines_then_append(handle, path):
@@ -370,15 +381,11 @@ class TestInputDigest:
                 appended.append(data.stat().st_size)
 
         monkeypatch.setattr(ingest_module, "_utf8_lines", lines_then_append)
-        out = tmp_path / "out"
-        with pytest.raises(varsel.IngestError,
-                           match=r"data\.csv: the file changed while it was read"):
-            run_pipeline(RunConfig(dataset_path=str(data), target_column="y",
-                                   output_dir=str(out), stages=("rank",)))
-        assert appended and not out.exists()
-        appended.clear()
-        with pytest.raises(varsel.IngestError, match="changed while it was read"):
-            varsel.ingest_csv(data, "y")
+        got = self.rank(data, tmp_path / "out")
+        assert appended and appended[0] > len(original)
+        assert got["dataset"]["sha256"] == hashlib.sha256(original).hexdigest()
+        assert got["dataset"]["n_rows"] == want["dataset"]["n_rows"] == 40
+        assert got["rankings"] == want["rankings"]
 
 
 class TestCli:
@@ -505,33 +512,48 @@ class TestCli:
         assert "cannot write outputs" not in err
         assert not out.exists()
 
-    def test_undigestible_table_exit_code(self, tmp_path, capsys, monkeypatch):
-        # reading the table fails part way, in the pass that parses and
-        # hashes it: that is bad input too, not a failed write
-        data = write_fixture(tmp_path, n=400, name="t.csv")
+    @pytest.mark.parametrize("text, drop", [("y\n1\n2\n3\n", []),
+                                            ("a,y\n1,2\n3,4\n5,7\n", ["--drop", "a"])],
+                             ids=["target-only", "all-dropped"])
+    def test_table_with_no_feature_column_exit_code(self, tmp_path, capsys, text,
+                                                    drop):
+        data = tmp_path / "t.csv"
+        data.write_text(text, encoding="utf-8")
         out = tmp_path / "o"
+        code = main(["rank", "-i", str(data), "--target", "y", *drop, "-o", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "need at least one feature column, got R=0" in capsys.readouterr().err
+        assert not out.exists()
 
-        def refuse(file, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(file))
-
-        monkeypatch.setattr(varsel.pipeline, "open", refuse, raising=False)
-        with pytest.raises(varsel.IngestError,
-                           match=r"t\.csv: cannot read \(Permission denied\)"):
-            dataset_sha256(data)
-        monkeypatch.undo()
-        readinto, blocks = varsel.pipeline._HashedFile.readinto, []
-
-        def fail_after_one_block(self, buffer):
-            if blocks:
-                raise OSError(5, "Input/output error")
-            blocks.append(readinto(self, buffer))
-            return blocks[-1]
-
-        monkeypatch.setattr(varsel.pipeline._HashedFile, "readinto",
-                            fail_after_one_block)
+    def test_cell_above_the_field_limit_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text(f"a,b,y\n1,2,3\n4,{'0' * csv.field_size_limit()}1,6\n"
+                        f"7,8,9\n1,1,2\n", encoding="utf-8")
+        out = tmp_path / "o"
         code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out)])
         assert code == EXIT_PARSE
-        assert 0 < blocks[0] < data.stat().st_size
+        assert "t.csv: line 3: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undigestible_table_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the one read of the table fails part way: that is bad input too,
+        # not a failed write, for a run and for ``dataset_sha256`` alike
+        data = write_fixture(tmp_path, n=400, name="t.csv")
+        out = tmp_path / "o"
+        blocks = []
+
+        def fail_part_way(self):
+            with self.open("rb") as handle:
+                blocks.append(len(handle.read(1 << 10)))
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(Path, "read_bytes", fail_part_way)
+        with pytest.raises(varsel.IngestError,
+                           match=r"t\.csv: cannot read \(Input/output error\)"):
+            dataset_sha256(data)
+        code = main(["rank", "-i", str(data), "--target", "y", "-o", str(out)])
+        assert code == EXIT_PARSE
+        assert len(blocks) == 2 and 0 < blocks[1] < data.stat().st_size
         err = capsys.readouterr().err
         assert "parse error" in err and "t.csv: cannot read (Input/output error)" in err
         assert "cannot write outputs" not in err
