@@ -26,7 +26,8 @@ class RankDeficiencyError(VarselError):
 
 
 class DegenerateStepError(VarselError):
-    """Every candidate at a ranking/search step is rank-deficient."""
+    """Every candidate at a ranking/search step is rank-deficient, or every
+    ranking prefix a selection criterion scores."""
 
 
 class BudgetExceededError(VarselError):

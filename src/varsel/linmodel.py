@@ -22,10 +22,10 @@ columns and conditioning matters.
   whose condition a bound certifies far inside the SVD rule
   (``CERTIFIED_RATIO_CAP``), ``A^-1`` when that run covers the whole
   design, and ``||A^-1||_F`` whenever all of ``A^-1`` was taken.
-  The bound and its guard are written once (``_bounded``, ``_guarded``):
-  ``_certified`` applies them to every prefix of a factor at once, and
-  ``_AddState`` to each prefix it appends, from running sums whose
-  ``Factor`` a test pins equal to ``_certified``'s.
+  ``_certified`` is the one certificate and builds every ``Factor``: it
+  applies the bound and its guard to every prefix of a factor at once,
+  for ``_factor`` and for the error curves' factor
+  (``ranking._order_factor``).
   ``_project_out`` projects the target here and the columns of
   ``_usable_features`` by two Gram-Schmidt passes.  The candidates of add
   and the rows the forward state deflates take one, and a second only
@@ -36,7 +36,7 @@ columns and conditioning matters.
   prefix curves.  Add (``neighbour_costs``) reads the factor of the fixed
   columns certified or not: every candidate is projected onto the
   complement of Q at once, and ``_decide_and_update`` decides each
-  candidate design by the certificate's bound read at the band's upper
+  candidate design by the condition bound read at the band's upper
   edge, or by the singular values of its small factor
   ``[[A, c], [0, |z|]]``, which are the design's up to rounding, read by
   ``_band_decisions``, the one place the band is applied.  A full-rank
@@ -45,9 +45,9 @@ columns and conditioning matters.
   the SVD rule.  ``CostCache`` prices every miss through the same kernel.
   The forward rankings (RM1, RM4)
   price every step through the same helper from one ``_AddState``, which
-  keeps the taken columns' Q and A, their certificate, and the complement
-  of every column not taken, and grows them by one Gram-Schmidt direction
-  a step, with no new factor.  Drop (every removal from the dual basis
+  keeps the taken columns' Q, A and ``A^-1``, and the complement of every
+  column not taken, and grows them by one Gram-Schmidt direction a step,
+  with no new factor.  Drop (every removal from the dual basis
   ``Q A^-T``) and test
   (every t statistic from b, r and ``diag((X^T X)^-1)``) read one
   ``_DropState`` of a certified pool (``removal_maes``,
@@ -299,13 +299,13 @@ def _svd_costs(dataset: Dataset, subsets, p=1.0, alpha=1.0) -> np.ndarray:
 class Factor:
     """One economic QR ``[1, X_pool] = Q A`` of a set of columns, its
     certificate and the target's projection, in design-column order
-    (intercept first).
+    (intercept first), as ``_certified`` builds it: no other code does.
 
-    ``n_certified`` counts the leading prefixes of the design that
-    ``_certified`` certifies.  ``a_inv`` is ``A^-1`` when they are all of
-    them, and None otherwise.  ``a_inv_norm`` is ``||A^-1||_F`` whenever
-    ``_certified`` had all of ``A^-1``, certified or not, and +inf when it
-    had only a leading block."""
+    ``n_certified`` counts the leading prefixes of the design that the
+    bound certifies.  ``a_inv`` is ``A^-1`` when they are all of them, and
+    None otherwise.  ``a_inv_norm`` is ``||A^-1||_F`` whenever the guard
+    let ``_certified`` invert all of A, certified or not, and +inf when it
+    inverted only a leading block."""
 
     q: np.ndarray  # N x (M+1), orthonormal columns
     a: np.ndarray  # upper triangular
@@ -371,24 +371,10 @@ def _leading_run(flags: np.ndarray) -> int:
     return int(np.argmin(np.append(flags, False)))
 
 
-def _guarded(diagonal, design_norm):
-    """``_certified``'s guard, ``|A_jj| > CERTIFIED_RATIO_CAP ||X_j||_F``,
-    of one prefix (floats) or of each (arrays)."""
-    return abs(diagonal) > CERTIFIED_RATIO_CAP * design_norm
-
-
-def _bounded(inv_norm, design_norm):
-    """``_certified``'s bound, ``||A_M^-1||_F ||X_M||_F CERTIFIED_RATIO_CAP
-    < 1``, of one prefix (floats) or of each (arrays)."""
-    return inv_norm * design_norm * CERTIFIED_RATIO_CAP < 1.0
-
-
 def _certified(q: np.ndarray, a: np.ndarray, column_norm2: np.ndarray,
-               qty: np.ndarray, residuals: np.ndarray,
-               a_inv: np.ndarray | None = None) -> Factor:
+               qty: np.ndarray, residuals: np.ndarray) -> Factor:
     """The ``Factor`` of the design ``X = Q A`` whose columns have squared
-    norms ``column_norm2``, with its certificate; ``a_inv`` is ``A^-1``
-    when the caller holds it already.
+    norms ``column_norm2``, with its certificate.
 
     Prefix M's design is ``X_M = Q[:, :M+1] A_M``, ``A_M = A[:M+1, :M+1]``.
     As ``sigma_min(X_M) >= 1 / ||A_M^-1||_F`` and ``sigma_max(X_M) <=
@@ -404,21 +390,20 @@ def _certified(q: np.ndarray, a: np.ndarray, column_norm2: np.ndarray,
     also keeps the inverse away from an exactly singular factor.  ``inv``,
     not a triangular solve: the same cost single-threaded, and far cheaper
     than a multithreaded BLAS triangular solve on small factors.
-    ``a_inv_norm`` is ``||A^-1||_F`` whenever all of ``A^-1`` is at hand:
-    the caller's, or the inverse of a guarded block that is all of A, also
-    when the bound does not certify the whole design.
+    ``a_inv_norm`` is ``||A^-1||_F`` whenever the guarded block is all of
+    A, also when the bound does not certify the whole design.
     """
     design_norm2 = np.cumsum(column_norm2)
     design_norm = np.sqrt(design_norm2)
-    lead = _leading_run(_guarded(np.diag(a), design_norm))
-    if a_inv is None:
-        a_inv = np.linalg.inv(a[:lead, :lead])
+    lead = _leading_run(np.abs(np.diag(a)) > CERTIFIED_RATIO_CAP * design_norm)
+    a_inv = np.linalg.inv(a[:lead, :lead])
     inv_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a_inv, a_inv)))
-    n_certified = _leading_run(_bounded(inv_norm[:lead], design_norm[:lead]))
-    whole = len(a_inv) == len(a)
+    n_certified = _leading_run(
+        inv_norm * design_norm[:lead] * CERTIFIED_RATIO_CAP < 1.0)
     return Factor(q, a, float(design_norm2[-1]), n_certified,
                   a_inv if n_certified == len(a) else None,
-                  float(inv_norm[-1]) if whole else math.inf, qty, residuals)
+                  float(inv_norm[-1]) if lead == len(a) else math.inf, qty,
+                  residuals)
 
 
 def _factor(dataset: Dataset, indices: tuple[int, ...]) -> Factor:
@@ -518,15 +503,17 @@ def _small_factor_ratios(a: np.ndarray, c: np.ndarray, zeta: np.ndarray) -> np.n
 
 
 def _decide_and_update(
-    factor: Factor, c: np.ndarray, z: np.ndarray, zeta2: np.ndarray,
-    col_norm2: np.ndarray, zr: np.ndarray, out: np.ndarray,
+    a: np.ndarray, inv_norm: float, design_norm2: float, r0: np.ndarray,
+    c: np.ndarray, z: np.ndarray, zeta2: np.ndarray, col_norm2: np.ndarray,
+    zr: np.ndarray, out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide the fits on ``[1, X_fixed, x_k]`` for every candidate k, as
-    ``neighbour_costs`` describes, from the factor of the fixed columns and,
-    one row per candidate, ``c = Q^T x``, the complement ``z``, ``|z|^2``,
-    ``|x|^2`` and ``z^T r0``: the bound against the band's upper edge when
-    the factor gives ``||A^-1||_F``, then ``_band_decisions`` of the
-    singular values of the small factor.
+    ``neighbour_costs`` describes, from the fixed columns' factor A, their
+    ``||A^-1||_F`` (+inf when it was not taken), ``||[1, X_fixed]||_F^2``
+    and residual ``r0`` and, one row per candidate, ``c = Q^T x``, the
+    complement ``z``, ``|z|^2``, ``|x|^2`` and ``z^T r0``: the bound
+    against the band's upper edge when ``||A^-1||_F`` is finite, then
+    ``_band_decisions`` of the singular values of the small factor.
 
     Returns ``(updated, singular, residuals)``: boolean masks over the
     candidates of those that take the rank-one update (those the bound puts
@@ -535,13 +522,12 @@ def _decide_and_update(
     candidate, in candidate order.  The rest are left to the SVD rule.  When
     the bound decides every candidate the residuals are written to ``out``.
     """
-    r0 = factor.residuals
     zeta = np.sqrt(zeta2)
     updated = np.zeros(len(z), dtype=bool)
-    if math.isfinite(factor.a_inv_norm):
+    if math.isfinite(inv_norm):
         c_norm = np.sqrt(np.einsum("ij,ij->i", c, c))
-        sigma_min_lb = zeta / (factor.a_inv_norm * (zeta + c_norm) + 1.0)
-        sigma_max_ub = np.sqrt(factor.design_norm2 + col_norm2)
+        sigma_min_lb = zeta / (inv_norm * (zeta + c_norm) + 1.0)
+        sigma_max_ub = np.sqrt(design_norm2 + col_norm2)
         updated = sigma_min_lb > RANK_RCOND * RANK_BAND * sigma_max_ub
         if updated.all():
             return updated, ~updated, _rank_one_update(z, zeta, zr, r0, out)
@@ -551,7 +537,7 @@ def _decide_and_update(
     rest = np.flatnonzero(~(updated | singular))
     if rest.size:
         by_factor, deficient = _band_decisions(
-            _small_factor_ratios(factor.a, c[rest], zeta[rest]))
+            _small_factor_ratios(a, c[rest], zeta[rest]))
         singular[rest[deficient]] = True
         updated[rest[by_factor]] = True
     z = z[updated]
@@ -570,7 +556,8 @@ def _neighbour_residuals(
     z = dataset.columns[rows]
     col_norm2 = dataset.column_norm2[rows]
     c, zeta2 = _project_out(factor.q, z, col_norm2)
-    return _decide_and_update(factor, c, z, zeta2, col_norm2,
+    return _decide_and_update(factor.a, factor.a_inv_norm, factor.design_norm2,
+                              factor.residuals, c, z, zeta2, col_norm2,
                               z @ factor.residuals, z)
 
 
@@ -625,9 +612,9 @@ def neighbour_costs(
     taken once (``Dataset.column_norm2``), and ``|z|^2`` the projection's.
     Each candidate is decided in one of three ways.
 
-    * By the bound.  When the factor holds ``||A^-1||_F`` (``_factor``'s,
-      when every diagonal of A passes ``_certified``'s guard, or the
-      forward state's own), the inverse of ``T`` bounds ``sigma_min >= 1 /
+    * By the bound.  When ``||A^-1||_F`` is at hand (``_factor``'s, when
+      every diagonal of A passes ``_certified``'s guard, or the forward
+      state's running one), the inverse of ``T`` bounds ``sigma_min >= 1 /
       (||A^-1|| (1 + |c|/|z|) + 1/|z|)``, while ``sigma_max <= ||[1,
       X_fixed, x]||_F``.  A candidate whose bounded ratio exceeds
       ``RANK_RCOND * RANK_BAND``, whether the fixed columns are certified or
@@ -725,15 +712,14 @@ class _AddState:
     equal columns keep equal prices wherever their rows sit, and the
     earliest wins their tie as in ``ranking._stepwise``.
 
-    The state carries its design's certificate with the values
-    ``_certified`` would take, one column at a time: ``||[1, X_taken]||_F^2``
-    and ``||A^-1||_F^2`` as sums in column order, as ``np.cumsum`` adds
-    them (each new column of ``A^-1`` squared by ``_certified``'s
-    ``einsum``), and the leading run of prefixes that pass ``_guarded`` and
-    ``_bounded``, each of which reads only its own prefix.  So ``factor``
-    calls no ``_certified``; ``tests/test_ranking_states.py`` pins every
-    field of it, bit for bit, to ``_certified``'s of the same blocks at
-    every step of RM1 and RM4.
+    The state keeps ``||[1, X_taken]||_F^2`` and ``||A^-1||_F^2`` as sums
+    in column order, as ``_certified``'s ``np.cumsum`` adds them (each new
+    column of ``A^-1`` squared by its ``einsum``), so with its values bit
+    for bit; ``tests/test_ranking_states.py`` pins them at every step of RM1
+    and RM4.  They feed the bound ``_decide_and_update`` reads at the
+    band's edge, also once a near-duplicate column is in, where
+    ``_certified``'s guard would invert no whole A.  The state holds no
+    certificate of its own: ``_factor`` gives its design's.
     """
 
     def __init__(self, dataset: Dataset):
@@ -745,14 +731,12 @@ class _AddState:
         self.col_norm2 = dataset.column_norm2.copy()
         self.zeta2 = dataset.column_norm2.copy()  # |z|^2
         self.c = np.empty((r, r + 1))
-        self.out = np.empty((r, n))  # the residuals of a certified step
+        self.out = np.empty((r, n))  # the residuals when the bound decides a step
         self.q = np.empty((r + 1, n))  # row j: column j of Q
         self.a = np.zeros((r + 1, r + 1))
         self.a_inv = np.zeros((r + 1, r + 1))
         self.design_norm2 = 0.0  # ||[1, X_taken]||_F^2
         self.inv_norm2 = 0.0  # ||A^-1||_F^2
-        self.n_certified = 0  # the leading prefixes ``_certified`` certifies
-        self.qty = np.empty(r + 1)
         self.residuals = dataset.target.copy()
         self.width = 0
         self._append(np.ones(n), np.empty(0), float(n))
@@ -774,12 +758,8 @@ class _AddState:
         column = self.a_inv[:w + 1, w:w + 1]
         self.design_norm2 += norm2
         self.inv_norm2 += float(np.einsum("ij,ij->j", column, column)[0])
-        design_norm = math.sqrt(self.design_norm2)
-        if (self.n_certified == w and _guarded(zeta, design_norm)
-                and _bounded(math.sqrt(self.inv_norm2), design_norm)):
-            self.n_certified = w + 1
         self.width = w + 1
-        self.qty[w] = _project_out(direction[:, None], self.residuals)[0]
+        _project_out(direction[:, None], self.residuals)
 
         def project(rows):
             d = np.einsum("ij,j->i", rows, direction)
@@ -804,25 +784,15 @@ class _AddState:
             self._append(v, c, norm2)
         return self
 
-    def factor(self) -> Factor:
-        """The ``Factor`` of the state's design, from its running sums with
-        no new factor: every field equal, bit for bit, to ``_certified``'s
-        of the same blocks given the state's ``A^-1``."""
-        w = self.width
-        return Factor(self.q[:w].T, self.a[:w, :w], self.design_norm2,
-                      self.n_certified,
-                      self.a_inv[:w, :w] if self.n_certified == w else None,
-                      math.sqrt(self.inv_norm2), self.qty[:w], self.residuals)
-
     def fits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_decide_and_update`` of every remaining column, in pool order,
-        from the state's ``factor``."""
+        from the state's running values."""
         w, n = self.width, len(self.pool)
         z = self.z[:n]
-        return _decide_and_update(self.factor(), self.c[:n, :w], z,
-                                  self.zeta2[:n], self.col_norm2[:n],
-                                  np.einsum("ij,j->i", z, self.residuals),
-                                  self.out[:n])
+        return _decide_and_update(
+            self.a[:w, :w], math.sqrt(self.inv_norm2), self.design_norm2,
+            self.residuals, self.c[:n, :w], z, self.zeta2[:n], self.col_norm2[:n],
+            np.einsum("ij,j->i", z, self.residuals), self.out[:n])
 
     def costs(self) -> np.ndarray:
         """``subset_cost`` of the taken columns plus each remaining one, in

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateStepError
 from .ranking import Ranking
 
 
@@ -90,6 +90,10 @@ def select_order(
     nothing is refitted here.
     Rank-deficient prefixes (+inf MSE) and prefixes with n < m + 2 score
     +inf and are never selected; ties go to the smallest model.
+
+    Raises:
+        DegenerateStepError: every prefix scores +inf, which only the table
+            can cause (an MSE that overflows also reads +inf).
     """
     if criterion == Criterion.PVALUE:
         raise ConfigError("use pvalue_stopping for the p-value rule")
@@ -103,7 +107,7 @@ def select_order(
         except ConfigError:
             continue  # n < m + 2
     if not (curve < math.inf).any():
-        raise ConfigError("every ranking prefix is rank-deficient")
+        raise DegenerateStepError("every ranking prefix is rank-deficient")
     m_star = int(np.argmin(curve)) + 1
     return OrderSelection(criterion=criterion, m_star=m_star, curve=curve)
 

@@ -251,10 +251,16 @@ def monte_carlo_cv(
     # compensated accumulation in run order
     count = len(kept)
     means = [math.fsum(kept[:, c]) / count for c in range(4)]
-    stds = [
-        math.sqrt(math.fsum((kept[:, c] - means[c]) ** 2) / count)
-        for c in range(4)
-    ]
+    stds = []
+    for c in range(4):
+        # squared at the power of two that brings the largest deviation
+        # below 1, then scaled back: exact, so no square overflows, and the
+        # bits are those of the unscaled squares wherever no square of
+        # either leaves the normal range
+        deviations = kept[:, c] - means[c]
+        _, exponent = math.frexp(float(np.abs(deviations).max()))
+        squares = np.ldexp(deviations, -exponent) ** 2
+        stds.append(math.ldexp(math.sqrt(math.fsum(squares) / count), exponent))
     return CvReport(
         runs=int(len(kept)),
         requested_runs=runs,

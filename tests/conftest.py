@@ -1,3 +1,4 @@
+import dataclasses
 import runpy
 from pathlib import Path
 
@@ -37,13 +38,15 @@ def benchmark_table(seed, n_features):
     return runpy.run_path(str(GENERATE))["make_table"](seed, n_features)
 
 
-def benchmark_csv(directory, seed, n_features):
-    """``make_table(seed, n_features)`` written to ``directory`` by
-    ``bench/generate.py``'s ``write_csv``; returns the file's path and its
-    target column."""
+def benchmark_csv(directory, seed, n_features, target_scale=1.0):
+    """``make_table(seed, n_features)``, its target times ``target_scale``,
+    written to ``directory`` by ``bench/generate.py``'s ``write_csv``;
+    returns the file's path and its target column."""
     generate = runpy.run_path(str(GENERATE))
+    table = generate["make_table"](seed, n_features)
+    table = dataclasses.replace(table, target=table.target * target_scale)
     path = directory / f"table{n_features}-{seed}.csv"
-    generate["write_csv"](generate["make_table"](seed, n_features), path)
+    generate["write_csv"](table, path)
     return path, generate["TARGET"]
 
 

@@ -8,11 +8,11 @@ fit (through ``LoopCostCache``), the hand-written backward loops the
 stepwise driver replaced, the error curve and the order selection that
 refitted every ranking prefix by
 SVD, the prefix decisions that took the singular values of every
-uncertified leading block, the forward state's factor re-derived by
-``_certified`` at every step, the Gram-Schmidt scan that sets aside the
-columns the backward rankings cannot use, the per-feature and per-pair
-Pearson loops of RM5 and the correlation graph, and the p-values that
-fitted by SVD and took the standard errors from a second (scipy) QR (their
+uncertified leading block, the forward state's running norms re-derived
+by ``_certified``'s formula at every step, the Gram-Schmidt scan that
+sets aside the columns the backward rankings cannot use, the per-feature
+and per-pair Pearson loops of RM5 and the correlation graph, and the
+p-values that fitted by SVD and took the standard errors from a second (scipy) QR (their
 tail is varsel's own, held to mpmath by ``test_student_t``), the
 ingest that parsed and checked each cell on its own, and the CV that
 fitted each split by SVD and scored it on its own, with the one-vector
@@ -50,7 +50,7 @@ from varsel import (
 from varsel.data import (Dataset, check_seed, constant_columns, normalize_columns,
                          run_rng)
 from varsel.ingest import _check_delimiter, _utf8_lines
-from varsel.linmodel import _band_decisions, _certified, full_rank_lstsq
+from varsel.linmodel import _band_decisions, full_rank_lstsq
 from varsel.ranking import _finish
 from varsel.search import random_subset
 from varsel.student_t import two_sided_tail
@@ -402,24 +402,17 @@ def loop_prefix_decisions(factor):
     return (ratios, *_band_decisions(ratios))
 
 
-def loop_state_factor(state):
-    """The ``Factor`` the forward state (``linmodel._AddState``) took at
-    each step before it carried its certificate: ``_certified`` of its
-    blocks, given its ``A^-1``, with the design's squared column norms read
-    from the table."""
+def loop_state_certificate(state):
+    """``(||[1, X_taken]||_F^2, ||A^-1||_F)`` of the forward state
+    (``linmodel._AddState``) by ``_certified``'s formula, taken over the
+    state's own ``A^-1`` and the design's squared column norms read from
+    the table."""
     w, dataset = state.width, state.dataset
     taken = np.asarray(state.taken, dtype=np.intp) - 1
     column_norm2 = np.r_[float(dataset.n_rows), dataset.column_norm2[taken]]
-    return _certified(state.q[:w].T, state.a[:w, :w], column_norm2,
-                      state.qty[:w], state.residuals, state.a_inv[:w, :w])
-
-
-def factor_bits(factor):
-    """Each field of a ``Factor`` as its shape and bytes (None as None):
-    two factors are equal bit for bit when these are."""
-    return {name: None if value is None
-            else (np.shape(value), np.asarray(value).tobytes())
-            for name, value in vars(factor).items()}
+    a_inv = state.a_inv[:w, :w]
+    inv_norm = np.sqrt(np.cumsum(np.einsum("ij,ij->j", a_inv, a_inv)))
+    return float(np.cumsum(column_norm2)[-1]), float(inv_norm[-1])
 
 
 def loop_select_order(dataset, ranking, criterion):
@@ -435,7 +428,7 @@ def loop_select_order(dataset, ranking, criterion):
         except (RankDeficiencyError, ConfigError):
             continue  # unscorable prefix (rank-deficient or n < m + 2)
     if not (curve < math.inf).any():
-        raise ConfigError("every ranking prefix is rank-deficient")
+        raise DegenerateStepError("every ranking prefix is rank-deficient")
     m_star = int(np.argmin(curve)) + 1
     return curve, m_star
 

@@ -145,9 +145,10 @@ def route_counts():
     counts = [0, 0, 0]
     decide, small = linmodel._decide_and_update, linmodel._small_factor_ratios
 
-    def counted_decide(factor, c, z, zeta2, *args):
+    def counted_decide(a, inv_norm, design_norm2, r0, c, z, zeta2, *args):
         sent = counts[1]
-        updated, singular, residuals = decide(factor, c, z, zeta2, *args)
+        updated, singular, residuals = decide(a, inv_norm, design_norm2, r0,
+                                              c, z, zeta2, *args)
         counts[0] += len(c) - (counts[1] - sent) - int(np.count_nonzero(zeta2 == 0.0))
         counts[2] += int(np.count_nonzero(~(updated | singular)))
         return updated, singular, residuals

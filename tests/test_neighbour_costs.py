@@ -222,7 +222,9 @@ class TestKernelAgainstSvd:
                 count_calls("_svd_costs") as svd:
             updated, singular, _ = state.fits()
             costs = state.costs()
-        assert decide.call_args.args[0].a_inv is None
+        # the bound reads the state's ||A^-1||_F, which no certificate gives
+        assert math.isfinite(decide.call_args.args[1])
+        assert linmodel._factor(ds, (1, 2)).a_inv is None
         assert updated.all() and not singular.any()
         open_rows = [call.args[1] for call in small.call_args_list]
         assert [len(c) for c in open_rows] == [1, 1]
@@ -730,8 +732,10 @@ class TestForwardRankingsOnTheBenchmarkTable:
         # still gives
         late = [call.args for call in decide.call_args_list[pair_in + 1:]]
         assert len(late) == len(added) - 1 - pair_in
-        assert all(f.a_inv is None and math.isfinite(f.a_inv_norm) for f, *_ in late)
-        assert sum(len(c) for _, c, *_ in late) == uncertified
+        assert all(math.isfinite(inv_norm) for _, inv_norm, *_ in late)
+        assert all(linmodel._factor(ds, tuple(added[:m])).a_inv is None
+                   for m in range(pair_in + 1, len(added)))
+        assert sum(len(args[4]) for args in late) == uncertified
         assert [len(call.args[1]) for call in small.call_args_list] == opened
         svd.assert_not_called()
 

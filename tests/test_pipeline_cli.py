@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -283,6 +284,77 @@ class TestPipeline:
         report, _ = run_pipeline(config)
         for entry in report["rankings"]:
             assert sorted(entry["order"]) == [1, 2, 3]
+
+
+# Each report field in the target's units and the power of 2^k it takes
+# when the target is scaled by 2^k and eta by 2^-k; every other field stays.
+_TARGET_UNITS = {
+    "error_curve": 1, "cost": 1, "intercept": 1, "coefficients": 1,
+    "mae": 1, "rmse": 1, "mean_mae": 1, "std_mae": 1, "mean_rmse": 1,
+    "std_rmse": 1, "min_rmse": 1, "max_rmse": 1,
+    "mse": 2, "mean_mse": 2, "std_mse": 2,
+    "eta": -1,
+}
+
+
+def in_units(value, scale):
+    """``value`` with every float in it, in lists at any depth, times
+    ``scale``."""
+    if isinstance(value, list):
+        return [in_units(v, scale) for v in value]
+    return value * scale if isinstance(value, float) else value
+
+
+def target_units_report(directory, k):
+    """The report of every stage on ``make_table(1, 16)`` with its target
+    scaled by 2^k and eta by 2^-k, so that eta times a cost stays put."""
+    data, target = benchmark_csv(directory, 1, 16, target_scale=2.0**k)
+    report, _ = run_pipeline(RunConfig(
+        dataset_path=str(data), target_column=target,
+        output_dir=str(directory / "out"), m_values=(2, 4), search_runs=20,
+        sweeps=60, cv_runs=200, eta=2.0**-k, seed=3))
+    return report
+
+
+@pytest.fixture(scope="module")
+def unscaled_report(tmp_path_factory):
+    return target_units_report(tmp_path_factory.mktemp("units"), 0)
+
+
+class TestTargetUnits:
+    """Metamorphic: scaling the target by 2^k (and eta by 2^-k) scales every
+    field in the target's units by 2^k, or 4^k for an MSE, bit for bit, and
+    leaves every order, subset, prefix, model size, Gibbs profile, R^2 and
+    count as it was.  Power-of-two scaling is exact in IEEE arithmetic and
+    every step that touches y is linear in it.  k stays below 511: from
+    there on the residuals' squares overflow, and every MSE reads +inf."""
+
+    @pytest.mark.parametrize("k", [-9, 7, 40, 300])
+    def test_every_stage_scales_exactly(self, tmp_path, unscaled_report, k):
+        got = target_units_report(tmp_path, k)
+        for section in ("rankings", "best_subsets", "inclusion_profiles",
+                        "order_selection", "cv", "named_model", "correlation"):
+            rows, wants = got[section], unscaled_report[section]
+            if isinstance(wants, dict):
+                rows, wants = [rows], [wants]
+            assert len(rows) == len(wants), section
+            for row, want in zip(rows, wants):
+                assert row.keys() == want.keys(), section
+                for field, value in want.items():
+                    if (section, field) == ("order_selection", "curve"):
+                        continue  # n log(2 pi mse) moves by n log(4^k)
+                    if field in _TARGET_UNITS:
+                        value = in_units(value, 2.0 ** (k * _TARGET_UNITS[field]))
+                    assert row[field] == value, (section, field)
+
+
+def test_every_name_the_benchmark_traces_is_callable():
+    # bench/tracing.py swaps these names for timing wrappers while a traced
+    # run goes; a change that drops one breaks the benchmark's trace
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                                 / "bench" / "tracing.py"))
+    for module, attr, span in tracing["WRAPPED"]:
+        assert callable(getattr(module, attr, None)), span
 
 
 def quote_cells(path):
@@ -613,6 +685,20 @@ class TestCli:
         code = main(["rank", "-i", str(dup), "--target", "y",
                      "--methods", "rm1", "-o", str(tmp_path / "o")])
         assert code == EXIT_COMPUTATION
+
+    # numpy warns of the squares' overflow and of the inf / inf in R^2
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_select_with_no_scorable_prefix_exit_code(self, tmp_path, capsys):
+        # a target scaled by 2^511 makes every prefix's MSE overflow to
+        # +inf: the table is at fault, not a setting, so select fails as a
+        # computation, and the report names the stage
+        data, target = benchmark_csv(tmp_path, 1, 16, target_scale=2.0**511)
+        out = tmp_path / "o"
+        code = main(["select", "-i", str(data), "--target", target, "-o", str(out)])
+        assert code == EXIT_COMPUTATION
+        assert "stage 'select' failed" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["incomplete"]["failed_stage"] == "select"
 
     def test_seed_is_mandatory_for_stochastic_commands(self, tmp_path, capsys):
         data = write_fixture(tmp_path)

@@ -1,6 +1,6 @@
 """The states the greedy rankings update at each step (``linmodel._AddState``
 for RM1 and RM4, ``linmodel._DropState`` for RM2, RM3 and p-values): how many
-factors a ranking takes, the forward state's certificate against
+factors a ranking takes, the forward state's running norms against
 ``_certified``'s, the downdates' drift from a fresh factor and the check that
 bounds it, ties between equal columns, and the orders of the
 one-SVD-fit-per-candidate loops."""
@@ -41,12 +41,11 @@ from conftest import (
     unit_orthogonal_to,
 )
 from oracles import (
-    factor_bits,
     loop_backward_elimination,
     loop_forward_order,
     loop_pvalues,
     loop_remove_max_error,
-    loop_state_factor,
+    loop_state_certificate,
 )
 
 BACKWARD = (
@@ -93,44 +92,50 @@ def wide_tables(draw):
     return make_dataset(x, y)
 
 
-def certified_runs(dataset, largest):
+def certified_walk(dataset, largest):
     """Walk RM1 (RM4 if ``largest``) on the forward state, asserting at
-    every step that its ``Factor`` equals ``loop_state_factor``'s bit for
-    bit; returns each step's ``n_certified``."""
-    state, runs = _AddState(dataset), []
+    every step that its running ``||[1, X_taken]||_F^2`` and ``||A^-1||_F``
+    equal ``loop_state_certificate``'s bit for bit; returns the state and
+    the number of steps."""
+    state, steps = _AddState(dataset), []
 
     def price(taken, pool):
         state.follow(taken)
-        factor = state.factor()
-        assert factor_bits(factor) == factor_bits(
-            loop_state_factor(state)), (largest, state.taken)
-        runs.append(factor.n_certified)
+        got = (state.design_norm2, math.sqrt(state.inv_norm2))
+        want = loop_state_certificate(state)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (
+            largest, state.taken)
+        steps.append(len(taken))
         return state.costs()
 
     _stepwise(state.pool, price, largest)
-    return runs
+    return state, len(steps)
 
 
 class TestForwardCertificate:
-    """The forward state carries its certificate: at every step of RM1 and
-    RM4 its ``Factor`` is ``_certified``'s of the same blocks, field by
-    field and bit for bit, also once a near-duplicate or tiny column has
-    ended the certified run."""
+    """The forward state's running norms, which its band-edge bound reads,
+    are the ones ``_certified`` would take: at every step of RM1 and RM4,
+    ``||[1, X_taken]||_F^2`` and ``||A^-1||_F`` equal its formula over the
+    state's own ``A^-1``, bit for bit, also once a near-duplicate or tiny
+    column has ended the certified run."""
 
     @settings(max_examples=80, deadline=None)
     @given(dataset=st.one_of(state_tables(), awkward_tables(), wide_tables()))
     def test_every_step_equals_certified(self, dataset):
         for largest in (False, True):
             with suppress(DegenerateStepError):
-                certified_runs(dataset, largest)
+                certified_walk(dataset, largest)
 
     @pytest.mark.parametrize("largest", [False, True], ids=["rm1", "rm4"])
     def test_every_step_on_the_benchmark_table(self, largest):
         # 122 features: past step 84, where the rank-rule pair enters RM1,
-        # the certified run stops
+        # the certified run stops, so the factor of the columns taken last
+        # certifies no whole design
         table = benchmark_table(1, 122)
-        runs = certified_runs(make_dataset(table.features, table.target), largest)
-        assert len(runs) == 122 and runs[-1] < 122, runs[-1]
+        ds = make_dataset(table.features, table.target)
+        state, steps = certified_walk(ds, largest)
+        assert steps == 122
+        assert _factor(ds, tuple(state.taken)).a_inv is None
 
 
 class TestOneFactorPerRanking:

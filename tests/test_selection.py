@@ -198,8 +198,8 @@ class TestSelectOrderReadsTheRanking:
                 try:
                     want_curve, want_m = loop_select_order(dataset, ranking,
                                                            criterion)
-                except ConfigError:
-                    with pytest.raises(ConfigError):
+                except DegenerateStepError:
+                    with pytest.raises(DegenerateStepError):
                         select_order(dataset, ranking, criterion)
                     continue
                 got = select_order(dataset, ranking, criterion)
