@@ -311,13 +311,31 @@ def constant_columns(values: np.ndarray) -> np.ndarray:
     return values.max(axis=0) == values.min(axis=0)
 
 
+def binary_scaled(values: np.ndarray,
+                  axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` times 2^-e, and e, with ``axis`` kept: along ``axis``, the
+    exponent of the power of two that brings the largest magnitude below 1
+    (0 where every value is 0).  The scaling is exact wherever the values
+    stay normal, so a sum of squares of the scaled values, scaled back by
+    4^e, has the bits of the unscaled sum, and it overflows only where its
+    true value does: no square does.  Every sum of squares in the target's
+    units is taken so (the error metrics, the t statistics' sigma^2, the
+    CV aggregates and ``unit_centered_columns``).  The remaining limit: an
+    Lp cost with p != 1 (``linmodel.residual_norm_cost``) raises |r| to p
+    unscaled, so at p = 2 a cost overflows once |r| passes about 1e154."""
+    _, exponent = np.frexp(np.abs(values).max(axis=axis, keepdims=True))
+    return np.ldexp(values, -exponent), exponent
+
+
 def unit_centered_columns(values: np.ndarray) -> np.ndarray:
     """Columns centered and scaled to unit norm in one new array, so that a
     Pearson correlation is an inner product; constant columns come out as
-    exact zeros (any other column keeps a nonzero entry after centering)."""
+    exact zeros (any other column keeps a nonzero entry after centering).
+    Each column is scaled by ``binary_scaled`` before its norm is taken."""
     out = values - values.mean(axis=0)
     constant = constant_columns(values)
     out[:, constant] = 0.0
+    out, _ = binary_scaled(out, axis=0)
     norms = np.sqrt(np.einsum("ij,ij->j", out, out))
     norms[constant] = 1.0
     out /= norms

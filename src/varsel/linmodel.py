@@ -89,7 +89,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, constant_columns, feature_indices
+from .data import (Dataset, FeatureSubset, binary_scaled, constant_columns,
+                   feature_indices)
 from .errors import ConfigError, InvalidSubsetError, RankDeficiencyError, VarselError
 
 # Relative singular-value cutoff for declaring a design rank-deficient.
@@ -201,17 +202,23 @@ def error_metrics(residuals: np.ndarray, target: np.ndarray
     scored target, and 0 when SS_tot is 0.  A constant target
     (``constant_columns``, ``max == min``) has SS_tot 0 by that rule, not by
     centering: centering a constant such as 0.1 leaves a rounding residue.
+    SS_res and SS_tot are summed at the scale of ``data.binary_scaled``, so
+    a large target's MSE overflows only if its value does.
     """
     mae = np.abs(residuals).mean(axis=-1)
+    scaled, e_res = binary_scaled(residuals)
+    e_res = e_res[..., 0]
     # one BLAS dot per row, as ``r @ r`` takes it (einsum sums in another order)
-    ss_res = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
-    mse = ss_res / residuals.shape[-1]
+    ss_res = (scaled[..., None, :] @ scaled[..., :, None])[..., 0, 0]
+    mse = np.ldexp(ss_res / residuals.shape[-1], 2 * e_res)
     constant = constant_columns(target.T)
     if constant.any():
         # scored as zeros: SS_tot 0, with no centring to overflow
         target = np.where(constant[..., None], 0.0, target)
-    ss_tot = ((target - target.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
-    ratio = np.divide(ss_res, ss_tot, out=np.ones_like(ss_res), where=ss_tot > 0.0)
+    scaled, e_tot = binary_scaled(target - target.mean(axis=-1, keepdims=True))
+    ss_tot = (scaled ** 2).sum(axis=-1)
+    ratio = np.divide(np.ldexp(ss_res, 2 * (e_res - e_tot[..., 0])), ss_tot,
+                      out=np.ones_like(ss_res), where=ss_tot > 0.0)
     metrics = (mae, mse, np.sqrt(mse), 1.0 - ratio)
     if residuals.ndim == 1:
         return tuple(float(m) for m in metrics)
@@ -251,7 +258,10 @@ def check_cost_parameters(p: float, alpha: float) -> None:
 def residual_norm_cost(residuals: np.ndarray, p: float,
                        alpha: float) -> float | np.ndarray:
     """``||residuals||_p ** alpha``, taken along the last axis: a float for
-    one residual vector, an array of costs for a stack of them."""
+    one residual vector, an array of costs for a stack of them.  At p != 1
+    the magnitudes are raised to p unscaled, unlike the sums of squares of
+    ``data.binary_scaled``: at p = 2 a cost is +inf once |r| passes about
+    1e154."""
     check_cost_parameters(p, alpha)
     return _magnitude_cost(np.abs(np.asarray(residuals, dtype=float)), p, alpha)
 

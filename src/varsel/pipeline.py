@@ -196,7 +196,7 @@ def _rank(config: RunConfig, dataset: Dataset, made: dict) -> dict:
             "method": ranking.method.value,
             "order": list(ranking.order),
             "raw_order": None if ranking.raw_order is None else list(ranking.raw_order),
-            "error_curve": _jsonable(ranking.error_curve),
+            "error_curve": ranking.error_curve,
             "filled_prefixes": list(ranking.filled_prefixes),
             "elbow_hint": elbow_annotation(ranking.error_curve),
         }
@@ -227,7 +227,7 @@ def _gibbs(config: RunConfig, dataset: Dataset, made: dict) -> dict:
             "sweeps": gibbs_config.sweeps,
             "burn_in": gibbs_config.burn_in,
             "uniform_reference": profile.uniform_reference,
-            "probabilities": _jsonable(profile.probabilities),
+            "probabilities": profile.probabilities,
         })
     return {"inclusion_profiles": profiles}
 
@@ -243,7 +243,7 @@ def _select(config: RunConfig, dataset: Dataset, made: dict) -> dict:
         entries += [{"criterion": selection.criterion.value,
                      "ranking_method": name,
                      "m_star": selection.m_star,
-                     "curve": _jsonable(selection.curve)} for selection in chosen]
+                     "curve": selection.curve} for selection in chosen]
     return {"order_selection": entries}
 
 
@@ -278,7 +278,9 @@ def _corr(config: RunConfig, dataset: Dataset, made: dict) -> dict:
 
 
 # Each stage maps (config, dataset, what earlier stages made) to its report
-# sections; the loop in ``run_pipeline`` runs them in ``ALL_STAGES`` order.
+# sections, arrays and numpy scalars as they came; the loop in
+# ``run_pipeline`` runs them in ``ALL_STAGES`` order and converts each
+# stage's sections once, as it merges them into the report.
 _STAGES = {"rank": _rank, "search": _search, "gibbs": _gibbs,
            "select": _select, "cv": _cv, "corr": _corr}
 
@@ -328,7 +330,7 @@ def run_pipeline(config: RunConfig) -> tuple[dict, list[Path]]:
             _emit(report, Path(config.output_dir))
             exc.stage = stage
             raise
-        report.update(sections)
+        report.update(_jsonable(sections))
         made.update(sections)
     return report, _emit(report, Path(config.output_dir))
 
@@ -339,47 +341,34 @@ def _emit(report: dict, output_dir: Path) -> list[Path]:
 
     def write_text(name: str, text: str) -> None:
         target = output_dir / name
-        with target.open("w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        target.write_text(text, encoding="utf-8", newline="\n")
         written.append(target)
+
+    def write_lines(name: str, header: str, lines) -> None:
+        write_text(name, "\n".join([header, *lines]) + "\n")
 
     write_text("report.json", canonical_json(report))
 
     if "rankings" in report:
-        lines = ["method,M,MAE"]
-        for entry in report["rankings"]:
-            for m, mae in enumerate(entry["error_curve"], start=1):
-                lines.append(f"{entry['method']},{m},{_fmt(mae)}")
-        write_text("error_curves.csv", "\n".join(lines) + "\n")
-
+        write_lines("error_curves.csv", "method,M,MAE", (
+            f"{entry['method']},{m},{_fmt(mae)}" for entry in report["rankings"]
+            for m, mae in enumerate(entry["error_curve"], start=1)))
     for entry in report.get("inclusion_profiles", ()):
-        lines = ["feature,probability"]
-        for k, prob in enumerate(entry["probabilities"], start=1):
-            lines.append(f"{k},{_fmt(prob)}")
-        write_text(f"inclusion_m{entry['m']}.csv", "\n".join(lines) + "\n")
-
+        write_lines(f"inclusion_m{entry['m']}.csv", "feature,probability", (
+            f"{k},{_fmt(prob)}"
+            for k, prob in enumerate(entry["probabilities"], start=1)))
     if "order_selection" in report:
-        lines = ["criterion,ranking_method,M,value"]
-        for entry in report["order_selection"]:
-            for m, value in enumerate(entry["curve"], start=1):
-                lines.append(
-                    f"{entry['criterion']},{entry['ranking_method']},{m},{_fmt(value)}"
-                )
-        write_text("criterion_curves.csv", "\n".join(lines) + "\n")
-
+        write_lines("criterion_curves.csv", "criterion,ranking_method,M,value", (
+            f"{entry['criterion']},{entry['ranking_method']},{m},{_fmt(value)}"
+            for entry in report["order_selection"]
+            for m, value in enumerate(entry["curve"], start=1)))
     if "best_subsets" in report:
-        lines = ["m,cost,subset"]
-        for entry in report["best_subsets"]:
-            subset = " ".join(str(k) for k in entry["subset"])
-            lines.append(f"{entry['m']},{_fmt(entry['cost'])},{subset}")
-        write_text("best_subsets.csv", "\n".join(lines) + "\n")
-
+        write_lines("best_subsets.csv", "m,cost,subset", (
+            f"{entry['m']},{_fmt(entry['cost'])},{' '.join(map(str, entry['subset']))}"
+            for entry in report["best_subsets"]))
     if "correlation" in report:
-        lines = ["i,j,rho"]
-        for i, j, rho in report["correlation"]["edges"]:
-            lines.append(f"{i},{j},{_fmt(rho)}")
-        write_text("correlation_edges.csv", "\n".join(lines) + "\n")
-
+        write_lines("correlation_edges.csv", "i,j,rho", (
+            f"{i},{j},{_fmt(rho)}" for i, j, rho in report["correlation"]["edges"]))
     return written
 
 

@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, FeatureSubset, feature_indices, unit_centered_columns
+from .data import (Dataset, FeatureSubset, binary_scaled, feature_indices,
+                   unit_centered_columns)
 from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
 from .linmodel import (
     Factor,
@@ -279,17 +280,21 @@ def coefficient_pvalues(dataset: Dataset, indices: tuple[int, ...]) -> np.ndarra
 def _t_statistics(state: _DropState) -> tuple[np.ndarray, int]:
     """The |t| of each feature coefficient of the state's pool, and the
     fit's degrees of freedom.  A zero standard error gives |t| = 0 for a
-    zero coefficient and +inf for a nonzero one."""
+    zero coefficient and +inf for a nonzero one.  sigma^2 is summed from
+    the residuals at the scale 2^-e of ``binary_scaled``, and |t| is
+    ``2^-e |b| / (2^-e se)``: the bits of ``|b| / se``, with no square to
+    overflow on a large target."""
     coefs, residuals, gram_inv_diag = state.coefficient_fit()
     n, p = state.dataset.n_rows, len(state.pool) + 1
     dof = n - p
     if dof < 1:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
-    sigma2 = float(residuals @ residuals) / dof
-    se = np.sqrt(sigma2 * gram_inv_diag[1:])
+    scaled, exponent = binary_scaled(residuals)
+    se_scaled = np.sqrt(float(scaled @ scaled) / dof * gram_inv_diag[1:])
     t = np.where(coefs != 0.0, math.inf, 0.0)
     with np.errstate(over="ignore"):
-        return np.divide(np.abs(coefs), se, out=t, where=se > 0.0), dof
+        return np.divide(np.ldexp(np.abs(coefs), -exponent), se_scaled, out=t,
+                         where=se_scaled > 0.0), dof
 
 
 def _pvalues(state: _DropState) -> np.ndarray:

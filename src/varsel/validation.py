@@ -16,15 +16,14 @@ hold ``CV_BLOCK_ENTRIES`` entries together."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .data import (Dataset, FeatureSubset, check_seed, run_rng, run_rngs,
-                   unit_centered_columns)
+from .data import (Dataset, FeatureSubset, binary_scaled, check_seed, run_rng,
+                   run_rngs, unit_centered_columns)
 from .errors import ConfigError, RankDeficiencyError
 from .linmodel import (FitResult, _factor, build_design_matrix, error_metrics,
                        fit_subset, full_rank_lstsq)
@@ -62,10 +61,6 @@ class CvReport:
     min_rmse: float
     max_rmse: float
     high_skip_warning: bool
-
-    def to_json(self) -> str:
-        """Canonical serialization (sorted keys, round-trip floats)."""
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def check_cv_settings(train_fraction: float, runs: int) -> None:
@@ -248,19 +243,15 @@ def monte_carlo_cv(
         )
     kept = np.concatenate(scored)
     skipped = runs - len(kept)
-    # compensated accumulation in run order
+    # compensated accumulation in run order, summed at the scale of
+    # ``binary_scaled`` so that no sum or square overflows
     count = len(kept)
-    means = [math.fsum(kept[:, c]) / count for c in range(4)]
-    stds = []
-    for c in range(4):
-        # squared at the power of two that brings the largest deviation
-        # below 1, then scaled back: exact, so no square overflows, and the
-        # bits are those of the unscaled squares wherever no square of
-        # either leaves the normal range
-        deviations = kept[:, c] - means[c]
-        _, exponent = math.frexp(float(np.abs(deviations).max()))
-        squares = np.ldexp(deviations, -exponent) ** 2
-        stds.append(math.ldexp(math.sqrt(math.fsum(squares) / count), exponent))
+    scaled, exponents = binary_scaled(kept, axis=0)
+    means = [math.ldexp(math.fsum(scaled[:, c]) / count, e)
+             for c, e in enumerate(exponents[0].tolist())]
+    scaled, exponents = binary_scaled(kept - means, axis=0)
+    stds = [math.ldexp(math.sqrt(math.fsum(scaled[:, c] ** 2) / count), e)
+            for c, e in enumerate(exponents[0].tolist())]
     return CvReport(
         runs=int(len(kept)),
         requested_runs=runs,

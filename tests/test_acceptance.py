@@ -14,6 +14,7 @@ Run:  pytest tests/test_acceptance.py -v -s
 import math
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from varsel import (
 )
 from varsel.cli import EXIT_OK, main
 from varsel.data import run_rng
+from varsel.pipeline import canonical_json
 from varsel.search import alternating_optimization, random_subset
 
 from oracles import exact_cv_runs, oracle_rm1, oracle_rm2, oracle_rm3, oracle_rm4
@@ -200,8 +202,9 @@ def test_criterion_06_cv_determinism():
     y = x @ np.array([1.0, -0.5, 0.0, 2.0]) + 0.3 * rng.normal(size=40)
     ds = make_dataset(x, y)
     subset = FeatureSubset((1, 2, 4))
-    first = monte_carlo_cv(ds, subset, runs=64, seed=17).to_json()
-    assert monte_carlo_cv(ds, subset, runs=64, seed=17).to_json() == first
+    first, again = (canonical_json(asdict(monte_carlo_cv(ds, subset, runs=64, seed=17)))
+                    for _ in range(2))
+    assert again == first
 
     # runs=1 equals the manual single-split oracle (the same split, one SVD
     # lstsq, the metric expressions written out independently here) within

@@ -283,3 +283,23 @@ class TestRunRngs:
         rngs = run_rngs(1, [0, -1])
         with pytest.raises(ValueError, match="spawn keys must be >= 0"):
             next(rngs)
+
+
+def test_binary_scaled_is_exact_and_keeps_squares_finite():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(3, 50)) * np.array([[1.0], [2.0**600], [0.0]])
+    scaled, exponent = data.binary_scaled(values)
+    assert exponent[2, 0] == 0 and not scaled[2].any()
+    top = np.abs(scaled[:2]).max(axis=1)
+    assert ((0.5 <= top) & (top < 1.0)).all()
+    assert np.array_equal(np.ldexp(scaled, exponent), values)
+    # the large row's sum of squares, about 4^600 times 50, is a double
+    # only at the scale
+    with np.errstate(over="ignore"):
+        assert np.isinf((values[1] ** 2).sum())
+    assert 0.25 <= (scaled[1] ** 2).sum() < 50.0
+    # columns, by axis 0, and the norms of ``unit_centered_columns``
+    _, by_column = data.binary_scaled(values.T, axis=0)
+    assert np.array_equal(by_column, exponent.T)
+    unit = data.unit_centered_columns(values.T[:, :2])
+    assert np.allclose(np.einsum("ij,ij->j", unit, unit), 1.0)

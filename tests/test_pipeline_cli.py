@@ -4,6 +4,7 @@ import builtins
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import runpy
@@ -297,23 +298,30 @@ _TARGET_UNITS = {
 }
 
 
-def in_units(value, scale):
+def in_units(value, exponent):
     """``value`` with every float in it, in lists at any depth, times
-    ``scale``."""
+    2^``exponent`` (by ``ldexp``: 4^512 is past the largest double)."""
     if isinstance(value, list):
-        return [in_units(v, scale) for v in value]
-    return value * scale if isinstance(value, float) else value
+        return [in_units(v, exponent) for v in value]
+    return math.ldexp(value, exponent) if isinstance(value, float) else value
+
+
+def refuse_constant(name):
+    raise ValueError(f"report.json holds {name}")
 
 
 def target_units_report(directory, k):
-    """The report of every stage on ``make_table(1, 16)`` with its target
-    scaled by 2^k and eta by 2^-k, so that eta times a cost stays put."""
+    """The report.json of every stage on ``make_table(1, 16)`` with its
+    target scaled by 2^k and eta by 2^-k, so that eta times a cost stays
+    put, parsed with ``NaN`` and ``Infinity`` refused."""
     data, target = benchmark_csv(directory, 1, 16, target_scale=2.0**k)
-    report, _ = run_pipeline(RunConfig(
-        dataset_path=str(data), target_column=target,
-        output_dir=str(directory / "out"), m_values=(2, 4), search_runs=20,
-        sweeps=60, cv_runs=200, eta=2.0**-k, seed=3))
-    return report
+    out = directory / "out"
+    run_pipeline(RunConfig(
+        dataset_path=str(data), target_column=target, output_dir=str(out),
+        m_values=(2, 4), search_runs=20, sweeps=60, cv_runs=200, eta=2.0**-k,
+        seed=3))
+    return json.loads((out / "report.json").read_text(encoding="utf-8"),
+                      parse_constant=refuse_constant)
 
 
 @pytest.fixture(scope="module")
@@ -326,10 +334,12 @@ class TestTargetUnits:
     field in the target's units by 2^k, or 4^k for an MSE, bit for bit, and
     leaves every order, subset, prefix, model size, Gibbs profile, R^2 and
     count as it was.  Power-of-two scaling is exact in IEEE arithmetic and
-    every step that touches y is linear in it.  k stays below 511: from
-    there on the residuals' squares overflow, and every MSE reads +inf."""
+    every step that touches y is linear in it.  At k = 511 and 512 the
+    residuals' squares would overflow, but every sum of squares is taken at
+    a power-of-two scale, and each MSE, at most 0.254 here, times 4^512
+    is still a double; the report must parse with no NaN or Infinity."""
 
-    @pytest.mark.parametrize("k", [-9, 7, 40, 300])
+    @pytest.mark.parametrize("k", [-9, 7, 40, 300, 511, 512])
     def test_every_stage_scales_exactly(self, tmp_path, unscaled_report, k):
         got = target_units_report(tmp_path, k)
         for section in ("rankings", "best_subsets", "inclusion_profiles",
@@ -344,8 +354,43 @@ class TestTargetUnits:
                     if (section, field) == ("order_selection", "curve"):
                         continue  # n log(2 pi mse) moves by n log(4^k)
                     if field in _TARGET_UNITS:
-                        value = in_units(value, 2.0 ** (k * _TARGET_UNITS[field]))
+                        value = in_units(value, k * _TARGET_UNITS[field])
                     assert row[field] == value, (section, field)
+
+
+def test_flat_files_are_report_json_line_by_line(tmp_path):
+    # each flat file, byte for byte, is a plain loop over the sections of
+    # report.json it is drawn from
+    data, target = benchmark_csv(tmp_path, 1, 16)
+    out = tmp_path / "out"
+    assert main(["report", "-i", str(data), "--target", target, "-o", str(out),
+                 "--m", "2,4", "--runs", "5", "--sweeps", "40",
+                 "--cv-runs", "20", "--seed", "3"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    def num(value):
+        return value if isinstance(value, str) else repr(float(value))
+
+    want = {"error_curves.csv": ["method,M,MAE"] + [
+        f"{entry['method']},{m},{num(mae)}" for entry in report["rankings"]
+        for m, mae in enumerate(entry["error_curve"], start=1)]}
+    for entry in report["inclusion_profiles"]:
+        want[f"inclusion_m{entry['m']}.csv"] = ["feature,probability"] + [
+            f"{k},{num(p)}" for k, p in enumerate(entry["probabilities"], start=1)]
+    want["criterion_curves.csv"] = ["criterion,ranking_method,M,value"] + [
+        f"{entry['criterion']},{entry['ranking_method']},{m},{num(value)}"
+        for entry in report["order_selection"]
+        for m, value in enumerate(entry["curve"], start=1)]
+    want["best_subsets.csv"] = ["m,cost,subset"] + [
+        f"{entry['m']},{num(entry['cost'])},{' '.join(map(str, entry['subset']))}"
+        for entry in report["best_subsets"]]
+    want["correlation_edges.csv"] = ["i,j,rho"] + [
+        f"{i},{j},{num(rho)}" for i, j, rho in report["correlation"]["edges"]]
+
+    assert {p.name for p in out.iterdir()} == {"report.json", *want}
+    for name, lines in want.items():
+        assert len(lines) > 1, name
+        assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
 
 
 def test_every_name_the_benchmark_traces_is_callable():
@@ -686,13 +731,14 @@ class TestCli:
                      "--methods", "rm1", "-o", str(tmp_path / "o")])
         assert code == EXIT_COMPUTATION
 
-    # numpy warns of the squares' overflow and of the inf / inf in R^2
+    # numpy warns of the MSEs' overflow (in ldexp, scaling each back)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_select_with_no_scorable_prefix_exit_code(self, tmp_path, capsys):
-        # a target scaled by 2^511 makes every prefix's MSE overflow to
-        # +inf: the table is at fault, not a setting, so select fails as a
-        # computation, and the report names the stage
-        data, target = benchmark_csv(tmp_path, 1, 16, target_scale=2.0**511)
+        # a target scaled by 2^600 makes every prefix's MSE, the least
+        # 0.0376 * 4^600, overflow to +inf: the table is at fault, not a
+        # setting, so select fails as a computation, and the report names
+        # the stage
+        data, target = benchmark_csv(tmp_path, 1, 16, target_scale=2.0**600)
         out = tmp_path / "o"
         code = main(["select", "-i", str(data), "--target", target, "-o", str(out)])
         assert code == EXIT_COMPUTATION

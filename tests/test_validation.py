@@ -1,7 +1,7 @@
 """Monte Carlo cross-validation, correlation graph, named model fits."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +20,7 @@ from varsel import (
 )
 from varsel import data, linmodel, validation
 from varsel.data import run_rng
+from varsel.pipeline import canonical_json
 
 from conftest import (awkward_tables, benchmark_table, near_duplicate_table,
                       random_instance)
@@ -39,7 +40,7 @@ def cv_outcome(cv, dataset, subset, train_fraction, runs, seed):
     """The report's canonical JSON (round-trip floats, so bit for bit), or
     the exception's type and message."""
     try:
-        return cv(dataset, subset, train_fraction, runs, seed).to_json()
+        return canonical_json(asdict(cv(dataset, subset, train_fraction, runs, seed)))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -616,7 +617,8 @@ class TestGershgorinThenEigvalsh:
             with mock.patch.object(validation, "_above_floor", above_floor), \
                     mock.patch.object(validation, "_split_by_svd", fallback), \
                     mock.patch.object(validation, "CV_BLOCK_ENTRIES", entries):
-                return monte_carlo_cv(ds, subset, *args).to_json(), fallback.call_count
+                cv = canonical_json(asdict(monte_carlo_cv(ds, subset, *args)))
+                return cv, fallback.call_count
 
         got, fallbacks = report(validation._above_floor)
         assert (got, fallbacks) == report(eigvalsh_mask)
