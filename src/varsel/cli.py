@@ -13,15 +13,8 @@ import argparse
 import os
 import sys
 
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    DegenerateStepError,
-    IngestError,
-    InvalidSubsetError,
-    RankDeficiencyError,
-    VarselError,
-)
+from .errors import (BudgetExceededError, ConfigError, IngestError,
+                     InvalidSubsetError, VarselError)
 from .pipeline import ALL_METHODS, ALL_STAGES, RunConfig, run_pipeline
 
 EXIT_OK = 0
@@ -170,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         stage = getattr(exc, "stage", args.command)
         print(f"varsel: invalid configuration ({stage}): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (RankDeficiencyError, DegenerateStepError, VarselError) as exc:
+    except VarselError as exc:  # a computation failure
         stage = getattr(exc, "stage", args.command)
         print(f"varsel: stage {stage!r} failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

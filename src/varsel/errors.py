@@ -26,7 +26,7 @@ class RankDeficiencyError(VarselError):
 
 
 class DegenerateStepError(VarselError):
-    """Every candidate at a ranking/search step is rank-deficient, or every
+    """Every candidate at a search or Gibbs step is rank-deficient, or every
     ranking prefix a selection criterion scores."""
 
 

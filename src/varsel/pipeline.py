@@ -153,7 +153,8 @@ def _jsonable(value):
 
 
 def canonical_json(document: dict) -> str:
-    return json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
+    """``document``, plain JSON values as ``_jsonable`` gives them, as text."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def dataset_sha256(path: str | Path) -> str:

@@ -15,12 +15,13 @@ Every method returns the same shape: a best-to-worst permutation of all
 features plus the per-prefix MAE and MSE curves.  Methods whose native
 output runs worst-to-best (backward elimination, add-max) are normalized
 by reversal; the raw removal/addition sequence is kept alongside so reports
-can show both conventions.  Ties are always broken by the lowest feature
-index.  RM5 ties |rho| values within ``RHO_TIE`` = 1e-10 of their
-neighbour in decreasing order, transitively: affine copies of a column
-correlate equally in exact arithmetic, and a fixed grid such as
-``round(|rho|, 10)`` still orders the copies that straddle a grid line.  A
-constant column (``max == min``) correlates 0 with everything, and a
+can show both conventions.  A greedy method ranks the columns it cannot
+rank last, in index order (see ``rank_features``).  Ties are always broken
+by the lowest feature index.  RM5 ties |rho| values within ``RHO_TIE`` =
+1e-10 of their neighbour in decreasing order, transitively: affine copies
+of a column correlate equally in exact arithmetic, and a fixed grid such
+as ``round(|rho|, 10)`` still orders the copies that straddle a grid line.
+A constant column (``max == min``) correlates 0 with everything, and a
 constant target with every feature.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .data import (Dataset, FeatureSubset, binary_scaled, feature_indices,
                    unit_centered_columns)
-from .errors import ConfigError, DegenerateStepError, RankDeficiencyError
+from .errors import ConfigError, RankDeficiencyError
 from .linmodel import (
     Factor,
     _AddState,
@@ -198,23 +199,19 @@ def _stepwise(pool, price, largest: bool) -> list[int]:
 
     Each step ``price(taken, pool)`` scores every entry left (+inf when
     rank-deficient) and takes the lowest score, or the highest finite one
-    with ``largest``; the earliest entry wins ties.  Raises
-    ``DegenerateStepError`` when no score of a step is finite.
+    with ``largest``; the earliest entry wins ties.  A step with no finite
+    score ends the pass, and the entries taken so far are returned.
     """
     pool = list(pool)
     taken: list[int] = []
     while pool:
         scores = np.asarray(price(taken, pool), dtype=float)
-        finite = np.isfinite(scores)
-        if not finite.any():
-            raise DegenerateStepError(
-                f"every candidate of {pool} after {taken} is rank-deficient"
-            )
-        if largest:
-            pick = np.argmax(np.where(finite, scores, -math.inf))
-        else:
-            pick = np.argmin(scores)
-        taken.append(pool.pop(int(pick)))
+        if largest:  # the largest finite score is the least negated one
+            scores = np.where(np.isfinite(scores), -scores, math.inf)
+        pick = int(np.argmin(scores))
+        if scores[pick] == math.inf:
+            break
+        taken.append(pool.pop(pick))
     return taken
 
 
@@ -368,8 +365,9 @@ def rank_features(dataset: Dataset, method: RankingMethod,
                   alpha_threshold: float = 0.05, start=None) -> Ranking:
     """Run one ranking method by tag, as its ``_GREEDY`` row says.  A
     removing one runs from ``start``, its entry of ``backward_starts``, or
-    from a start of its own, and puts the columns the scan dropped at the
-    tail of its orders."""
+    from a start of its own.  Both orders end in one tail: the columns a
+    step with no full-rank candidate left, then those the
+    ``_usable_features`` scan dropped, each in index order."""
     method = RankingMethod(method)
     if method not in _GREEDY:
         return _finish(method, dataset, _correlation_order(dataset))
@@ -390,9 +388,10 @@ def rank_features(dataset: Dataset, method: RankingMethod,
             # a finite stand-in for +inf, which ``_stepwise`` would not take
             return np.minimum(t, UNBOUNDED_T)
 
-    taken = _stepwise(state.pool, lambda done, pool: read(state.follow(done)),
-                      greedy.largest)
+    pool = list(state.pool)
+    taken = _stepwise(pool, lambda done, _: read(state.follow(done)), greedy.largest)
     del start, state  # the state goes before the error curve takes its residuals
+    tail = sorted(set(pool).difference(taken)) + tail  # the one tail rule
     if method == RankingMethod.PVALUE:
         # step i of k prices a pool of k - i columns: entry k - 1 - i
         t, dof = np.array(smallest, dtype=float).reshape(-1, 2).T

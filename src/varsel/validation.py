@@ -191,6 +191,13 @@ def monte_carlo_cv(
     and skipped runs and every error are those of one ``full_rank_lstsq``
     fit per split, and the downdated splits' metrics differ from that
     fit's only in their last digits.
+
+    Raises:
+        InvalidSubsetError: the subset does not fit the table.
+        ConfigError: an invalid train fraction, run count or seed, a train
+            split of fewer than m + 2 rows ("train split of n rows cannot
+            fit m features"), or an empty test split.
+        RankDeficiencyError: every train fit was rank-deficient.
     """
     subset.validate_against(dataset)
     check_cv_settings(train_fraction, runs)

@@ -232,7 +232,8 @@ def loop_gibbs_states(dataset, config, cache):
 
 def loop_forward_order(dataset, largest):
     """Addition order of the old RM1 (``largest=False``) / RM4 loop, one
-    SVD fit per candidate; rank-deficient candidates are skipped."""
+    SVD fit per candidate; rank-deficient candidates are skipped, and a
+    step with none left puts the rest at the tail in index order."""
     chosen, remaining = [], list(range(1, dataset.n_features + 1))
     while remaining:
         best_k, best_mae = None, -np.inf if largest else np.inf
@@ -243,9 +244,11 @@ def loop_forward_order(dataset, largest):
                 continue
             if (mae > best_mae) if largest else (mae < best_mae):
                 best_k, best_mae = k, mae
+        if best_k is None:
+            break
         chosen.append(best_k)
         remaining.remove(best_k)
-    return chosen
+    return chosen + remaining
 
 
 def _candidate_mae(dataset, indices):
@@ -291,12 +294,12 @@ def loop_backward_elimination(dataset):
             if mae is not None and mae < best_mae:
                 best_k, best_mae = k, mae
         if best_k is None:
-            raise DegenerateStepError("every removal candidate is rank-deficient")
+            break  # the rest go to the tail, ahead of the dropped columns
         removals.append(best_k)
         current.remove(best_k)
-    order = list(reversed(removals)) + dropped
+    order = list(reversed(removals)) + current + dropped
     return _finish(RankingMethod.RM2_BACKWARD, dataset, order,
-                   raw_order=removals + dropped)
+                   raw_order=removals + current + dropped)
 
 
 def loop_remove_max_error(dataset):
@@ -312,12 +315,12 @@ def loop_remove_max_error(dataset):
             if mae is not None and mae > best_mae:
                 best_k, best_mae = k, mae
         if best_k is None:
-            raise DegenerateStepError("every removal candidate is rank-deficient")
+            break  # the rest go to the tail, ahead of the dropped columns
         removals.append(best_k)
         current.remove(best_k)
-    order = removals + dropped
+    order = removals + current + dropped
     return _finish(RankingMethod.RM3_REMOVE_MAX, dataset, order,
-                   raw_order=removals + dropped)
+                   raw_order=removals + current + dropped)
 
 
 def loop_coefficient_tstats(dataset, indices):

@@ -57,7 +57,7 @@ import argparse
 import os
 import runpy
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -67,7 +67,6 @@ import numpy as np  # noqa: E402
 
 from conftest import near_duplicate_table  # noqa: E402
 from varsel import (  # noqa: E402
-    DegenerateStepError,
     FeatureSubset,
     RankDeficiencyError,
     build_design_matrix,
@@ -198,8 +197,8 @@ def forward_state_decisions(dataset, largest, pair, start=0, stride=1):
     ``stride``-th step from step ``start`` (the number of columns taken),
     the largest |state small-factor ratio - gelsd ratio| and the counts
     (decided, disagreements, to the SVD) of the candidate designs that hold
-    ``pair``, each decided as the state decides it.  A pass whose last
-    candidates are all rank-deficient stops there."""
+    ``pair``, each decided as the state decides it.  A pass stops, as the
+    ranking does, at a step with no full-rank candidate."""
     state = _AddState(dataset)
     found = [0.0, 0, 0, 0]
 
@@ -210,8 +209,7 @@ def forward_state_decisions(dataset, largest, pair, start=0, stride=1):
             inspect_state(state, pair, found)
         return state.costs()
 
-    with suppress(DegenerateStepError):
-        _stepwise(range(1, dataset.n_features + 1), price, largest)
+    _stepwise(range(1, dataset.n_features + 1), price, largest)
     return found
 
 

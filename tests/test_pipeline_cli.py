@@ -718,6 +718,8 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_computation_error_exit_code(self, tmp_path, capsys):
+        # the only pair of two copies is rank-deficient, so every search
+        # restart at m=2 is degenerate (a ranking would put the copy last)
         rng = np.random.default_rng(3)
         base = rng.normal(size=10)
         dup = tmp_path / "dup.csv"
@@ -727,9 +729,10 @@ class TestCli:
                 f"{float(base[i])!r},{float(base[i])!r},{float(rng.normal())!r}"
             )
         dup.write_text("\n".join(lines) + "\n")
-        code = main(["rank", "-i", str(dup), "--target", "y",
-                     "--methods", "rm1", "-o", str(tmp_path / "o")])
+        code = main(["search", "-i", str(dup), "--target", "y", "--m", "2",
+                     "--runs", "3", "--seed", "1", "-o", str(tmp_path / "o")])
         assert code == EXIT_COMPUTATION
+        assert "stage 'search' failed" in capsys.readouterr().err
 
     # numpy warns of the MSEs' overflow (in ldexp, scaling each back)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -6,7 +6,6 @@ bounds it, ties between equal columns, and the orders of the
 one-SVD-fit-per-candidate loops."""
 
 import math
-from contextlib import suppress
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varsel import (
-    DegenerateStepError,
     linmodel,
     make_dataset,
     rank_add_max_error,
@@ -123,8 +121,7 @@ class TestForwardCertificate:
     @given(dataset=st.one_of(state_tables(), awkward_tables(), wide_tables()))
     def test_every_step_equals_certified(self, dataset):
         for largest in (False, True):
-            with suppress(DegenerateStepError):
-                certified_walk(dataset, largest)
+            certified_walk(dataset, largest)
 
     @pytest.mark.parametrize("largest", [False, True], ids=["rm1", "rm4"])
     def test_every_step_on_the_benchmark_table(self, largest):
@@ -244,11 +241,14 @@ class TestTies:
                 ties.append(costs[pool.index(3)] == costs[pool.index(8)])
             return costs
 
-        with pytest.raises(DegenerateStepError):  # 8 is left last
-            _stepwise(range(1, 10), price, largest)
+        # no candidate is full-rank once 3 is in: the pass stops, 8 left
+        taken = _stepwise(range(1, 10), price, largest)
         assert ties and all(ties)
         assert state.taken.index(3) >= 1  # a row was compacted before
-        assert 8 not in state.taken and state.pool == [8]
+        assert taken == state.taken and 8 not in taken and state.pool == [8]
+        ranking = (rank_add_max_error if largest else rank_forward_selection)(
+            make_dataset(x, y))
+        assert ranking.order[-1] == 8 and ranking.filled_prefixes == (9,)
 
     def test_backward_duplicates(self):
         # the pool holds an exact copy beside its original, so its first step
@@ -287,31 +287,15 @@ class TestTies:
             assert got.admissible == want.admissible
 
 
-def forward_outcome(rank, dataset):
-    try:
-        ranking = rank(dataset)
-    except DegenerateStepError:
-        return DegenerateStepError
-    return list(ranking.raw_order or ranking.order)
-
-
-def loop_outcome(dataset, largest):
-    """``loop_forward_order``, which fails (appending None) where every
-    candidate of a step is rank-deficient."""
-    try:
-        return loop_forward_order(dataset, largest)
-    except ValueError:
-        return DegenerateStepError
-
-
 class TestOrdersMatchTheLoops:
     @settings(max_examples=60, deadline=None)
     @given(dataset=state_tables())
     def test_forward(self, dataset):
-        assert forward_outcome(rank_forward_selection, dataset) == loop_outcome(
-            dataset, False)
-        assert forward_outcome(rank_add_max_error, dataset) == loop_outcome(
-            dataset, True)
+        # the addition sequence, with the columns a step with no full-rank
+        # candidate left at its tail in index order, as the loop leaves them
+        rm1, rm4 = rank_forward_selection(dataset), rank_add_max_error(dataset)
+        assert list(rm1.order) == loop_forward_order(dataset, False)
+        assert list(rm4.raw_order) == loop_forward_order(dataset, True)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
