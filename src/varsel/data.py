@@ -13,11 +13,14 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidSubsetError
+
+if TYPE_CHECKING:
+    from .linmodel import Factor
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,9 @@ class Dataset:
     Invariants enforced at construction: R >= 1, N >= R + 1 (one more row
     than features plus the intercept), all entries finite, unique labels.
 
-    ``column_norm2``, ``columns`` and ``table_qr`` (the QR of the whole
-    design that every error curve reads) are derived lazily, once per
-    table, and kept.
+    ``column_norm2``, ``columns``, ``table_qr`` (the QR of the whole
+    design that every error curve reads) and ``usable_pool`` (the start of
+    the backward rankings) are derived lazily, once per table, and kept.
     """
 
     features: np.ndarray
@@ -84,6 +87,20 @@ class Dataset:
         columns = self.features.T.copy()
         columns.setflags(write=False)
         return columns
+
+    @cached_property
+    def usable_pool(self) -> tuple[tuple[int, ...], tuple[int, ...], Factor]:
+        """``(usable, dropped, factor)``, the start of every backward ranking
+        (RM2, RM3, p-values), taken once per table: the columns the scan
+        ``linmodel._usable_features`` keeps and drops, and the read-only
+        ``linmodel.Factor`` of the kept ones, from which each ranking builds
+        the ``linmodel._DropState`` it downdates."""
+        from .linmodel import _factor, _usable_features  # linmodel imports data
+        usable, dropped = _usable_features(self)
+        factor = _factor(self, tuple(usable))
+        for array in (factor.q, factor.a, factor.qty):
+            array.setflags(write=False)
+        return tuple(usable), tuple(dropped), factor
 
     @cached_property
     def table_qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

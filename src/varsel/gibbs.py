@@ -19,6 +19,10 @@ candidate would count.  The memo is cleared when it holds
 ``CONDITIONAL_MEMO_ENTRIES`` conditionals; a chain frozen on one state needs
 only M of them.
 
+A chain position whose conditional has no candidate of finite cost keeps
+its index (``gibbs_run``); ``full_conditional_weights`` and
+``exact_target_enumeration`` raise on such a distribution.
+
 Costs at eta around 100 differ by hundreds of units, so every softmax here
 subtracts the largest exponent before exponentiating.
 """
@@ -182,7 +186,16 @@ def gibbs_run(
     redraws positions 1..M in order from their full conditionals, on a
     plain index list checked once here, and records the state after it.
     A conditional whose other positions hold a set seen before is read
-    from the run's memo (see the module docstring).
+    from the run's memo (see the module docstring).  A position whose
+    conditional has no candidate of finite cost (with the other positions,
+    every candidate makes a rank-deficient design) keeps its index and
+    draws nothing, and that conditional is not memoized; a random start
+    that holds a constant or copied column thus leaves it when that
+    column's own position is redrawn.
+
+    Raises:
+        DegenerateStepError: a sweep in which no position had a candidate
+            of finite cost, so the chain can never move.
     """
     r = dataset.n_features
     if config.m > r:
@@ -193,9 +206,17 @@ def gibbs_run(
     states, costs = [], []
     conditional = _ConditionalMemo(cache, config.eta)
     for _ in range(config.sweeps):
+        moved = False
         for j in range(config.m):
-            candidates, weights = conditional(tuple(state[:j] + state[j + 1:]))
+            try:
+                candidates, weights = conditional(tuple(state[:j] + state[j + 1:]))
+            except DegenerateStepError:
+                continue  # no finite candidate: the position keeps its index
             state[j] = candidates[_draw(rng, weights)]
+            moved = True
+        if not moved:
+            raise DegenerateStepError(
+                f"no position of state {tuple(state)} has a candidate of finite cost")
         states.append(FeatureSubset(tuple(state)))
         costs.append(cache.cost(states[-1].indices))
     return GibbsChain(states=tuple(states), costs=tuple(costs), n_features=r)

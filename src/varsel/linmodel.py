@@ -56,8 +56,8 @@ columns and conditioning matters.
   fresh factor only when a diagonal of ``(X^T X)^-1`` has fallen past
   ``DOWNDATE_LIMIT``.  A pool the bound does not certify goes to the SVD
   rule and takes a fresh factor at each removal.  The backward rankings
-  of one rank stage share one start, the usable scan and the state of the
-  usable pool, each downdating its own copy (``ranking.backward_starts``).
+  of a table share one start, the usable scan and the factor of the usable
+  pool (``Dataset.usable_pool``), and each builds its own state from it.
   CV
   (``validation.monte_carlo_cv``) fits each train split of a certified
   design from its factor by downdating its test rows, and sends every
@@ -82,7 +82,6 @@ with one rule for a constant target.
 
 from __future__ import annotations
 
-import copy
 import math
 from contextlib import suppress
 from dataclasses import dataclass
@@ -167,16 +166,18 @@ def _usable_features(dataset: Dataset) -> tuple[list[int], list[int]]:
     Greedy scan in ascending index order over an incrementally extended
     orthonormal basis (intercept first, always kept), written column by
     column into one N x (R+1) array: a column is kept iff its component
-    orthogonal to the current basis is non-negligible.  Backward procedures
-    start from the usable set and record the dropped indices at the tail of
-    their order.
+    orthogonal to the current basis is non-negligible.  Each column is
+    scaled by ``binary_scaled`` before its norms are taken, which is exact,
+    so no square overflows, or underflows to 0, on a column far from 1.
+    Backward procedures start from the usable set and record the dropped
+    indices at the tail of their order.
     """
     n = dataset.n_rows
     basis = np.empty((n, dataset.n_features + 1))
     basis[:, 0] = 1.0 / math.sqrt(n)
     usable, dropped = [], []
     for k in range(1, dataset.n_features + 1):
-        resid = dataset.features[:, k - 1].copy()
+        resid, _ = binary_scaled(dataset.features[:, k - 1])
         scale = np.linalg.norm(resid)
         _project_out(basis[:, :len(usable) + 1], resid)
         norm = np.linalg.norm(resid)
@@ -846,14 +847,16 @@ class _DropState:
     fresh ``_factor`` at each removal, until one is certified.
     """
 
-    def __init__(self, dataset: Dataset, pool):
+    def __init__(self, dataset: Dataset, pool, factor: Factor | None = None):
+        """The state of ``pool``, from its ``factor`` when given."""
         self.dataset = dataset
         self.pool = list(feature_indices(pool))
         self.removed: list[int] = []
-        self._refactor()
+        self._refactor(factor)
 
-    def _refactor(self) -> None:
-        factor = _factor(self.dataset, tuple(self.pool))
+    def _refactor(self, factor: Factor | None = None) -> None:
+        if factor is None:
+            factor = _factor(self.dataset, tuple(self.pool))
         self.fallback = None if factor.a_inv is not None else factor
         if self.fallback is None:
             a_inv = factor.a_inv
@@ -862,15 +865,6 @@ class _DropState:
             self.coefficients = a_inv @ factor.qty
             self.residuals = factor.residuals.copy()
             self.anchor = self.gram_inv.diagonal().copy()
-
-    def copy(self) -> "_DropState":
-        """A state at the same step whose downdates leave this one as it is."""
-        twin = copy.copy(self)
-        twin.pool, twin.removed = list(self.pool), list(self.removed)
-        if self.fallback is None:
-            for name in ("gram_inv", "dual", "coefficients", "residuals", "anchor"):
-                setattr(twin, name, getattr(self, name).copy())
-        return twin
 
     def follow(self, taken) -> "_DropState":
         """Remove the entries of ``taken`` not yet removed, in order."""

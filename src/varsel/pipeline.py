@@ -30,7 +30,6 @@ from .linmodel import CostCache, check_cost_parameters
 from .ranking import (
     Ranking,
     RankingMethod,
-    backward_starts,
     check_pvalue_threshold,
     rank_features,
 )
@@ -183,10 +182,8 @@ def _rankings(config: RunConfig, dataset: Dataset, made: dict) -> dict[str, Rank
     """The configured rankings, computed by the first of rank and select to
     run (a failure is charged to that stage) and kept for the other."""
     if "ranked" not in made:
-        starts = backward_starts(dataset, config.methods)
         made["ranked"] = {name: rank_features(dataset, RankingMethod(name),
-                                              config.alpha_threshold,
-                                              start=next(starts))
+                                              config.alpha_threshold)
                           for name in config.methods}
     return made["ranked"]
 

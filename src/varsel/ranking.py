@@ -9,19 +9,22 @@ elimination on per-coefficient t-test p-values, which drops the smallest
 ``_stepwise``, and one row each of ``_GREEDY`` says how: whether the method
 adds columns or removes them, whether a step takes the largest score, and
 whether the sequence taken runs worst to best.  ``rank_features`` runs
-every method; each public ``rank_*`` function calls it.
+every method; each public ``rank_*`` function calls it.  The removing
+methods build their state from ``Dataset.usable_pool``, which every
+removing ranking of the table shares.
 
 Every method returns the same shape: a best-to-worst permutation of all
 features plus the per-prefix MAE and MSE curves.  Methods whose native
 output runs worst-to-best (backward elimination, add-max) are normalized
 by reversal; the raw removal/addition sequence is kept alongside so reports
 can show both conventions.  A greedy method ranks the columns it cannot
-rank last, in index order (see ``rank_features``).  Ties are always broken
-by the lowest feature index.  RM5 ties |rho| values within ``RHO_TIE`` =
-1e-10 of their neighbour in decreasing order, transitively: affine copies
-of a column correlate equally in exact arithmetic, and a fixed grid such
-as ``round(|rho|, 10)`` still orders the copies that straddle a grid line.
-A constant column (``max == min``) correlates 0 with everything, and a
+rank last, in index order (see ``rank_features``): a forward step with no
+full-rank candidate, and a p-value pool the SVD rule calls rank-deficient,
+end the pass.  Ties are always broken by the lowest feature index.  RM5
+ties |rho| values within ``RHO_TIE`` = 1e-10 of their neighbour in
+decreasing order, transitively: affine copies of a column correlate
+equally in exact arithmetic, and a fixed grid such as ``round(|rho|, 10)``
+still orders the copies that straddle a grid line.  A constant column (``max == min``) correlates 0 with everything, and a
 constant target with every feature.
 """
 
@@ -45,7 +48,6 @@ from .linmodel import (
     _DropState,
     _certified,
     _prefix_decisions,
-    _usable_features,
     error_metrics,
     fit_subset,
 )
@@ -215,13 +217,6 @@ def _stepwise(pool, price, largest: bool) -> list[int]:
     return taken
 
 
-def _backward_start(dataset: Dataset) -> tuple[_DropState, list[int]]:
-    """The start of a backward pass: the ``linmodel._DropState`` of the
-    pool ``linmodel._usable_features`` keeps, and the dropped rest."""
-    usable, dropped = _usable_features(dataset)
-    return _DropState(dataset, usable), dropped
-
-
 def rank_forward_selection(dataset: Dataset) -> Ranking:
     """RM1: grow the model by the feature minimizing the prefix MAE."""
     return rank_features(dataset, RankingMethod.RM1_FORWARD)
@@ -281,11 +276,11 @@ def _t_statistics(state: _DropState) -> tuple[np.ndarray, int]:
     the residuals at the scale 2^-e of ``binary_scaled``, and |t| is
     ``2^-e |b| / (2^-e se)``: the bits of ``|b| / se``, with no square to
     overflow on a large target."""
-    coefs, residuals, gram_inv_diag = state.coefficient_fit()
     n, p = state.dataset.n_rows, len(state.pool) + 1
     dof = n - p
     if dof < 1:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
+    coefs, residuals, gram_inv_diag = state.coefficient_fit()
     scaled, exponent = binary_scaled(residuals)
     se_scaled = np.sqrt(float(scaled @ scaled) / dof * gram_inv_diag[1:])
     t = np.where(coefs != 0.0, math.inf, 0.0)
@@ -323,7 +318,7 @@ def rank_pvalues(dataset: Dataset, alpha_threshold: float = 0.05) -> Ranking:
 class _Greedy(NamedTuple):
     """How a greedy ranking runs ``_stepwise``."""
 
-    removes: bool  # empties its ``backward_starts`` start, or adds every column
+    removes: bool  # empties the ``Dataset.usable_pool``, or adds every column
     largest: bool  # a step takes the largest score, or the smallest
     worst_first: bool  # the sequence taken runs worst to best
 
@@ -340,40 +335,21 @@ _GREEDY = {
 }
 
 
-def backward_starts(dataset: Dataset, methods):
-    """The start each of ``methods`` is ranked from by ``rank_features``, in
-    order: None for a method that does not remove columns, and for the
-    others (RM2, RM3 and p-values) one start, the ``_usable_features`` scan
-    and the ``_DropState`` of the usable pool, built once.  Each removing
-    ranking downdates its own copy; the last takes the start itself, and
-    nothing here keeps it."""
-    removes = [RankingMethod(m) in _GREEDY and _GREEDY[RankingMethod(m)].removes
-               for m in methods]
-    left = sum(removes)
-    held = []
-    for removing in removes:
-        if not removing:
-            yield None
-            continue
-        if not held:
-            held.append(_backward_start(dataset))
-        left -= 1
-        yield held.pop() if not left else (held[0][0].copy(), held[0][1])
-
-
 def rank_features(dataset: Dataset, method: RankingMethod,
-                  alpha_threshold: float = 0.05, start=None) -> Ranking:
+                  alpha_threshold: float = 0.05) -> Ranking:
     """Run one ranking method by tag, as its ``_GREEDY`` row says.  A
-    removing one runs from ``start``, its entry of ``backward_starts``, or
-    from a start of its own.  Both orders end in one tail: the columns a
-    step with no full-rank candidate left, then those the
-    ``_usable_features`` scan dropped, each in index order."""
+    removing one builds its state from the table's ``Dataset.usable_pool``,
+    which the removing rankings of a table share.  Both orders end in one
+    tail: the columns left by a step with no full-rank candidate, or by a
+    p-value pool the SVD rule calls rank-deficient, then those the
+    ``linmodel._usable_features`` scan dropped, each in index order."""
     method = RankingMethod(method)
     if method not in _GREEDY:
         return _finish(method, dataset, _correlation_order(dataset))
     greedy = _GREEDY[method]
     if greedy.removes:
-        state, tail = _backward_start(dataset) if start is None else start
+        usable, dropped, factor = dataset.usable_pool
+        state, tail = _DropState(dataset, usable, factor), list(dropped)
         read = _DropState.removal_maes
     else:
         state, tail, read = _AddState(dataset), [], _AddState.costs
@@ -383,20 +359,24 @@ def rank_features(dataset: Dataset, method: RankingMethod,
         smallest = []  # each step's smallest |t| and its degrees of freedom
 
         def read(state):
-            t, dof = _t_statistics(state)
+            try:
+                t, dof = _t_statistics(state)
+            except RankDeficiencyError:  # the SVD rule's pool: the pass ends
+                return np.full(len(state.pool), math.inf)
             smallest.append((t.min(), dof))
             # a finite stand-in for +inf, which ``_stepwise`` would not take
             return np.minimum(t, UNBOUNDED_T)
 
     pool = list(state.pool)
     taken = _stepwise(pool, lambda done, _: read(state.follow(done)), greedy.largest)
-    del start, state  # the state goes before the error curve takes its residuals
+    del state  # the state goes before the error curve takes its residuals
     tail = sorted(set(pool).difference(taken)) + tail  # the one tail rule
     if method == RankingMethod.PVALUE:
         # step i of k prices a pool of k - i columns: entry k - 1 - i
         t, dof = np.array(smallest, dtype=float).reshape(-1, 2).T
         admissible = [False] * dataset.n_features
-        admissible[:len(t)] = (two_sided_tail(t, dof) < alpha_threshold)[::-1].tolist()
+        k = len(pool)
+        admissible[k - len(t):k] = (two_sided_tail(t, dof) < alpha_threshold)[::-1].tolist()
     order = (taken[::-1] if greedy.worst_first else taken) + tail
     # kept for every removal, and for the addition run worst to best (RM4)
     raw_order = taken + tail if greedy.removes or greedy.worst_first else None

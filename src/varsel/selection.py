@@ -107,7 +107,8 @@ def select_order(
         except ConfigError:
             continue  # n < m + 2
     if not (curve < math.inf).any():
-        raise DegenerateStepError("every ranking prefix is rank-deficient")
+        raise DegenerateStepError(
+            "every ranking prefix is rank-deficient or has an MSE that overflows")
     m_star = int(np.argmin(curve)) + 1
     return OrderSelection(criterion=criterion, m_star=m_star, curve=curve)
 

@@ -207,24 +207,35 @@ def loop_full_conditional(dataset, state, j, eta, cache):
     for i, k in enumerate(candidates):
         exponents[i] = -eta * cache.cost(
             state.indices[:j - 1] + (int(k),) + state.indices[j:])
+    if exponents.max() == -math.inf:
+        raise DegenerateStepError("no candidate has finite cost")
     weights = np.exp(exponents - exponents.max())
     return candidates, weights / weights.sum()
 
 
 def loop_gibbs_states(dataset, config, cache):
     """Chain states of the old systematic-scan sampler, priced through a
-    ``LoopCostCache``."""
+    ``LoopCostCache``.  A position with no candidate of finite cost keeps
+    its index and draws nothing; a sweep in which every position did
+    raises ``DegenerateStepError``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     state = random_subset(rng, dataset.n_features, config.m)
     states = []
     for _ in range(config.sweeps):
+        moved = False
         for j in range(1, config.m + 1):
-            candidates, weights = loop_full_conditional(
-                dataset, state, j, config.eta, cache
-            )
+            try:
+                candidates, weights = loop_full_conditional(
+                    dataset, state, j, config.eta, cache
+                )
+            except DegenerateStepError:
+                continue
             draw = rng.choice(len(candidates), p=weights)
             state = FeatureSubset(
                 state.indices[:j - 1] + (int(candidates[draw]),) + state.indices[j:])
+            moved = True
+        if not moved:
+            raise DegenerateStepError("no position has a candidate of finite cost")
         states.append(state)
         cache.cost(state.indices)
     return tuple(states)
@@ -263,12 +274,14 @@ def loop_usable_features(dataset):
     """The former ``ranking._usable_features``: a Gram-Schmidt scan in
     ascending index order over a basis widened by ``np.hstack``, its two
     projection passes written out; a column is kept iff its component
-    orthogonal to the basis exceeds 1e-8 of its norm."""
+    orthogonal to the basis exceeds 1e-8 of its norm.  Each column is first
+    scaled by the power of two that brings its largest magnitude below 1."""
     n = dataset.n_rows
     basis = np.ones((n, 1)) / math.sqrt(n)
     usable, dropped = [], []
     for k in range(1, dataset.n_features + 1):
         x = dataset.features[:, k - 1]
+        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
         scale = np.linalg.norm(x)
         resid = x - basis @ (basis.T @ x)
         resid -= basis @ (basis.T @ resid)  # one reorthogonalization pass
@@ -328,12 +341,12 @@ def loop_coefficient_tstats(dataset, indices):
     residuals, a scipy QR for the standard errors, one |t| per coefficient
     (+inf for a nonzero one with se = 0, 0 for a zero one), and the dof."""
     design = build_design_matrix(dataset, FeatureSubset(indices))
-    fit = fit_least_squares(design, dataset.target)
     x = design.values
     n, p = x.shape
     dof = n - p
     if dof < 1:
         raise ConfigError(f"p-values need N >= M + 2 (N={n}, M={p - 1})")
+    fit = fit_least_squares(design, dataset.target)
     _, r_factor = scipy.linalg.qr(x, mode="economic")
     r_inv = scipy.linalg.solve_triangular(r_factor, np.eye(p))
     gram_inv_diag = (r_inv**2).sum(axis=1)
@@ -356,21 +369,25 @@ def loop_coefficient_pvalues(dataset, indices):
 
 def loop_pvalues(dataset, alpha_threshold=0.05):
     """The old p-value backward elimination loop, dropping the smallest |t|
-    (the largest p)."""
+    (the largest p); a pool the SVD rule calls rank-deficient ends it, and
+    the rest go to the tail in index order, ahead of the dropped columns."""
     usable, dropped = loop_usable_features(dataset)
     removals = []
     current = list(usable)
     r = dataset.n_features
     admissible = [False] * r
     while current:
-        tstats, dof = loop_coefficient_tstats(dataset, tuple(current))
+        try:
+            tstats, dof = loop_coefficient_tstats(dataset, tuple(current))
+        except RankDeficiencyError:
+            break
         m = len(current)
         admissible[m - 1] = bool(np.max(two_sided_tail(tstats, dof)) < alpha_threshold)
         worst_pos = int(np.argmin(tstats))  # argmin: first (lowest index) wins ties
         removals.append(current.pop(worst_pos))
-    order = list(reversed(removals)) + dropped
+    order = list(reversed(removals)) + current + dropped
     return _finish(RankingMethod.PVALUE, dataset, order,
-                   raw_order=removals + dropped, admissible=admissible)
+                   raw_order=removals + current + dropped, admissible=admissible)
 
 
 def loop_error_curve(dataset, order):
@@ -431,7 +448,8 @@ def loop_select_order(dataset, ranking, criterion):
         except (RankDeficiencyError, ConfigError):
             continue  # unscorable prefix (rank-deficient or n < m + 2)
     if not (curve < math.inf).any():
-        raise DegenerateStepError("every ranking prefix is rank-deficient")
+        raise DegenerateStepError(
+            "every ranking prefix is rank-deficient or has an MSE that overflows")
     m_star = int(np.argmin(curve)) + 1
     return curve, m_star
 

@@ -432,3 +432,64 @@ class TestConditionalMemo:
             got = gibbs_run(ds, config)
         assert (got.states, got.costs) == (want.states, want.costs)
         assert max(sizes) == 8 and sizes.count(1) > 1
+
+
+def constant_column_table():
+    """16 x 4 Gaussian columns, column 2 constant, target x1 - x3 plus 0.1
+    noise: every subset that holds column 2 is rank-deficient."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(16, 4))
+    x[:, 1] = x[0, 1]
+    return make_dataset(x, x[:, 0] - x[:, 2] + 0.1 * rng.normal(size=16))
+
+
+class TestDeficientPositions:
+    """A position whose full conditional has no candidate of finite cost
+    keeps its index and draws nothing; the chain goes on, and raises only
+    after a sweep in which no position could move."""
+
+    def test_starts_on_the_constant_column_complete(self):
+        # at seeds 0-39, 12 chains start with column 2 at position 2: with
+        # column 2 fixed, position 1 has no finite candidate and keeps its
+        # index, and position 2 then leaves column 2
+        ds = constant_column_table()
+        stuck, original = [], gibbs._conditional
+
+        def conditional(cache, others, eta):
+            try:
+                return original(cache, others, eta)
+            except DegenerateStepError:
+                stuck.append(config.seed)
+                raise
+
+        for seed in range(40):
+            config = GibbsConfig(m=2, eta=100.0, sweeps=20, seed=seed)
+            library = CostCache(ds)
+            with mock.patch.object(gibbs, "_conditional", conditional):
+                chain = gibbs_run(ds, config, cache=library)
+            states, loop = loop_on_the_same_prices(ds, config, library)
+            assert chain.states == states, seed
+            assert (library.hits, library.misses) == (loop.hits, loop.misses)
+            assert all(math.isfinite(cost) for cost in chain.costs), seed
+        assert len(set(stuck)) == 12
+
+    def test_a_conditional_with_no_finite_candidate_is_not_memoized(self):
+        cache = CostCache(constant_column_table())
+        memo = gibbs._ConditionalMemo(cache, 100.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateStepError, match="no candidate"):
+                memo((2,))  # every pair with column 2 is rank-deficient
+        assert memo.entries == {}
+        assert (cache.hits, cache.misses) == (3, 3)  # priced once, then read
+
+    def test_a_chain_that_cannot_move_raises(self):
+        # two columns, the second constant: the one pair is rank-deficient,
+        # so neither position has a finite candidate
+        rng = np.random.default_rng(1)
+        ds = make_dataset(np.column_stack([rng.normal(size=8), np.full(8, 2.0)]),
+                          rng.normal(size=8))
+        config = GibbsConfig(m=2, eta=1.0, sweeps=5, seed=0)
+        with pytest.raises(DegenerateStepError, match="no position"):
+            gibbs_run(ds, config)
+        with pytest.raises(DegenerateStepError, match="no position"):
+            loop_gibbs_states(ds, config, LoopCostCache(ds))

@@ -514,6 +514,22 @@ class TestCli:
         assert (out / "report.json").is_file()
         assert str(out / "report.json") in capsys.readouterr().out
 
+    def test_rank_succeeds_where_the_svd_rule_calls_the_pool_deficient(self, tmp_path):
+        # column 3 scaled by 1e-12: the Gram-Schmidt scan keeps it, the SVD
+        # rule does not, and the p-value ranking puts the pool in its tail
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        x[:, 2] *= 1e-12
+        y = x[:, 0] + rng.normal(size=40)
+        data = tmp_path / "tiny.csv"
+        data.write_text("f1,f2,f3,y\n" + "".join(
+            ",".join(repr(float(v)) for v in (*row, t)) + "\n" for row, t in zip(x, y)))
+        out = tmp_path / "out"
+        assert main(["rank", "-i", str(data), "--target", "y", "-o", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        pvalue = [r for r in report["rankings"] if r["method"] == "pvalue"][0]
+        assert pvalue["order"] == [1, 2, 3]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,y\n1,oops,3\n4,5,6\n7,8,9\n")
@@ -745,7 +761,8 @@ class TestCli:
         out = tmp_path / "o"
         code = main(["select", "-i", str(data), "--target", target, "-o", str(out)])
         assert code == EXIT_COMPUTATION
-        assert "stage 'select' failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stage 'select' failed" in err and "an MSE that overflows" in err
         report = json.loads((out / "report.json").read_text())
         assert report["incomplete"]["failed_stage"] == "select"
 

@@ -1,6 +1,7 @@
 """Ranking methods against independently written brute-force oracles."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -41,7 +42,7 @@ from varsel.linmodel import (
     _usable_features,
 )
 from varsel.pipeline import RunConfig
-from varsel.ranking import _stepwise, _t_statistics, backward_starts
+from varsel.ranking import _stepwise, _t_statistics
 
 from conftest import (
     assert_prefix_fits_within_the_bound,
@@ -226,6 +227,17 @@ class TestUsableFeatures:
     def test_matches_the_former_scan(self, dataset):
         assert _usable_features(dataset) == loop_usable_features(dataset)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_a_column_whose_squares_leave_the_doubles_is_kept(self, scale):
+        # its norms are taken at the scale of ``binary_scaled``: a column
+        # times 1e160 no longer overflows (numpy's warning fails the test),
+        # and one times 1e-300 no longer underflows to a norm of 0
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        x[:, 1] *= scale
+        ds = make_dataset(x, rng.normal(size=40))
+        assert _usable_features(ds) == loop_usable_features(ds) == ([1, 2, 3], [])
+
     @pytest.mark.parametrize("ratio,kept", [(0.95e-8, False), (1.05e-8, True),
                                             (1.5e-8, True)])
     def test_the_cut_at_1e_8_of_the_column_norm(self, ratio, kept):
@@ -363,6 +375,42 @@ class TestPValues:
             ranking = rank_pvalues(ds)
         assert ranking.raw_order == (2, 1, 3)
         assert ranking.admissible == (True, True, False)
+
+    def test_a_pool_the_svd_rule_calls_deficient_goes_to_the_tail(self):
+        # the Gram-Schmidt scan keeps a column scaled by 1e-12, and the SVD
+        # rule calls the pool rank-deficient: the pass ends at its first
+        # step, as RM1-RM4 end theirs, and every column goes to the tail
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        x[:, 2] *= 1e-12
+        ds = make_dataset(x, x[:, 0] + rng.normal(size=40))
+        assert _usable_features(ds) == ([1, 2, 3], [])
+        ranking, want = rank_pvalues(ds), loop_pvalues(ds)
+        assert ranking.order == ranking.raw_order == want.raw_order == (1, 2, 3)
+        assert ranking.admissible == want.admissible == (False, False, False)
+        assert ranking.filled_prefixes == (3,)
+
+    def test_a_pass_that_ends_early_flags_the_sizes_it_priced(self):
+        # a pool of fewer than 3 columns reads as rank-deficient: the pass
+        # prices the pools of 4 and 3 columns, and only those flags are set
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(60, 4))
+        ds = make_dataset(x, x @ [2.0, 1.5, 1.0, 0.5] + 0.1 * rng.normal(size=60))
+        whole = rank_pvalues(ds)
+        fit = _DropState.coefficient_fit
+
+        def deficient_below_three(state):
+            if len(state.pool) < 3:
+                raise RankDeficiencyError("fewer than 3 columns")
+            return fit(state)
+
+        with mock.patch.object(_DropState, "coefficient_fit", autospec=True,
+                               side_effect=deficient_below_three):
+            ranking = rank_pvalues(replace(ds))
+        assert ranking.raw_order[:2] == whole.raw_order[:2]
+        assert ranking.raw_order[2:] == tuple(sorted(whole.raw_order[2:]))
+        assert whole.admissible == (True, True, True, True)
+        assert ranking.admissible == (False, False, True, True)
 
     def test_admissibility_flags_recorded(self):
         rng = np.random.default_rng(31)
@@ -625,10 +673,16 @@ class TestCertifiedPrefixes:
 
 
 def rank_stage(dataset, methods):
-    """The rankings of one rank stage, each method from its entry of
-    ``backward_starts``, as ``pipeline._rankings`` runs them."""
-    return [rank_features(dataset, method, start=start)
-            for method, start in zip(methods, backward_starts(dataset, methods))]
+    """The rankings of one rank stage, as ``pipeline._rankings`` runs it."""
+    config = RunConfig(dataset_path="table.csv", target_column="y", stages=("rank",),
+                       methods=tuple(RankingMethod(m).value for m in methods))
+    return list(pipeline._rankings(config, dataset, {}).values())
+
+
+def ranked_alone(dataset, methods):
+    """Each method ranked on its own copy of the table, which shares no
+    ``Dataset.usable_pool`` with another."""
+    return [rank_features(replace(dataset), method) for method in methods]
 
 
 def assert_same_rankings(got, want):
@@ -642,15 +696,16 @@ def assert_same_rankings(got, want):
 
 
 class TestRankStage:
-    """The rankings of one stage share one backward start: each equals the
-    method ranked alone, in any order of the methods, and the stage scans
-    the usable columns once and factors their pool once."""
+    """The removing rankings of one table share one start, its
+    ``Dataset.usable_pool``: each equals the method ranked alone, in any
+    order of the methods, and the table is scanned once and its usable pool
+    factored once, however many stages rank it."""
 
     @settings(max_examples=40, deadline=None)
     @given(dataset=awkward_tables(), methods=st.permutations(list(RankingMethod)))
     def test_ranked_together_equal_ranked_alone(self, dataset, methods):
-        alone = [rank_features(dataset, method) for method in methods]
-        assert_same_rankings(rank_stage(dataset, methods), alone)
+        assert_same_rankings(rank_stage(dataset, methods),
+                             ranked_alone(dataset, methods))
 
     @pytest.mark.parametrize("methods", [
         list(RankingMethod),
@@ -659,30 +714,21 @@ class TestRankStage:
     def test_the_benchmark_table_in_both_orders(self, methods):
         table = benchmark_table(1, 30)
         ds = make_dataset(table.features, table.target)
-        alone = [rank_features(ds, method) for method in methods]
+        alone = ranked_alone(ds, methods)
         assert_same_rankings(rank_stage(ds, methods), alone)
         assert_same_rankings(rank_stage(ds, methods[::-1]), alone[::-1])
 
-    def test_one_scan_and_one_pool_factor_a_stage(self):
+    def test_one_scan_and_one_pool_factor_a_table(self):
         table = benchmark_table(1, 30)
         ds = make_dataset(table.features, table.target)
         usable, _ = _usable_features(ds)
-        config = RunConfig(dataset_path="table.csv", target_column="y",
-                           stages=("rank",))
-        copy, copies = linmodel._DropState.copy, []
-
-        def counted_copy(state):
-            copies.append(state)
-            return copy(state)
-
-        with spy(ranking_module, "_usable_features") as scan, \
-                spy(linmodel, "_factor") as factor, \
-                mock.patch.object(linmodel._DropState, "copy", counted_copy):
-            ranked = pipeline._rankings(config, ds, {})
-        assert list(ranked) == list(config.methods)
+        with spy(linmodel, "_usable_features") as scan, \
+                spy(linmodel, "_factor") as factor:
+            ranked = rank_stage(ds, list(RankingMethod))
+            assert [r.method for r in ranked] == list(RankingMethod)
+            rank_stage(ds, list(RankingMethod)[::-1])
         scan.assert_called_once()
         assert [c.args[1] for c in factor.call_args_list].count(tuple(usable)) == 1
-        assert len(copies) == 2  # RM2 and RM3; p-values take the start
 
 
 PUBLIC = {
